@@ -13,8 +13,9 @@ import (
 const costFloor = 256
 
 // rrBytes converts a predicted RR-set count into predicted resident
-// bytes with store.SketchCost's accounting: 8 bytes per RR membership
-// plus 8 per RR set, with the average RR-set width approximated by
+// bytes with store.SketchCost's accounting: 8 bytes per RR membership,
+// 8 per RR set and 8 per node for the inverted index's list starts,
+// with the average RR-set width approximated by
 // 1 + m/n — under the weighted-cascade convention each node's incoming
 // probabilities sum to 1, so a reverse-reachable walk adds about one
 // node per step and the density ratio is the cheap upper-ish proxy for
@@ -27,7 +28,7 @@ func rrBytes(nodes, edges int, theta float64) int64 {
 	if nodes > 0 {
 		width += float64(edges) / float64(nodes)
 	}
-	bytes := theta * (8*width + 8)
+	bytes := theta*(8*width+8) + 8*float64(nodes)
 	if bytes >= math.MaxInt64-costFloor {
 		return math.MaxInt64
 	}

@@ -110,6 +110,7 @@ func (b *Builder) Build() *Graph {
 		g.inProb[j] = e.p
 		g.inEdgePos[j] = int64(pos)
 	}
+	g.buildInSkip()
 	return g
 }
 

@@ -90,5 +90,6 @@ func FromCSR(n int, outIndex []int64, outTo []NodeID, outProb []float32) (*Graph
 			g.inEdgePos[j] = pos
 		}
 	}
+	g.buildInSkip()
 	return g, nil
 }

@@ -5,7 +5,10 @@
 // extraction, BFS-induced subgraphs, degree statistics).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a node; nodes are numbered 0..N-1.
 type NodeID = int32
@@ -31,6 +34,11 @@ type Graph struct {
 	// in-edge, so edge state (tested/live) can be shared between forward
 	// and reverse traversals.
 	inEdgePos []int64
+
+	// inSkip[v] is 1/ln(1−p) when every in-edge of v carries the same
+	// probability p ∈ (0,1) and the list is long enough for geometric
+	// skipping to beat one coin per edge (skipPays), else 0. See InSkip.
+	inSkip []float64
 }
 
 // N returns the number of nodes.
@@ -66,6 +74,49 @@ func (g *Graph) OutEdgeBase(v NodeID) int64 { return g.outIndex[v] }
 func (g *Graph) InEdges(v NodeID) (sources []NodeID, probs []float32) {
 	lo, hi := g.inIndex[v], g.inIndex[v+1]
 	return g.inFrom[lo:hi], g.inProb[lo:hi]
+}
+
+// InSkip returns v's geometric-skip factor: 1/ln(1−p) (a negative
+// number) when all of v's in-edges share one probability p ∈ (0,1) and
+// the list is long enough that jumping between live edges is cheaper
+// than flipping a coin per edge, else 0. On a non-zero factor the number
+// of dead in-edges before the next live one is ⌊ln U · InSkip(v)⌋ for
+// uniform U, and under the LT model in-edge ⌊r/p⌋ is the trigger for a
+// uniform r — the reverse samplers of internal/rrset use both. The table
+// is a property of the immutable graph, computed once at construction.
+func (g *Graph) InSkip(v NodeID) float64 { return g.inSkip[v] }
+
+// skipDrawCost is the cost of one geometric-skip draw (RNG output +
+// math.Log, ≈ 24 ns) in units of one per-edge coin (RNG output +
+// compare, ≈ 5 ns), as measured on the RR sampler's inner loops: on
+// weighted-cascade stars the two break even at in-degree 8–10.
+const skipDrawCost = 4
+
+// skipPays reports whether geometric skipping over d in-edges of
+// probability p — d·p + 1 expected draws — is cheaper than d coins.
+func skipPays(d int, p float64) bool {
+	return float64(d) > skipDrawCost*(float64(d)*p+1)
+}
+
+// buildInSkip fills the per-node skip table from the in-adjacency.
+func (g *Graph) buildInSkip() {
+	g.inSkip = make([]float64, g.n)
+	for v := range g.inSkip {
+		ps := g.inProb[g.inIndex[v]:g.inIndex[v+1]]
+		if len(ps) == 0 || !(ps[0] > 0 && ps[0] < 1) {
+			continue
+		}
+		uniform := true
+		for _, q := range ps[1:] {
+			if q != ps[0] {
+				uniform = false
+				break
+			}
+		}
+		if p := float64(ps[0]); uniform && skipPays(len(ps), p) {
+			g.inSkip[v] = 1 / math.Log1p(-p)
+		}
+	}
 }
 
 // InEdgePositions returns, for each in-edge of v, the global out-edge
@@ -120,6 +171,7 @@ func (g *Graph) WeightedCascade() *Graph {
 			ng.outProb[g.inEdgePos[j]] = p
 		}
 	}
+	ng.buildInSkip()
 	return &ng
 }
 
@@ -136,5 +188,6 @@ func (g *Graph) UniformProb(p float64) *Graph {
 	for i := range ng.inProb {
 		ng.inProb[i] = fp
 	}
+	ng.buildInSkip()
 	return &ng
 }

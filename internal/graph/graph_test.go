@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +153,58 @@ func TestUniformProb(t *testing.T) {
 	if p, _ := g.Prob(0, 1); p != float64(float32(0.9)) {
 		t.Errorf("original mutated")
 	}
+}
+
+// TestInSkipTable: every constructor fills the skip table from the
+// probabilities the graph actually carries — 1/ln(1−p) on a uniform
+// neighbourhood with p ∈ (0,1) that is long enough to pay, 0 elsewhere.
+func TestInSkipTable(t *testing.T) {
+	b := NewBuilder(64)
+	for u := 1; u <= 40; u++ {
+		b.AddEdge(NodeID(u), 0, 0.05) // uniform, long: skip
+	}
+	for u := 1; u <= 3; u++ {
+		b.AddEdge(NodeID(u), 41, 0.05) // uniform, short: coin
+	}
+	for u := 1; u <= 40; u++ {
+		b.AddEdge(NodeID(u), 42, 0.05+0.01*float64(u%2)) // mixed: coin
+	}
+	for u := 1; u <= 40; u++ {
+		b.AddEdge(NodeID(u), 43, 1) // p = 1: take all
+		b.AddEdge(NodeID(u), 44, 0) // p = 0: take none
+		b.AddEdge(NodeID(u), 45, 0.5)
+	}
+	g := b.Build()
+	want := func(p float32) float64 { return 1 / math.Log1p(-float64(p)) }
+	check := func(name string, g *Graph, v NodeID, w float64) {
+		t.Helper()
+		if got := g.InSkip(v); got != w {
+			t.Errorf("%s: InSkip(%d) = %v, want %v", name, v, got, w)
+		}
+	}
+	viaCSR, err := FromCSR(g.N(), g.outIndex, g.outTo, g.outProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, gr := range map[string]*Graph{"Build": g, "FromCSR": viaCSR} {
+		check(name, gr, 0, want(0.05))
+		check(name, gr, 41, 0)
+		check(name, gr, 42, 0)
+		check(name, gr, 43, 0)
+		check(name, gr, 44, 0)
+		check(name, gr, 45, 0) // d·p + 1 = 21 draws for 40 coins: not worth a log each
+		check(name, gr, 50, 0) // no in-edges
+	}
+	// Derived graphs carry their own table, not the parent's.
+	wc := g.WeightedCascade()
+	for _, v := range []NodeID{0, 42, 43, 44, 45} {
+		check("WeightedCascade", wc, v, want(float32(1.0/40)))
+	}
+	check("WeightedCascade", wc, 41, 0)
+	up := g.UniformProb(0.02)
+	check("UniformProb", up, 42, want(0.02))
+	check("UniformProb", up, 41, 0)
+	check("Build after derivations", g, 42, 0)
 }
 
 func TestReadEdgeList(t *testing.T) {

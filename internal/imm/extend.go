@@ -73,5 +73,6 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, k int, opt
 	if err != nil {
 		return nil, err
 	}
+	col.ReleaseScratch()
 	return &Sketch{Col: col, K: newK, Phase1: sk.Phase1, LB: sk.LB}, nil
 }

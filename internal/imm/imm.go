@@ -167,6 +167,7 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts Options, rn
 	if err := grow(int64(math.Ceil(theta))); err != nil {
 		return nil, err
 	}
+	col.ReleaseScratch()
 	return &Sketch{Col: col, K: k, Phase1: grown, LB: lb}, nil
 }
 

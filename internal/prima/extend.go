@@ -92,5 +92,6 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, oldBudgets
 	if err != nil {
 		return nil, err
 	}
+	col.ReleaseScratch()
 	return &Sketch{Col: col, MaxBudget: maxBudget, Phase1: sk.Phase1}, nil
 }

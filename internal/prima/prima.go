@@ -250,6 +250,7 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 	if err := grow(int64(math.Ceil(thetaFinal))); err != nil {
 		return nil, err
 	}
+	col.ReleaseScratch()
 	return &Sketch{Col: col, MaxBudget: maxBudget, Phase1: phase1}, nil
 }
 

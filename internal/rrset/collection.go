@@ -11,14 +11,14 @@ import (
 )
 
 // Collection stores a growing multiset of RR sets together with the
-// inverted node -> set index needed by NodeSelection. Sets are stored in a
-// single backing slice to keep allocation rates low.
+// inverted node -> set index needed by NodeSelection. Sets and index are
+// both flat arrays (CSR): no per-set or per-node allocation.
 //
-// Concurrency: Add, Grow and Reset mutate the collection and must be
-// serialized by the caller. Once growing stops, the read-only surface
-// (Len, TotalSize, Set, Covering, CoverageOf, FractionCovered,
-// NodeSelection — which allocates all of its scratch state locally) is
-// safe for any number of concurrent readers. The IMM/PRIMA sketch caches
+// Concurrency: the Grow family, Reset and ReleaseScratch mutate the
+// collection and must be serialized by the caller. Once growing stops,
+// the read-only surface (Len, TotalSize, Set, Covering, CoverageOf,
+// FractionCovered, NodeSelection — which allocates all of its scratch
+// state locally) is safe for any number of concurrent readers. The IMM/PRIMA sketch caches
 // build a collection once and then share it read-only across request
 // goroutines.
 type Collection struct {
@@ -28,8 +28,11 @@ type Collection struct {
 	members []graph.NodeID
 	offsets []int64 // set i occupies members[offsets[i]:offsets[i+1]]
 
-	// inverted index: for each node, the ids of sets containing it
-	coverOf [][]int32
+	// inverted index in CSR form: the ids of the sets containing node v,
+	// ascending, are coverIDs[coverIdx[v]:coverIdx[v+1]]. Rebuilt by one
+	// counting pass over members at the end of every grow (buildIndex).
+	coverIdx []int64
+	coverIDs []int32
 
 	sampler *Sampler
 
@@ -44,11 +47,40 @@ type Collection struct {
 // NewCollection returns an empty collection for g.
 func NewCollection(g *graph.Graph) *Collection {
 	return &Collection{
-		g:       g,
-		offsets: []int64{0},
-		coverOf: make([][]int32, g.N()),
-		sampler: NewSampler(g),
+		g:        g,
+		offsets:  []int64{0},
+		coverIdx: make([]int64, g.N()+1),
+		sampler:  NewSampler(g),
 	}
+}
+
+// buildIndex rebuilds the inverted index from members/offsets by
+// counting sort: count each node's memberships, prefix-sum the counts
+// into list starts, then scan the sets in id order dropping each id at
+// its node's cursor — so every list comes out ascending. The cursors
+// are the coverIdx entries themselves, shifted back afterwards.
+func (c *Collection) buildIndex() {
+	idx := c.coverIdx
+	clear(idx)
+	for _, v := range c.members {
+		idx[v+1]++
+	}
+	for v := 1; v < len(idx); v++ {
+		idx[v] += idx[v-1]
+	}
+	if cap(c.coverIDs) < len(c.members) {
+		c.coverIDs = make([]int32, len(c.members))
+	}
+	ids := c.coverIDs[:len(c.members)]
+	for i := 0; i < c.Len(); i++ {
+		for _, v := range c.Set(i) {
+			ids[idx[v]] = int32(i)
+			idx[v]++
+		}
+	}
+	copy(idx[1:], idx)
+	idx[0] = 0
+	c.coverIDs = ids
 }
 
 // Sampler exposes the underlying sampler so callers can set a node coin.
@@ -92,18 +124,9 @@ func Restore(g *graph.Graph, members []graph.NodeID, offsets []int64) (*Collecti
 			return nil, fmt.Errorf("rrset: member node %d out of range [0, %d)", v, n)
 		}
 	}
-	c := &Collection{
-		g:       g,
-		members: members,
-		offsets: offsets,
-		coverOf: make([][]int32, n),
-		sampler: NewSampler(g),
-	}
-	for i := 0; i < c.Len(); i++ {
-		for _, v := range c.Set(i) {
-			c.coverOf[v] = append(c.coverOf[v], int32(i))
-		}
-	}
+	c := NewCollection(g)
+	c.members, c.offsets = members, offsets
+	c.buildIndex()
 	return c, nil
 }
 
@@ -122,15 +145,23 @@ func (c *Collection) EdgesVisited() int64 {
 	return c.sampler.EdgesVisited + atomic.LoadInt64(&c.parEdges)
 }
 
-// Add samples one more RR set.
-func (c *Collection) Add(rng *stats.RNG) {
-	start := len(c.members)
-	c.members = c.sampler.Sample(rng, c.members)
-	id := int32(c.Len())
-	for _, v := range c.members[start:] {
-		c.coverOf[v] = append(c.coverOf[v], id)
-	}
-	c.offsets = append(c.offsets, int64(len(c.members)))
+// ResidentBytes is what the stored sets and their index occupy: every
+// membership once in the flat set storage and once in the index (4
+// bytes each), 8 bytes per set boundary, 8 per node for the index's
+// list starts. Sampling scratch is not counted — sketch builders
+// release it (ReleaseScratch) before a collection becomes resident.
+func (c *Collection) ResidentBytes() int64 {
+	return 4*int64(len(c.members)) + 4*int64(len(c.coverIDs)) +
+		8*int64(len(c.offsets)) + 8*int64(len(c.coverIdx))
+}
+
+// ReleaseScratch drops the n-sized sampling scratch (the primary
+// sampler's and the pooled per-worker samplers' visited arrays) once
+// growth is over, so a collection kept resident holds only its sets and
+// index. Growing it again is legal; the scratch is re-allocated then.
+func (c *Collection) ReleaseScratch() {
+	c.sampler.release()
+	c.parSamplers = nil
 }
 
 // Grow samples RR sets until the collection holds at least target sets.
@@ -153,7 +184,10 @@ func (c *Collection) GrowCtx(ctx context.Context, target int64, rng *stats.RNG, 
 	defer telemetry.StartSpan(ctx, "rrset_grow")()
 	start := int64(c.Len())
 	defer func() {
-		telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, int64(c.Len())-start)
+		if grown := int64(c.Len()) - start; grown > 0 {
+			c.buildIndex()
+			telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, grown)
+		}
 	}()
 	for int64(c.Len()) < target {
 		if err := ctx.Err(); err != nil {
@@ -164,7 +198,8 @@ func (c *Collection) GrowCtx(ctx context.Context, target int64, rng *stats.RNG, 
 			stop = target
 		}
 		for int64(c.Len()) < stop {
-			c.Add(rng)
+			c.members = c.sampler.Sample(rng, c.members)
+			c.offsets = append(c.offsets, int64(len(c.members)))
 		}
 		if report != nil {
 			report(int64(c.Len()), target)
@@ -180,16 +215,16 @@ func (c *Collection) Set(i int) []graph.NodeID {
 
 // Covering returns the ids of the stored sets containing v. The slice
 // aliases internal storage and must not be modified.
-func (c *Collection) Covering(v graph.NodeID) []int32 { return c.coverOf[v] }
+func (c *Collection) Covering(v graph.NodeID) []int32 {
+	return c.coverIDs[c.coverIdx[v]:c.coverIdx[v+1]]
+}
 
 // Reset drops all stored sets, keeping allocated capacity. PRIMA uses this
 // for its final from-scratch regeneration phase.
 func (c *Collection) Reset() {
 	c.members = c.members[:0]
 	c.offsets = c.offsets[:1]
-	for i := range c.coverOf {
-		c.coverOf[i] = c.coverOf[i][:0]
-	}
+	c.buildIndex()
 }
 
 // CoverageOf returns the number of sets hit by the given seed set,
@@ -198,7 +233,7 @@ func (c *Collection) Reset() {
 func (c *Collection) CoverageOf(seeds []graph.NodeID) int {
 	covered := make([]bool, c.Len())
 	for _, s := range seeds {
-		for _, id := range c.coverOf[s] {
+		for _, id := range c.Covering(s) {
 			covered[id] = true
 		}
 	}
@@ -249,7 +284,7 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 	}
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		deg[v] = int32(len(c.coverOf[v]))
+		deg[v] = int32(c.coverIdx[v+1] - c.coverIdx[v])
 	}
 	setCovered := make([]bool, c.Len())
 	seeds = make([]graph.NodeID, 0, k)
@@ -275,7 +310,7 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 			continue
 		}
 		commit(v)
-		for _, id := range c.coverOf[v] {
+		for _, id := range c.Covering(v) {
 			if setCovered[id] {
 				continue
 			}

@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,8 +28,9 @@ import (
 //     its chunks in increasing j with its one sequential stream, so
 //     chunk contents depend only on (base, w, chunk sequence);
 //   - workers sample into private buffers; after all workers finish,
-//     the chunks are merged into the collection in chunk-index order,
-//     so Members()/Offsets() are byte-identical across runs.
+//     the chunks are copied into the collection in chunk-index order
+//     and the inverted index is rebuilt once, so Members()/Offsets()
+//     are byte-identical across runs.
 //
 // EdgesVisited and progress are accumulated through atomics while
 // workers run; report (when non-nil) observes a monotone done count.
@@ -135,23 +137,27 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 		return err
 	}
 
-	// Merge in chunk-index order: the single mutating pass, after every
-	// worker has stopped touching its buffers.
-	for j := 0; j < numChunks; j++ {
+	// Merge in chunk-index order, after every worker has stopped touching
+	// its buffers. The sizes are known, so the storage grows once, each
+	// chunk lands by bulk copy, and the inverted index is rebuilt in one
+	// counting pass.
+	addMembers, addSets := 0, 0
+	for _, o := range outs {
+		addMembers += len(o.buf)
+		addSets += len(o.sizes)
+	}
+	c.members = slices.Grow(c.members, addMembers)
+	c.offsets = slices.Grow(c.offsets, addSets)
+	for j, sp := range chunks {
 		o := &outs[j%workers]
-		sp := chunks[j]
-		pos := sp.memStart
+		c.members = append(c.members, o.buf[sp.memStart:sp.memEnd]...)
+		end := c.offsets[len(c.offsets)-1]
 		for _, sz := range o.sizes[sp.sizeStart:sp.sizeEnd] {
-			id := int32(c.Len())
-			set := o.buf[pos : pos+int(sz)]
-			c.members = append(c.members, set...)
-			for _, v := range set {
-				c.coverOf[v] = append(c.coverOf[v], id)
-			}
-			c.offsets = append(c.offsets, int64(len(c.members)))
-			pos += int(sz)
+			end += int64(sz)
+			c.offsets = append(c.offsets, end)
 		}
 	}
+	c.buildIndex()
 	if report != nil {
 		reportMu.Lock()
 		if int64(c.Len()) > lastReported {
@@ -183,18 +189,13 @@ func (c *Collection) ensureParSamplers(workers int) {
 // keep serving concurrent readers (the sketch-cache contract) while the
 // clone is grown further — the ExtendSketch seam.
 func (c *Collection) Clone() *Collection {
-	coverOf := make([][]int32, len(c.coverOf))
-	for i, ids := range c.coverOf {
-		if len(ids) > 0 {
-			coverOf[i] = append([]int32(nil), ids...)
-		}
-	}
 	nc := &Collection{
-		g:       c.g,
-		members: append([]graph.NodeID(nil), c.members...),
-		offsets: append([]int64(nil), c.offsets...),
-		coverOf: coverOf,
-		sampler: NewSampler(c.g),
+		g:        c.g,
+		members:  slices.Clone(c.members),
+		offsets:  slices.Clone(c.offsets),
+		coverIdx: slices.Clone(c.coverIdx),
+		coverIDs: slices.Clone(c.coverIDs),
+		sampler:  NewSampler(c.g),
 	}
 	nc.sampler.Cascade = c.sampler.Cascade
 	nc.sampler.NodeCoin = c.sampler.NodeCoin

@@ -127,7 +127,7 @@ func TestCollectionInvertedIndex(t *testing.T) {
 	c := NewCollection(g)
 	rng := stats.NewRNG(7)
 	c.Grow(20, rng)
-	// rebuild index by scanning sets and compare with coverOf
+	// rebuild index by scanning sets and compare with the index
 	count := make(map[graph.NodeID]int)
 	for i := 0; i < c.Len(); i++ {
 		for _, v := range c.Set(i) {
@@ -135,8 +135,8 @@ func TestCollectionInvertedIndex(t *testing.T) {
 		}
 	}
 	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		if len(c.coverOf[v]) != count[v] {
-			t.Errorf("node %d: index %d vs scan %d", v, len(c.coverOf[v]), count[v])
+		if len(c.Covering(v)) != count[v] {
+			t.Errorf("node %d: index %d vs scan %d", v, len(c.Covering(v)), count[v])
 		}
 	}
 }
@@ -228,7 +228,7 @@ func TestNodeSelectionGreedyIsExactGreedy(t *testing.T) {
 		bestGain, best := -1, graph.NodeID(-1)
 		for v := graph.NodeID(0); int(v) < g.N(); v++ {
 			gain := 0
-			for _, id := range c.coverOf[v] {
+			for _, id := range c.Covering(v) {
 				if !covered[id] {
 					gain++
 				}
@@ -238,7 +238,7 @@ func TestNodeSelectionGreedyIsExactGreedy(t *testing.T) {
 			}
 		}
 		naive = append(naive, best)
-		for _, id := range c.coverOf[best] {
+		for _, id := range c.Covering(best) {
 			covered[id] = true
 		}
 	}

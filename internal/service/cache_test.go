@@ -240,3 +240,79 @@ func TestJobStoreRetention(t *testing.T) {
 		t.Error("running job was dropped by retention")
 	}
 }
+
+// checkReplay asserts a Subscribe replay is ordered (strictly increasing
+// seq) and returns it.
+func checkReplay(t *testing.T, s *JobStore, id string) []JobEvent {
+	t.Helper()
+	past, _, unsub, ok := s.Subscribe(id)
+	if !ok {
+		t.Fatalf("job %s unknown", id)
+	}
+	unsub()
+	for i := 1; i < len(past); i++ {
+		if past[i].Seq <= past[i-1].Seq {
+			t.Fatalf("replay out of order at %d: seq %d after %d", i, past[i].Seq, past[i-1].Seq)
+		}
+	}
+	return past
+}
+
+// TestJobEventHistoryRingAndCompaction: a running job's history is a
+// ring of the newest maxJobEvents events; once terminal it shrinks to
+// the last few stage ticks plus the terminal frame, while a sweep job
+// keeps every cell event.
+func TestJobEventHistoryRingAndCompaction(t *testing.T) {
+	s := NewJobStore(0)
+	j := s.Create("allocate", "trace-1", nil)
+	s.Start(j.ID)
+	const published = maxJobEvents + 44
+	for i := 1; i <= published; i++ {
+		s.Publish(j.ID, JobEvent{Type: EventProgress, Stage: "sketch", Done: i, Total: published})
+	}
+	past := checkReplay(t, s, j.ID)
+	if len(past) != maxJobEvents || past[0].Seq != published-maxJobEvents+1 || past[len(past)-1].Seq != published {
+		t.Fatalf("running replay: %d events, seq %d..%d; want the newest %d ending at %d",
+			len(past), past[0].Seq, past[len(past)-1].Seq, maxJobEvents, published)
+	}
+
+	s.Finish(j.ID, "result", nil)
+	past = checkReplay(t, s, j.ID)
+	if len(past) != finishedJobTicks+1 {
+		t.Fatalf("finished replay has %d events, want %d ticks + terminal", len(past), finishedJobTicks)
+	}
+	last := past[len(past)-1]
+	if last.Type != string(JobDone) || last.Seq != published+1 || last.TraceID != "trace-1" {
+		t.Fatalf("finished replay ends with %+v, want the done frame", last)
+	}
+	if past[len(past)-2].Done != published {
+		t.Errorf("kept ticks are not the newest: last tick %+v", past[len(past)-2])
+	}
+
+	// A sweep: many stage ticks around a few cell events.
+	sw := s.Create("sweep", "", nil)
+	s.Start(sw.ID)
+	for c := 0; c < 5; c++ {
+		s.Publish(sw.ID, JobEvent{Type: EventProgress, Stage: "cell", Cell: fmt.Sprintf("c%d", c), CellState: string(JobRunning)})
+		for i := 0; i < 20; i++ {
+			s.Publish(sw.ID, JobEvent{Type: EventProgress, Stage: "sketch", Done: i})
+		}
+		s.Publish(sw.ID, JobEvent{Type: EventProgress, Stage: "cell", Cell: fmt.Sprintf("c%d", c), CellState: string(JobDone)})
+	}
+	s.Finish(sw.ID, nil, errors.New("boom"))
+	past = checkReplay(t, s, sw.ID)
+	cells, ticks := 0, 0
+	for _, ev := range past[:len(past)-1] {
+		if ev.Cell != "" {
+			cells++
+		} else {
+			ticks++
+		}
+	}
+	if cells != 10 || ticks != finishedJobTicks {
+		t.Errorf("finished sweep replay: %d cell events and %d ticks, want 10 and %d", cells, ticks, finishedJobTicks)
+	}
+	if last := past[len(past)-1]; last.Type != string(JobFailed) || last.Error != "boom" {
+		t.Errorf("finished sweep replay ends with %+v, want the failed frame", last)
+	}
+}

@@ -66,9 +66,15 @@ func (e JobEvent) Terminal() bool { return e.Type != EventProgress }
 
 const (
 	// maxJobEvents bounds the per-job event history kept for late
-	// subscribers; older progress events are dropped, the terminal event
-	// is always the last one retained.
+	// subscribers while the job runs; older progress events are dropped.
 	maxJobEvents = 256
+	// finishedJobTicks is how many stage-progress ticks a job keeps once
+	// it is terminal: a cold sketch build emits one per few hundred RR
+	// sets, and up to `retain` finished jobs stay resident, so the full
+	// history of each would dominate the daemon's heap under load. Late
+	// subscribers replay the last ticks, every sweep cell event, and the
+	// terminal event.
+	finishedJobTicks = 16
 	// subscriberBuffer is each SSE subscriber's channel capacity. A
 	// subscriber that falls this far behind loses progress events (the
 	// handler resynchronizes from the job snapshot on close).
@@ -100,9 +106,44 @@ type Job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	events   []JobEvent
-	eventSeq int
-	subs     map[chan JobEvent]struct{}
+	// events is a ring of at most maxJobEvents entries whose oldest
+	// element sits at eventHead (0 until the ring first wraps).
+	events    []JobEvent
+	eventHead int
+	eventSeq  int
+	subs      map[chan JobEvent]struct{}
+}
+
+// history returns the retained events, oldest first, in a fresh slice.
+func (j *Job) history() []JobEvent {
+	out := make([]JobEvent, 0, len(j.events))
+	out = append(out, j.events[j.eventHead:]...)
+	return append(out, j.events[:j.eventHead]...)
+}
+
+// compactEvents shrinks a terminal job's history to what late
+// subscribers still need: sweep cell events (the per-cell outcome
+// record), the last finishedJobTicks stage-progress ticks, and the
+// terminal event, in an exactly-sized slice so the ring is freed.
+func (j *Job) compactEvents() {
+	all := j.history()
+	isTick := func(ev JobEvent) bool { return !ev.Terminal() && ev.Cell == "" }
+	ticks := 0
+	for _, ev := range all {
+		if isTick(ev) {
+			ticks++
+		}
+	}
+	drop := max(ticks-finishedJobTicks, 0)
+	kept := make([]JobEvent, 0, len(all)-drop)
+	for _, ev := range all {
+		if drop > 0 && isTick(ev) {
+			drop--
+			continue
+		}
+		kept = append(kept, ev)
+	}
+	j.events, j.eventHead = kept, 0
 }
 
 // JobView is the wire form of a job returned by GET /v1/jobs/{id}, and
@@ -318,6 +359,7 @@ func (s *JobStore) finalizeLocked(j *Job, state JobState, errMsg string) (func(J
 	j.State = state
 	j.Err = errMsg
 	s.publishLocked(j, JobEvent{Type: string(state), Error: errMsg})
+	j.compactEvents()
 	s.closeSubsLocked(j)
 	j.cancel()
 	s.trimLocked()
@@ -414,7 +456,7 @@ func (s *JobStore) SetResources(id string, resources map[string]int64) {
 
 // publishLocked assigns the event's sequence number, stamps the job's
 // trace id (when the publisher left it empty), appends the event to the
-// bounded history, and offers it to every subscriber without blocking
+// bounded history ring, and offers it to every subscriber without blocking
 // (a full subscriber just misses the event). Caller holds s.mu.
 func (s *JobStore) publishLocked(j *Job, ev JobEvent) {
 	j.eventSeq++
@@ -422,11 +464,12 @@ func (s *JobStore) publishLocked(j *Job, ev JobEvent) {
 	if ev.TraceID == "" {
 		ev.TraceID = j.TraceID
 	}
-	if len(j.events) >= maxJobEvents {
-		copy(j.events, j.events[1:])
-		j.events = j.events[:len(j.events)-1]
+	if len(j.events) < maxJobEvents {
+		j.events = append(j.events, ev)
+	} else {
+		j.events[j.eventHead] = ev
+		j.eventHead = (j.eventHead + 1) % maxJobEvents
 	}
-	j.events = append(j.events, ev)
 	for ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -456,7 +499,7 @@ func (s *JobStore) Subscribe(id string) (past []JobEvent, ch <-chan JobEvent, un
 	if j == nil {
 		return nil, nil, nil, false
 	}
-	past = append([]JobEvent(nil), j.events...)
+	past = j.history()
 	c := make(chan JobEvent, subscriberBuffer)
 	if j.State.Terminal() {
 		close(c)

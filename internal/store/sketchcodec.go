@@ -185,11 +185,11 @@ func decodeCollection(p *payloadReader, g *graph.Graph) (*rrset.Collection, erro
 	return col, nil
 }
 
-// SketchCost approximates the resident memory of a built sketch in
-// bytes: member ids appear once in the flattened storage and once in the
-// inverted index (4 bytes each), set boundaries cost 8, plus slice
-// headers amortized into a fixed floor. The service's cost-aware cache
-// eviction and the disk-tier budget both price entries with it.
+// SketchCost is the resident memory of a built sketch in bytes: what
+// its collection holds (rrset.Collection.ResidentBytes — sets, inverted
+// index and the per-node index term) plus a fixed floor for the
+// headers. The service's cost-aware cache eviction and the disk-tier
+// budget both price entries with it.
 func SketchCost(sketch any) int64 {
 	var col *rrset.Collection
 	switch sk := sketch.(type) {
@@ -202,7 +202,7 @@ func SketchCost(sketch any) int64 {
 	if col == nil {
 		return floor
 	}
-	return floor + 8*col.TotalSize() + 8*int64(col.Len())
+	return floor + col.ResidentBytes()
 }
 
 func firstErr(errs ...error) error {

@@ -45,6 +45,9 @@ func graphsEqual(t *testing.T, a, b *graph.Graph) {
 		if !reflect.DeepEqual(a.InEdgePositions(v), b.InEdgePositions(v)) {
 			t.Fatalf("in-edge positions of %d differ", v)
 		}
+		if a.InSkip(v) != b.InSkip(v) {
+			t.Fatalf("skip factor of %d differs: %v vs %v", v, a.InSkip(v), b.InSkip(v))
+		}
 	}
 }
 
@@ -64,6 +67,17 @@ func TestGraphRoundTrip(t *testing.T) {
 	graphsEqual(t, g, got)
 	if GraphID(g) != GraphID(got) {
 		t.Error("content id changed across round-trip")
+	}
+	// The skip table is not stored; decoding must recompute it, hubs
+	// included.
+	skips := 0
+	for v := graph.NodeID(0); int(v) < got.N(); v++ {
+		if got.InSkip(v) != 0 {
+			skips++
+		}
+	}
+	if skips == 0 {
+		t.Error("decoded weighted-cascade graph has no skip-sampled neighbourhood")
 	}
 }
 

@@ -6,9 +6,11 @@
 // welmax CLI. With -data-dir it also persists graphs (content-addressed,
 // so ids are stable) and spills built sketches to disk, so a restarted
 // daemon keeps its graph ids and answers its first repeated allocate
-// from a warm path. Concurrent allocate requests that differ only in
-// budgets are coalesced onto one dominating sketch build
-// (-batch-window, on by default). Sketch builds shard RR-set sampling
+// from a warm path. Allocate requests that differ only in budgets and
+// arrive while a sketch build of their group runs are coalesced — onto
+// that build when it covers them, otherwise onto one follow-up that
+// extends its sketch when it returns (-batch-window caps the hold; on by
+// default). Sketch builds shard RR-set sampling
 // across -sketch-workers goroutines (GOMAXPROCS by default; 1 restores
 // the legacy serial path) with deterministic per-worker RNG streams,
 // and a batched build whose group already holds a resident
@@ -113,7 +115,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "persistence directory: graphs, spilled sketches, and the job audit trail survive restarts (optional)")
 		diskMB     = flag.Int("disk-mb", 0, "spilled-sketch disk budget in MB (0 = unbounded; needs -data-dir)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "in-memory sketch lifetime (0 = forever); expired sketches rebuild on next use")
-		batchWin   = flag.Duration("batch-window", 10*time.Millisecond, "gather window coalescing concurrent allocate/warm requests that differ only in budgets onto one dominating sketch build (0 disables batching)")
+		batchWin   = flag.Duration("batch-window", 10*time.Millisecond, "budget coalescing: a sketch miss with no build of its group (same graph, eps, ell, cascade) in flight builds at once; misses arriving during that build share it or merge into one follow-up that extends its sketch when it returns, held at most this long (0 disables batching)")
 		admitMB    = flag.Int("admission-mb", 0, "cost-based admission control: reject allocate/warm requests (429, retryable) whose predicted sketch cost exceeds this many MB (0 disables)")
 		admitQueue = flag.Int("admission-queue", 0, "queue-with-deadline admission: hold up to this many near-budget requests briefly instead of answering 429 (0 disables, needs -admission-mb)")
 		admitWait  = flag.Duration("admission-wait", 2*time.Second, "how long a queued near-budget request waits for admission before the 429 (with -admission-queue)")

@@ -117,7 +117,7 @@ type BatchSketchPlanner interface {
 	// SketchBudgets returns) into the canonical vector whose sketch
 	// serves any request served by either. It must be commutative,
 	// associative, and idempotent; the batch scheduler folds a whole
-	// gather window's budgets through it.
+	// group's budgets through it.
 	MergeBudgets(a, b []int) []int
 	// BuildSketchForBudgets builds the family sketch sized for an
 	// explicit canonical budget vector on p's graph — p's own budgets

@@ -50,10 +50,12 @@ func (s *Service) EstimateCost(graphID string, plan *allocatePlan) int64 {
 // actually refuse (or give up waiting) count the reject themselves, so
 // the queued path's periodic re-checks do not inflate the counter.
 // Admission prices *new* sketch work only: with the exact-budget sketch
-// already resident or in flight — or, under batching, a gathering or
-// in-flight batch group whose current merged vector already covers the
-// request — serving it costs nothing extra, so it is admitted
-// regardless of the prediction.
+// already resident or in flight — or, under batching, an in-flight
+// build or pending follow-up group whose merged vector already covers
+// the request — serving it costs nothing extra, so it is admitted
+// regardless of the prediction. A request that would *widen* a pending
+// follow-up is still priced as a cold build of its own budgets, although
+// the follow-up will only pay a θ-delta on the finished sketch.
 func (s *Service) checkAdmission(graphID string, plan *allocatePlan) *AdmissionError {
 	if s.admissionBytes <= 0 {
 		return nil
@@ -67,9 +69,9 @@ func (s *Service) checkAdmission(graphID string, plan *allocatePlan) *AdmissionE
 		}
 		if bp, ok := sp.(core.BatchSketchPlanner); ok && s.batcher != nil {
 			groupKey := SketchKey(graphID, family, cascade, eps, ell, nil)
-			// A gathering/in-flight batch whose merged vector covers the
-			// request, or a resident sketch from a previous batch that
-			// dominates it, both serve the request with no new work.
+			// An in-flight build or pending follow-up whose merged vector
+			// covers the request, or a resident sketch from a previous
+			// batch that dominates it, both serve it with no new work.
 			if s.batcher.Covered(groupKey, budgets, bp.MergeBudgets) {
 				return nil
 			}

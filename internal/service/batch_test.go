@@ -4,14 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"uicwelfare/internal/batch"
 	"uicwelfare/internal/core"
+	"uicwelfare/internal/journal"
+	"uicwelfare/internal/progress"
 	"uicwelfare/internal/service"
+	"uicwelfare/internal/telemetry"
 )
 
 // statsView decodes the /v1/stats fields the batching tests assert on,
@@ -25,7 +30,9 @@ type statsView struct {
 	Batch struct {
 		Enabled           bool    `json:"enabled"`
 		Batched           int64   `json:"batched"`
+		HeldGroups        int64   `json:"held_groups"`
 		CoalescedRequests int64   `json:"coalesced_requests"`
+		SketchExtends     int64   `json:"sketch_extends"`
 		AdmissionRejects  int64   `json:"admission_rejects"`
 		CostRatio         float64 `json:"cost_ratio"`
 		CostSamples       int     `json:"cost_samples"`
@@ -39,76 +46,150 @@ func (e *env) stats(t *testing.T) statsView {
 	return st
 }
 
+// hour is a batch window no test outlives: a request held under it is
+// only ever released by the build it gathered behind returning.
+const hour = time.Hour
+
+// buildGate parks a sketch build mid-sampling. Passed as an allocate's
+// progress callback it blocks the first sketch event — and with it the
+// build, whose closure the scheduler runs for the whole group — until
+// release is closed.
+type buildGate struct {
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func newBuildGate() *buildGate {
+	return &buildGate{started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *buildGate) progress(ev progress.Event) {
+	if ev.Stage != progress.StageSketch {
+		return
+	}
+	g.once.Do(func() {
+		close(g.started)
+		<-g.release
+	})
+}
+
+// awaitCoalesced yields until n requests have joined a batch group — the
+// only outside sign that a submit is registered with the scheduler.
+func (e *env) awaitCoalesced(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.svc.Stats().Batch.CoalescedRequests != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("coalesced_requests = %d, never reached %d", e.svc.Stats().Batch.CoalescedRequests, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// burst is the mixed-budget scenario the batching tests share: one
+// leader whose build is parked, and n-1 requests with pairwise distinct
+// budgets, none of which the leader's vector covers, arriving behind it.
+// It returns every request's result (index i asked for budgets
+// {base+i, base+i+1}) and trace once the leader has been released and
+// all have finished.
+func burst(t *testing.T, e *env, id string, n, base int) ([]*service.AllocateResult, []*telemetry.Trace) {
+	t.Helper()
+	results := make([]*service.AllocateResult, n)
+	traces := make([]*telemetry.Trace, n)
+	gate := newBuildGate()
+	var wg sync.WaitGroup
+	allocate := func(i int, report progress.Func) {
+		defer wg.Done()
+		traces[i] = telemetry.NewTrace(fmt.Sprintf("burst-%d", i), true)
+		ctx := telemetry.NewContext(context.Background(), traces[i])
+		res, err := e.svc.AllocateCtx(ctx, &service.AllocateRequest{
+			GraphID: id,
+			Budgets: []int{base + i, base + i + 1},
+			Seed:    uint64(i + 1),
+		}, report)
+		if err != nil {
+			t.Errorf("allocate %d: %v", i, err)
+		}
+		results[i] = res
+	}
+	wg.Add(n)
+	go allocate(0, gate.progress)
+	<-gate.started
+	for i := 1; i < n; i++ {
+		go allocate(i, nil)
+	}
+	e.awaitCoalesced(t, int64(n-2)) // the follow-up's first member is not "coalesced"
+	close(gate.release)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return results, traces
+}
+
 // TestBatchedAllocatesCoalesceToOneBuild is the acceptance scenario: N
 // concurrent allocate requests that differ only in budgets, on a cold
-// graph, must produce exactly one sketch build — one batch, N-1
-// coalesced requests, one cache miss.
+// graph, cost two sketch operations — the leader's own build and ONE
+// follow-up for everyone else, which starts only once the leader's
+// sketch is resident and therefore extends it instead of building cold.
 func TestBatchedAllocatesCoalesceToOneBuild(t *testing.T) {
-	e := newEnv(t, service.Options{BatchWindow: 500 * time.Millisecond})
+	e := newEnv(t, service.Options{BatchWindow: hour})
 	id := e.registerGraph(t)
 
 	const n = 8
-	var (
-		wg     sync.WaitGroup
-		shared atomic.Int64
-		maxB   atomic.Int64
-	)
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			res, err := e.svc.Allocate(&service.AllocateRequest{
-				GraphID: id,
-				Budgets: []int{i + 1, i + 2}, // all distinct
-				Seed:    uint64(i + 1),
-			})
-			if err != nil {
-				t.Errorf("allocate %d: %v", i, err)
-				return
-			}
-			if res.SketchCached {
-				shared.Add(1)
-			}
-			// Every request's allocation must respect its own budgets
-			// even though the sketch was sized for the merged vector.
-			if got := len(res.Allocation.Seeds[0]); got != i+1 {
-				t.Errorf("allocate %d: item 0 got %d seeds, want %d", i, got, i+1)
-			}
-			if int64(len(res.SeedOrder)) > maxB.Load() {
-				maxB.Store(int64(len(res.SeedOrder)))
-			}
-		}(i)
+	results, _ := burst(t, e, id, n, 1)
+	shared := 0
+	for i, res := range results {
+		if res.SketchCached {
+			shared++
+		}
+		// Every request's allocation must respect its own budgets even
+		// though its sketch was sized for a merged vector.
+		if got := len(res.Allocation.Seeds[0]); got != i+1 {
+			t.Errorf("allocate %d: item 0 got %d seeds, want %d", i, got, i+1)
+		}
 	}
-	close(start)
-	wg.Wait()
 
 	st := e.stats(t)
 	if !st.Batch.Enabled {
 		t.Fatal("batch scheduler not enabled")
 	}
-	if st.Batch.Batched != 1 {
-		t.Fatalf("batched = %d, want exactly 1 sketch build", st.Batch.Batched)
+	if st.Batch.Batched != 2 || st.Batch.HeldGroups != 1 {
+		t.Fatalf("batched = %d, held_groups = %d; want 2 and 1 (leader + one follow-up)", st.Batch.Batched, st.Batch.HeldGroups)
 	}
-	if st.Batch.CoalescedRequests != n-1 {
-		t.Fatalf("coalesced_requests = %d, want %d", st.Batch.CoalescedRequests, n-1)
+	if st.Batch.CoalescedRequests != n-2 {
+		t.Fatalf("coalesced_requests = %d, want %d", st.Batch.CoalescedRequests, n-2)
 	}
-	if st.SketchCache.Misses != 1 {
-		t.Fatalf("sketch_cache.misses = %d, want 1 (one build for the merged key)", st.SketchCache.Misses)
+	if st.SketchCache.Misses != 2 {
+		t.Fatalf("sketch_cache.misses = %d, want 2 (the leader's key and the merged key)", st.SketchCache.Misses)
 	}
-	if shared.Load() != n-1 {
-		t.Fatalf("%d requests reported SketchCached, want %d (all but the batch leader)", shared.Load(), n-1)
+	if st.Batch.SketchExtends != 1 {
+		t.Fatalf("sketch_extends = %d, want 1: the follow-up must extend the leader's sketch, not build cold", st.Batch.SketchExtends)
 	}
-	// The one build calibrated the cost model.
-	if st.Batch.CostSamples != 1 || st.Batch.CostRatio <= 0 {
-		t.Fatalf("cost model not calibrated by the batch build: ratio %g, samples %d",
+	if shared != n-2 {
+		t.Fatalf("%d requests reported SketchCached, want %d (all but each group's first member)", shared, n-2)
+	}
+	// The journal tells the same story: an unheld leader, then one
+	// follow-up of n-1 released by the leader's build returning.
+	var journaled struct {
+		Events []journal.Event `json:"events"`
+	}
+	e.doJSON("GET", "/v1/events?type="+journal.BatchFire, nil, &journaled, http.StatusOK)
+	if fires := journaled.Events; len(fires) != 2 ||
+		fires[0].Reason != batch.FireIdle || fires[0].Count != 1 || fires[0].WaitMS != 0 ||
+		fires[1].Reason != batch.FireBuildDone || fires[1].Count != n-1 {
+		t.Fatalf("batch_fire events = %+v, want idle x1 then build_done x%d", fires, n-1)
+	}
+	// Both operations calibrated the cost model.
+	if st.Batch.CostSamples != 2 || st.Batch.CostRatio <= 0 {
+		t.Fatalf("cost model not calibrated by the batch builds: ratio %g, samples %d",
 			st.Batch.CostRatio, st.Batch.CostSamples)
 	}
 
 	// A later lone repeat of a coalesced member's budgets is served
-	// from the resident dominating sketch (the merged-key entry) — no
-	// second build, no second gather window.
+	// from the resident dominating sketch (the merged-key entry) — it
+	// never reaches the scheduler.
 	res, err := e.svc.Allocate(&service.AllocateRequest{GraphID: id, Budgets: []int{3, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -119,44 +200,91 @@ func TestBatchedAllocatesCoalesceToOneBuild(t *testing.T) {
 	if got := len(res.Allocation.Seeds[0]); got != 3 {
 		t.Fatalf("dominated repeat item 0 got %d seeds, want 3", got)
 	}
-	if st := e.stats(t); st.Batch.Batched != 1 {
-		t.Fatalf("batched after dominated repeat = %d, want still 1 (served from the merged sketch)", st.Batch.Batched)
+	if st := e.stats(t); st.Batch.Batched != 2 {
+		t.Fatalf("batched after dominated repeat = %d, want still 2 (served from the merged sketch)", st.Batch.Batched)
 	}
 
 	// A repeat EXCEEDING the merged vector still builds afresh.
 	if _, err := e.svc.Allocate(&service.AllocateRequest{GraphID: id, Budgets: []int{20, 21}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.stats(t); st.Batch.Batched != 2 {
-		t.Fatalf("batched after uncovered repeat = %d, want 2", st.Batch.Batched)
+	if st := e.stats(t); st.Batch.Batched != 3 || st.Batch.HeldGroups != 1 {
+		t.Fatalf("after a lone uncovered repeat: batched = %d, held_groups = %d; want 3 and still 1", st.Batch.Batched, st.Batch.HeldGroups)
+	}
+}
+
+// TestBurstSamplesNoMoreThanOneMergedBuild pins what replaced "one build
+// per burst": the leader's build plus the follow-up's θ-delta together
+// sample at most (within 10% of) the RR sets one cold build of the
+// burst's whole merged vector samples. The burst is the shape of
+// BenchmarkBatchedAllocate — budgets 10..18, all within 2× of each
+// other. The bound is about such bursts: the delta grows with the jump
+// from the leader's budgets to the merged ones, and a leader asking for
+// {1,2} ahead of followers up to 9 measured 1.33×.
+func TestBurstSamplesNoMoreThanOneMergedBuild(t *testing.T) {
+	e := newEnv(t, service.Options{BatchWindow: hour})
+	id := e.registerGraph(t)
+	const n, base = 8, 10
+	_, traces := burst(t, e, id, n, base)
+	var grown int64
+	for _, tr := range traces {
+		grown += tr.Resources()[telemetry.ResRRSetsGrown]
+	}
+
+	// The one-shot reference: a lone request on a fresh daemon whose
+	// budgets ARE the merged vector {base+n, ..., base} (one additive
+	// item each), which the scheduler cold-builds as it stands.
+	ref := newEnv(t, service.Options{BatchWindow: hour})
+	merged := make([]int, n+1)
+	for i := range merged {
+		merged[i] = base + n - i
+	}
+	tr := telemetry.NewTrace("one-shot", true)
+	if _, err := ref.svc.AllocateCtx(telemetry.NewContext(context.Background(), tr), &service.AllocateRequest{
+		GraphID: ref.registerGraph(t),
+		Config:  "additive",
+		Budgets: merged,
+		Seed:    1,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	oneShot := tr.Resources()[telemetry.ResRRSetsGrown]
+	if oneShot <= 0 || grown <= 0 {
+		t.Fatalf("nothing sampled: burst %d, one-shot %d", grown, oneShot)
+	}
+	if float64(grown) > 1.1*float64(oneShot) {
+		t.Fatalf("the burst grew %d RR sets, over 1.1x the %d of one merged build", grown, oneShot)
 	}
 }
 
 // TestBatchedItemDisjCoalescesOnMaxTotal exercises the IMM-family merge:
-// concurrent item-disj allocates with different totals coalesce onto
-// one sketch sized for the largest total budget.
+// item-disj allocates arriving while a build for the largest total
+// budget runs are dominated by it and share that one sketch.
 func TestBatchedItemDisjCoalescesOnMaxTotal(t *testing.T) {
-	e := newEnv(t, service.Options{BatchWindow: 500 * time.Millisecond})
+	e := newEnv(t, service.Options{BatchWindow: hour})
 	id := e.registerGraph(t)
 
+	gate := newBuildGate()
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			_, err := e.svc.Allocate(&service.AllocateRequest{
-				GraphID: id,
-				Algo:    core.AlgoItemDisjoint,
-				Budgets: []int{2 * (i + 1), 3},
-			})
-			if err != nil {
-				t.Errorf("allocate %d: %v", i, err)
-			}
-		}(i)
+	allocate := func(i int, report progress.Func) {
+		defer wg.Done()
+		_, err := e.svc.AllocateCtx(context.Background(), &service.AllocateRequest{
+			GraphID: id,
+			Algo:    core.AlgoItemDisjoint,
+			Budgets: []int{2 * (i + 1), 3},
+		}, report)
+		if err != nil {
+			t.Errorf("allocate %d: %v", i, err)
+		}
 	}
-	close(start)
+	wg.Add(4)
+	go allocate(3, gate.progress)
+	<-gate.started
+	for i := 0; i < 3; i++ {
+		go allocate(i, nil)
+	}
+	e.awaitCoalesced(t, 3)
+	close(gate.release)
 	wg.Wait()
 
 	st := e.stats(t)
@@ -166,38 +294,45 @@ func TestBatchedItemDisjCoalescesOnMaxTotal(t *testing.T) {
 	}
 }
 
-// TestCanceledWaiterKeepsSharedBuildAlive: with two requests gathered
-// into one batch, canceling one must not cancel the shared build — the
-// survivor still gets its sketch.
+// TestCanceledWaiterKeepsSharedBuildAlive: with two requests sharing one
+// build, canceling one — here the very request whose build it is — must
+// not cancel the shared build: the survivor still gets its sketch.
 func TestCanceledWaiterKeepsSharedBuildAlive(t *testing.T) {
-	e := newEnv(t, service.Options{BatchWindow: 400 * time.Millisecond})
+	e := newEnv(t, service.Options{BatchWindow: hour})
 	id := e.registerGraph(t)
 
+	gate := newBuildGate()
 	ctx, cancel := context.WithCancel(context.Background())
 	canceledErr := make(chan error, 1)
 	go func() {
-		_, err := e.svc.AllocateCtx(ctx, &service.AllocateRequest{GraphID: id, Budgets: []int{5, 5}}, nil)
+		_, err := e.svc.AllocateCtx(ctx, &service.AllocateRequest{GraphID: id, Budgets: []int{3, 5}}, gate.progress)
 		canceledErr <- err
 	}()
+	<-gate.started
+	// {5,5} needs the sketch vector {5}, which the in-flight {5,3} covers
+	// under another cache key: it joins the running build.
 	survivor := make(chan error, 1)
 	var res *service.AllocateResult
 	go func() {
-		r, err := e.svc.AllocateCtx(context.Background(), &service.AllocateRequest{GraphID: id, Budgets: []int{3, 4}}, nil)
+		r, err := e.svc.AllocateCtx(context.Background(), &service.AllocateRequest{GraphID: id, Budgets: []int{5, 5}}, nil)
 		res = r
 		survivor <- err
 	}()
+	e.awaitCoalesced(t, 1)
 
-	// Let both enter the gather window, then abandon the first.
-	time.Sleep(150 * time.Millisecond)
 	cancel()
 	if err := <-canceledErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled request: err = %v, want context.Canceled", err)
 	}
+	close(gate.release)
 	if err := <-survivor; err != nil {
 		t.Fatalf("surviving request failed: %v (a canceled waiter must not cancel the shared build)", err)
 	}
-	if got := len(res.Allocation.Seeds[1]); got != 4 {
-		t.Fatalf("survivor item 1 got %d seeds, want 4", got)
+	if got := len(res.Allocation.Seeds[1]); got != 5 {
+		t.Fatalf("survivor item 1 got %d seeds, want 5", got)
+	}
+	if !res.SketchCached {
+		t.Fatal("survivor did not report the shared build as sketch_cached")
 	}
 	if st := e.stats(t); st.Batch.Batched != 1 {
 		t.Fatalf("batched = %d, want 1", st.Batch.Batched)
@@ -210,7 +345,7 @@ func TestCanceledWaiterKeepsSharedBuildAlive(t *testing.T) {
 // concurrent small-budget requests would silently hand them the
 // unsampled all-nodes ordering instead of a real greedy selection.
 func TestDegenerateBudgetsDoNotPoisonBatch(t *testing.T) {
-	e := newEnv(t, service.Options{BatchWindow: 300 * time.Millisecond})
+	e := newEnv(t, service.Options{BatchWindow: hour})
 	var info service.GraphInfo
 	e.doJSON("POST", "/v1/graphs", service.GraphRequest{Network: "flixster", Scale: 0.02}, &info, http.StatusCreated)
 
@@ -221,7 +356,7 @@ func TestDegenerateBudgetsDoNotPoisonBatch(t *testing.T) {
 		whale = r
 		whaleDone <- err
 	}()
-	// Launched inside the whale's would-be gather window.
+	// Launched while the whale would be building, had it entered the scheduler.
 	small, err := e.svc.Allocate(&service.AllocateRequest{GraphID: info.ID, Budgets: []int{3, 4}})
 	if err != nil {
 		t.Fatal(err)

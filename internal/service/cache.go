@@ -224,7 +224,7 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 // entry is waited on (cancelably, like GetOrBuildCtx's waiter path), and
 // a miss reports ok = false without creating an entry or counting a
 // miss. The batch scheduler uses it as its fast path — on a miss the
-// build decision belongs to the gather window, not to this lookup.
+// build decision belongs to the scheduler, not to this lookup.
 func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch any, ok bool, err error) {
 	c.mu.Lock()
 	if e, present := c.entries[key]; present {

@@ -88,6 +88,10 @@ func TestJobAuditTrailSurvivesRestart(t *testing.T) {
 	e2 := newEnv(t, service.Options{DataDir: dir})
 	var job2 allocJobView
 	e2.waitJob(t, e2.submit(t, "/v1/allocate", service.AllocateRequest{GraphID: info.ID, Budgets: []int{2, 2}}), &job2)
+	// The record is appended after the job's state turns terminal; Close
+	// waits for the worker that does it.
+	e2.srv.Close()
+	e2.svc.Close()
 	if n := len(st.JobHistory()); n != 2 {
 		t.Errorf("audit trail holds %d records after restart, want 2", n)
 	}

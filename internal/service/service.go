@@ -71,13 +71,17 @@ type Options struct {
 	// can verify it is probing the backend it thinks it is. Empty (the
 	// single-node default) keeps plain "j<seq>" ids.
 	NodeID string
-	// BatchWindow enables the budget-coalescing batch scheduler: a
-	// sketch-cache miss holds the request for this gather window, merges
-	// it with concurrent requests that differ only in budgets (same
-	// graph, sketch family, cascade, ε, ℓ), and runs one sketch build
-	// sized for a budget vector dominating them all. Zero (the default)
+	// BatchWindow enables the budget-coalescing batch scheduler
+	// (internal/batch). A sketch-cache miss whose group — same graph,
+	// sketch family, cascade, ε, ℓ; budgets free — has no build in
+	// flight builds at once on its own budgets. Misses arriving while
+	// that build runs share it when it dominates them, and otherwise
+	// merge into one follow-up that extends the finished sketch the
+	// moment the build returns. BatchWindow is the longest such a
+	// follow-up may be held: it fires when the window elapses even if
+	// the build it gathered behind is still running. Zero (the default)
 	// disables batching; every miss builds its exact-budget sketch
-	// immediately, as before.
+	// immediately.
 	BatchWindow time.Duration
 	// AdmissionMB enables cost-based admission control: allocate and
 	// warm requests whose predicted sketch cost (the planner's
@@ -337,19 +341,21 @@ func New(opts Options) (*Service, error) {
 	if opts.BatchWindow > 0 {
 		s.batcher = batch.New(opts.BatchWindow)
 		s.mergedIdx = map[string]mergedSketch{}
-		// Journal every gather window that reaches its build: which
-		// group fired and how many requests share the one sketch. The
-		// hook runs on the window timer's goroutine; the ring append is
-		// O(1) and non-blocking. The trace id is the group's first
-		// submitter's — the request whose miss opened the window.
-		s.batcher.SetFireHook(func(key string, budgets []int, waiters int, traceID string) {
-			gid, _, _ := strings.Cut(key, "|")
+		// Journal every group that reaches its build: which group fired,
+		// how many requests share the one sketch, how long they were
+		// held and what released them. The hook runs on the build's
+		// goroutine; the ring append is O(1) and non-blocking. The trace
+		// id is the group's first submitter's.
+		s.batcher.SetFireHook(func(f batch.Fire) {
+			gid, _, _ := strings.Cut(f.Key, "|")
 			s.flight.Record(journal.Event{
 				Type:    journal.BatchFire,
 				Graph:   gid,
-				Key:     key,
-				Count:   int64(waiters),
-				TraceID: traceID,
+				Key:     f.Key,
+				Count:   int64(f.Waiters),
+				WaitMS:  f.Wait.Milliseconds(),
+				Reason:  f.Reason,
+				TraceID: f.TraceID,
 			})
 		})
 	}
@@ -498,11 +504,15 @@ type StatsResponse struct {
 type BatchStats struct {
 	// Enabled reports whether a batch window is configured.
 	Enabled bool `json:"enabled"`
-	// WindowMS is the configured gather window in milliseconds.
+	// WindowMS is the configured batch window in milliseconds: the
+	// longest a miss may be held behind an in-flight build of its group.
 	WindowMS float64 `json:"window_ms,omitempty"`
-	// Batched counts coalesced sketch builds: gather windows that
-	// reached their single dominating build.
+	// Batched counts the sketch builds the scheduler ran, one per group.
 	Batched int64 `json:"batched"`
+	// HeldGroups counts the batched builds that first gathered behind an
+	// in-flight build; the other Batched − HeldGroups started the moment
+	// their request missed.
+	HeldGroups int64 `json:"held_groups"`
 	// CoalescedRequests counts requests beyond each batch's first that
 	// were answered from a shared build instead of building their own
 	// sketch.
@@ -571,6 +581,7 @@ func (s *Service) Stats() StatsResponse {
 		bs := s.batcher.Stats()
 		out.Batch.WindowMS = float64(s.batchWindow) / float64(time.Millisecond)
 		out.Batch.Batched = bs.Batches
+		out.Batch.HeldGroups = bs.Held
 		out.Batch.CoalescedRequests = bs.Coalesced
 	}
 	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()
@@ -968,11 +979,13 @@ func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *al
 // sketchForPlan resolves a sketch-capable plan's sketch. The exact
 // budget key is consulted first (memory tier, cancelable in-flight
 // waits); on a miss the request either builds its own sketch through
-// the tiered cache (batching disabled) or enters the batch scheduler,
-// which holds it for the gather window, merges concurrent requests'
-// budgets into one dominating vector, and answers everyone from a
-// single build — sized for the merged budgets and cached under the
-// merged key, so the disk tier and singleflight semantics apply to it
+// the tiered cache (batching disabled) or enters the batch scheduler:
+// with no build of its group in flight it builds at once on its own
+// budgets; otherwise it shares the in-flight build, or the one
+// follow-up that merges every uncovered request's budgets and extends
+// the finished sketch when that build returns. Either way the group's
+// sketch is sized for its merged budgets and cached under the merged
+// key, so the disk tier and singleflight semantics apply to it
 // unchanged. hit reports whether any tier or a shared batch build
 // avoided fresh sketch work for this caller; it is what AllocateResult
 // exposes as SketchCached and what the restart-warm smoke asserts on.
@@ -994,7 +1007,7 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 	}
 
 	// Batched path. Fast path first: an exact-budget sketch already
-	// resident (or in flight) skips the gather window entirely.
+	// resident (or in flight) never reaches the scheduler.
 	if sk, found, err := s.lookupResident(ctx, graphID, key); found || err != nil {
 		return sk, found, err
 	}
@@ -1018,26 +1031,27 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 	}
 
 	for {
-		// The gather span covers the batch wait: it is ended
-		// (idempotently) when the group's build actually starts, so the
-		// submitting request's trace separates "waited for the window"
-		// from the build stages recorded inside.
-		endGather := telemetry.StartSpan(ctx, "batch_gather")
+		// Submit records the wait on this request's trace: batch_gather
+		// until its group's build starts, shared_build from there when
+		// the build is another member's.
 		sk, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, sp.SketchBudgets(plan.prob), bp.MergeBudgets,
 			func(bctx context.Context, merged []int) (any, bool, error) {
-				endGather()
-				// The scheduler runs the group build on its window timer's
-				// goroutine with a detached context; re-attach the
-				// submitting request's trace so build-stage spans land on
-				// it rather than vanishing.
+				// The scheduler runs the group build on its own goroutine
+				// with a detached context; re-attach the submitting
+				// request's trace so build-stage spans land on it rather
+				// than vanishing.
 				bctx = telemetry.NewContext(bctx, telemetry.FromContext(ctx))
 				// Delta-build seam: when the group's previous batch-built
 				// sketch is still resident but does not dominate the new
 				// merged vector (a *near*-dominating sketch — a full
 				// dominance hit was already served before Submit), extend
 				// it to the union of the two vectors instead of
-				// cold-building. Peek never waits: blocking here on the
-				// old key's entry could deadlock the build callback.
+				// cold-building. This is the path a follow-up group takes:
+				// the scheduler starts it only after the build it gathered
+				// behind has returned, i.e. after that build's sketch is
+				// resident and recorded below. Peek never waits: blocking
+				// here on the old key's entry could deadlock the build
+				// callback.
 				target := merged
 				var baseSketch any
 				var baseBudgets []int
@@ -1077,7 +1091,6 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 				}
 				return sk, hit, err
 			})
-		endGather()
 		if err == nil {
 			s.sweepIfDeleted(graphID)
 			return sk, cacheHit || shared, nil

@@ -23,7 +23,7 @@ import (
 // allocate, which is the point: a sweep is the paper's evaluation grid
 // expressed as traffic, and the serving stack's coalescing tiers are
 // what make the grid tractable (cells sharing a (graph, ε) group
-// coalesce onto one dominating sketch build; identical estimates
+// coalesce onto a build and its delta-builds; identical estimates
 // coalesce onto one Monte-Carlo run). The sweep itself is a job of kind
 // "sweep" in the same store, so SSE streaming, cancellation,
 // retention, and the audit spill all apply unchanged.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uicwelfare/internal/batch"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/telemetry"
@@ -139,7 +140,8 @@ func TestTracesEndpoint(t *testing.T) {
 
 	// The request's journal fallout is greppable by trace id: the cold
 	// allocate's sketch build went through the batcher, and the fired
-	// window carries the opening request's trace.
+	// group carries the opening request's trace — a lone miss, so it
+	// fired unheld.
 	var events struct {
 		Events []journal.Event `json:"events"`
 	}
@@ -154,6 +156,9 @@ func TestTracesEndpoint(t *testing.T) {
 		}
 		if ev.Type == journal.BatchFire {
 			sawBatch = true
+			if ev.Reason != batch.FireIdle || ev.WaitMS != 0 || ev.Count != 1 {
+				t.Errorf("lone miss journaled as %+v, want an unheld idle fire of 1", ev)
+			}
 		}
 	}
 	if !sawBatch {

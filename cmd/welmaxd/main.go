@@ -65,12 +65,16 @@
 // the edge when the client sends none) that follows the job through
 // logs, /v1/jobs records, and SSE events. Each traced request also
 // records a span tree — parented, monotonic timestamps, per-span
-// resource deltas — kept in a bounded in-memory ring with tail-sampled
-// spill to checksummed segments under <data-dir>/traces (-trace-ring,
-// -trace-mb, -trace-sample; slow, errored, and admission-queued traces
-// are always kept). GET /v1/traces lists retained traces with
-// route/graph/min_ms/since filters and cursor pagination, and
-// GET /v1/traces/{id} returns one trace's spans; on the router both
+// resource deltas — kept in a bounded in-memory ring (512 traces) with
+// tail-sampled spill to checksummed segments under <data-dir>/traces
+// (32 MB, oldest deleted first; -trace-sample sets the keep
+// probability, and slow, errored, and admission-queued traces are
+// always kept). Control-plane decisions land the same way in the
+// flight recorder behind GET /v1/events (4096-event ring, 32 MB under
+// <data-dir>/journal); both logs continue their sequence numbers — and
+// so their cursors — across a restart. GET /v1/traces lists retained
+// traces with route/graph/min_ms/since filters and cursor pagination,
+// and GET /v1/traces/{id} returns one trace's spans; on the router both
 // merge across shards, stitching the router's dispatch/proxy spans
 // over the owning backend's execution spans (propagated via
 // X-Welmax-Span-Id) into one cross-tier waterfall. GET /v1/metrics
@@ -130,10 +134,6 @@ func main() {
 		telemetryF = flag.String("telemetry", "on", "request tracing and latency histograms: on or off")
 		slowMS     = flag.Int("slow-ms", 1000, "log a structured slow-request line (with trace id and per-stage timings) for jobs at or above this many milliseconds (0 disables)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
-		jrnlRing   = flag.Int("journal-ring", 0, "flight-recorder ring capacity in events served by GET /v1/events (0 = default 4096)")
-		jrnlMB     = flag.Int("journal-mb", 0, "flight-recorder on-disk journal budget in MB under <data-dir>/journal (0 = default 32; needs -data-dir to spill)")
-		traceRing  = flag.Int("trace-ring", 0, "trace-store ring capacity in retained traces served by GET /v1/traces (0 = default 512)")
-		traceMB    = flag.Int("trace-mb", 0, "trace-store on-disk budget in MB under <data-dir>/traces (0 = default 32; needs -data-dir to spill)")
 		traceSmpl  = flag.Float64("trace-sample", 0.05, "tail-sampling keep probability for fast successful traces; slow, errored, and admission-queued traces are always kept")
 	)
 	flag.Parse()
@@ -167,10 +167,6 @@ func main() {
 			SpillDir:              spillDir,
 			ClusterToken:          clusterToken,
 			SweepShardConcurrency: *shardConc,
-			JournalRing:           *jrnlRing,
-			JournalMB:             *jrnlMB,
-			TraceRing:             *traceRing,
-			TraceMB:               *traceMB,
 			TraceSample:           *traceSmpl,
 		})
 		return
@@ -197,10 +193,6 @@ func main() {
 		ClusterToken:     clusterToken,
 		TelemetryOff:     *telemetryF == "off",
 		SlowThreshold:    slowThreshold(*slowMS),
-		JournalRing:      *jrnlRing,
-		JournalMB:        *jrnlMB,
-		TraceRing:        *traceRing,
-		TraceMB:          *traceMB,
 		TraceSample:      *traceSmpl,
 	})
 	if err != nil {

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
+	"time"
 
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
@@ -36,81 +34,17 @@ type ClusterEventsResponse struct {
 	Errors     map[string]string `json:"errors,omitempty"`
 }
 
-// routerNode is the source name of the router's own journal in composite
-// cursors and merged events.
-const routerNode = "router"
-
-// parseMergedCursor decodes a composite "node:seq,node:seq" cursor. A
-// bare integer is accepted too (applied to every source) so a client
-// can naively resume from zero.
-func parseMergedCursor(raw string) (map[string]uint64, uint64, error) {
-	out := map[string]uint64{}
-	if raw == "" {
-		return out, 0, nil
-	}
-	if n, err := strconv.ParseUint(raw, 10, 64); err == nil {
-		return out, n, nil
-	}
-	for _, part := range strings.Split(raw, ",") {
-		node, seqRaw, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, 0, fmt.Errorf("bad cursor part %q (want node:seq)", part)
-		}
-		seq, err := strconv.ParseUint(seqRaw, 10, 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad cursor part %q (want node:seq)", part)
-		}
-		out[node] = seq
-	}
-	return out, 0, nil
-}
-
-// eventValues re-encodes a journal query (plus a per-source cursor) as
-// the backend endpoint's query parameters.
-func eventValues(q journal.Query, cursor uint64, limit int) url.Values {
-	vals := url.Values{}
-	if cursor > 0 {
-		vals.Set("cursor", strconv.FormatUint(cursor, 10))
-	}
-	if limit > 0 {
-		vals.Set("limit", strconv.Itoa(limit))
-	}
-	if q.Type != "" {
-		vals.Set("type", q.Type)
-	}
-	if q.Graph != "" {
-		vals.Set("graph", q.Graph)
-	}
-	if q.Node != "" {
-		vals.Set("node", q.Node)
-	}
-	if !q.Since.IsZero() {
-		vals.Set("since", q.Since.Format(timeRFC3339Nano))
-	}
-	return vals
-}
-
-const timeRFC3339Nano = "2006-01-02T15:04:05.999999999Z07:00"
-
-// taggedEvent remembers which journal an event came from — the event's
-// own Node field is not enough (the router journals member_up/down under
-// the member's name).
-type taggedEvent struct {
-	src string
-	e   journal.Event
-}
-
 // handleEvents implements the router's GET /v1/events: the merged,
 // time-ordered, cursor-paginated view over the router's and every live
-// shard's journal, with the same type/graph/node/since filters as the
-// backend form. ?stream=1 (or Accept: text/event-stream) switches to a
-// live SSE tail fanned in from every journal. A dead shard contributes
-// nothing but an entry in "errors" with "partial": true — the cluster's
-// history stays readable while a shard is down, which is exactly when
-// it is needed.
+// shard's journal, with the same type/graph/node/trace/since filters as
+// the backend form. ?stream=1 (or Accept: text/event-stream) switches
+// to a live SSE tail fanned in from every journal. A dead shard
+// contributes nothing but an entry in "errors" with "partial": true —
+// the cluster's history stays readable while a shard is down, which is
+// exactly when it is needed.
 func (r *Router) handleEvents(w http.ResponseWriter, req *http.Request) {
 	values := req.URL.Query()
-	cursors, baseCursor, err := parseMergedCursor(values.Get("cursor"))
+	cursor, err := parseMergedCursor(values.Get("cursor"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -121,150 +55,32 @@ func (r *Router) handleEvents(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cursorFor := func(node string) uint64 {
-		if c, ok := cursors[node]; ok {
-			return c
-		}
-		return baseCursor
-	}
-	if values.Get("stream") == "1" || values.Get("stream") == "true" || values.Get("stream") == "sse" ||
-		strings.Contains(req.Header.Get("Accept"), "text/event-stream") {
-		r.streamMergedEvents(w, req, q, cursorFor)
+	if service.WantsEventStream(req) {
+		r.streamMergedEvents(w, req, q, values, cursor)
 		return
 	}
-
 	limit := q.Limit
 	if limit <= 0 {
 		limit = journal.DefaultLimit
 	}
-	if limit > journal.MaxLimit {
-		limit = journal.MaxLimit
-	}
-
-	// One page per source, merged by time below. Each source also reports
-	// its own next cursor, usable when the merge keeps its whole page.
-	type sourcePage struct {
-		src    string
-		events []journal.Event
-		next   uint64
-	}
-	ownQ := q
-	ownQ.After = cursorFor(routerNode)
-	ownQ.Limit = limit
-	ownEvents, ownNext := r.flight.Events(ownQ)
-	pages := []sourcePage{{src: routerNode, events: ownEvents, next: ownNext}}
-
-	members := r.members.Snapshot()
-	alive := make([]string, 0, len(members))
-	errs := map[string]string{}
-	for _, m := range members {
-		if m.Healthy {
-			alive = append(alive, m.Name)
-		} else {
-			// A shard the prober has marked down is reported, not silently
-			// omitted: the merged history is partial and the reader should
-			// know which journal is missing from it.
-			errs[m.Name] = "backend down"
-		}
-	}
-	shardPages := make([]sourcePage, len(alive))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for i, name := range alive {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			path := "/v1/events?" + eventValues(q, cursorFor(name), limit).Encode()
-			status, body, err := r.call(req.Context(), http.MethodGet, name, path, nil)
-			if err != nil || status != http.StatusOK {
-				mu.Lock()
-				if err != nil {
-					errs[name] = err.Error()
-				} else {
-					errs[name] = fmt.Sprintf("status %d", status)
-				}
-				mu.Unlock()
-				return
+	page := mergePages(values, cursor, min(limit, journal.MaxLimit), r.members.Snapshot(),
+		func(src string, vals url.Values) ([]journal.Event, uint64, error) {
+			if src == routerNode {
+				own, err := service.ParseEventQuery(vals)
+				events, next := r.flight.Events(own)
+				return events, next, err
 			}
 			var resp service.EventsResponse
-			if err := json.Unmarshal(body, &resp); err != nil {
-				mu.Lock()
-				errs[name] = err.Error()
-				mu.Unlock()
-				return
-			}
-			shardPages[i] = sourcePage{src: name, events: resp.Events, next: resp.NextCursor}
-		}(i, name)
-	}
-	wg.Wait()
-	for _, p := range shardPages {
-		if p.src != "" {
-			pages = append(pages, p)
-		}
-	}
-
-	var merged []taggedEvent
-	for _, p := range pages {
-		for _, e := range p.events {
-			merged = append(merged, taggedEvent{src: p.src, e: e})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if !merged[i].e.TS.Equal(merged[j].e.TS) {
-			return merged[i].e.TS.Before(merged[j].e.TS)
-		}
-		if merged[i].src != merged[j].src {
-			return merged[i].src < merged[j].src
-		}
-		return merged[i].e.Seq < merged[j].e.Seq
+			err := r.getJSON(req.Context(), src, "/v1/events", vals, &resp)
+			return resp.Events, resp.NextCursor, err
+		},
+		func(e *journal.Event) (time.Time, uint64) { return e.TS, e.Seq })
+	writeJSON(w, http.StatusOK, ClusterEventsResponse{
+		Events:     page.items,
+		NextCursor: page.cursor,
+		Partial:    len(page.errs) > 0,
+		Errors:     page.errs,
 	})
-	page := merged
-	if len(page) > limit {
-		page = page[:limit]
-	}
-
-	// Per-source resume point: a source whose page was fully consumed
-	// advances to its own reported next cursor (which also skips events
-	// its journal filtered out); a source cut by the merge resumes at the
-	// last of its events actually returned.
-	included := map[string]int{}
-	next := map[string]uint64{}
-	for _, p := range pages {
-		next[p.src] = cursorFor(p.src)
-	}
-	for _, te := range page {
-		included[te.src]++
-		if te.e.Seq > next[te.src] {
-			next[te.src] = te.e.Seq
-		}
-	}
-	for _, p := range pages {
-		if included[p.src] == len(p.events) && p.next > next[p.src] {
-			next[p.src] = p.next
-		}
-	}
-	srcs := make([]string, 0, len(next))
-	for s := range next {
-		srcs = append(srcs, s)
-	}
-	sort.Strings(srcs)
-	parts := make([]string, 0, len(srcs))
-	for _, s := range srcs {
-		parts = append(parts, fmt.Sprintf("%s:%d", s, next[s]))
-	}
-
-	events := make([]journal.Event, 0, len(page))
-	for _, te := range page {
-		events = append(events, te.e)
-	}
-	out := ClusterEventsResponse{Events: events, NextCursor: strings.Join(parts, ",")}
-	if len(errs) > 0 {
-		out.Partial = true
-		out.Errors = errs
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // streamMergedEvents serves the router's SSE live tail: the router's own
@@ -272,68 +88,19 @@ func (r *Router) handleEvents(w http.ResponseWriter, req *http.Request) {
 // live events from its own journal and every live shard's SSE tail.
 // Cross-source ordering is arrival order — exact ordering is the query
 // form's job; the tail's job is latency.
-func (r *Router) streamMergedEvents(w http.ResponseWriter, req *http.Request, q journal.Query, cursorFor func(string) uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
+func (r *Router) streamMergedEvents(w http.ResponseWriter, req *http.Request, q journal.Query, values url.Values, cursor mergedCursor) {
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
-
-	// Own journal: subscribe before replaying so no event falls between.
-	sub, unsub := r.flight.Subscribe(256)
-	defer unsub()
-	ownQ := q
-	ownQ.After = cursorFor(routerNode)
-	ownQ.Limit = journal.MaxLimit
-	past, lastOwn := r.flight.Events(ownQ)
-
+	// Shard tails block on a full channel rather than drop, so the depth
+	// only has to absorb a burst between two writes to the client.
 	ch := make(chan journal.Event, 256)
 	for _, name := range r.members.Alive() {
-		vals := eventValues(q, cursorFor(name), 0)
+		vals := sourceValues(values, cursor.of(name), 0)
 		vals.Set("stream", "1")
 		go r.tailBackendEvents(ctx, name, vals, ch)
 	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	write := func(e journal.Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	for _, e := range past {
-		if !write(e) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e := <-sub:
-			if e.Seq <= lastOwn || !q.Match(e) {
-				continue
-			}
-			if !write(e) {
-				return
-			}
-		case e := <-ch:
-			if !write(e) {
-				return
-			}
-		}
-	}
+	q.After = cursor.of(routerNode)
+	service.StreamEvents(w, req.WithContext(ctx), r.flight, q, ch)
 }
 
 // tailBackendEvents opens one shard's SSE event tail and forwards every

@@ -1,6 +1,9 @@
 package cluster_test
 
 import (
+	"bufio"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -237,5 +240,114 @@ func TestPlacementExplainsHRW(t *testing.T) {
 	// Sanity for the property: HRW should have spread 8 graphs over >1 node.
 	if len(owners) < 2 {
 		t.Errorf("HRW placed every graph on one node: %v", owners)
+	}
+}
+
+// TestClusterEventsTraceFilter checks ?trace= through the router: the
+// filter must reach every shard's journal as well as the router's own,
+// in the page form and in the live SSE tail. (The router used to
+// re-encode the shard queries by hand and dropped it, so shards
+// answered with every event they had.)
+func TestClusterEventsTraceFilter(t *testing.T) {
+	b0 := startBackendAt(t, "b0", "127.0.0.1:0", service.Options{Workers: 1})
+	b1 := startBackendAt(t, "b1", "127.0.0.1:0", service.Options{Workers: 1})
+	rt, cl := newCluster(t, []*backend{b0, b1}, cluster.Options{})
+	defer rt.Close()
+	rt.Sync(syncCtx())
+
+	journals := map[string]*journal.Recorder{"router": rt.Journal(), "b0": b0.svc.Journal(), "b1": b1.svc.Journal()}
+	for name, j := range journals {
+		j.Record(journal.Event{Type: journal.CacheEvict, Graph: "noise-" + name, TraceID: "t-other"})
+		j.Record(journal.Event{Type: journal.CacheEvict, Graph: "want-" + name, TraceID: "t-want"})
+		j.Record(journal.Event{Type: journal.CacheExpire, Graph: "untraced-" + name})
+	}
+	wantGraphs := func(events []journal.Event) {
+		t.Helper()
+		got := map[string]bool{}
+		for _, e := range events {
+			if e.TraceID != "t-want" {
+				t.Errorf("?trace=t-want returned %s event for graph %q with trace %q", e.Type, e.Graph, e.TraceID)
+			}
+			got[e.Graph] = true
+		}
+		for name := range journals {
+			if !got["want-"+name] {
+				t.Errorf("t-want event of %s missing (got %v)", name, got)
+			}
+		}
+	}
+
+	var page eventsResp
+	cl.doJSON("GET", "/v1/events?trace=t-want&limit=1000", nil, &page, http.StatusOK)
+	if len(page.Events) != len(journals) {
+		t.Errorf("page holds %d events, want one per journal", len(page.Events))
+	}
+	wantGraphs(page.Events)
+
+	// The live tail, asked for both ways: the replay carries the retained
+	// matches (one more on the second round: the first round's live one),
+	// then a live non-matching event on a shard must not come through
+	// while the matching one after it does.
+	for round, form := range []string{"stream=1", "accept"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		path := "/v1/events?trace=t-want"
+		if form == "stream=1" {
+			path += "&stream=1"
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if form == "accept" {
+			req.Header.Set("Accept", "text/event-stream")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := make(chan journal.Event)
+		go func() {
+			defer close(frames)
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				data, ok := strings.CutPrefix(sc.Text(), "data: ")
+				if !ok {
+					continue
+				}
+				var e journal.Event
+				if err := json.Unmarshal([]byte(data), &e); err != nil {
+					t.Errorf("bad SSE data %q: %v", data, err)
+					return
+				}
+				frames <- e
+			}
+		}()
+		next := func() journal.Event {
+			t.Helper()
+			select {
+			case e, ok := <-frames:
+				if !ok {
+					t.Fatalf("%s: stream ended early", form)
+				}
+				return e
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: no SSE frame within 10s", form)
+			}
+			panic("unreachable")
+		}
+		var replay []journal.Event
+		for len(replay) < len(journals)+round {
+			replay = append(replay, next())
+		}
+		wantGraphs(replay)
+		b1.svc.Journal().Record(journal.Event{Type: journal.CacheEvict, Graph: "live-noise", TraceID: "t-other"})
+		b1.svc.Journal().Record(journal.Event{Type: journal.CacheEvict, Graph: "live-want-" + form, TraceID: "t-want"})
+		if e := next(); e.Graph != "live-want-"+form {
+			t.Errorf("%s: live frame is %s/%s (trace %q), want only the t-want event", form, e.Type, e.Graph, e.TraceID)
+		}
+		cancel()
+		resp.Body.Close()
+		for range frames {
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
@@ -52,20 +53,9 @@ type Options struct {
 	// in flight per backend at once (default 2): a sweep should load a
 	// shard like a couple of eager clients, not like a thundering herd.
 	SweepShardConcurrency int
-	// JournalRing sizes the router's flight-recorder ring (events
-	// retained in memory for GET /v1/events); 0 uses the journal
-	// package default. JournalMB caps the on-disk journal spill under
-	// SpillDir in MiB; 0 uses the package default.
-	JournalRing int
-	JournalMB   int
-	// TraceRing sizes the router's trace-store ring (completed router
-	// trace fragments retained for GET /v1/traces); 0 uses the
-	// tracestore default. TraceMB caps its on-disk spill under SpillDir
-	// in MiB; TraceSample is the tail-sampling keep probability for fast
-	// successful traces (errored ones are always kept). TraceSampleAll
-	// forces the sample rate to 1 (tests).
-	TraceRing      int
-	TraceMB        int
+	// TraceSample is the tail-sampling keep probability for fast
+	// successful router trace fragments (errored ones are always kept).
+	// TraceSampleAll forces the sample rate to 1 (tests).
 	TraceSample    float64
 	TraceSampleAll bool
 	// Client is the HTTP client for probes and proxying (default: a
@@ -191,10 +181,8 @@ func New(opts Options) (*Router, error) {
 	jobs := service.NewJobStore(0)
 	jobs.SetNodeID("router")
 	flight, err := journal.New(journal.Options{
-		Node:     "router",
-		RingSize: opts.JournalRing,
-		Dir:      filepath.Join(spillDir, "journal"),
-		MaxBytes: int64(opts.JournalMB) << 20,
+		Node: "router",
+		Dir:  filepath.Join(spillDir, "journal"),
 	})
 	if err != nil {
 		if ownSpill {
@@ -204,11 +192,9 @@ func New(opts Options) (*Router, error) {
 	}
 	traces, err := tracestore.New(tracestore.Options{
 		Node:       "router",
-		RingSize:   opts.TraceRing,
 		SampleRate: opts.TraceSample,
 		SampleAll:  opts.TraceSampleAll,
 		Dir:        filepath.Join(spillDir, "traces"),
-		MaxBytes:   int64(opts.TraceMB) << 20,
 	})
 	if err != nil {
 		flight.Close()
@@ -301,28 +287,14 @@ func (r *Router) spillPath(id string) string {
 // the export from a live holder (fetchWMG), and adopt re-tries the spill
 // while one still exports the graph.
 func (r *Router) saveWMG(id string, wmg []byte) bool {
-	tmp, err := os.CreateTemp(r.spillDir, id+".*.tmp")
+	err := frame.WriteFileAtomic(r.spillPath(id), func(w io.Writer) error {
+		_, err := w.Write(wmg)
+		return err
+	})
 	if err != nil {
 		log.Printf("cluster: spill %s: %v", id, err)
-		return false
 	}
-	if _, err := tmp.Write(wmg); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	if err := os.Rename(tmp.Name(), r.spillPath(id)); err != nil {
-		os.Remove(tmp.Name())
-		log.Printf("cluster: spill %s: %v", id, err)
-		return false
-	}
-	return true
+	return err == nil
 }
 
 func (r *Router) loadWMG(id string) ([]byte, error) {

@@ -6,9 +6,8 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
+	"time"
 
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/tracestore"
@@ -32,39 +31,6 @@ type ClusterTracesResponse struct {
 	Errors     map[string]string   `json:"errors,omitempty"`
 }
 
-// traceValues re-encodes a trace query (plus a per-source cursor) as
-// the backend endpoint's query parameters.
-func traceValues(q tracestore.Query, cursor uint64, limit int) url.Values {
-	vals := url.Values{}
-	if cursor > 0 {
-		vals.Set("cursor", strconv.FormatUint(cursor, 10))
-	}
-	if limit > 0 {
-		vals.Set("limit", strconv.Itoa(limit))
-	}
-	if q.Route != "" {
-		vals.Set("route", q.Route)
-	}
-	if q.Graph != "" {
-		vals.Set("graph", q.Graph)
-	}
-	if q.MinMS > 0 {
-		vals.Set("min_ms", strconv.FormatFloat(q.MinMS, 'f', -1, 64))
-	}
-	if !q.Since.IsZero() {
-		vals.Set("since", q.Since.Format(timeRFC3339Nano))
-	}
-	return vals
-}
-
-// taggedTrace remembers which store a summary came from — records are
-// already node-stamped, but the composite cursor needs the source name
-// even for records a store imported from elsewhere.
-type taggedTrace struct {
-	src string
-	rec tracestore.Record
-}
-
 // handleTraces implements the router's GET /v1/traces: the merged,
 // time-ordered, cursor-paginated view over the router's and every live
 // shard's retained trace summaries, with the same route/graph/min_ms/
@@ -72,7 +38,7 @@ type taggedTrace struct {
 // but an entry in "errors" with "partial": true.
 func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 	values := req.URL.Query()
-	cursors, baseCursor, err := parseMergedCursor(values.Get("cursor"))
+	cursor, err := parseMergedCursor(values.Get("cursor"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -83,140 +49,28 @@ func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cursorFor := func(node string) uint64 {
-		if c, ok := cursors[node]; ok {
-			return c
-		}
-		return baseCursor
-	}
-
 	limit := q.Limit
 	if limit <= 0 {
 		limit = tracestore.DefaultLimit
 	}
-	if limit > tracestore.MaxLimit {
-		limit = tracestore.MaxLimit
-	}
-
-	type sourcePage struct {
-		src     string
-		records []tracestore.Record
-		next    uint64
-	}
-	ownQ := q
-	ownQ.After = cursorFor(routerNode)
-	ownQ.Limit = limit
-	ownRecords, ownNext := r.traces.Traces(ownQ)
-	pages := []sourcePage{{src: routerNode, records: ownRecords, next: ownNext}}
-
-	members := r.members.Snapshot()
-	alive := make([]string, 0, len(members))
-	errs := map[string]string{}
-	for _, m := range members {
-		if m.Healthy {
-			alive = append(alive, m.Name)
-		} else {
-			errs[m.Name] = "backend down"
-		}
-	}
-	shardPages := make([]sourcePage, len(alive))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for i, name := range alive {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			path := "/v1/traces?" + traceValues(q, cursorFor(name), limit).Encode()
-			status, body, err := r.call(req.Context(), http.MethodGet, name, path, nil)
-			if err != nil || status != http.StatusOK {
-				mu.Lock()
-				if err != nil {
-					errs[name] = err.Error()
-				} else {
-					errs[name] = fmt.Sprintf("status %d", status)
-				}
-				mu.Unlock()
-				return
+	page := mergePages(values, cursor, min(limit, tracestore.MaxLimit), r.members.Snapshot(),
+		func(src string, vals url.Values) ([]tracestore.Record, uint64, error) {
+			if src == routerNode {
+				own, err := service.ParseTraceQuery(vals)
+				records, next := r.traces.Traces(own)
+				return records, next, err
 			}
 			var resp service.TracesResponse
-			if err := json.Unmarshal(body, &resp); err != nil {
-				mu.Lock()
-				errs[name] = err.Error()
-				mu.Unlock()
-				return
-			}
-			shardPages[i] = sourcePage{src: name, records: resp.Traces, next: resp.NextCursor}
-		}(i, name)
-	}
-	wg.Wait()
-	for _, p := range shardPages {
-		if p.src != "" {
-			pages = append(pages, p)
-		}
-	}
-
-	var merged []taggedTrace
-	for _, p := range pages {
-		for _, rec := range p.records {
-			merged = append(merged, taggedTrace{src: p.src, rec: rec})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if !merged[i].rec.Start.Equal(merged[j].rec.Start) {
-			return merged[i].rec.Start.Before(merged[j].rec.Start)
-		}
-		if merged[i].src != merged[j].src {
-			return merged[i].src < merged[j].src
-		}
-		return merged[i].rec.Seq < merged[j].rec.Seq
+			err := r.getJSON(req.Context(), src, "/v1/traces", vals, &resp)
+			return resp.Traces, resp.NextCursor, err
+		},
+		func(rec *tracestore.Record) (time.Time, uint64) { return rec.Start, rec.Seq })
+	writeJSON(w, http.StatusOK, ClusterTracesResponse{
+		Traces:     page.items,
+		NextCursor: page.cursor,
+		Partial:    len(page.errs) > 0,
+		Errors:     page.errs,
 	})
-	page := merged
-	if len(page) > limit {
-		page = page[:limit]
-	}
-
-	// Per-source resume point, exactly as the merged events endpoint
-	// computes it: a source fully consumed advances to its own next
-	// cursor; a source cut by the merge resumes at its last returned
-	// record.
-	included := map[string]int{}
-	next := map[string]uint64{}
-	for _, p := range pages {
-		next[p.src] = cursorFor(p.src)
-	}
-	for _, tt := range page {
-		included[tt.src]++
-		if tt.rec.Seq > next[tt.src] {
-			next[tt.src] = tt.rec.Seq
-		}
-	}
-	for _, p := range pages {
-		if included[p.src] == len(p.records) && p.next > next[p.src] {
-			next[p.src] = p.next
-		}
-	}
-	srcs := make([]string, 0, len(next))
-	for s := range next {
-		srcs = append(srcs, s)
-	}
-	sort.Strings(srcs)
-	parts := make([]string, 0, len(srcs))
-	for _, s := range srcs {
-		parts = append(parts, fmt.Sprintf("%s:%d", s, next[s]))
-	}
-
-	records := make([]tracestore.Record, 0, len(page))
-	for _, tt := range page {
-		records = append(records, tt.rec)
-	}
-	out := ClusterTracesResponse{Traces: records, NextCursor: strings.Join(parts, ",")}
-	if len(errs) > 0 {
-		out.Partial = true
-		out.Errors = errs
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleTraceGet implements the router's GET /v1/traces/{id}: the

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"uicwelfare/internal/frame"
 )
 
 // FuzzReadSegment feeds arbitrary bytes through the .wmj segment reader:
@@ -28,7 +30,7 @@ func FuzzReadSegment(f *testing.F) {
 	enc(Event{Seq: 1, TS: time.Unix(1700000000, 0).UTC(), Type: "graph_registered", Graph: "g1"})
 	enc(Event{Seq: 2, TS: time.Unix(1700000001, 0).UTC(), Type: "sketch_built", Key: "k"})
 	var valid bytes.Buffer
-	if err := writeSegmentFrame(&valid, payload.Bytes()); err != nil {
+	if err := frame.Write(&valid, SegmentMagic, SegmentVersion, payload.Bytes()); err != nil {
 		f.Fatal(err)
 	}
 

@@ -6,33 +6,22 @@
 // typed, timestamped events an operator (or a test) can query after the
 // fact instead of reconstructing incidents from stderr.
 //
-// Events land in a bounded in-memory ring guarded by a single mutex
+// Events land in an internal/ringlog log — a bounded in-memory ring
 // (Record is called from hot paths, some holding other locks, so it
-// does O(1) work and never blocks), feed live subscribers for SSE
-// tails, and are asynchronously spilled as JSONL payloads inside
-// CRC-framed segment files under <data-dir>/journal/ with the same
-// size-budgeted oldest-first rotation the store uses for spilled
-// sketches. The spill is best-effort by design: a full channel drops
-// the disk copy (counted, never blocking the caller) while the ring
-// and subscribers still see the event.
+// does O(1) work and never blocks) with a best-effort asynchronous
+// spill to CRC-framed segment files under <data-dir>/journal/ — and
+// feed live subscribers for SSE tails. This package is the policy on
+// top: the event vocabulary, stamping, the query filters, subscribers.
 package journal
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"uicwelfare/internal/ringlog"
 )
 
 // Event types recorded by the cluster and service tiers. The set is a
@@ -97,9 +86,9 @@ type Event struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Segment file framing, mirroring the store codec: magic, version,
-// payload length, JSONL payload, CRC-32C — every field verified on
-// read, corrupt segments rejected with typed errors.
+// Segment file identity. The framing (magic, version, payload length,
+// JSONL payload, CRC-32C) is internal/frame's; the ring, the spill and
+// the rotation are internal/ringlog's.
 const (
 	// SegmentMagic opens a .wmj journal segment.
 	SegmentMagic = "WMJRNL\x00\x00"
@@ -107,19 +96,11 @@ const (
 	SegmentVersion = 1
 	// SegmentExt is the journal segment file extension.
 	SegmentExt = ".wmj"
-
-	// maxSegmentPayload bounds a declared payload length so a corrupt
-	// header cannot force an absurd allocation.
-	maxSegmentPayload = 1 << 30
 )
 
-var (
-	// ErrBadSegment reports an unreadable segment (wrong magic or
-	// version, truncated, or failed checksum).
-	ErrBadSegment = errors.New("journal: bad segment")
-
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+// ErrBadSegment reports an unreadable segment (wrong magic or version,
+// truncated, or failed checksum).
+var ErrBadSegment = ringlog.ErrBadSegment
 
 // Options configures a Recorder. The zero value is usable: an
 // in-memory-only journal (no Dir, no spill) with default ring size.
@@ -159,78 +140,49 @@ type Stats struct {
 	SpillErrors int64 `json:"spill_errors"`
 }
 
-// Recorder is the flight recorder: a bounded ring of recent events,
-// live subscribers, and an optional async disk spill.
+// Recorder is the flight recorder: a ringlog of recent events (with
+// its optional async disk spill) plus live subscribers.
 type Recorder struct {
 	node string
-
-	mu   sync.Mutex
-	buf  []Event // ring storage, len(buf) == capacity
-	head int     // index of the oldest event
-	n    int     // events currently in the ring
-	next uint64  // next sequence number (first event gets 1)
+	log  *ringlog.Log[Event]
 
 	subMu sync.Mutex
 	subs  map[chan Event]struct{}
-
-	recorded    atomic.Int64
-	dropped     atomic.Int64
-	segments    atomic.Int64
-	spillErrors atomic.Int64
-
-	// Spill state (nil/zero when Dir is unset).
-	spill      chan Event
-	dir        string
-	segBytes   int64
-	maxBytes   int64
-	flushEvery time.Duration
-	stop       chan struct{}
-	done       chan struct{}
 }
 
 // New creates a Recorder. When opts.Dir is set the directory is
 // created and the background spill goroutine started; Close flushes
-// and stops it.
+// and stops it. Over a directory that already holds segments the
+// sequence continues where the previous run's spill ended.
 func New(opts Options) (*Recorder, error) {
 	size := opts.RingSize
 	if size <= 0 {
 		size = 4096
 	}
-	r := &Recorder{
-		node: opts.Node,
-		buf:  make([]Event, size),
-		next: 1,
-		subs: make(map[chan Event]struct{}),
+	log, err := ringlog.New[Event](ringlog.Config{
+		RingSize: size,
+		Dir:      opts.Dir,
+		Prefix:   "journal",
+		Ext:      SegmentExt,
+		Magic:    SegmentMagic,
+		Version:  SegmentVersion,
+		// Events come in bursts (a rebalance, an eviction sweep) far
+		// shorter than this; past it the disk copy is dropped, counted.
+		SpillDepth:    1024,
+		SegmentBytes:  opts.SegmentBytes,
+		MaxBytes:      opts.MaxBytes,
+		FlushInterval: opts.FlushInterval,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		r.dir = opts.Dir
-		r.segBytes = opts.SegmentBytes
-		if r.segBytes <= 0 {
-			r.segBytes = 256 << 10
-		}
-		r.maxBytes = opts.MaxBytes
-		if r.maxBytes <= 0 {
-			r.maxBytes = 32 << 20
-		}
-		r.flushEvery = opts.FlushInterval
-		if r.flushEvery <= 0 {
-			r.flushEvery = 5 * time.Second
-		}
-		r.spill = make(chan Event, 1024)
-		r.stop = make(chan struct{})
-		r.done = make(chan struct{})
-		go r.spillLoop()
-	}
-	return r, nil
+	return &Recorder{node: opts.Node, log: log, subs: make(map[chan Event]struct{})}, nil
 }
 
 // Record stamps and stores one event. It is safe to call from any
-// goroutine, including ones holding unrelated locks: the critical
-// section is O(1), the spill send and subscriber notifies are
-// non-blocking, and nothing here does I/O.
+// goroutine, including ones holding unrelated locks: the ring append is
+// O(1), the spill send and subscriber notifies are non-blocking, and
+// nothing here does I/O.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -241,26 +193,7 @@ func (r *Recorder) Record(e Event) {
 	if e.Node == "" {
 		e.Node = r.node
 	}
-	r.mu.Lock()
-	e.Seq = r.next
-	r.next++
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = e
-		r.n++
-	} else {
-		r.buf[r.head] = e
-		r.head = (r.head + 1) % len(r.buf)
-	}
-	r.mu.Unlock()
-	r.recorded.Add(1)
-
-	if r.spill != nil {
-		select {
-		case r.spill <- e:
-		default:
-			r.dropped.Add(1)
-		}
-	}
+	r.log.Append(&e, &e.Seq)
 
 	r.subMu.Lock()
 	for ch := range r.subs {
@@ -296,21 +229,30 @@ const (
 	MaxLimit     = 1000
 )
 
+// types splits the Type filter's comma-separated list (nil = any).
+func (q Query) types() []string {
+	if q.Type == "" {
+		return nil
+	}
+	types := strings.Split(q.Type, ",")
+	for i := range types {
+		types[i] = strings.TrimSpace(types[i])
+	}
+	return types
+}
+
 // Match reports whether the event passes the query's filters (the
 // cursor and limit are handled by Events; Match is exported so the
 // router can filter a merged cross-shard stream with the same rules).
 func (q Query) Match(e Event) bool {
-	if q.Type != "" {
-		ok := false
-		for _, t := range strings.Split(q.Type, ",") {
-			if strings.TrimSpace(t) == e.Type {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
+	return q.match(&e, q.types())
+}
+
+// match is Match with the Type list already split, so a ring scan
+// splits it once per query rather than once per entry.
+func (q Query) match(e *Event, types []string) bool {
+	if types != nil && !slices.Contains(types, e.Type) {
+		return false
 	}
 	if q.Graph != "" && e.Graph != q.Graph {
 		return false
@@ -336,35 +278,13 @@ func (r *Recorder) Events(q Query) (events []Event, next uint64) {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	if limit > MaxLimit {
-		limit = MaxLimit
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	next = q.After
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.head+i)%len(r.buf)]
-		if e.Seq <= q.After {
-			continue
-		}
-		next = e.Seq
-		if q.Match(e) {
-			events = append(events, e)
-			if len(events) >= limit {
-				break
-			}
-		}
-	}
-	return events, next
+	types := q.types()
+	return r.log.Scan(q.After, min(limit, MaxLimit), func(e *Event) bool { return q.match(e, types) })
 }
 
 // LastSeq returns the most recently assigned sequence number (0 when
 // nothing has been recorded). SSE tails start here.
-func (r *Recorder) LastSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next - 1
-}
+func (r *Recorder) LastSeq() uint64 { return r.log.LastSeq() }
 
 // Subscribe registers a live event channel. Slow subscribers miss
 // events rather than blocking recorders; the returned cancel must be
@@ -387,16 +307,14 @@ func (r *Recorder) Subscribe(buffer int) (<-chan Event, func()) {
 
 // Stats snapshots the recorder's counters.
 func (r *Recorder) Stats() Stats {
-	r.mu.Lock()
-	n, size := r.n, len(r.buf)
-	r.mu.Unlock()
+	st := r.log.Stats()
 	return Stats{
-		Recorded:    r.recorded.Load(),
-		Dropped:     r.dropped.Load(),
-		RingLen:     n,
-		RingCap:     size,
-		Segments:    r.segments.Load(),
-		SpillErrors: r.spillErrors.Load(),
+		Recorded:    st.Appended,
+		Dropped:     st.Dropped,
+		RingLen:     st.RingLen,
+		RingCap:     st.RingCap,
+		Segments:    st.Segments,
+		SpillErrors: st.SpillErrors,
 	}
 }
 
@@ -404,222 +322,13 @@ func (r *Recorder) Stats() Stats {
 // The ring remains queryable. Close is a no-op for in-memory journals
 // and idempotent otherwise.
 func (r *Recorder) Close() {
-	if r == nil || r.stop == nil {
-		return
+	if r != nil {
+		r.log.Close()
 	}
-	select {
-	case <-r.stop:
-		return // already closed
-	default:
-	}
-	close(r.stop)
-	<-r.done
-}
-
-// spillLoop drains the spill channel into a pending JSONL buffer and
-// seals it into a segment file when it reaches the size threshold, on
-// the flush ticker, and at shutdown.
-func (r *Recorder) spillLoop() {
-	defer close(r.done)
-	var pending bytes.Buffer
-	var firstSeq uint64
-	ticker := time.NewTicker(r.flushEvery)
-	defer ticker.Stop()
-
-	add := func(e Event) {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return
-		}
-		if pending.Len() == 0 {
-			firstSeq = e.Seq
-		}
-		pending.Write(line)
-		pending.WriteByte('\n')
-		if int64(pending.Len()) >= r.segBytes {
-			r.seal(&pending, firstSeq)
-		}
-	}
-
-	for {
-		select {
-		case e := <-r.spill:
-			add(e)
-		case <-ticker.C:
-			if pending.Len() > 0 {
-				r.seal(&pending, firstSeq)
-			}
-		case <-r.stop:
-			for {
-				select {
-				case e := <-r.spill:
-					add(e)
-					continue
-				default:
-				}
-				break
-			}
-			if pending.Len() > 0 {
-				r.seal(&pending, firstSeq)
-			}
-			return
-		}
-	}
-}
-
-// seal writes the pending JSONL buffer as one CRC-framed segment file
-// (temp + rename, like every store artifact) and enforces the byte
-// budget. The buffer is reset either way: a failed write is counted
-// and dropped, never retried into an ever-growing buffer.
-func (r *Recorder) seal(pending *bytes.Buffer, firstSeq uint64) {
-	payload := pending.Bytes()
-	path := filepath.Join(r.dir, fmt.Sprintf("journal-%016x%s", firstSeq, SegmentExt))
-	err := func() error {
-		tmp, err := os.CreateTemp(r.dir, ".tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := writeSegmentFrame(tmp, payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
-	}()
-	pending.Reset()
-	if err != nil {
-		r.spillErrors.Add(1)
-		return
-	}
-	r.segments.Add(1)
-	r.enforceBudget()
-}
-
-// enforceBudget deletes the oldest segment files until the journal
-// directory fits the byte budget (the store's sketch-eviction idiom).
-func (r *Recorder) enforceBudget() {
-	entries, err := os.ReadDir(r.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []file
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), SegmentExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{
-			path:  filepath.Join(r.dir, e.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= r.maxBytes {
-			return
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-		}
-	}
-}
-
-// writeSegmentFrame writes one framed segment payload.
-func writeSegmentFrame(w io.Writer, payload []byte) error {
-	var hdr [20]byte
-	copy(hdr[:8], SegmentMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], SegmentVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(sum[:])
-	return err
 }
 
 // ReadSegment decodes one segment file, verifying magic, version,
 // length, and checksum, and returns its events in recorded order.
 func ReadSegment(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var hdr [20]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSegment, err)
-	}
-	if string(hdr[:8]) != SegmentMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSegment, hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegmentVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSegment, v)
-	}
-	size := binary.LittleEndian.Uint64(hdr[12:20])
-	if size > maxSegmentPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrBadSegment, size)
-	}
-	payload, err := readSegmentPayload(f, size)
-	if err != nil {
-		return nil, err
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(f, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrBadSegment, err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc32.Checksum(payload, castagnoli) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSegment)
-	}
-	var out []Event
-	sc := bufio.NewScanner(bytes.NewReader(payload))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		var e Event
-		if json.Unmarshal(sc.Bytes(), &e) == nil {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-// readSegmentPayload reads a declared-size payload growing the buffer
-// geometrically as bytes actually arrive, so a forged multi-GiB length
-// field in a tiny file is rejected after a short read instead of
-// committing the declared allocation up front.
-func readSegmentPayload(r io.Reader, size uint64) ([]byte, error) {
-	const initialCap = 64 << 10
-	payload := make([]byte, min(size, initialCap))
-	read := 0
-	for {
-		n, err := io.ReadFull(r, payload[read:])
-		read += n
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrBadSegment, read, size, err)
-		}
-		if uint64(len(payload)) == size {
-			return payload, nil
-		}
-		grown := make([]byte, min(size, 2*uint64(len(payload))))
-		copy(grown, payload)
-		payload = grown
-	}
+	return ringlog.ReadSegment[Event](path, SegmentMagic, SegmentVersion)
 }

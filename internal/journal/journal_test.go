@@ -227,3 +227,60 @@ func TestConcurrentRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartKeepsEarlierSegments boots a recorder twice over one
+// directory: the second boot must continue the first one's sequence, so
+// its segments sort after — and are never renamed over — the ones
+// already there. (Both boots used to start at 1, and boot 2's first
+// seal replaced journal-0000000000000001.wmj.)
+func TestRestartKeepsEarlierSegments(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(key string) *Recorder {
+		r, err := New(Options{Node: "b0", Dir: dir, FlushInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			r.Record(Event{Type: CacheEvict, Key: key})
+		}
+		r.Close()
+		return r
+	}
+	boot("boot1")
+	r2 := boot("boot2")
+	if got := r2.LastSeq(); got != 6 {
+		t.Fatalf("boot 2 ended at seq %d, want 6 (3 per boot)", got)
+	}
+	if events, _ := r2.Events(Query{}); len(events) != 3 || events[0].Seq != 4 {
+		t.Fatalf("boot 2's ring = %+v, want its own three events from seq 4", events)
+	}
+
+	matches, _ := filepath.Glob(filepath.Join(dir, "*"+SegmentExt))
+	var keys []string
+	var lastSeq uint64
+	for _, m := range matches { // Glob sorts: name order must be time order
+		events, err := ReadSegment(m)
+		if err != nil {
+			t.Fatalf("ReadSegment(%s): %v", m, err)
+		}
+		for _, e := range events {
+			if e.Seq <= lastSeq {
+				t.Fatalf("seq %d after %d: not strictly increasing across boots", e.Seq, lastSeq)
+			}
+			lastSeq = e.Seq
+			keys = append(keys, e.Key)
+		}
+	}
+	if got, want := strings.Join(keys, ","), "boot1,boot1,boot1,boot2,boot2,boot2"; got != want {
+		t.Fatalf("events on disk after two boots: %s, want %s (segments %v)", got, want, matches)
+	}
+
+	// A corrupt newest segment does not stop the next boot.
+	if err := os.WriteFile(matches[len(matches)-1], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r3 := boot("boot3")
+	if got := r3.LastSeq(); got != 6 {
+		t.Fatalf("boot 3 over a corrupt newest segment ended at seq %d, want 6 (resumed after boot 1's 3)", got)
+	}
+}

@@ -28,47 +28,66 @@ type EventsResponse struct {
 	Errors  map[string]string `json:"errors,omitempty"`
 }
 
+// parsePageQuery decodes the three parameters every ring-backed listing
+// shares (GET /v1/events, GET /v1/traces): the cursor, the page limit,
+// and the since cutoff.
+func parsePageQuery(values url.Values) (after uint64, limit int, since time.Time, err error) {
+	if raw := values.Get("cursor"); raw != "" {
+		if after, err = strconv.ParseUint(raw, 10, 64); err != nil {
+			return 0, 0, since, fmt.Errorf("bad cursor %q", raw)
+		}
+	}
+	if raw := values.Get("limit"); raw != "" {
+		if limit, err = strconv.Atoi(raw); err != nil || limit <= 0 {
+			return 0, 0, since, fmt.Errorf("bad limit %q", raw)
+		}
+	}
+	if raw := values.Get("since"); raw != "" {
+		if since, err = time.Parse(time.RFC3339Nano, raw); err != nil {
+			return 0, 0, since, fmt.Errorf("bad since %q (want RFC 3339)", raw)
+		}
+	}
+	return after, limit, since, nil
+}
+
 // ParseEventQuery decodes the GET /v1/events query parameters
 // (cursor, limit, type, graph, node, trace, since) shared by the
 // backend and router forms of the endpoint.
 func ParseEventQuery(values url.Values) (journal.Query, error) {
-	var q journal.Query
-	if raw := values.Get("cursor"); raw != "" {
-		c, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return q, fmt.Errorf("bad cursor %q", raw)
-		}
-		q.After = c
-	}
-	if raw := values.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return q, fmt.Errorf("bad limit %q", raw)
-		}
-		q.Limit = n
-	}
-	q.Type = values.Get("type")
-	q.Graph = values.Get("graph")
-	q.Node = values.Get("node")
-	q.Trace = values.Get("trace")
-	if raw := values.Get("since"); raw != "" {
-		ts, err := time.Parse(time.RFC3339Nano, raw)
-		if err != nil {
-			return q, fmt.Errorf("bad since %q (want RFC 3339)", raw)
-		}
-		q.Since = ts
-	}
-	return q, nil
+	after, limit, since, err := parsePageQuery(values)
+	return journal.Query{
+		After: after,
+		Type:  values.Get("type"),
+		Graph: values.Get("graph"),
+		Node:  values.Get("node"),
+		Trace: values.Get("trace"),
+		Since: since,
+		Limit: limit,
+	}, err
 }
 
-// wantsEventStream reports whether the request asked for the SSE live
+// WantsEventStream reports whether the request asked for the SSE live
 // tail (?stream=1 or an Accept of text/event-stream) instead of the
 // one-shot query form.
-func wantsEventStream(r *http.Request) bool {
+func WantsEventStream(r *http.Request) bool {
 	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" || v == "sse" {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+}
+
+// writeSSE emits one "event:/data:" frame with v as its JSON data and
+// flushes it; false means the stream is over (the client went away).
+func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) bool {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+		return false
+	}
+	fl.Flush()
+	return true
 }
 
 // handleEvents implements GET /v1/events: the control-plane flight
@@ -81,8 +100,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if wantsEventStream(r) {
-		StreamEvents(w, r, s.flight, q)
+	if WantsEventStream(r) {
+		StreamEvents(w, r, s.flight, q, nil)
 		return
 	}
 	events, next := s.flight.Events(q)
@@ -96,9 +115,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 // q: the retained ring events after q.After first (so a reconnecting
 // client with a cursor misses nothing the ring still holds), then live
 // events as they are recorded. Each frame's SSE event name is the
-// journal event type. Exported because the cluster router tails its own
-// recorder through exactly this path.
-func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder, q journal.Query) {
+// journal event type. relayed, when non-nil, is a second live source
+// forwarded as-is: the cluster router tails its own recorder through
+// this path and fans every shard's tail in through relayed.
+func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder, q journal.Query, relayed <-chan journal.Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
@@ -117,33 +137,24 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder,
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	write := func(e journal.Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
 	for _, e := range past {
-		if !write(e) {
+		if !writeSSE(w, fl, e.Type, e) {
 			return
 		}
 	}
 	for {
+		var e journal.Event
 		select {
 		case <-r.Context().Done():
 			return
-		case e := <-ch:
+		case e = <-ch:
 			if e.Seq <= last || !q.Match(e) {
 				continue
 			}
-			if !write(e) {
-				return
-			}
+		case e = <-relayed:
+		}
+		if !writeSSE(w, fl, e.Type, e) {
+			return
 		}
 	}
 }

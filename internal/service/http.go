@@ -427,15 +427,7 @@ func StreamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id 
 			ev.Seq = lastSeq + 1
 		}
 		lastSeq = ev.Seq
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return !ev.Terminal()
+		return writeSSE(w, fl, ev.Type, ev) && !ev.Terminal()
 	}
 	for _, ev := range past {
 		if !write(ev) {

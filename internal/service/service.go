@@ -127,21 +127,6 @@ type Options struct {
 	// SlowThreshold is the job duration at or above which a structured
 	// slow-request log line is emitted (default 1s; < 0 disables).
 	SlowThreshold time.Duration
-	// JournalRing bounds the control-plane flight recorder's in-memory
-	// event ring (default 4096). The journal itself is always on — its
-	// ring append is O(1) — but only daemons with a DataDir also spill
-	// segments to <DataDir>/journal.
-	JournalRing int
-	// JournalMB bounds the spilled journal segments in megabytes
-	// (default 32); only meaningful with DataDir set.
-	JournalMB int
-	// TraceRing bounds the trace store's in-memory ring of completed
-	// traces (default 512). The store follows the telemetry switch:
-	// TelemetryOff disables it entirely (GET /v1/traces serves empty).
-	TraceRing int
-	// TraceMB bounds the spilled trace segments in megabytes (default
-	// 32); only meaningful with DataDir set.
-	TraceMB int
 	// TraceSample is the probability of keeping a completed trace that
 	// was neither slow nor errored nor admission-queued (those are
 	// always kept — tail sampling). Zero keeps only the always-kept
@@ -298,12 +283,7 @@ func New(opts Options) (*Service, error) {
 	if opts.DataDir != "" {
 		journalDir = filepath.Join(opts.DataDir, "journal")
 	}
-	flight, err := journal.New(journal.Options{
-		Node:     opts.NodeID,
-		RingSize: opts.JournalRing,
-		Dir:      journalDir,
-		MaxBytes: int64(opts.JournalMB) << 20,
-	})
+	flight, err := journal.New(journal.Options{Node: opts.NodeID, Dir: journalDir})
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +298,9 @@ func New(opts Options) (*Service, error) {
 		}
 		s.traces, err = tracestore.New(tracestore.Options{
 			Node:       opts.NodeID,
-			RingSize:   opts.TraceRing,
 			SampleRate: opts.TraceSample,
 			SampleAll:  opts.TraceSampleAll,
 			Dir:        traceDir,
-			MaxBytes:   int64(opts.TraceMB) << 20,
 		})
 		if err != nil {
 			flight.Close()

@@ -98,38 +98,20 @@ func (t *TraceTreeResponse) AddRecord(rec tracestore.Record) {
 // limit, route, graph, min_ms, since) shared by the backend and router
 // forms of the endpoint.
 func ParseTraceQuery(values url.Values) (tracestore.Query, error) {
-	var q tracestore.Query
-	if raw := values.Get("cursor"); raw != "" {
-		c, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return q, fmt.Errorf("bad cursor %q", raw)
-		}
-		q.After = c
+	after, limit, since, err := parsePageQuery(values)
+	q := tracestore.Query{
+		After: after,
+		Route: values.Get("route"),
+		Graph: values.Get("graph"),
+		Since: since,
+		Limit: limit,
 	}
-	if raw := values.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return q, fmt.Errorf("bad limit %q", raw)
+	if raw := values.Get("min_ms"); raw != "" && err == nil {
+		if q.MinMS, err = strconv.ParseFloat(raw, 64); err != nil || q.MinMS < 0 {
+			err = fmt.Errorf("bad min_ms %q", raw)
 		}
-		q.Limit = n
 	}
-	q.Route = values.Get("route")
-	q.Graph = values.Get("graph")
-	if raw := values.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			return q, fmt.Errorf("bad min_ms %q", raw)
-		}
-		q.MinMS = ms
-	}
-	if raw := values.Get("since"); raw != "" {
-		ts, err := time.Parse(time.RFC3339Nano, raw)
-		if err != nil {
-			return q, fmt.Errorf("bad since %q (want RFC 3339)", raw)
-		}
-		q.Since = ts
-	}
-	return q, nil
+	return q, err
 }
 
 // handleTraces implements GET /v1/traces: cursor pagination over the

@@ -18,20 +18,19 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+
+	"uicwelfare/internal/frame"
 )
 
-// File format: an 8-byte magic, a uint32 format version, a uint64
-// payload length, the payload, and a CRC-32C of the payload — all
-// little-endian. The payload itself is a varint-packed body defined by
-// the graph and sketch codecs. Every field is verified on read: a
-// truncated file, a flipped bit, or a future version yields a typed
-// error (never a broken in-memory structure), which the cache layers
-// treat as a miss and fall back to a rebuild.
+// File format: every artifact is one internal/frame container (magic,
+// version, length, payload, CRC-32C) whose payload is a varint-packed
+// body defined by the graph, sketch and sweep codecs. Every field is
+// verified on read: a truncated file, a flipped bit, or a future
+// version yields a typed error (never a broken in-memory structure),
+// which the cache layers treat as a miss and fall back to a rebuild.
 const (
 	// GraphMagic opens a .wmg graph file.
 	GraphMagic = "WMGRAPH\x00"
@@ -46,93 +45,32 @@ const (
 	maxPayload = 4 << 30
 )
 
-// Typed codec errors, distinguishable with errors.Is so callers (and the
-// corrupt-input tests) can tell rejection modes apart.
+// Typed codec errors — the frame package's, under the names callers of
+// this package have always matched with errors.Is.
 var (
 	// ErrBadMagic reports a file that is not the expected format at all.
-	ErrBadMagic = errors.New("store: bad magic")
+	ErrBadMagic = frame.ErrBadMagic
 	// ErrBadVersion reports a well-formed frame of an unsupported version.
-	ErrBadVersion = errors.New("store: unsupported format version")
+	ErrBadVersion = frame.ErrBadVersion
 	// ErrChecksum reports a payload whose CRC does not match.
-	ErrChecksum = errors.New("store: checksum mismatch")
+	ErrChecksum = frame.ErrChecksum
 	// ErrTruncated reports a frame that ends early.
-	ErrTruncated = errors.New("store: truncated file")
+	ErrTruncated = frame.ErrTruncated
 	// ErrCorrupt reports a payload that passed the checksum but decodes
 	// to an inconsistent structure (a writer bug or a deliberate forgery,
-	// not random bit rot).
-	ErrCorrupt = errors.New("store: corrupt payload")
+	// not random bit rot), or a declared length over maxPayload.
+	ErrCorrupt = frame.ErrCorrupt
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// writeFrame writes one framed payload.
+// writeFrame writes one payload framed at this package's Version.
 func writeFrame(w io.Writer, magic string, payload []byte) error {
-	var hdr [20]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(sum[:])
-	return err
+	return frame.Write(w, magic, Version, payload)
 }
 
-// readFrame reads and verifies one framed payload.
+// readFrame reads and verifies one payload framed at this package's
+// Version, bounded by maxPayload.
 func readFrame(r io.Reader, magic string) ([]byte, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
-	}
-	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: got %q, want %q", ErrBadMagic, hdr[:8], magic)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != Version {
-		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrBadVersion, v, Version)
-	}
-	size := binary.LittleEndian.Uint64(hdr[12:20])
-	if size > maxPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, size)
-	}
-	// Grow the payload buffer as bytes actually arrive instead of
-	// trusting the declared size with one up-front allocation: frames
-	// also arrive over HTTP (graph and sketch imports), where a 20-byte
-	// request forging a multi-GiB length field must not commit gigabytes
-	// of zeroed memory before the short read is even detected. Growth is
-	// geometric (amortized O(size) copying) but capped at the declared
-	// size, so allocation stays within ~2x of the bytes actually
-	// received and an honest payload's final slice is exact — no doubled
-	// backing array outlives the read.
-	const initialPayloadCap = 512 << 10
-	payload := make([]byte, min(size, initialPayloadCap))
-	read := 0
-	for {
-		n, err := io.ReadFull(r, payload[read:])
-		read += n
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrTruncated, read, size, err)
-		}
-		if uint64(len(payload)) == size {
-			break
-		}
-		grown := make([]byte, min(size, 2*uint64(len(payload))))
-		copy(grown, payload)
-		payload = grown
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrTruncated, err)
-	}
-	want := binary.LittleEndian.Uint32(sum[:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, got, want)
-	}
-	return payload, nil
+	return frame.Read(r, magic, Version, maxPayload)
 }
 
 // payloadWriter packs a frame body: varints for counts and ids, fixed

@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
 )
 
@@ -101,25 +103,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// writeAtomic writes an artifact via a temp file in the same directory
-// plus rename, so readers and boot-time scans only ever see complete
-// files.
-func writeAtomic(path string, write func(f *os.File) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // SaveGraph persists a graph under its content id, keeping the caller's
 // name label in the file. Saving an id that already exists is a cheap
 // no-op — content addressing makes the bytes identical.
@@ -128,8 +111,8 @@ func (s *Store) SaveGraph(id, name string, g *graph.Graph) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	return writeAtomic(path, func(f *os.File) error {
-		return EncodeGraph(f, name, g)
+	return frame.WriteFileAtomic(path, func(w io.Writer) error {
+		return EncodeGraph(w, name, g)
 	})
 }
 
@@ -208,15 +191,19 @@ func (s *Store) sketchPath(graphID, key string) string {
 // signal that persistence is broken) and returned, but are never fatal
 // to the request that built the sketch — the memory tier already has it.
 func (s *Store) SaveSketch(graphID, key string, sketch any) error {
-	err := writeAtomic(s.sketchPath(graphID, key), func(f *os.File) error {
-		return EncodeSketch(f, sketch)
+	err := frame.WriteFileAtomic(s.sketchPath(graphID, key), func(w io.Writer) error {
+		return EncodeSketch(w, sketch)
 	})
 	if err != nil {
 		s.spillErrors.Add(1)
 		return fmt.Errorf("store: spill %s: %w", key, err)
 	}
 	s.spills.Add(1)
-	s.enforceSketchBudget()
+	if s.maxSketchBytes > 0 {
+		s.evictMu.Lock()
+		s.evictions.Add(int64(frame.PruneOldest(sketchesDir(s.dir), SketchExt, s.maxSketchBytes)))
+		s.evictMu.Unlock()
+	}
 	return nil
 }
 
@@ -265,57 +252,11 @@ func (s *Store) HasSketch(graphID, key string) bool {
 	return err == nil
 }
 
-// enforceSketchBudget deletes the oldest spilled sketches until the
-// sketch directory fits the byte budget.
-func (s *Store) enforceSketchBudget() {
-	if s.maxSketchBytes <= 0 {
-		return
-	}
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	entries, err := os.ReadDir(sketchesDir(s.dir))
-	if err != nil {
-		return
-	}
-	type file struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []file
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), SketchExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{
-			path:  filepath.Join(sketchesDir(s.dir), e.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= s.maxSketchBytes {
-			return
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			s.evictions.Add(1)
-		}
-	}
-}
-
 // SaveGraphFile writes a standalone .wmg file (gengraph's binary output
 // mode) outside any data directory.
 func SaveGraphFile(path, name string, g *graph.Graph) error {
-	return writeAtomic(path, func(f *os.File) error {
-		return EncodeGraph(f, name, g)
+	return frame.WriteFileAtomic(path, func(w io.Writer) error {
+		return EncodeGraph(w, name, g)
 	})
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"uicwelfare/internal/frame"
 )
 
 // SweepExt is the sweep-result artifact format written under
@@ -261,8 +263,8 @@ func (s *Store) SaveSweep(res *SweepResult) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return id, nil
 	}
-	if err := writeAtomic(path, func(f *os.File) error {
-		return EncodeSweepResult(f, res)
+	if err := frame.WriteFileAtomic(path, func(w io.Writer) error {
+		return EncodeSweepResult(w, res)
 	}); err != nil {
 		s.spillErrors.Add(1)
 		return id, fmt.Errorf("store: sweep %s: %w", id, err)
@@ -333,8 +335,8 @@ func SaveSweepFile(dir string, res *SweepResult) (string, error) {
 		return "", err
 	}
 	id := SweepResultID(res)
-	err := writeAtomic(filepath.Join(dir, id+SweepExt), func(f *os.File) error {
-		return EncodeSweepResult(f, res)
+	err := frame.WriteFileAtomic(filepath.Join(dir, id+SweepExt), func(w io.Writer) error {
+		return EncodeSweepResult(w, res)
 	})
 	return id, err
 }

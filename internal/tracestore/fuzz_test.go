@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"uicwelfare/internal/frame"
 )
 
 // FuzzReadSegment feeds arbitrary bytes through the .wmt segment reader:
@@ -28,7 +30,7 @@ func FuzzReadSegment(f *testing.F) {
 	enc(Record{Seq: 1, TraceID: "t1", Route: "allocate", Start: time.Unix(1700000000, 0).UTC(), DurationMS: 12.5})
 	enc(Record{Seq: 2, TraceID: "t2", Route: "warm", Start: time.Unix(1700000001, 0).UTC(), DurationMS: 3.25})
 	var valid bytes.Buffer
-	if err := writeSegmentFrame(&valid, payload.Bytes()); err != nil {
+	if err := frame.Write(&valid, SegmentMagic, SegmentVersion, payload.Bytes()); err != nil {
 		f.Fatal(err)
 	}
 

@@ -4,11 +4,11 @@
 // the journal records control-plane *decisions*, the trace store keeps
 // the per-request *timelines* those decisions acted on.
 //
-// Completed traces land in a bounded in-memory ring guarded by a
-// single mutex (Add is called at request completion, so it does O(1)
-// work and never blocks) and are asynchronously spilled as JSONL
-// payloads inside CRC-framed segment files under <data-dir>/traces,
-// with the journal's size-budgeted oldest-first rotation. Admission is
+// Kept traces land in an internal/ringlog log — a bounded in-memory
+// ring (Add is called at request completion, so it does O(1) work and
+// never blocks) with a best-effort asynchronous spill to CRC-framed
+// segment files under <data-dir>/traces, the journal's exact
+// mechanism. This package is the policy on top. Admission is
 // tail-sampled: every trace that was slow, errored, or queued by
 // admission control is kept, and fast successes are kept with a
 // configurable probability — the interesting traces survive without
@@ -16,23 +16,12 @@
 package tracestore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
+	"uicwelfare/internal/ringlog"
 	"uicwelfare/internal/telemetry"
 )
 
@@ -83,9 +72,9 @@ func (r Record) Summary() Record {
 	return r
 }
 
-// Segment file framing, mirroring the journal codec: magic, version,
-// payload length, JSONL payload, CRC-32C — every field verified on
-// read, corrupt segments rejected with typed errors.
+// Segment file identity. The framing (magic, version, payload length,
+// JSONL payload, CRC-32C) is internal/frame's; the ring, the spill and
+// the rotation are internal/ringlog's.
 const (
 	// SegmentMagic opens a .wmt trace segment.
 	SegmentMagic = "WMTRCE\x00\x00"
@@ -93,19 +82,11 @@ const (
 	SegmentVersion = 1
 	// SegmentExt is the trace segment file extension.
 	SegmentExt = ".wmt"
-
-	// maxSegmentPayload bounds a declared payload length so a corrupt
-	// header cannot force an absurd allocation.
-	maxSegmentPayload = 1 << 30
 )
 
-var (
-	// ErrBadSegment reports an unreadable segment (wrong magic or
-	// version, truncated, or failed checksum).
-	ErrBadSegment = errors.New("tracestore: bad segment")
-
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+// ErrBadSegment reports an unreadable segment (wrong magic or version,
+// truncated, or failed checksum).
+var ErrBadSegment = ringlog.ErrBadSegment
 
 // Options configures a Store. The zero value is usable: an
 // in-memory-only store (no Dir, no spill) that keeps every trace.
@@ -155,38 +136,21 @@ type Stats struct {
 	SpillErrors int64 `json:"spill_errors"`
 }
 
-// Store holds the bounded trace ring and the optional disk spill.
+// Store is the tail-sampling admission in front of a ringlog of kept
+// traces (with its optional async disk spill).
 type Store struct {
 	node   string
 	sample float64
+	log    *ringlog.Log[Record]
 
-	mu   sync.Mutex
-	buf  []Record // ring storage, len(buf) == capacity
-	head int      // index of the oldest record
-	n    int      // records currently in the ring
-	next uint64   // next sequence number (first record gets 1)
-	rng  *rand.Rand
-
-	offered     atomic.Int64
-	kept        atomic.Int64
-	sampledOut  atomic.Int64
-	dropped     atomic.Int64
-	segments    atomic.Int64
-	spillErrors atomic.Int64
-
-	// Spill state (nil/zero when Dir is unset).
-	spill      chan Record
-	dir        string
-	segBytes   int64
-	maxBytes   int64
-	flushEvery time.Duration
-	stop       chan struct{}
-	done       chan struct{}
+	offered    atomic.Int64
+	sampledOut atomic.Int64
 }
 
 // New creates a Store. When opts.Dir is set the directory is created
 // and the background spill goroutine started; Close flushes and stops
-// it.
+// it. Over a directory that already holds segments the sequence
+// continues where the previous run's spill ended.
 func New(opts Options) (*Store, error) {
 	size := opts.RingSize
 	if size <= 0 {
@@ -196,42 +160,24 @@ func New(opts Options) (*Store, error) {
 	if opts.SampleAll {
 		sample = 1
 	}
-	if sample < 0 {
-		sample = 0
+	log, err := ringlog.New[Record](ringlog.Config{
+		RingSize: size,
+		Dir:      opts.Dir,
+		Prefix:   "traces",
+		Ext:      SegmentExt,
+		Magic:    SegmentMagic,
+		Version:  SegmentVersion,
+		// One kept trace per finished request: a quarter of the
+		// journal's depth, since each record carries a span tree.
+		SpillDepth:    256,
+		SegmentBytes:  opts.SegmentBytes,
+		MaxBytes:      opts.MaxBytes,
+		FlushInterval: opts.FlushInterval,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	if sample > 1 {
-		sample = 1
-	}
-	s := &Store{
-		node:   opts.Node,
-		sample: sample,
-		buf:    make([]Record, size),
-		next:   1,
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("tracestore: %w", err)
-		}
-		s.dir = opts.Dir
-		s.segBytes = opts.SegmentBytes
-		if s.segBytes <= 0 {
-			s.segBytes = 256 << 10
-		}
-		s.maxBytes = opts.MaxBytes
-		if s.maxBytes <= 0 {
-			s.maxBytes = 32 << 20
-		}
-		s.flushEvery = opts.FlushInterval
-		if s.flushEvery <= 0 {
-			s.flushEvery = 5 * time.Second
-		}
-		s.spill = make(chan Record, 256)
-		s.stop = make(chan struct{})
-		s.done = make(chan struct{})
-		go s.spillLoop()
-	}
-	return s, nil
+	return &Store{node: opts.Node, sample: min(max(sample, 0), 1), log: log}, nil
 }
 
 // Add offers one completed trace to the store. Tail sampling decides
@@ -257,36 +203,13 @@ func (s *Store) Add(rec Record) bool {
 		rec.Kept = KeptSlow
 	case rec.Queued:
 		rec.Kept = KeptQueued
-	default:
-		s.mu.Lock()
-		keep := s.rng.Float64() < s.sample
-		s.mu.Unlock()
-		if !keep {
-			s.sampledOut.Add(1)
-			return false
-		}
+	case rand.Float64() < s.sample:
 		rec.Kept = KeptSampled
+	default:
+		s.sampledOut.Add(1)
+		return false
 	}
-	s.mu.Lock()
-	rec.Seq = s.next
-	s.next++
-	if s.n < len(s.buf) {
-		s.buf[(s.head+s.n)%len(s.buf)] = rec
-		s.n++
-	} else {
-		s.buf[s.head] = rec
-		s.head = (s.head + 1) % len(s.buf)
-	}
-	s.mu.Unlock()
-	s.kept.Add(1)
-
-	if s.spill != nil {
-		select {
-		case s.spill <- rec:
-		default:
-			s.dropped.Add(1)
-		}
-	}
+	s.log.Append(&rec, &rec.Seq)
 	return true
 }
 
@@ -316,7 +239,9 @@ const (
 // Match reports whether the record passes the query's filters (the
 // cursor and limit are handled by Traces; Match is exported so the
 // router can filter a merged cross-shard page with the same rules).
-func (q Query) Match(r Record) bool {
+func (q Query) Match(r Record) bool { return q.match(&r) }
+
+func (q Query) match(r *Record) bool {
 	if q.Route != "" && r.Route != q.Route {
 		return false
 	}
@@ -338,31 +263,16 @@ func (q Query) Match(r Record) bool {
 // pagination advances past filtered spans of the ring too. next equals
 // q.After when nothing new was examined.
 func (s *Store) Traces(q Query) (records []Record, next uint64) {
+	if s == nil {
+		return nil, q.After
+	}
 	limit := q.Limit
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	if limit > MaxLimit {
-		limit = MaxLimit
-	}
-	if s == nil {
-		return nil, q.After
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next = q.After
-	for i := 0; i < s.n; i++ {
-		r := s.buf[(s.head+i)%len(s.buf)]
-		if r.Seq <= q.After {
-			continue
-		}
-		next = r.Seq
-		if q.Match(r) {
-			records = append(records, r.Summary())
-			if len(records) >= limit {
-				break
-			}
-		}
+	records, next = s.log.Scan(q.After, min(limit, MaxLimit), q.match)
+	for i := range records {
+		records[i] = records[i].Summary()
 	}
 	return records, next
 }
@@ -375,48 +285,7 @@ func (s *Store) Get(id string) (Record, bool) {
 	if s == nil || id == "" {
 		return Record{}, false
 	}
-	s.mu.Lock()
-	for i := s.n - 1; i >= 0; i-- {
-		r := s.buf[(s.head+i)%len(s.buf)]
-		if r.TraceID == id {
-			s.mu.Unlock()
-			return r, true
-		}
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		return Record{}, false
-	}
-	return s.getFromDisk(id)
-}
-
-// getFromDisk scans spilled segments newest-first for the trace id.
-func (s *Store) getFromDisk(id string) (Record, bool) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return Record{}, false
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), SegmentExt) {
-			names = append(names, e.Name())
-		}
-	}
-	// Segment names embed the first record's sequence number in hex, so
-	// lexical order is chronological; scan newest first.
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		recs, err := ReadSegment(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		for i := len(recs) - 1; i >= 0; i-- {
-			if recs[i].TraceID == id {
-				return recs[i], true
-			}
-		}
-	}
-	return Record{}, false
+	return s.log.Find(func(r *Record) bool { return r.TraceID == id })
 }
 
 // LastSeq returns the most recently assigned sequence number (0 when
@@ -425,9 +294,7 @@ func (s *Store) LastSeq() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next - 1
+	return s.log.LastSeq()
 }
 
 // Stats snapshots the store's counters. A nil store reports zeros.
@@ -435,18 +302,16 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	s.mu.Lock()
-	n, size := s.n, len(s.buf)
-	s.mu.Unlock()
+	st := s.log.Stats()
 	return Stats{
 		Offered:     s.offered.Load(),
-		Kept:        s.kept.Load(),
+		Kept:        st.Appended,
 		SampledOut:  s.sampledOut.Load(),
-		Dropped:     s.dropped.Load(),
-		RingLen:     n,
-		RingCap:     size,
-		Segments:    s.segments.Load(),
-		SpillErrors: s.spillErrors.Load(),
+		Dropped:     st.Dropped,
+		RingLen:     st.RingLen,
+		RingCap:     st.RingCap,
+		Segments:    st.Segments,
+		SpillErrors: st.SpillErrors,
 	}
 }
 
@@ -454,222 +319,13 @@ func (s *Store) Stats() Stats {
 // The ring remains queryable. Close is a no-op for in-memory stores
 // and idempotent otherwise.
 func (s *Store) Close() {
-	if s == nil || s.stop == nil {
-		return
+	if s != nil {
+		s.log.Close()
 	}
-	select {
-	case <-s.stop:
-		return // already closed
-	default:
-	}
-	close(s.stop)
-	<-s.done
-}
-
-// spillLoop drains the spill channel into a pending JSONL buffer and
-// seals it into a segment file when it reaches the size threshold, on
-// the flush ticker, and at shutdown.
-func (s *Store) spillLoop() {
-	defer close(s.done)
-	var pending bytes.Buffer
-	var firstSeq uint64
-	ticker := time.NewTicker(s.flushEvery)
-	defer ticker.Stop()
-
-	add := func(r Record) {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return
-		}
-		if pending.Len() == 0 {
-			firstSeq = r.Seq
-		}
-		pending.Write(line)
-		pending.WriteByte('\n')
-		if int64(pending.Len()) >= s.segBytes {
-			s.seal(&pending, firstSeq)
-		}
-	}
-
-	for {
-		select {
-		case r := <-s.spill:
-			add(r)
-		case <-ticker.C:
-			if pending.Len() > 0 {
-				s.seal(&pending, firstSeq)
-			}
-		case <-s.stop:
-			for {
-				select {
-				case r := <-s.spill:
-					add(r)
-					continue
-				default:
-				}
-				break
-			}
-			if pending.Len() > 0 {
-				s.seal(&pending, firstSeq)
-			}
-			return
-		}
-	}
-}
-
-// seal writes the pending JSONL buffer as one CRC-framed segment file
-// (temp + rename, like every store artifact) and enforces the byte
-// budget. The buffer is reset either way: a failed write is counted
-// and dropped, never retried into an ever-growing buffer.
-func (s *Store) seal(pending *bytes.Buffer, firstSeq uint64) {
-	payload := pending.Bytes()
-	path := filepath.Join(s.dir, fmt.Sprintf("traces-%016x%s", firstSeq, SegmentExt))
-	err := func() error {
-		tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := writeSegmentFrame(tmp, payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
-	}()
-	pending.Reset()
-	if err != nil {
-		s.spillErrors.Add(1)
-		return
-	}
-	s.segments.Add(1)
-	s.enforceBudget()
-}
-
-// enforceBudget deletes the oldest segment files until the trace
-// directory fits the byte budget.
-func (s *Store) enforceBudget() {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []file
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), SegmentExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{
-			path:  filepath.Join(s.dir, e.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= s.maxBytes {
-			return
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-		}
-	}
-}
-
-// writeSegmentFrame writes one framed segment payload.
-func writeSegmentFrame(w io.Writer, payload []byte) error {
-	var hdr [20]byte
-	copy(hdr[:8], SegmentMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], SegmentVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(sum[:])
-	return err
 }
 
 // ReadSegment decodes one segment file, verifying magic, version,
 // length, and checksum, and returns its records in kept order.
 func ReadSegment(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var hdr [20]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadSegment, err)
-	}
-	if string(hdr[:8]) != SegmentMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSegment, hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegmentVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSegment, v)
-	}
-	size := binary.LittleEndian.Uint64(hdr[12:20])
-	if size > maxSegmentPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrBadSegment, size)
-	}
-	payload, err := readSegmentPayload(f, size)
-	if err != nil {
-		return nil, err
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(f, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrBadSegment, err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc32.Checksum(payload, castagnoli) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSegment)
-	}
-	var out []Record
-	sc := bufio.NewScanner(bytes.NewReader(payload))
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		var r Record
-		if json.Unmarshal(sc.Bytes(), &r) == nil {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// readSegmentPayload reads a declared-size payload growing the buffer
-// geometrically as bytes actually arrive, so a forged multi-GiB length
-// field in a tiny file is rejected after a short read instead of
-// committing the declared allocation up front.
-func readSegmentPayload(r io.Reader, size uint64) ([]byte, error) {
-	const initialCap = 64 << 10
-	payload := make([]byte, min(size, initialCap))
-	read := 0
-	for {
-		n, err := io.ReadFull(r, payload[read:])
-		read += n
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrBadSegment, read, size, err)
-		}
-		if uint64(len(payload)) == size {
-			return payload, nil
-		}
-		grown := make([]byte, min(size, 2*uint64(len(payload))))
-		copy(grown, payload)
-		payload = grown
-	}
+	return ringlog.ReadSegment[Record](path, SegmentMagic, SegmentVersion)
 }

@@ -252,3 +252,63 @@ func TestNilStoreIsSafe(t *testing.T) {
 	}
 	s.Close()
 }
+
+// TestRestartKeepsEarlierSegments boots a store twice over one
+// directory: the second boot must continue the first one's sequence so
+// its segments never replace the first's, and a boot-1 trace must stay
+// retrievable by id after boot 2 has sealed a segment of its own.
+func TestRestartKeepsEarlierSegments(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(prefix string) *Store {
+		s, err := New(Options{Node: "b0", SampleAll: true, Dir: dir, FlushInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 3; i++ {
+			s.Add(Record{TraceID: fmt.Sprintf("%s-t%d", prefix, i), Route: "allocate"})
+		}
+		s.Close()
+		return s
+	}
+	boot("boot1")
+	s2 := boot("boot2")
+	if got := s2.LastSeq(); got != 6 {
+		t.Fatalf("boot 2 ended at seq %d, want 6 (3 per boot)", got)
+	}
+	if s2.Stats().Segments != 1 {
+		t.Fatalf("boot 2 sealed %d segments, want 1", s2.Stats().Segments)
+	}
+	for _, id := range []string{"boot1-t1", "boot1-t3", "boot2-t2"} {
+		if rec, ok := s2.Get(id); !ok || rec.TraceID != id {
+			t.Errorf("Get(%s) after two boots = %+v, %v", id, rec, ok)
+		}
+	}
+
+	names, _ := filepath.Glob(filepath.Join(dir, "*"+SegmentExt))
+	var lastSeq uint64
+	total := 0
+	for _, name := range names { // Glob sorts: name order must be time order
+		recs, err := ReadSegment(name)
+		if err != nil {
+			t.Fatalf("ReadSegment(%s): %v", name, err)
+		}
+		for _, r := range recs {
+			if r.Seq <= lastSeq {
+				t.Fatalf("seq %d after %d: not strictly increasing across boots", r.Seq, lastSeq)
+			}
+			lastSeq = r.Seq
+			total++
+		}
+	}
+	if total != 6 {
+		t.Fatalf("%d records on disk after two boots, want 6 (segments %v)", total, names)
+	}
+
+	// A corrupt newest segment does not stop the next boot.
+	if err := os.WriteFile(names[len(names)-1], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s3 := boot("boot3"); s3.LastSeq() != 6 {
+		t.Fatalf("boot 3 over a corrupt newest segment ended at seq %d, want 6 (resumed after boot 1's 3)", s3.LastSeq())
+	}
+}

@@ -24,7 +24,8 @@
 // configs × ε × budget vectors × planners — as one job: cells stream
 // per-cell progress over SSE and results land as a checksummed .wsr
 // artifact served with filters and group-by aggregation from
-// GET /v1/sweeps/{id}/results.
+// GET /v1/sweeps/{id}/results. A sweep runs at most -workers cells at
+// once on a single node; a router keeps two in flight per backend.
 //
 // Quick start:
 //
@@ -108,7 +109,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 2, "allocation/estimation worker count")
+		workers    = flag.Int("workers", 2, "allocation/estimation worker count (also the number of cells one sweep runs at once)")
 		sketchWkrs = flag.Int("sketch-workers", 0, "RR-set growth parallelism inside each sketch build (0 = GOMAXPROCS, 1 = legacy serial)")
 		queueCap   = flag.Int("queue", 64, "job queue capacity")
 		cacheCap   = flag.Int("cache", 64, "sketch cache capacity (entries)")
@@ -124,13 +125,11 @@ func main() {
 		admitQueue = flag.Int("admission-queue", 0, "queue-with-deadline admission: hold up to this many near-budget requests briefly instead of answering 429 (0 disables, needs -admission-mb)")
 		admitWait  = flag.Duration("admission-wait", 2*time.Second, "how long a queued near-budget request waits for admission before the 429 (with -admission-queue)")
 		admitSlack = flag.Float64("admission-slack", 1.5, "queue eligibility: only requests predicted within this factor of -admission-mb queue; further over rejects immediately")
-		sweepCells = flag.Int("sweep-cell-workers", 0, "concurrent sweep cells per POST /v1/sweeps (0 = the -workers count)")
 		nodeID     = flag.String("node", "", "cluster node id: job ids become <node>-j<seq> and /v1/healthz reports it (required behind a router)")
 		route      = flag.String("route", "", "run as a cluster router over these backends: 'b0=http://host:port,b1=...' (ignores backend-only flags except -data-dir and -cluster-token)")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "router health-probe cadence (with -route)")
 		proxyTO    = flag.Duration("proxy-timeout", 30*time.Second, "router per-backend request deadline, SSE excepted (with -route)")
 		token      = flag.String("cluster-token", "", "shared cluster secret: backends require it on import/sketch endpoints, the router attaches it (or set WELMAXD_CLUSTER_TOKEN)")
-		shardConc  = flag.Int("sweep-shard-concurrency", 2, "router: sweep cells kept in flight per backend (with -route)")
 		telemetryF = flag.String("telemetry", "on", "request tracing and latency histograms: on or off")
 		slowMS     = flag.Int("slow-ms", 1000, "log a structured slow-request line (with trace id and per-stage timings) for jobs at or above this many milliseconds (0 disables)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
@@ -160,40 +159,38 @@ func main() {
 			os.Exit(1)
 		}
 		runRouter(*addr, cluster.Options{
-			Backends:              backends,
-			ProbeInterval:         *probeEvery,
-			ProxyTimeout:          *proxyTO,
-			AllowPathLoads:        *allowPaths,
-			SpillDir:              spillDir,
-			ClusterToken:          clusterToken,
-			SweepShardConcurrency: *shardConc,
-			TraceSample:           *traceSmpl,
+			Backends:       backends,
+			ProbeInterval:  *probeEvery,
+			ProxyTimeout:   *proxyTO,
+			AllowPathLoads: *allowPaths,
+			SpillDir:       spillDir,
+			ClusterToken:   clusterToken,
+			TraceSample:    *traceSmpl,
 		})
 		return
 	}
 
 	svc, err := service.New(service.Options{
-		Workers:          *workers,
-		SketchWorkers:    *sketchWkrs,
-		QueueCap:         *queueCap,
-		CacheEntries:     *cacheCap,
-		CacheMB:          *cacheMB,
-		JobRetention:     *retention,
-		AllowPathLoads:   *allowPaths,
-		DataDir:          *dataDir,
-		DiskMB:           *diskMB,
-		CacheTTL:         *cacheTTL,
-		BatchWindow:      *batchWin,
-		AdmissionMB:      *admitMB,
-		AdmissionQueue:   *admitQueue,
-		AdmissionWait:    *admitWait,
-		AdmissionSlack:   *admitSlack,
-		SweepCellWorkers: *sweepCells,
-		NodeID:           *nodeID,
-		ClusterToken:     clusterToken,
-		TelemetryOff:     *telemetryF == "off",
-		SlowThreshold:    slowThreshold(*slowMS),
-		TraceSample:      *traceSmpl,
+		Workers:        *workers,
+		SketchWorkers:  *sketchWkrs,
+		QueueCap:       *queueCap,
+		CacheEntries:   *cacheCap,
+		CacheMB:        *cacheMB,
+		JobRetention:   *retention,
+		AllowPathLoads: *allowPaths,
+		DataDir:        *dataDir,
+		DiskMB:         *diskMB,
+		CacheTTL:       *cacheTTL,
+		BatchWindow:    *batchWin,
+		AdmissionMB:    *admitMB,
+		AdmissionQueue: *admitQueue,
+		AdmissionWait:  *admitWait,
+		AdmissionSlack: *admitSlack,
+		NodeID:         *nodeID,
+		ClusterToken:   clusterToken,
+		TelemetryOff:   *telemetryF == "off",
+		SlowThreshold:  slowThreshold(*slowMS),
+		TraceSample:    *traceSmpl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "welmaxd:", err)

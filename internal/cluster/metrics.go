@@ -28,13 +28,14 @@ func (r *Router) routerGauges() []telemetry.Gauge {
 			Value:  float64(v),
 		}
 	}
+	cells := r.sweeps.Stats()
 	out := []telemetry.Gauge{
 		{Name: "welmax_cluster_rebalances", Value: float64(r.rebalances.Load())},
 		{Name: "welmax_cluster_sketch_ships", Value: float64(r.ships.Load())},
 		{Name: "welmax_cluster_pre_admission_rejects", Value: float64(r.preAdmitRejects.Load())},
-		stateGauge("done", r.sweepCellsDone.Load()),
-		stateGauge("failed", r.sweepCellsFailed.Load()),
-		stateGauge("canceled", r.sweepCellsCanceled.Load()),
+		stateGauge("done", cells.CellsDone),
+		stateGauge("failed", cells.CellsFailed),
+		stateGauge("canceled", cells.CellsCanceled),
 	}
 	out = append(out, telemetry.BuildInfoGauge())
 	out = append(out, service.JournalGauges(r.flight)...)

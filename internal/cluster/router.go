@@ -49,10 +49,6 @@ type Options struct {
 	// clients hitting token-gated endpoints through the router must
 	// present the token themselves.
 	ClusterToken string
-	// SweepShardConcurrency bounds how many sweep cells the router keeps
-	// in flight per backend at once (default 2): a sweep should load a
-	// shard like a couple of eager clients, not like a thundering herd.
-	SweepShardConcurrency int
 	// TraceSample is the tail-sampling keep probability for fast
 	// successful router trace fragments (errored ones are always kept).
 	// TraceSampleAll forces the sample rate to 1 (tests).
@@ -104,19 +100,11 @@ type Router struct {
 	rebalances atomic.Int64 // graphs moved to a new owner
 	ships      atomic.Int64 // sketch streams shipped alongside a move
 
-	// Sweep state: the router runs sweeps as jobs in its own JobStore
-	// (ids "router-j7", streamed over the same SSE plumbing as backend
-	// jobs) and dispatches each cell to the owning shard. Finished
-	// results are held like the backend holds its own (bounded map +
-	// .wsr artifact under spillDir/sweeps).
-	jobs               *service.JobStore
-	shardConc          int
-	sweepMu            sync.Mutex
-	sweepResults       map[string]*sweepRecord
-	sweepOrder         []string
-	sweepCellsDone     atomic.Int64
-	sweepCellsFailed   atomic.Int64
-	sweepCellsCanceled atomic.Int64
+	// The router runs sweeps as jobs in its own JobStore (ids
+	// "router-j7"), through the same engine a backend uses, with a runner
+	// that dispatches each cell to the owning shard (see newSweepEngine).
+	jobs   *service.JobStore
+	sweeps *service.SweepEngine
 	// preAdmitRejects counts cells the router refused to dispatch
 	// because their predicted sketch cost was obviously over the owning
 	// backend's admission budget (satellite: pre-admission at the edge).
@@ -174,9 +162,6 @@ func New(opts Options) (*Router, error) {
 	} else if err := os.MkdirAll(spillDir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: catalog spill dir: %w", err)
 	}
-	if opts.SweepShardConcurrency <= 0 {
-		opts.SweepShardConcurrency = 2
-	}
 	probeTimeout := min(opts.ProbeInterval, 2*time.Second)
 	jobs := service.NewJobStore(0)
 	jobs.SetNodeID("router")
@@ -204,25 +189,24 @@ func New(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("cluster: trace store: %w", err)
 	}
 	r := &Router{
-		members:      NewMembership(opts.Backends, client, probeTimeout),
-		client:       client,
-		interval:     opts.ProbeInterval,
-		timeout:      opts.ProxyTimeout,
-		allowPaths:   opts.AllowPathLoads,
-		token:        opts.ClusterToken,
-		spillDir:     spillDir,
-		ownSpill:     ownSpill,
-		start:        time.Now(),
-		metrics:      telemetry.NewMetrics(),
-		flight:       flight,
-		traces:       traces,
-		catalog:      map[string]*graphRecord{},
-		tombs:        map[string]bool{},
-		jobs:         jobs,
-		shardConc:    opts.SweepShardConcurrency,
-		sweepResults: map[string]*sweepRecord{},
-		stop:         make(chan struct{}),
+		members:    NewMembership(opts.Backends, client, probeTimeout),
+		client:     client,
+		interval:   opts.ProbeInterval,
+		timeout:    opts.ProxyTimeout,
+		allowPaths: opts.AllowPathLoads,
+		token:      opts.ClusterToken,
+		spillDir:   spillDir,
+		ownSpill:   ownSpill,
+		start:      time.Now(),
+		metrics:    telemetry.NewMetrics(),
+		flight:     flight,
+		traces:     traces,
+		catalog:    map[string]*graphRecord{},
+		tombs:      map[string]bool{},
+		jobs:       jobs,
+		stop:       make(chan struct{}),
 	}
+	r.sweeps = r.newSweepEngine()
 	// Every probe-round health transition becomes a member_up/member_down
 	// event, stamped with the member's own node name so ?node= finds it.
 	r.members.SetTransitionHook(func(name string, healthy bool, errMsg string) {
@@ -334,12 +318,12 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", r.timed("GET /v1/jobs/{id}", r.proxyJobScoped))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", r.timed("GET /v1/jobs/{id}/events", r.proxyJobScoped))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.timed("DELETE /v1/jobs/{id}", r.proxyJobScoped))
-	mux.HandleFunc("POST /v1/sweeps", r.timed("POST /v1/sweeps", r.handleCreateSweep))
-	mux.HandleFunc("GET /v1/sweeps", r.timed("GET /v1/sweeps", r.handleListSweeps))
-	mux.HandleFunc("GET /v1/sweeps/{id}", r.timed("GET /v1/sweeps/{id}", r.handleGetSweep))
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", r.timed("GET /v1/sweeps/{id}/events", r.handleSweepEvents))
-	mux.HandleFunc("GET /v1/sweeps/{id}/results", r.timed("GET /v1/sweeps/{id}/results", r.handleSweepResults))
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", r.timed("DELETE /v1/sweeps/{id}", r.handleCancelSweep))
+	mux.HandleFunc("POST /v1/sweeps", r.timed("POST /v1/sweeps", r.sweeps.HandleCreate))
+	mux.HandleFunc("GET /v1/sweeps", r.timed("GET /v1/sweeps", r.sweeps.HandleList))
+	mux.HandleFunc("GET /v1/sweeps/{id}", r.timed("GET /v1/sweeps/{id}", r.sweeps.HandleGet))
+	mux.HandleFunc("GET /v1/sweeps/{id}/events", r.timed("GET /v1/sweeps/{id}/events", r.sweeps.HandleEvents))
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", r.timed("GET /v1/sweeps/{id}/results", r.sweeps.HandleResults))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", r.timed("DELETE /v1/sweeps/{id}", r.sweeps.HandleCancel))
 	mux.HandleFunc("GET /v1/events", r.timed("GET /v1/events", r.handleEvents))
 	mux.HandleFunc("GET /v1/traces", r.timed("GET /v1/traces", r.handleTraces))
 	mux.HandleFunc("GET /v1/traces/{id}", r.timed("GET /v1/traces/{id}", r.handleTraceGet))
@@ -752,9 +736,10 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	r.mu.Unlock()
 	out.Cluster.Rebalances = r.rebalances.Load()
 	out.Cluster.SketchShips = r.ships.Load()
-	out.Cluster.SweepCellsDone = r.sweepCellsDone.Load()
-	out.Cluster.SweepCellsFailed = r.sweepCellsFailed.Load()
-	out.Cluster.SweepCellsCanceled = r.sweepCellsCanceled.Load()
+	cells := r.sweeps.Stats()
+	out.Cluster.SweepCellsDone = cells.CellsDone
+	out.Cluster.SweepCellsFailed = cells.CellsFailed
+	out.Cluster.SweepCellsCanceled = cells.CellsCanceled
 	out.Cluster.PreAdmissionRejects = r.preAdmitRejects.Load()
 	out.Cluster.UptimeMS = time.Since(r.start).Milliseconds()
 	out.Backends = map[string]service.StatsResponse{}

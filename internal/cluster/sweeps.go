@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"uicwelfare/internal/core"
@@ -19,56 +17,16 @@ import (
 	"uicwelfare/internal/telemetry"
 )
 
-// The experiment-sweep subsystem, cluster half. The router accepts the
-// same POST /v1/sweeps grid spec a single backend does, but executes it
-// as a compute-plane scheduler: each cell is dispatched to the shard
-// that owns its graph (HRW placement — the sketches a cell needs are
-// where its graph is), with bounded in-flight cells per shard, retry
-// with backoff on transient refusals (429 admission, 502 owner-down
-// during a rebalance), and pre-admission at the edge — cells whose
-// predicted sketch cost is obviously over the owner's admission budget
-// fail at the router without burning a dispatch. A dead shard fails
-// only its own unfinished cells; the sweep completes with those rows
-// marked failed. The sweep is a job in the router's own JobStore, so
-// SSE progress, cancellation, and retention work exactly as on a
-// backend, and results land as the same .wsr artifact format.
-
-// sweepRecord is one finished sweep's in-memory result (see the
-// identically-shaped record in internal/service).
-type sweepRecord struct {
-	artifactID string
-	res        *store.SweepResult
-}
-
-// maxSweepRecords bounds the router's in-memory result index; older
-// sweeps fall back to their artifact under spillDir/sweeps.
-const maxSweepRecords = 32
-
-func (r *Router) rememberSweep(jobID, artifactID string, res *store.SweepResult) {
-	r.sweepMu.Lock()
-	defer r.sweepMu.Unlock()
-	if _, exists := r.sweepResults[jobID]; !exists {
-		r.sweepOrder = append(r.sweepOrder, jobID)
-		if len(r.sweepOrder) > maxSweepRecords {
-			delete(r.sweepResults, r.sweepOrder[0])
-			r.sweepOrder = r.sweepOrder[1:]
-		}
-	}
-	r.sweepResults[jobID] = &sweepRecord{artifactID: artifactID, res: res}
-}
-
-func (r *Router) lookupSweep(jobID string) (*sweepRecord, bool) {
-	r.sweepMu.Lock()
-	defer r.sweepMu.Unlock()
-	rec, ok := r.sweepResults[jobID]
-	return rec, ok
-}
-
-// sweepSpillDir is where router-run sweeps persist their .wsr
-// artifacts (next to the graph catalog spill).
-func (r *Router) sweepSpillDir() string {
-	return filepath.Join(r.spillDir, "sweeps")
-}
+// The cluster sweep runner: what the Router hands its
+// service.SweepEngine. The router runs the same POST /v1/sweeps grid a
+// single backend does, through the same engine, as a job in its own
+// JobStore — but its cells execute as a compute-plane scheduler: each
+// is dispatched to the shard that owns its graph (HRW placement — the
+// sketches a cell needs are where its graph is), with bounded in-flight
+// cells per shard, pre-admission at the edge, and a retry asked of the
+// engine on transient refusals (429 admission, 502 owner-down during a
+// rebalance). A dead shard fails only its own unfinished cells; the
+// sweep completes with those rows marked failed.
 
 // --- pre-admission ------------------------------------------------------
 
@@ -154,316 +112,141 @@ func (r *Router) preAdmit(adm map[string]*backendAdmission, owner string, nodes,
 
 // --- sweep execution ----------------------------------------------------
 
-// handleCreateSweep implements the router's POST /v1/sweeps: expand the
-// grid, require every referenced graph to be cataloged (a sweep over a
-// graph the router cannot place is a spec error, answered 400 now
-// rather than N failed cells later), and run the sweep as a router job.
-func (r *Router) handleCreateSweep(w http.ResponseWriter, req *http.Request) {
-	var spec sweep.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	cells, err := sweep.Expand(&spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	r.mu.Lock()
-	for _, id := range spec.GraphIDs {
-		if r.catalog[id] == nil {
-			r.mu.Unlock()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("graph %s is not registered with the router (register it through POST /v1/graphs first)", id))
-			return
-		}
-	}
-	r.mu.Unlock()
-	tr := telemetry.NewTrace(telemetry.SanitizeID(req.Header.Get(telemetry.TraceHeader)), true)
-	w.Header().Set(telemetry.TraceHeader, tr.ID())
-	job := r.jobs.Create("sweep", tr.ID(), &spec)
-	go r.runSweep(job.ID, tr, &spec, cells)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"sweep_id": job.ID,
-		"state":    service.JobQueued,
-		"cells":    len(cells),
-		"trace_id": tr.ID(),
-	})
-}
-
-func (r *Router) runSweep(jobID string, tr *telemetry.Trace, spec *sweep.Spec, cells []sweep.Cell) {
-	ctx, ok := r.jobs.Start(jobID)
-	if !ok {
-		return // canceled while queued
-	}
-	ctx = telemetry.NewContext(ctx, tr)
-	summary, err := r.executeSweep(ctx, jobID, spec, cells)
-	r.jobs.SetStages(jobID, tr.Stages())
-	r.jobs.Finish(jobID, summary, err)
-}
-
-// executeSweep dispatches the cells across the cluster with bounded
-// per-shard concurrency and lands the .wsr artifact. The admission
-// snapshot is taken once per sweep: cheap, and fresh enough for the
-// deliberately-loose pre-admission threshold.
-func (r *Router) executeSweep(ctx context.Context, jobID string, spec *sweep.Spec, cells []sweep.Cell) (*sweep.Summary, error) {
-	started := time.Now()
-	traceID := ""
-	if tr := telemetry.FromContext(ctx); tr != nil {
-		traceID = tr.ID()
-	}
-	adm := r.refreshAdmission(ctx)
-	rows := make([]store.SweepCell, len(cells))
-	var (
-		semMu sync.Mutex
-		sems  = map[string]chan struct{}{}
-	)
-	// semFor lazily creates one shard's in-flight bound. A cell holds the
-	// slot from dispatch through its terminal poll: the bound is on cells
-	// occupying the shard, not on concurrent HTTP calls.
-	semFor := func(owner string) chan struct{} {
-		semMu.Lock()
-		defer semMu.Unlock()
-		if sems[owner] == nil {
-			sems[owner] = make(chan struct{}, r.shardConc)
-		}
-		return sems[owner]
-	}
-	var wg sync.WaitGroup
-	var completed atomic.Int64
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows[i] = r.runRemoteCell(ctx, jobID, adm, semFor, spec, &cells[i])
-			r.finishCell(jobID, &rows[i], int(completed.Add(1)), len(cells))
-		}(i)
-	}
-	wg.Wait()
-
-	res := &store.SweepResult{
-		SweepID:  jobID,
-		Name:     spec.Name,
-		TraceID:  traceID,
-		SpecJSON: spec.Marshal(),
-		Cells:    rows,
-	}
-	artifactID := store.SweepResultID(res)
-	persisted := false
-	if id, err := store.SaveSweepFile(r.sweepSpillDir(), res); err == nil {
-		artifactID, persisted = id, true
-	}
-	r.rememberSweep(jobID, artifactID, res)
-
-	summary := &sweep.Summary{
-		SweepID:    jobID,
-		Name:       spec.Name,
-		Cells:      len(rows),
-		ArtifactID: artifactID,
-		Persisted:  persisted,
-		ElapsedMS:  time.Since(started).Milliseconds(),
-	}
-	for i := range rows {
-		switch rows[i].State {
-		case string(service.JobDone):
-			summary.Done++
-		case string(service.JobFailed):
-			summary.Failed++
-		case string(service.JobCanceled):
-			summary.Canceled++
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return summary, nil
-}
-
-// finishCell publishes a cell's terminal event and feeds the router's
-// sweep counters (mirrors the backend-side finishCell).
-func (r *Router) finishCell(sweepJobID string, row *store.SweepCell, completed, total int) {
-	switch row.State {
-	case string(service.JobDone):
-		r.sweepCellsDone.Add(1)
-	case string(service.JobCanceled):
-		r.sweepCellsCanceled.Add(1)
-	default:
-		r.sweepCellsFailed.Add(1)
-	}
-	r.jobs.Publish(sweepJobID, service.JobEvent{
-		Type:      service.EventProgress,
-		Stage:     "cell",
-		Cell:      row.CellID,
-		CellState: row.State,
-		CellJob:   row.JobID,
-		Node:      row.Node,
-		Done:      completed,
-		Total:     total,
-	})
-}
-
-// Remote-cell retry policy: transient refusals (owner down or mid-move,
-// 429 admission, full job queue, transport errors) back off and retry;
-// after the attempts are exhausted the cell fails — and only that cell.
 const (
-	maxCellAttempts   = 4
-	cellRetryBackoff  = 100 * time.Millisecond
-	cellPollInterval  = 100 * time.Millisecond
-	cellCancelTimeout = 2 * time.Second
+	// sweepShardConcurrency bounds how many sweep cells the router keeps
+	// in flight per backend at once: a sweep should load a shard like a
+	// couple of eager clients, not like a thundering herd.
+	sweepShardConcurrency = 2
+	cellPollInterval      = 100 * time.Millisecond
+	cellCancelTimeout     = 2 * time.Second
 )
 
-// runRemoteCell drives one cell to a terminal row: resolve the graph's
-// owner, pre-admit, dispatch the allocate, and poll the owner's job to
-// completion. Each retry re-resolves ownership, so a cell interrupted
-// by a rebalance lands on the graph's new home.
-func (r *Router) runRemoteCell(ctx context.Context, sweepJobID string, adm map[string]*backendAdmission, semFor func(string) chan struct{}, spec *sweep.Spec, c *sweep.Cell) store.SweepCell {
-	row := store.SweepCell{
-		Index:   c.Index,
-		CellID:  c.ID,
-		GraphID: c.GraphID,
-		Algo:    c.Algo,
-		Config:  c.Config,
-		Cascade: c.Cascade,
-		Eps:     c.Eps,
-		Budgets: c.Budgets,
-		Seed:    c.Seed,
+// newSweepEngine wires the router's runner, artifact directory and
+// trace store into a sweep engine over its own job store. Router-run
+// sweeps persist their .wsr artifacts under spillDir/sweeps, next to
+// the graph catalog spill.
+func (r *Router) newSweepEngine() *service.SweepEngine {
+	runner := service.SweepRunner{
+		Backoff: 100 * time.Millisecond,
+		// A sweep over a graph the router cannot place is a spec error,
+		// answered 400 now rather than N failed cells later.
+		Check: func(spec *sweep.Spec, _ []sweep.Cell) error {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			for _, id := range spec.GraphIDs {
+				if r.catalog[id] == nil {
+					return fmt.Errorf("graph %s is not registered with the router (register it through POST /v1/graphs first)", id)
+				}
+			}
+			return nil
+		},
+		// The admission snapshot is taken once per sweep: cheap, and fresh
+		// enough for the deliberately-loose pre-admission threshold. A cell
+		// holds its shard's slot from dispatch through its terminal poll:
+		// the bound is on cells occupying the shard, not on concurrent HTTP
+		// calls.
+		Begin: func(ctx context.Context) service.SweepAttempt {
+			adm := r.refreshAdmission(ctx)
+			slots := map[string]chan struct{}{}
+			for _, m := range r.members.Snapshot() {
+				slots[m.Name] = make(chan struct{}, sweepShardConcurrency)
+			}
+			return func(ctx context.Context, c *service.SweepCellRun) (service.JobState, error) {
+				return r.attemptRemoteCell(ctx, adm, slots, c)
+			}
+		},
+	}
+	hooks := service.SweepHooks{
+		Trace: func(w http.ResponseWriter, req *http.Request) *telemetry.Trace {
+			tr := telemetry.NewTrace(telemetry.SanitizeID(req.Header.Get(telemetry.TraceHeader)), true)
+			w.Header().Set(telemetry.TraceHeader, tr.ID())
+			return tr
+		},
+		// The edge fragment of a sweep is the sweep itself (dispatches and
+		// the artifact write); like a body-routed request it carries no
+		// single graph label.
+		Finish: func(jobID string, tr *telemetry.Trace, _ time.Time, summary *sweep.Summary, err error) {
+			r.jobs.SetStages(jobID, tr.Stages())
+			r.recordTrace(tr, "sweep", "", err)
+			r.jobs.Finish(jobID, summary, err)
+		},
+	}
+	return service.NewSweepEngine(r.jobs, runner, store.SweepDir(filepath.Join(r.spillDir, "sweeps")), hooks)
+}
+
+// attemptRemoteCell makes one attempt at a cell: resolve the graph's
+// owner, pre-admit, take a slot on that shard, dispatch the allocate and
+// poll the owner's job to completion. Every attempt re-resolves
+// ownership, so a cell interrupted by a rebalance lands on the graph's
+// new home. Transient refusals (owner down or mid-move, 429 admission,
+// full job queue, transport errors) are journaled and ask for a retry.
+func (r *Router) attemptRemoteCell(ctx context.Context, adm map[string]*backendAdmission, slots map[string]chan struct{}, c *service.SweepCellRun) (service.JobState, error) {
+	cell := c.Cell
+	// record journals one scheduling decision about this cell.
+	record := func(ev journal.Event) {
+		ev.Sweep, ev.Cell, ev.Graph, ev.TraceID = c.SweepID, cell.ID, cell.GraphID, c.TraceID
+		r.flight.Record(ev)
+	}
+	retry := func(err error) (service.JobState, error) {
+		record(journal.Event{Type: journal.SweepRetry, Count: int64(c.Attempt), Error: err.Error()})
+		return service.JobQueued, err
+	}
+	owner, err := r.ownerOf(cell.GraphID)
+	if err != nil {
+		return retry(err) // owner down; a rebalance may revive the cell
+	}
+	// A retry that re-resolves to a different shard is the sweep
+	// scheduler following a rebalance: journal the failover so the
+	// cell's path across the cluster is reconstructable. Row.Node still
+	// names the previous attempt's shard here.
+	if prev := c.Row.Node; prev != "" && owner != prev {
+		record(journal.Event{Type: journal.SweepShardFailover, From: prev, To: owner})
 	}
 	r.mu.Lock()
 	var nodes, edges int
-	if rec := r.catalog[c.GraphID]; rec != nil {
+	if rec := r.catalog[cell.GraphID]; rec != nil {
 		nodes, edges = rec.nodes, rec.edges
 	}
 	r.mu.Unlock()
-	body, err := json.Marshal(service.CellAllocateRequest(spec, c))
+	if err := r.preAdmit(adm, owner, nodes, edges, cell); err != nil {
+		// Obviously over budget wherever it lands: failing now is the
+		// point of pre-admission (no dispatch, no 429 round-trips).
+		r.preAdmitRejects.Add(1)
+		return service.JobFailed, err
+	}
+	body, err := json.Marshal(service.CellAllocateRequest(c.Spec, cell))
 	if err != nil {
-		row.State = string(service.JobFailed)
-		row.Error = err.Error()
-		return row
+		return service.JobFailed, err
 	}
-	started := time.Now()
-	announced := false
-	fail := func(msg string) store.SweepCell {
-		row.State = string(service.JobFailed)
-		row.Error = msg
-		row.ElapsedMS = time.Since(started).Milliseconds()
-		return row
+	c.Row.Node = owner
+	select {
+	case slots[owner] <- struct{}{}:
+		defer func() { <-slots[owner] }()
+	case <-ctx.Done():
+		return service.JobCanceled, nil
 	}
-	cancelRow := func() store.SweepCell {
-		row.State = string(service.JobCanceled)
-		row.Error = ctx.Err().Error()
-		row.ElapsedMS = time.Since(started).Milliseconds()
-		return row
+	c.Running()
+	record(journal.Event{Type: journal.SweepDispatch, To: owner, Count: int64(c.Attempt)})
+	outcome, err := r.dispatchCell(ctx, c, owner, body)
+	if outcome == service.JobQueued {
+		return retry(err)
 	}
-	var lastErr error
-	prevOwner := ""
-	for attempt := 0; attempt < maxCellAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(cellRetryBackoff << (attempt - 1)):
-			case <-ctx.Done():
-				return cancelRow()
-			}
-		}
-		owner, err := r.ownerOf(c.GraphID)
-		if err != nil {
-			lastErr = err // owner down; a rebalance may revive the cell
-			r.flight.Record(journal.Event{
-				Type: journal.SweepRetry, Sweep: sweepJobID, Cell: c.ID, Graph: c.GraphID,
-				Count: int64(attempt + 1), TraceID: edgeTraceID(ctx), Error: err.Error(),
-			})
-			continue
-		}
-		// A retry that re-resolves to a different shard is the sweep
-		// scheduler following a rebalance: journal the failover so the
-		// cell's path across the cluster is reconstructable.
-		if prevOwner != "" && owner != prevOwner {
-			r.flight.Record(journal.Event{
-				Type: journal.SweepShardFailover, Sweep: sweepJobID, Cell: c.ID, Graph: c.GraphID,
-				From: prevOwner, To: owner, TraceID: edgeTraceID(ctx),
-			})
-		}
-		prevOwner = owner
-		if err := r.preAdmit(adm, owner, nodes, edges, c); err != nil {
-			// Obviously over budget wherever it lands: failing now is the
-			// point of pre-admission (no dispatch, no 429 round-trips).
-			r.preAdmitRejects.Add(1)
-			return fail(err.Error())
-		}
-		row.Node = owner
-		sem := semFor(owner)
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return cancelRow()
-		}
-		if !announced {
-			announced = true
-			r.jobs.Publish(sweepJobID, service.JobEvent{
-				Type: service.EventProgress, Stage: "cell", Cell: c.ID,
-				CellState: string(service.JobRunning), Node: owner,
-			})
-		}
-		r.flight.Record(journal.Event{
-			Type: journal.SweepDispatch, Sweep: sweepJobID, Cell: c.ID, Graph: c.GraphID,
-			To: owner, Count: int64(attempt + 1), TraceID: edgeTraceID(ctx),
-		})
-		outcome, retryable := r.dispatchCell(ctx, &row, owner, body)
-		<-sem
-		switch outcome {
-		case cellDone:
-			row.State = string(service.JobDone)
-			row.ElapsedMS = time.Since(started).Milliseconds()
-			return row
-		case cellFailed:
-			row.ElapsedMS = time.Since(started).Milliseconds()
-			row.State = string(service.JobFailed)
-			return row
-		case cellCanceled:
-			return cancelRow()
-		case cellRetry:
-			lastErr = retryable
-			msg := ""
-			if retryable != nil {
-				msg = retryable.Error()
-			}
-			r.flight.Record(journal.Event{
-				Type: journal.SweepRetry, Sweep: sweepJobID, Cell: c.ID, Graph: c.GraphID,
-				Count: int64(attempt + 1), TraceID: edgeTraceID(ctx), Error: msg,
-			})
-		}
-	}
-	msg := fmt.Sprintf("gave up after %d attempts", maxCellAttempts)
-	if lastErr != nil {
-		msg = fmt.Sprintf("%s: %v", msg, lastErr)
-	}
-	return fail(msg)
+	return outcome, err
 }
 
-// cellOutcome classifies one dispatch attempt.
-type cellOutcome int
-
-const (
-	cellDone cellOutcome = iota
-	cellFailed
-	cellCanceled
-	cellRetry
-)
-
-// dispatchCell performs one attempt: POST the cell's allocate to the
-// owner, then poll the minted job to a terminal state. On cellFailed
-// the row's Error is set; on cellRetry the returned error says why.
-// The backend job id lands in row.JobID — its node prefix is the proof
-// of where the cell ran.
-func (r *Router) dispatchCell(ctx context.Context, row *store.SweepCell, owner string, body []byte) (cellOutcome, error) {
+// dispatchCell POSTs the cell's allocate to the owner, then polls the
+// minted job to a terminal state. On JobFailed and JobQueued (retry) the
+// returned error says why. The backend job id lands in Row.JobID — its
+// node prefix is the proof of where the cell ran.
+func (r *Router) dispatchCell(ctx context.Context, c *service.SweepCellRun, owner string, body []byte) (service.JobState, error) {
 	dispatchStart := time.Now()
 	status, raw, err := r.call(ctx, http.MethodPost, owner, "/v1/allocate", bytes.NewReader(body))
 	r.observeOp("dispatch", dispatchStart)
 	if err != nil {
 		if ctx.Err() != nil {
-			return cellCanceled, nil
+			return service.JobCanceled, nil
 		}
-		return cellRetry, fmt.Errorf("backend %s: %w", owner, err)
+		return service.JobQueued, fmt.Errorf("backend %s: %w", owner, err)
 	}
 	switch {
 	case status == http.StatusAccepted:
@@ -471,19 +254,18 @@ func (r *Router) dispatchCell(ctx context.Context, row *store.SweepCell, owner s
 	case status == http.StatusBadRequest || status == http.StatusNotFound:
 		// Deterministic: the spec is wrong for this backend (or the graph
 		// vanished under a racing DELETE). Retrying cannot help.
-		row.Error = fmt.Sprintf("backend %s: status %d: %s", owner, status, bytes.TrimSpace(raw))
-		return cellFailed, nil
+		return service.JobFailed, fmt.Errorf("backend %s: status %d: %s", owner, status, bytes.TrimSpace(raw))
 	default:
 		// 429 (admission), 503 (queue full), 5xx: transient by contract.
-		return cellRetry, fmt.Errorf("backend %s: status %d: %s", owner, status, bytes.TrimSpace(raw))
+		return service.JobQueued, fmt.Errorf("backend %s: status %d: %s", owner, status, bytes.TrimSpace(raw))
 	}
 	var accepted struct {
 		JobID string `json:"job_id"`
 	}
 	if err := json.Unmarshal(raw, &accepted); err != nil || accepted.JobID == "" {
-		return cellRetry, fmt.Errorf("backend %s: unparseable accept body: %s", owner, bytes.TrimSpace(raw))
+		return service.JobQueued, fmt.Errorf("backend %s: unparseable accept body: %s", owner, bytes.TrimSpace(raw))
 	}
-	row.JobID = accepted.JobID
+	c.Row.JobID = accepted.JobID
 
 	tick := time.NewTicker(cellPollInterval)
 	defer tick.Stop()
@@ -495,20 +277,20 @@ func (r *Router) dispatchCell(ctx context.Context, row *store.SweepCell, owner s
 			cctx, cancel := context.WithTimeout(context.Background(), cellCancelTimeout)
 			_, _, _ = r.call(cctx, http.MethodDelete, owner, "/v1/jobs/"+accepted.JobID, nil)
 			cancel()
-			return cellCanceled, nil
+			return service.JobCanceled, nil
 		case <-tick.C:
 			status, raw, err := r.call(ctx, http.MethodGet, owner, "/v1/jobs/"+accepted.JobID, nil)
 			if err != nil {
 				if ctx.Err() != nil {
-					return cellCanceled, nil
+					return service.JobCanceled, nil
 				}
 				// The owner died mid-cell: the job is gone with it. Retry
 				// re-resolves ownership; if the graph has no live home the
 				// attempts run out and the cell fails in isolation.
-				return cellRetry, fmt.Errorf("backend %s: poll: %w", owner, err)
+				return service.JobQueued, fmt.Errorf("backend %s: poll: %w", owner, err)
 			}
 			if status != http.StatusOK {
-				return cellRetry, fmt.Errorf("backend %s: poll status %d", owner, status)
+				return service.JobQueued, fmt.Errorf("backend %s: poll status %d", owner, status)
 			}
 			var view struct {
 				State  service.JobState        `json:"state"`
@@ -516,124 +298,24 @@ func (r *Router) dispatchCell(ctx context.Context, row *store.SweepCell, owner s
 				Result *service.AllocateResult `json:"result"`
 			}
 			if err := json.Unmarshal(raw, &view); err != nil {
-				return cellRetry, fmt.Errorf("backend %s: poll: %w", owner, err)
+				return service.JobQueued, fmt.Errorf("backend %s: poll: %w", owner, err)
 			}
 			switch view.State {
 			case service.JobDone:
-				if res := view.Result; res != nil {
-					row.Algo = res.Algorithm
-					row.SketchCached = res.SketchCached
-					if res.Welfare != nil {
-						row.HasWelfare = true
-						row.WelfareMean = res.Welfare.Mean
-						row.WelfareStdErr = res.Welfare.StdErr
-						row.WelfareRuns = res.Welfare.Runs
-					}
+				if view.Result != nil {
+					c.SetResult(view.Result)
 				}
-				return cellDone, nil
+				return service.JobDone, nil
 			case service.JobFailed:
-				row.Error = fmt.Sprintf("backend %s job %s: %s", owner, accepted.JobID, view.Error)
-				return cellFailed, nil
+				return service.JobFailed, fmt.Errorf("backend %s job %s: %s", owner, accepted.JobID, view.Error)
 			case service.JobCanceled:
 				if ctx.Err() != nil {
-					return cellCanceled, nil
+					return service.JobCanceled, nil
 				}
 				// Canceled behind the router's back (an operator DELETE):
 				// surface it as this cell's failure, not the sweep's.
-				row.Error = fmt.Sprintf("backend %s job %s was canceled", owner, accepted.JobID)
-				return cellFailed, nil
+				return service.JobFailed, fmt.Errorf("backend %s job %s was canceled", owner, accepted.JobID)
 			}
 		}
 	}
-}
-
-// --- HTTP surface -------------------------------------------------------
-
-func (r *Router) sweepView(id string) (service.JobView, bool) {
-	view, ok := r.jobs.Snapshot(id)
-	if !ok || view.Kind != "sweep" {
-		return service.JobView{}, false
-	}
-	return view, true
-}
-
-// handleListSweeps mirrors the backend's paginated GET /v1/sweeps over
-// the router's own sweep jobs.
-func (r *Router) handleListSweeps(w http.ResponseWriter, req *http.Request) {
-	page, next, err := service.PaginateSweeps(r.jobs.List(""), req.URL.Query().Get("limit"), req.URL.Query().Get("cursor"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := map[string]any{"sweeps": page}
-	if next != "" {
-		out["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (r *Router) handleGetSweep(w http.ResponseWriter, req *http.Request) {
-	view, ok := r.sweepView(req.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", req.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (r *Router) handleCancelSweep(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	if _, ok := r.sweepView(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
-	}
-	view, requested, _ := r.jobs.Cancel(id)
-	if requested {
-		writeJSON(w, http.StatusAccepted, view)
-		return
-	}
-	r.jobs.Remove(id)
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
-}
-
-func (r *Router) handleSweepEvents(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	if _, ok := r.sweepView(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
-	}
-	service.StreamJobEvents(w, req, r.jobs, id)
-}
-
-func (r *Router) handleSweepResults(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	view, ok := r.sweepView(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
-	}
-	rec, ok := r.lookupSweep(id)
-	if !ok {
-		if !view.State.Terminal() {
-			writeError(w, http.StatusConflict, fmt.Errorf("sweep %s is %s; results are served once it finishes", id, view.State))
-			return
-		}
-		sum, okSum := view.Result.(*sweep.Summary)
-		if !okSum {
-			writeError(w, http.StatusGone, fmt.Errorf("sweep %s results are no longer retained", id))
-			return
-		}
-		res, err := store.LoadSweepFile(r.sweepSpillDir(), sum.ArtifactID)
-		if err != nil {
-			writeError(w, http.StatusGone, fmt.Errorf("sweep %s artifact %s unreadable: %v", id, sum.ArtifactID, err))
-			return
-		}
-		rec = &sweepRecord{artifactID: sum.ArtifactID, res: res}
-	}
-	resp, err := sweep.Query(rec.res, rec.artifactID, req.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

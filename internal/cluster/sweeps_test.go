@@ -148,10 +148,9 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 	}
 	spill := t.TempDir()
 	rt, c := newCluster(t, backends, cluster.Options{
-		ProbeInterval:         time.Hour, // no re-probe: the victim stays "alive" and unreachable
-		ProxyTimeout:          10 * time.Second,
-		SpillDir:              spill,
-		SweepShardConcurrency: 1,
+		ProbeInterval: time.Hour, // no re-probe: the victim stays "alive" and unreachable
+		ProxyTimeout:  10 * time.Second,
+		SpillDir:      spill,
 	})
 	defer rt.Close()
 	rt.Sync(syncCtx())
@@ -163,9 +162,11 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 	spec := sweep.Spec{
 		Name:     "shard-death",
 		GraphIDs: []string{byOwner[victim].ID, byOwner[survivor].ID},
-		// Six cells per graph; SweepShardConcurrency 1 serializes each
-		// shard's cells, so the sweep is mid-flight for a while.
+		// Twelve cells per graph; the router keeps two in flight per shard
+		// and each occupies its slot for at least one poll interval, so the
+		// sweep is mid-flight for a while.
 		Budgets: [][]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}, {1, 3}},
+		Repeats: 2,
 		Runs:    500,
 		Seed:    1,
 	}
@@ -204,7 +205,7 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 		t.Fatalf("sweep finished %s (%s) — a dead shard must not fail the sweep", view.State, view.Error)
 	}
 	sum := view.Result
-	if sum == nil || sum.Done+sum.Failed != 12 || sum.Canceled != 0 {
+	if sum == nil || sum.Done+sum.Failed != 24 || sum.Canceled != 0 {
 		t.Fatalf("summary: %+v", sum)
 	}
 	if sum.Failed == 0 {
@@ -216,7 +217,7 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 	// each done cell ran on its graph's HRW owner.
 	var res sweep.ResultsResponse
 	c.doJSON("GET", "/v1/sweeps/"+sweepID+"/results", nil, &res, http.StatusOK)
-	if len(res.Cells) != 12 {
+	if len(res.Cells) != 24 {
 		t.Fatalf("results: %d cells", len(res.Cells))
 	}
 	for _, cell := range res.Cells {
@@ -255,8 +256,8 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 			seen[ev.Cell] = true
 		}
 	}
-	if len(seen) != 12 {
-		t.Errorf("SSE covered %d cells, want 12", len(seen))
+	if len(seen) != 24 {
+		t.Errorf("SSE covered %d cells, want 24", len(seen))
 	}
 
 	// The artifact is on disk, re-derives its content id, and its codec
@@ -349,5 +350,74 @@ func TestRouterSweepValidation(t *testing.T) {
 	}
 	if status, _ := c.do("GET", "/v1/sweeps/router-j99", nil); status != http.StatusNotFound {
 		t.Error("unknown sweep did not 404")
+	}
+}
+
+// TestRouterSweepSharesEngine pins what the router gains by running
+// sweeps through the backend's engine and the store's one .wsr body: the
+// artifact write shows as a sweep_artifact stage, the sweep's edge trace
+// lands in the router's own trace store, and once the in-memory rows are
+// evicted a corrupt artifact is reported 410 and removed.
+func TestRouterSweepSharesEngine(t *testing.T) {
+	backends := []*backend{
+		startBackendAt(t, "b0", "127.0.0.1:0", service.Options{Workers: 2}),
+	}
+	spill := t.TempDir()
+	rt, c := newCluster(t, backends, cluster.Options{
+		ProbeInterval: time.Hour,
+		ProxyTimeout:  10 * time.Second,
+		SpillDir:      spill,
+		TraceSample:   1,
+	})
+	defer rt.Close()
+	rt.Sync(syncCtx())
+
+	info := c.registerLine(16)
+	sweepID := c.createSweep(sweep.Spec{GraphIDs: []string{info.ID}, Budgets: [][]int{{1, 1}, {2, 2}}})
+	view := c.waitSweep(sweepID, 30*time.Second)
+	sum := view.Result
+	if view.State != service.JobDone || sum.Done != 2 || !sum.Persisted || sum.ArtifactID == "" {
+		t.Fatalf("sweep: %s %+v", view.State, sum)
+	}
+	var job service.JobView
+	c.doJSON("GET", "/v1/sweeps/"+sweepID, nil, &job, http.StatusOK)
+	if _, ok := job.Stages["sweep_artifact"]; !ok {
+		t.Errorf("router sweep stages lack sweep_artifact: %v", job.Stages)
+	}
+	var tree service.TraceTreeResponse
+	c.doJSON("GET", "/v1/traces/"+job.TraceID, nil, &tree, http.StatusOK)
+	edge := false
+	for _, sp := range tree.Spans {
+		edge = edge || (sp.Node == "router" && sp.Stage == "sweep_artifact")
+	}
+	if rec, ok := rt.Traces().Get(job.TraceID); !ok || rec.Route != "sweep" || !edge {
+		t.Errorf("router trace store has no sweep fragment for %s (found %v, route %q, artifact span %v)", job.TraceID, ok, rec.Route, edge)
+	}
+
+	// Corrupt the artifact, push the rows out of memory with 32 more
+	// sweeps, and ask again: detected on load, removed, reported.
+	path := filepath.Join(spill, "sweeps", sum.ArtifactID+store.SweepExt)
+	art, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art[len(art)-6] ^= 0x01
+	if err := os.WriteFile(path, art, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fillers := make([]string, 32)
+	for i := range fillers {
+		fillers[i] = c.createSweep(sweep.Spec{GraphIDs: []string{info.ID}, Budgets: [][]int{{1, 1}}, Seed: uint64(i + 2)})
+	}
+	for _, id := range fillers {
+		if v := c.waitSweep(id, 30*time.Second); v.State != service.JobDone {
+			t.Fatalf("filler sweep %s: %s (%s)", id, v.State, v.Error)
+		}
+	}
+	if status, body := c.do("GET", "/v1/sweeps/"+sweepID+"/results", nil); status != http.StatusGone {
+		t.Errorf("corrupt artifact: status %d, want 410: %s", status, body)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("corrupt artifact was not removed (stat: %v)", err)
 	}
 }

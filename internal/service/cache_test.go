@@ -1,8 +1,11 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,6 +211,35 @@ func TestJobStoreLifecycle(t *testing.T) {
 	}
 	if len(s.List("")) != 2 {
 		t.Errorf("list = %+v", s.List(""))
+	}
+}
+
+// TestJobStoreCanceledKeepsResult: a canceled job keeps a real result
+// (a canceled sweep's summary) but not the nil pointer a worker's typed
+// result becomes when its run returned nothing — that must stay absent
+// from the wire view, not turn into "result": null.
+func TestJobStoreCanceledKeepsResult(t *testing.T) {
+	s := NewJobStore(0)
+	cancelWith := func(result any) JobView {
+		j := s.Create("sweep", "", nil)
+		s.Start(j.ID)
+		s.Cancel(j.ID)
+		s.Finish(j.ID, result, context.Canceled)
+		view, _ := s.Snapshot(j.ID)
+		if view.State != JobCanceled {
+			t.Fatalf("state %s, want canceled", view.State)
+		}
+		return view
+	}
+	if view := cancelWith(&AllocateResult{Algorithm: "x"}); view.Result == nil {
+		t.Error("canceled job dropped its result")
+	}
+	for _, nothing := range []any{nil, (*AllocateResult)(nil)} {
+		view := cancelWith(nothing)
+		raw, err := json.Marshal(view)
+		if err != nil || view.Result != nil || strings.Contains(string(raw), `"result"`) {
+			t.Errorf("canceled job with %#v: result %#v, wire %s (%v)", nothing, view.Result, raw, err)
+		}
 	}
 }
 

@@ -37,12 +37,12 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.timed("GET /v1/jobs/{id}", s.handleGetJob))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.timed("GET /v1/jobs/{id}/events", s.handleJobEvents))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.timed("DELETE /v1/jobs/{id}", s.handleCancelJob))
-	mux.HandleFunc("POST /v1/sweeps", s.timed("POST /v1/sweeps", s.handleCreateSweep))
-	mux.HandleFunc("GET /v1/sweeps", s.timed("GET /v1/sweeps", s.handleListSweeps))
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.timed("GET /v1/sweeps/{id}", s.handleGetSweep))
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.timed("GET /v1/sweeps/{id}/events", s.handleSweepEvents))
-	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.timed("GET /v1/sweeps/{id}/results", s.handleSweepResults))
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.timed("DELETE /v1/sweeps/{id}", s.handleCancelSweep))
+	mux.HandleFunc("POST /v1/sweeps", s.timed("POST /v1/sweeps", s.sweeps.HandleCreate))
+	mux.HandleFunc("GET /v1/sweeps", s.timed("GET /v1/sweeps", s.sweeps.HandleList))
+	mux.HandleFunc("GET /v1/sweeps/{id}", s.timed("GET /v1/sweeps/{id}", s.sweeps.HandleGet))
+	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.timed("GET /v1/sweeps/{id}/events", s.sweeps.HandleEvents))
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.timed("GET /v1/sweeps/{id}/results", s.sweeps.HandleResults))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.timed("DELETE /v1/sweeps/{id}", s.sweeps.HandleCancel))
 	mux.HandleFunc("GET /v1/events", s.timed("GET /v1/events", s.handleEvents))
 	mux.HandleFunc("GET /v1/traces", s.timed("GET /v1/traces", s.handleTraces))
 	mux.HandleFunc("GET /v1/traces/{id}", s.timed("GET /v1/traces/{id}", s.handleTraceGet))
@@ -393,15 +393,14 @@ func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // history first, so subscribing to a finished job yields its events and
 // closes.
 func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	StreamJobEvents(w, r, s.jobs, r.PathValue("id"))
+	streamJobEvents(w, r, s.jobs, r.PathValue("id"))
 }
 
-// StreamJobEvents serves one job's event stream over SSE from any
-// JobStore: replayed history, live events, terminal frame, and the
+// streamJobEvents serves one job's event stream over SSE from any
+// JobStore (the sweep engine streams the jobs of whichever store it was
+// built over): replayed history, live events, terminal frame, and the
 // snapshot resync for subscribers that lost the terminal event.
-// Exported because the cluster router streams its own sweep jobs (it
-// runs a JobStore of its own) through exactly this code path.
-func StreamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id string) {
+func streamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id string) {
 	past, ch, unsub, ok := jobs.Subscribe(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,7 +322,8 @@ func (s *JobStore) Start(id string) (ctx context.Context, ok bool) {
 }
 
 // Finish marks the job done (err == nil), canceled (the job's context
-// was canceled), or failed.
+// was canceled), or failed. The result is kept on a done job and, when
+// there is one, on a canceled job.
 func (s *JobStore) Finish(id string, result any, err error) {
 	s.mu.Lock()
 	j := s.jobs[id]
@@ -339,6 +341,13 @@ func (s *JobStore) Finish(id string, result any, err error) {
 		j.Result = result
 		sink, view = s.finalizeLocked(j, JobDone, "")
 	case errors.Is(err, context.Canceled) && j.cancelRequested:
+		// A canceled job may still have something to show (a canceled
+		// sweep's summary and artifact id). Workers pass their typed result
+		// pointer through `any`, so "nothing" arrives as a non-nil
+		// interface holding a nil pointer: keep only a real value.
+		if rv := reflect.ValueOf(result); rv.IsValid() && !(rv.Kind() == reflect.Pointer && rv.IsNil()) {
+			j.Result = result
+		}
 		sink, view = s.finalizeLocked(j, JobCanceled, err.Error())
 	default:
 		sink, view = s.finalizeLocked(j, JobFailed, err.Error())

@@ -105,10 +105,6 @@ type Options struct {
 	// estimate is within this multiple of the admission budget queue;
 	// anything further over rejects immediately (default 1.5).
 	AdmissionSlack float64
-	// SweepCellWorkers bounds how many of a sweep's cells run
-	// concurrently (default: the worker-pool size). Cells are ordinary
-	// pool jobs; this cap keeps one sweep from monopolizing the queue.
-	SweepCellWorkers int
 	// ClusterToken, when set, is the shared secret the cluster-internal
 	// endpoints (POST /v1/graphs/import and the sketch export/import
 	// routes) require in the ClusterTokenHeader. Imported sketches become
@@ -200,17 +196,9 @@ type Service struct {
 	estFlight          estimateFlight
 	estimatesCoalesced atomic.Int64
 
-	// Sweep subsystem state: sweepCellWorkers bounds per-sweep cell
-	// concurrency; sweepResults retains the last few finished sweeps'
-	// full per-cell rows in memory (the artifact on disk is the durable
-	// copy); the cell counters feed welmax_sweep_cells_total{state}.
-	sweepCellWorkers   int
-	sweepMu            sync.Mutex
-	sweepResults       map[string]*sweepRecord
-	sweepOrder         []string
-	sweepCellsDone     atomic.Int64
-	sweepCellsFailed   atomic.Int64
-	sweepCellsCanceled atomic.Int64
+	// sweeps runs POST /v1/sweeps grids as jobs of this service's store,
+	// each cell an ordinary pool job (see newSweepEngine).
+	sweeps *SweepEngine
 
 	// telemetryOn gates span recording and histogram observation;
 	// metrics is the latency-histogram registry /v1/metrics serves
@@ -346,10 +334,7 @@ func New(opts Options) (*Service, error) {
 	if s.admissionSlack = opts.AdmissionSlack; s.admissionSlack <= 0 {
 		s.admissionSlack = 1.5
 	}
-	if s.sweepCellWorkers = opts.SweepCellWorkers; s.sweepCellWorkers <= 0 {
-		s.sweepCellWorkers = opts.Workers
-	}
-	s.sweepResults = map[string]*sweepRecord{}
+	s.sweeps = s.newSweepEngine()
 	s.jobs.SetNodeID(opts.NodeID)
 	// A TTL expiry must invalidate the disk spill too — otherwise the
 	// "rebuild" reloads the identical stale sketch from disk and the
@@ -550,11 +535,7 @@ func (s *Service) Stats() StatsResponse {
 		AdmissionQueueTimeouts: s.admissionQueueTimeouts.Load(),
 		EstimatesCoalesced:     s.estimatesCoalesced.Load(),
 	}
-	out.Sweeps = SweepStats{
-		CellsDone:     s.sweepCellsDone.Load(),
-		CellsFailed:   s.sweepCellsFailed.Load(),
-		CellsCanceled: s.sweepCellsCanceled.Load(),
-	}
+	out.Sweeps = s.sweeps.Stats()
 	if s.batcher != nil {
 		bs := s.batcher.Stats()
 		out.Batch.WindowMS = float64(s.batchWindow) / float64(time.Millisecond)

@@ -96,7 +96,7 @@ func (e *env) sweepEvents(t *testing.T, id string) []service.JobEvent {
 // results endpoint serves filters and grouped welfare aggregates.
 func TestSweepEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	e := newEnv(t, service.Options{Workers: 2, SweepCellWorkers: 2, DataDir: dir, NodeID: "n0"})
+	e := newEnv(t, service.Options{Workers: 2, DataDir: dir, NodeID: "n0"})
 	id := e.registerGraph(t)
 
 	spec := sweep.Spec{
@@ -259,7 +259,7 @@ func TestSweepValidation(t *testing.T) {
 // cells, the job finishes canceled, and the partial artifact is still
 // queryable (finished cells' work is kept).
 func TestSweepCancel(t *testing.T) {
-	e := newEnv(t, service.Options{Workers: 1, SweepCellWorkers: 1})
+	e := newEnv(t, service.Options{Workers: 1})
 	id := e.registerGraph(t)
 	spec := sweep.Spec{
 		GraphIDs: []string{id},
@@ -288,6 +288,57 @@ func TestSweepCancel(t *testing.T) {
 	}
 	if res.Counts["canceled"] == 0 {
 		t.Errorf("no cells recorded canceled: %v", res.Counts)
+	}
+}
+
+// TestSweepCancelKeepsSummary: a canceled sweep's job record keeps the
+// folded summary, so the artifact it names stays reachable after the
+// in-memory rows have been pushed out by later sweeps.
+func TestSweepCancelKeepsSummary(t *testing.T) {
+	e := newEnv(t, service.Options{Workers: 1, DataDir: t.TempDir()})
+	id := e.registerGraph(t)
+	sweepID, cells := e.createSweep(t, sweep.Spec{
+		GraphIDs: []string{id},
+		Budgets:  [][]int{{3, 3}, {4, 4}, {5, 5}, {6, 6}, {7, 7}, {8, 8}},
+		Runs:     5000,
+		Seed:     1,
+	})
+	// Cancel only once the sweep runs: a sweep canceled while still
+	// queued never executes and has nothing to summarize.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var view sweepJobView
+		e.doJSON("GET", "/v1/sweeps/"+sweepID, nil, &view, http.StatusOK)
+		if view.State != service.JobQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.doJSON("DELETE", "/v1/sweeps/"+sweepID, nil, nil, http.StatusAccepted)
+	view := e.waitSweep(t, sweepID)
+	sum := view.Result
+	if view.State != service.JobCanceled || sum == nil {
+		t.Fatalf("canceled sweep: state %s result %+v", view.State, sum)
+	}
+	if sum.Cells != cells || sum.Done+sum.Failed+sum.Canceled != cells || sum.Canceled == 0 || sum.ArtifactID == "" || !sum.Persisted {
+		t.Fatalf("summary: %+v", sum)
+	}
+
+	// 32 later sweeps evict the canceled sweep's rows; its results then
+	// come back from the artifact its summary names.
+	for i := 0; i < 32; i++ {
+		next, _ := e.createSweep(t, sweep.Spec{GraphIDs: []string{id}, Budgets: [][]int{{2, 2}}, Seed: uint64(i + 1)})
+		if v := e.waitSweep(t, next); v.State != service.JobDone {
+			t.Fatalf("filler sweep %d: %s (%s)", i, v.State, v.Error)
+		}
+	}
+	var res sweep.ResultsResponse
+	e.doJSON("GET", "/v1/sweeps/"+sweepID+"/results", nil, &res, http.StatusOK)
+	if res.ArtifactID != sum.ArtifactID || len(res.Cells) != cells || res.Counts["canceled"] != sum.Canceled {
+		t.Errorf("results from disk: artifact %s cells %d counts %v, want %+v", res.ArtifactID, len(res.Cells), res.Counts, sum)
 	}
 }
 

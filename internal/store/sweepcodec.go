@@ -2,8 +2,10 @@ package store
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -250,46 +252,28 @@ func SweepResultID(res *SweepResult) string {
 
 func sweepsDir(dir string) string { return filepath.Join(dir, "sweeps") }
 
-func (s *Store) sweepPath(artifactID string) string {
-	return filepath.Join(sweepsDir(s.dir), artifactID+SweepExt)
-}
-
 // SaveSweep persists a finished sweep under its content id and returns
-// that id. Re-saving an identical result is a cheap no-op, like
-// SaveGraph.
+// that id, counting the write among the store's spills.
 func (s *Store) SaveSweep(res *SweepResult) (string, error) {
-	id := SweepResultID(res)
-	path := s.sweepPath(id)
-	if _, err := os.Stat(path); err == nil {
-		return id, nil
-	}
-	if err := frame.WriteFileAtomic(path, func(w io.Writer) error {
-		return EncodeSweepResult(w, res)
-	}); err != nil {
+	id, wrote, err := saveSweepFile(sweepsDir(s.dir), res)
+	switch {
+	case err != nil:
 		s.spillErrors.Add(1)
 		return id, fmt.Errorf("store: sweep %s: %w", id, err)
+	case wrote:
+		s.spills.Add(1)
 	}
-	s.spills.Add(1)
 	return id, nil
 }
 
-// LoadSweep reads a persisted sweep artifact by its content id. An
-// unreadable file counts as a load error and is removed, like a corrupt
-// sketch spill — but unlike a sketch the caller gets the error: a sweep
-// result cannot be rebuilt from anything.
+// LoadSweep reads a persisted sweep artifact by its content id,
+// counting an undecodable one among the store's load errors.
 func (s *Store) LoadSweep(artifactID string) (*SweepResult, error) {
-	f, err := os.Open(s.sweepPath(artifactID))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := DecodeSweepResult(f)
-	if err != nil {
+	res, err := LoadSweepFile(sweepsDir(s.dir), artifactID)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.loadErrors.Add(1)
-		os.Remove(s.sweepPath(artifactID))
-		return nil, err
 	}
-	return res, nil
+	return res, err
 }
 
 // SweepArtifactInfo is one entry of the store's sweep index: file-level
@@ -327,26 +311,55 @@ func (s *Store) ListSweeps() []SweepArtifactInfo {
 	return out
 }
 
-// SaveSweepFile writes a standalone .wsr artifact outside any data
-// directory (the cluster router's spill dir uses it) and returns the
-// content id it was addressed under.
+// SweepDir is a bare directory of .wsr artifacts outside any data
+// directory (the cluster router keeps one under its catalog spill): the
+// Store's SaveSweep/LoadSweep pair over the same file bodies, without
+// the Store's counters.
+type SweepDir string
+
+func (d SweepDir) SaveSweep(res *SweepResult) (string, error) { return SaveSweepFile(string(d), res) }
+func (d SweepDir) LoadSweep(id string) (*SweepResult, error)  { return LoadSweepFile(string(d), id) }
+
+// SaveSweepFile writes res as <dir>/<content id>.wsr (creating dir) and
+// returns the content id. Re-saving an identical result is a cheap
+// no-op, like SaveGraph.
 func SaveSweepFile(dir string, res *SweepResult) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	id := SweepResultID(res)
-	err := frame.WriteFileAtomic(filepath.Join(dir, id+SweepExt), func(w io.Writer) error {
-		return EncodeSweepResult(w, res)
-	})
+	id, _, err := saveSweepFile(dir, res)
 	return id, err
 }
 
-// LoadSweepFile reads a standalone .wsr artifact by content id from dir.
+// saveSweepFile is the one .wsr save body; wrote reports whether a file
+// was written (false when the artifact already existed).
+func saveSweepFile(dir string, res *SweepResult) (id string, wrote bool, err error) {
+	id = SweepResultID(res)
+	path := filepath.Join(dir, id+SweepExt)
+	if _, err := os.Stat(path); err == nil {
+		return id, false, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return id, false, err
+	}
+	err = frame.WriteFileAtomic(path, func(w io.Writer) error {
+		return EncodeSweepResult(w, res)
+	})
+	return id, err == nil, err
+}
+
+// LoadSweepFile is the one .wsr load body: it reads <dir>/<id>.wsr. An
+// undecodable file is removed, like a corrupt sketch spill — but unlike
+// a sketch the caller gets the error: a sweep result cannot be rebuilt
+// from anything.
 func LoadSweepFile(dir, artifactID string) (*SweepResult, error) {
-	f, err := os.Open(filepath.Join(dir, artifactID+SweepExt))
+	path := filepath.Join(dir, artifactID+SweepExt)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return DecodeSweepResult(f)
+	res, err := DecodeSweepResult(f)
+	if err != nil {
+		os.Remove(path)
+		return nil, err
+	}
+	return res, nil
 }

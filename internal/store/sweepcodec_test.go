@@ -166,3 +166,56 @@ func TestSweepFileHelpers(t *testing.T) {
 		t.Error("file round trip differs")
 	}
 }
+
+// TestSweepDirSharesStoreBody: a bare SweepDir and a Store run the same
+// save and load bodies — a re-save writes nothing, a corrupt artifact is
+// removed on load — and only the Store counts what happened.
+func TestSweepDirSharesStoreBody(t *testing.T) {
+	res := sampleSweepResult()
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	bare := filepath.Join(t.TempDir(), "sweeps")
+	sides := map[string]struct {
+		dir  string
+		sink interface {
+			SaveSweep(*SweepResult) (string, error)
+			LoadSweep(string) (*SweepResult, error)
+		}
+	}{
+		"store": {sweepsDir(s.dir), s},
+		"dir":   {bare, SweepDir(bare)},
+	}
+	for name, side := range sides {
+		id, err := side.sink.SaveSweep(res)
+		if err != nil || id != SweepResultID(res) {
+			t.Fatalf("%s: save: id %s err %v", name, id, err)
+		}
+		path := filepath.Join(side.dir, id+SweepExt)
+		// A re-save must not rewrite: plant a marker the write would erase.
+		if err := os.WriteFile(path, []byte("marker"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := side.sink.SaveSweep(res); err != nil {
+			t.Fatalf("%s: re-save: %v", name, err)
+		}
+		if raw, _ := os.ReadFile(path); string(raw) != "marker" {
+			t.Errorf("%s: re-save rewrote the artifact", name)
+		}
+		// The marker is no whole frame: the load reports it and removes it.
+		if _, err := side.sink.LoadSweep(id); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: corrupt load: %v, want ErrTruncated", name, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: corrupt artifact was not removed", name)
+		}
+		if _, err := side.sink.LoadSweep(id); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: missing load: %v, want not-exist", name, err)
+		}
+	}
+	// One write, one undecodable load; the dedupe and the miss count nothing.
+	if st := s.Stats(); st.Spills != 1 || st.SpillErrors != 0 || st.LoadErrors != 1 {
+		t.Errorf("store counters: %+v", st)
+	}
+}

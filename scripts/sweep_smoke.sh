@@ -55,8 +55,9 @@ done
 "$WORK/experiments" -remote "$BASE" -scale 0.05 -runs 200 \
   | tee "$WORK/experiments.out" || fail "experiments -remote"
 
-# The sweep the client ran is the router's latest sweep job.
-SWEEP="$(curl -fsS "$BASE/v1/sweeps" | jq -r '.sweeps[-1]')"
+# The sweep the client ran is the router's latest sweep job; the
+# listing is newest-first.
+SWEEP="$(curl -fsS "$BASE/v1/sweeps" | jq -r '.sweeps[0]')"
 SWEEP_ID="$(jq -r .id <<<"$SWEEP")"
 STATE="$(jq -r .state <<<"$SWEEP")"
 [ "$STATE" = done ] || fail "sweep $SWEEP_ID ended $STATE"
@@ -67,6 +68,7 @@ DONE="$(jq -r .result.done <<<"$SWEEP")"
 RESULTS="$(curl -fsS "$BASE/v1/sweeps/$SWEEP_ID/results?group_by=graph,config,algo")"
 ART="$(jq -r .artifact_id <<<"$RESULTS")"
 case "$ART" in s*) ;; *) fail "artifact id $ART" ;; esac
+[ "$(jq -r .result.artifact_id <<<"$SWEEP")" = "$ART" ] || fail "listing and results disagree on the artifact id"
 [ -f "$WORK/spill/catalog/sweeps/$ART.wsr" ] || fail "artifact $ART not persisted under the spill dir"
 
 # Cells must have executed on their graphs' HRW owners: with two graphs

@@ -34,9 +34,8 @@ func ItemDisjointFromSketch(p *Problem, sk *imm.Sketch) Result {
 }
 
 // ItemDisjointFromSketchProgress is ItemDisjointFromSketch with
-// incremental seed-prefix reporting: report (when non-nil) receives
-// StageSelect events carrying the ordering committed so far as the
-// greedy selection runs.
+// seed-prefix reporting: report (when non-nil) receives StageSelect
+// events carrying growing prefixes of the sketch's ordering.
 func ItemDisjointFromSketchProgress(p *Problem, sk *imm.Sketch, report progress.Func) Result {
 	alloc := uic.NewAllocation(p.K())
 	if p.TotalBudget() == 0 {
@@ -46,10 +45,9 @@ func ItemDisjointFromSketchProgress(p *Problem, sk *imm.Sketch, report progress.
 	pool := res.Seeds
 	pos := 0
 	for _, i := range p.BudgetOrder() {
-		for n := 0; n < p.Budgets[i] && pos < len(pool); n++ {
-			alloc.Assign(pool[pos], i)
-			pos++
-		}
+		take := min(p.Budgets[i], len(pool)-pos)
+		alloc.Seeds[i] = append(alloc.Seeds[i], pool[pos:pos+take]...)
+		pos += take
 	}
 	return Result{
 		Alloc:          alloc,

@@ -89,10 +89,9 @@ func BundleGRDFromSketch(p *Problem, sk *prima.Sketch) Result {
 	return BundleGRDFromSketchProgress(p, sk, nil)
 }
 
-// BundleGRDFromSketchProgress is BundleGRDFromSketch with incremental
-// seed-prefix reporting: report (when non-nil) receives StageSelect
-// events carrying the ordering committed so far as the greedy selection
-// runs.
+// BundleGRDFromSketchProgress is BundleGRDFromSketch with seed-prefix
+// reporting: report (when non-nil) receives StageSelect events carrying
+// growing prefixes of the sketch's ordering.
 func BundleGRDFromSketchProgress(p *Problem, sk *prima.Sketch, report progress.Func) Result {
 	pres := sk.SelectReport(seedReporter(report, sk.MaxBudget))
 	alloc := uic.NewAllocation(p.K())
@@ -100,9 +99,7 @@ func BundleGRDFromSketchProgress(p *Problem, sk *prima.Sketch, report progress.F
 		if b > len(pres.Seeds) {
 			b = len(pres.Seeds)
 		}
-		for _, v := range pres.Seeds[:b] {
-			alloc.Assign(v, i)
-		}
+		alloc.Seeds[i] = append(alloc.Seeds[i], pres.Seeds[:b]...)
 	}
 	return Result{
 		Alloc:          alloc,

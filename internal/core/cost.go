@@ -19,7 +19,9 @@ const costFloor = 256
 // 1 + m/n — under the weighted-cascade convention each node's incoming
 // probabilities sum to 1, so a reverse-reachable walk adds about one
 // node per step and the density ratio is the cheap upper-ish proxy for
-// its depth.
+// its depth. SketchCost's 12 bytes per seed for the memoised selection
+// are not modelled: they vanish in this bound's slack, and what is left
+// of them the observed-ratio calibration absorbs.
 func rrBytes(nodes, edges int, theta float64) int64 {
 	if theta <= 0 {
 		return costFloor

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,4 +147,42 @@ func TestRegisterValidation(t *testing.T) {
 	mustPanic("sketch planner without family", func() {
 		Register("x-sketchless", Meta{}, func() Planner { return bundleGRDPlanner{} })
 	})
+}
+
+// TestPlanFromSketchMemoHitAllocations is the tripwire that keeps a full
+// greedy selection from creeping back onto the warm path: once a sketch
+// has been selected, PlanFromSketch at k = 50 copies seeds out of the
+// memo — a handful of small allocations, where a fresh NodeSelection
+// allocates per-node and per-RR-set scratch (hundreds of KB on a served
+// graph, tens even here).
+func TestPlanFromSketchMemoHitAllocations(t *testing.T) {
+	g := graph.BarabasiAlbert(2000, 3, stats.NewRNG(7)).WeightedCascade()
+	prob := MustProblem(g, utility.Config1(), []int{50, 50})
+	for _, algo := range []string{AlgoBundleGRD, AlgoItemDisjoint} {
+		planner, _, err := Lookup(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := planner.(SketchPlanner)
+		sk, err := sp.BuildSketch(context.Background(), prob, Options{}, stats.NewRNG(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := func() {
+			if _, err := sp.PlanFromSketch(prob, sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan() // the one selection this sketch ever pays for
+
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, plan)
+		runtime.ReadMemStats(&after)
+		bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one extra call
+		if allocs > 12 || bytesPerRun > 4<<10 {
+			t.Errorf("%s: memo-hit PlanFromSketch = %.0f allocs, %d B per call; want <= 12 allocs, <= 4 KB", algo, allocs, bytesPerRun)
+		}
+	}
 }

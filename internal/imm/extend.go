@@ -29,7 +29,7 @@ var ErrNotExtendable = errors.New("imm: sketch not extendable")
 // The original sketch is never mutated: growth happens on a clone, so
 // concurrent readers of the resident sketch are undisturbed. When no
 // growth is needed the returned sketch shares the original's collection
-// read-only.
+// read-only (and is the original itself when K does not move either).
 func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, k int, opts Options, rng *stats.RNG) (*Sketch, error) {
 	opts = opts.withDefaults()
 	if sk == nil || sk.Col == nil || sk.Col.Len() == 0 {
@@ -56,8 +56,13 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, k int, opt
 	ellPrime := EllPlusLog2(opts.Ell, n)
 	thetaNew := int64(math.Ceil(LambdaStar(n, newK, opts.Eps, ellPrime) / lb))
 	if thetaNew <= int64(sk.Col.Len()) {
-		// Already large enough: share the collection read-only under the
-		// new budget ceiling (NodeSelection only reads).
+		// Already large enough. Under an unchanged K the sketch is the
+		// answer as it stands, memoised selection included; a larger K
+		// shares the collection read-only and starts a fresh memo, since
+		// the memoised order stops at the old K.
+		if newK == sk.K {
+			return sk, nil
+		}
 		return &Sketch{Col: sk.Col, K: newK, Phase1: sk.Phase1, LB: sk.LB}, nil
 	}
 

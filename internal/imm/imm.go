@@ -3,6 +3,7 @@ package imm
 import (
 	"context"
 	"math"
+	"slices"
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/progress"
@@ -56,9 +57,11 @@ type Result struct {
 
 // Sketch is the reusable product of IMM's sampling phases: the final
 // from-scratch RR-set collection for a specific (graph, k, ε, ℓ,
-// cascade) tuple. A built Sketch is immutable — Select only reads the
-// collection — so one Sketch may serve many goroutines concurrently (the
-// seam the welmaxd sketch cache relies on).
+// cascade) tuple. A built Sketch is immutable, so its greedy selection
+// is a fixed function of it: the first Select computes it, every later
+// one reads it back, and one Sketch may serve many goroutines
+// concurrently (the seam the welmaxd sketch cache relies on). A Sketch
+// must not be copied.
 type Sketch struct {
 	// Col is the regenerated collection; nil in the degenerate cases
 	// (empty instance, or k covering the whole graph).
@@ -73,6 +76,10 @@ type Sketch struct {
 	// allNodesN, when positive, marks the degenerate instance whose
 	// selection is every one of the n nodes in id order.
 	allNodesN int
+	// memo is Col's budget-K selection, filled by the first Select — not
+	// at build, extend or restore, so a sketch that is spilled or shipped
+	// without being asked never pays for it.
+	memo rrset.SelectionMemo
 }
 
 // Run executes IMM for a single budget k and returns the ordered seed set.
@@ -94,9 +101,9 @@ func RunCtx(ctx context.Context, g *graph.Graph, k int, opts Options, rng *stats
 
 // BuildSketch runs IMM's adaptive sampling and the final from-scratch
 // regeneration, returning the collection without performing the final
-// NodeSelection. The result is read-only and safe to share across
-// goroutines; call Select (repeatedly, even concurrently) to obtain seed
-// sets from it.
+// NodeSelection. The result is immutable and safe to share across
+// goroutines; call Select (repeatedly, even concurrently) to obtain its
+// seed set.
 func BuildSketch(g *graph.Graph, k int, opts Options, rng *stats.RNG) *Sketch {
 	sk, _ := BuildSketchCtx(context.Background(), g, k, opts, rng) // background ctx: never canceled
 	return sk
@@ -190,26 +197,29 @@ func (s *Sketch) State() (col *rrset.Collection, k, phase1 int, lb float64, allN
 // RestoreSketch reassembles a sketch from the fields State returned. A
 // restored sketch is indistinguishable from the freshly built one: Select
 // on it yields the identical seed set (NodeSelection is deterministic
-// given the collection).
+// given the collection), recomputed on its first Select.
 func RestoreSketch(col *rrset.Collection, k, phase1 int, lb float64, allNodesN int) *Sketch {
 	return &Sketch{Col: col, K: k, Phase1: phase1, LB: lb, allNodesN: allNodesN}
 }
 
-// Select runs the final greedy NodeSelection on the sketch and assembles
-// the IMM result. It only reads the collection and is safe to call
-// concurrently from multiple goroutines on one shared Sketch.
+// Select returns the sketch's greedy seed set as an IMM result: the
+// first call on a sketch runs the NodeSelection (concurrent first callers
+// wait for it rather than repeating it), every later call copies the K
+// seeds out of the memoised order. Safe to call concurrently on one
+// shared Sketch; the returned Seeds belong to the caller.
 func (s *Sketch) Select() Result {
 	return s.SelectReport(nil)
 }
 
-// SelectReport is Select with an incremental seed-prefix callback:
-// report (when non-nil) receives the ordering committed so far, every
-// few seeds and once with the final selection (degenerate sketches
-// report their full selection once). The prefix slice aliases selection
-// storage — copy before retaining. Like Select it only reads the
-// collection, so concurrent calls on one shared Sketch remain safe.
+// SelectReport is Select with a seed-prefix callback: report (when
+// non-nil) receives the ordering's growing prefixes, every few seeds and
+// once with the final selection (degenerate sketches report their full
+// selection once). The prefix slice aliases selection storage — copy
+// before retaining.
 func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 	if s.allNodesN > 0 {
+		// Not memoised: the caller's copy of the n ids has to be written
+		// either way, and generating them is no dearer than copying them.
 		seeds := make([]graph.NodeID, s.allNodesN)
 		for i := range seeds {
 			seeds[i] = graph.NodeID(i)
@@ -222,12 +232,13 @@ func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 	if s.Col == nil {
 		return Result{}
 	}
-	n := s.Col.N()
-	seeds, frac := s.Col.NodeSelectionReport(s.K, report)
+	sel := s.memo.Get(s.Col, s.K)
+	sel.Replay(report)
+	frac := sel.Fraction()
 	return Result{
-		Seeds:       seeds,
+		Seeds:       slices.Clone(sel.Order),
 		Coverage:    frac,
-		SpreadEst:   float64(n) * frac,
+		SpreadEst:   float64(s.Col.N()) * frac,
 		NumRRSets:   s.Col.Len(),
 		TotalRRSets: s.Phase1 + s.Col.Len(),
 		LB:          s.LB,

@@ -69,24 +69,10 @@ func Build(g *graph.Graph, maxBudget int, opts Options, rng *stats.RNG) (*Oracle
 	col.Sampler().Cascade = opts.Cascade
 	col.Grow(int64(opts.SpreadSamples), rng)
 	o.spread = make([]float64, len(o.order)+1)
-	covered := make([]bool, col.Len())
-	count := 0
-	for b, v := range o.order {
-		for _, id := range coverList(col, v) {
-			if !covered[id] {
-				covered[id] = true
-				count++
-			}
-		}
-		o.spread[b+1] = float64(g.N()) * float64(count) / float64(col.Len())
+	for b, hit := range col.PrefixCoverage(o.order) {
+		o.spread[b+1] = float64(g.N()) * float64(hit) / float64(col.Len())
 	}
 	return o, nil
-}
-
-// coverList returns the RR-set ids containing v by scanning the
-// collection's inverted index.
-func coverList(col *rrset.Collection, v graph.NodeID) []int32 {
-	return col.Covering(v)
 }
 
 // MaxBudget returns the largest budget the oracle can answer.

@@ -37,7 +37,8 @@ var ErrNotExtendable = errors.New("prima: sketch not extendable")
 // The original sketch is never mutated: growth happens on a clone, so
 // concurrent readers of the resident sketch (the sketch-cache contract)
 // are undisturbed. When no growth is needed the returned sketch shares
-// the original's collection read-only.
+// the original's collection read-only (and is the original itself when
+// the budget ceiling does not move either).
 func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, oldBudgets []int, oldOpts Options, newBudgets []int, newOpts Options, rng *stats.RNG) (*Sketch, error) {
 	oldOpts, newOpts = oldOpts.withDefaults(), newOpts.withDefaults()
 	if sk == nil || sk.Col == nil || sk.Col.Len() == 0 {
@@ -75,8 +76,13 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, oldBudgets
 		thetaNew = int64(math.Ceil(float64(thetaOld) * lamNew / lamOld))
 	}
 	if thetaNew <= thetaOld {
-		// Already large enough: share the collection read-only under the
-		// new budget ceiling (NodeSelection only reads).
+		// Already large enough. Under an unchanged ceiling the sketch is
+		// the answer as it stands, memoised selection included; a larger
+		// ceiling shares the collection read-only and starts a fresh
+		// memo, since the memoised order stops at the old MaxBudget.
+		if maxBudget == sk.MaxBudget {
+			return sk, nil
+		}
 		return &Sketch{Col: sk.Col, MaxBudget: maxBudget, Phase1: sk.Phase1}, nil
 	}
 

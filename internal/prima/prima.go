@@ -10,6 +10,7 @@ package prima
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"uicwelfare/internal/graph"
@@ -69,9 +70,11 @@ type Result struct {
 // Sketch is the reusable product of PRIMA's sampling phases: the final
 // from-scratch RR-set collection, sized by the adaptive lower-bound
 // search for a specific (graph, budgets, ε, ℓ, cascade) tuple. Once
-// BuildSketch returns, the sketch is immutable: Select only reads the
-// collection, so a single Sketch may serve many goroutines concurrently
-// (the seam the welmaxd sketch cache relies on).
+// BuildSketch returns, the sketch is immutable, so its greedy selection
+// is a fixed function of it: the first Select computes it, every later
+// one reads it back, and a single Sketch may serve many goroutines
+// concurrently (the seam the welmaxd sketch cache relies on). A Sketch
+// must not be copied.
 type Sketch struct {
 	// Col is the regenerated collection; nil in the degenerate cases
 	// (empty instance, or max budget covering the whole graph).
@@ -84,6 +87,10 @@ type Sketch struct {
 	// allNodesN, when positive, marks the degenerate instance whose
 	// selection is every one of the n nodes in id order.
 	allNodesN int
+	// memo is Col's budget-MaxBudget selection, filled by the first
+	// Select — not at build, extend or restore, so a sketch that is
+	// spilled or shipped without being asked never pays for it.
+	memo rrset.SelectionMemo
 }
 
 // CanonicalBudgets clamps budgets into [1, n], sorts them
@@ -123,9 +130,9 @@ func Select(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) Result 
 
 // BuildSketch runs PRIMA's adaptive sampling (lines 1-21 of Algorithm 2)
 // and the final from-scratch regeneration, returning the collection
-// without performing the final NodeSelection. The result is read-only
+// without performing the final NodeSelection. The result is immutable
 // and safe to share across goroutines; call Select (repeatedly, even
-// concurrently) to obtain orderings from it.
+// concurrently) to obtain its ordering.
 func BuildSketch(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) *Sketch {
 	sk, _ := BuildSketchCtx(context.Background(), g, budgets, opts, rng) // background ctx: never canceled
 	return sk
@@ -273,26 +280,29 @@ func (s *Sketch) State() (col *rrset.Collection, maxBudget, phase1, allNodesN in
 // RestoreSketch reassembles a sketch from the fields State returned. A
 // restored sketch is indistinguishable from the freshly built one: Select
 // on it yields the identical ordering (NodeSelection is deterministic
-// given the collection).
+// given the collection), recomputed on its first Select.
 func RestoreSketch(col *rrset.Collection, maxBudget, phase1, allNodesN int) *Sketch {
 	return &Sketch{Col: col, MaxBudget: maxBudget, Phase1: phase1, allNodesN: allNodesN}
 }
 
-// Select runs the final greedy NodeSelection on the sketch and assembles
-// the PRIMA result. It only reads the collection and is safe to call
-// concurrently from multiple goroutines on one shared Sketch.
+// Select returns the sketch's greedy ordering as a PRIMA result: the
+// first call on a sketch runs the NodeSelection (concurrent first callers
+// wait for it rather than repeating it), every later call copies the
+// MaxBudget seeds out of the memoised order. Safe to call concurrently on
+// one shared Sketch; the returned Seeds belong to the caller.
 func (s *Sketch) Select() Result {
 	return s.SelectReport(nil)
 }
 
-// SelectReport is Select with an incremental seed-prefix callback:
-// report (when non-nil) receives the ordering committed so far, every
-// few seeds and once with the final selection (degenerate sketches
-// report their full selection once). The prefix slice aliases selection
-// storage — copy before retaining. Like Select it only reads the
-// collection, so concurrent calls on one shared Sketch remain safe.
+// SelectReport is Select with a seed-prefix callback: report (when
+// non-nil) receives the ordering's growing prefixes, every few seeds and
+// once with the final selection (degenerate sketches report their full
+// selection once). The prefix slice aliases selection storage — copy
+// before retaining.
 func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 	if s.allNodesN > 0 {
+		// Not memoised: the caller's copy of the n ids has to be written
+		// either way, and generating them is no dearer than copying them.
 		seeds := make([]graph.NodeID, s.allNodesN)
 		for i := range seeds {
 			seeds[i] = graph.NodeID(i)
@@ -305,12 +315,13 @@ func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 	if s.Col == nil {
 		return Result{}
 	}
-	n := s.Col.N()
-	seeds, frac := s.Col.NodeSelectionReport(s.MaxBudget, report)
+	sel := s.memo.Get(s.Col, s.MaxBudget)
+	sel.Replay(report)
+	frac := sel.Fraction()
 	return Result{
-		Seeds:       seeds,
+		Seeds:       slices.Clone(sel.Order),
 		Coverage:    frac,
-		SpreadEst:   float64(n) * frac,
+		SpreadEst:   float64(s.Col.N()) * frac,
 		NumRRSets:   s.Col.Len(),
 		TotalRRSets: s.Phase1 + s.Col.Len(),
 	}

@@ -261,23 +261,16 @@ func (c *Collection) FractionCovered(seeds []graph.NodeID) float64 {
 // procedure is deterministic given the collection and selects one node at
 // a time, so for any k' < k the budget-k' selection is exactly the first
 // k' nodes of the budget-k selection — the property PRIMA's budget-switch
-// seed reuse relies on.
+// seed reuse relies on. Every call runs the greedy afresh; sketches that
+// serve many requests memoise it (SelectionMemo).
 func (c *Collection) NodeSelection(k int) (seeds []graph.NodeID, covered float64) {
-	return c.NodeSelectionReport(k, nil)
+	sel := c.Select(k)
+	return sel.Order, sel.Fraction()
 }
 
-// selectionReportChunk is how many seed selections NodeSelectionReport
-// commits between prefix reports; small enough that a progress stream
-// sees the ordering grow, large enough that reporting stays invisible
-// next to the coverage updates themselves.
-const selectionReportChunk = 16
-
-// NodeSelectionReport is NodeSelection with an incremental prefix
-// callback: report (when non-nil) receives the ordered prefix selected
-// so far, every selectionReportChunk seeds and once more with the final
-// selection. The slice aliases the selection's own storage — callers
-// that retain it must copy.
-func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeID)) (seeds []graph.NodeID, covered float64) {
+// Select is NodeSelection in memoisable form: the greedy order together
+// with the cumulative covered-set count at every prefix.
+func (c *Collection) Select(k int) Selection {
 	n := c.g.N()
 	if k > n {
 		k = n
@@ -287,29 +280,22 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 		deg[v] = int32(c.coverIdx[v+1] - c.coverIdx[v])
 	}
 	setCovered := make([]bool, c.Len())
-	seeds = make([]graph.NodeID, 0, k)
-	totalCovered := 0
-	commit := func(v int32) {
-		seeds = append(seeds, graph.NodeID(v))
-		if report != nil && len(seeds)%selectionReportChunk == 0 {
-			report(seeds)
-		}
+	sel := Selection{
+		Order:   make([]graph.NodeID, 0, k),
+		Covered: make([]int64, 0, k),
+		Sets:    c.Len(),
 	}
+	var totalCovered int64
 
 	// Lazy-greedy with a simple binary heap keyed by stale degree.
 	h := newMaxHeap(deg)
-	for len(seeds) < k && h.len() > 0 {
+	for len(sel.Order) < k && h.len() > 0 {
 		v := h.popStale(deg)
 		if v < 0 {
 			break
 		}
-		if deg[v] == 0 {
-			// All remaining nodes cover nothing new; still emit nodes to
-			// honor the budget (arbitrary but deterministic order).
-			commit(v)
-			continue
-		}
-		commit(v)
+		// A node with deg 0 covers nothing new; it is still emitted to
+		// honor the budget (arbitrary but deterministic order).
 		for _, id := range c.Covering(v) {
 			if setCovered[id] {
 				continue
@@ -320,14 +306,10 @@ func (c *Collection) NodeSelectionReport(k int, report func(prefix []graph.NodeI
 				deg[w]--
 			}
 		}
+		sel.Order = append(sel.Order, v)
+		sel.Covered = append(sel.Covered, totalCovered)
 	}
-	if report != nil && len(seeds) > 0 && len(seeds)%selectionReportChunk != 0 {
-		report(seeds)
-	}
-	if c.Len() == 0 {
-		return seeds, 0
-	}
-	return seeds, float64(totalCovered) / float64(c.Len())
+	return sel
 }
 
 // maxHeap is a binary heap over node ids keyed by (possibly stale)

@@ -223,8 +223,11 @@ func NewAllocateResult(algo string, res core.Result) *AllocateResult {
 		TotalRRSets:    res.TotalRRSets,
 		IMMInvocations: res.IMMInvocations,
 	}
-	for _, v := range res.SeedOrder {
-		out.SeedOrder = append(out.SeedOrder, int64(v))
+	if len(res.SeedOrder) > 0 {
+		out.SeedOrder = make([]int64, len(res.SeedOrder))
+		for i, v := range res.SeedOrder {
+			out.SeedOrder[i] = int64(v)
+		}
 	}
 	return out
 }

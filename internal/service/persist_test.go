@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"uicwelfare/internal/service"
+	"uicwelfare/internal/telemetry"
 )
 
 // triangleEdges is a tiny deterministic graph for persistence tests.
@@ -189,9 +190,10 @@ func TestCorruptSpillFallsBackToRebuild(t *testing.T) {
 
 // warmJobView mirrors JobView with a typed warm result.
 type warmJobView struct {
-	State  service.JobState    `json:"state"`
-	Error  string              `json:"error"`
-	Result *service.WarmResult `json:"result"`
+	State  service.JobState                `json:"state"`
+	Error  string                          `json:"error"`
+	Result *service.WarmResult             `json:"result"`
+	Stages map[string]telemetry.StageStats `json:"stages"`
 }
 
 func TestWarmEndpoint(t *testing.T) {
@@ -214,11 +216,16 @@ func TestWarmEndpoint(t *testing.T) {
 		t.Error("allocate after warm missed the cache")
 	}
 
-	// Warming again is a cheap no-op.
+	// Warming again is a cheap no-op: nothing is built, so the one
+	// greedy_select span on the job is warm priming the sketch's
+	// memoised selection — what makes the next allocate a prefix read.
 	var warm2 warmJobView
 	e.waitJob(t, e.submit(t, "/v1/graphs/"+id+"/warm", service.WarmRequest{Budgets: []int{5, 5}}), &warm2)
 	if warm2.State != service.JobDone || !warm2.Result.AlreadyWarm {
 		t.Errorf("second warm = %+v (%s)", warm2.Result, warm2.Error)
+	}
+	if st := warm2.Stages["greedy_select"]; st.Count != 1 {
+		t.Errorf("already-warm job stages = %+v, want exactly one greedy_select", warm2.Stages)
 	}
 
 	// Validation: unknown graph 404s at the job layer? No — warm

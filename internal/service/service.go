@@ -1203,9 +1203,10 @@ func (s *Service) validateWarm(graphID string, req *WarmRequest) (*allocatePlan,
 }
 
 // WarmCtx prebuilds the sketch an equivalent allocate request would
-// need, through the same tiered cache path, so a later allocation — or a
+// need, through the same tiered cache path, and runs its selection once,
+// so a later allocation starts warm — as does, short of the selection, a
 // daemon restart followed by one, since completed builds spill to the
-// disk tier — starts warm. It runs as an ordinary cancelable job.
+// disk tier. It runs as an ordinary cancelable job.
 func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest, report progress.Func) (*WarmResult, error) {
 	startT := time.Now()
 	plan, sp, err := s.validateWarm(graphID, req)
@@ -1220,6 +1221,14 @@ func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest,
 		return nil, err
 	}
 	countSketchOutcome(ctx, hit)
+	// Prime the sketch's memoised selection, so the first allocation on a
+	// warmed sketch is already a prefix read.
+	endSel := telemetry.StartSpan(ctx, "greedy_select")
+	_, err = sp.PlanFromSketch(plan.prob, sketch)
+	endSel()
+	if err != nil {
+		return nil, err
+	}
 	out := &WarmResult{
 		Algorithm:    plan.meta.Name,
 		SketchFamily: plan.meta.SketchFamily,

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -183,42 +184,52 @@ func TestMetricsUnderConcurrentAllocates(t *testing.T) {
 }
 
 // TestSeedPrefixProgressEvents checks select-stage SSE events carry the
-// incremental seed prefix and that successive prefixes are consistent —
-// each extends the one before (lazy-greedy order is prefix-stable).
+// growing seed prefix, that successive prefixes are consistent — each
+// extends the one before (lazy-greedy order is prefix-stable) — and that
+// a warm job, which replays the order the cold job's selection memoised,
+// streams the same prefix lengths and ids as the cold job did.
 func TestSeedPrefixProgressEvents(t *testing.T) {
 	e := newEnv(t, service.Options{Workers: 2})
 	id := e.registerGraph(t)
 
 	// The max budget exceeds the 16-selection report chunk so at least
 	// one intermediate prefix event fires before the final one.
-	jobID := e.submit(t, "/v1/allocate", service.AllocateRequest{
-		GraphID: id, Budgets: []int{20, 20}, Runs: 1000,
-	})
-	events := readSSE(t, e, jobID)
-	var prefixes [][]int64
-	for _, ev := range events {
-		if ev.Data.Type == service.EventProgress && ev.Data.Stage == "select" && len(ev.Data.SeedPrefix) > 0 {
-			prefixes = append(prefixes, ev.Data.SeedPrefix)
-		}
-	}
-	if len(prefixes) < 2 {
-		t.Fatalf("saw %d select-stage prefix events, want >= 2 (chunk + final): %+v", len(prefixes), events)
-	}
-	for i := 1; i < len(prefixes); i++ {
-		prev, cur := prefixes[i-1], prefixes[i]
-		if len(cur) < len(prev) {
-			t.Fatalf("prefix %d shrank: %v -> %v", i, prev, cur)
-		}
-		for j := range prev {
-			if cur[j] != prev[j] {
-				t.Fatalf("prefix %d not an extension: %v -> %v", i, prev, cur)
+	req := service.AllocateRequest{GraphID: id, Budgets: []int{20, 20}, Runs: 1000}
+	run := func(wantCached bool) [][]int64 {
+		jobID := e.submit(t, "/v1/allocate", req)
+		events := readSSE(t, e, jobID)
+		var prefixes [][]int64
+		for _, ev := range events {
+			if ev.Data.Type == service.EventProgress && ev.Data.Stage == "select" && len(ev.Data.SeedPrefix) > 0 {
+				prefixes = append(prefixes, ev.Data.SeedPrefix)
 			}
 		}
+		var job allocJobView
+		e.waitJob(t, jobID, &job)
+		if job.State != service.JobDone {
+			t.Fatalf("job ended %q: %s", job.State, job.Error)
+		}
+		if job.Result.SketchCached != wantCached {
+			t.Fatalf("job %s: sketch_cached = %v, want %v", jobID, job.Result.SketchCached, wantCached)
+		}
+		if len(prefixes) == 0 || !slices.Equal(prefixes[len(prefixes)-1], job.Result.SeedOrder) {
+			t.Fatalf("job %s: prefix events %v do not end at the result's seed order %v", jobID, prefixes, job.Result.SeedOrder)
+		}
+		return prefixes
 	}
-	var job allocJobView
-	e.waitJob(t, jobID, &job)
-	if job.State != service.JobDone {
-		t.Fatalf("job ended %q: %s", job.State, job.Error)
+
+	cold := run(false)
+	if len(cold) < 2 {
+		t.Fatalf("saw %d select-stage prefix events, want >= 2 (chunk + final): %v", len(cold), cold)
+	}
+	for i := 1; i < len(cold); i++ {
+		prev, cur := cold[i-1], cold[i]
+		if len(cur) < len(prev) || !slices.Equal(cur[:len(prev)], prev) {
+			t.Fatalf("prefix %d not an extension: %v -> %v", i, prev, cur)
+		}
+	}
+	if warm := run(true); !slices.EqualFunc(warm, cold, slices.Equal[[]int64]) {
+		t.Fatalf("warm job streamed prefixes %v, the cold job that built the sketch %v", warm, cold)
 	}
 }
 

@@ -187,22 +187,25 @@ func decodeCollection(p *payloadReader, g *graph.Graph) (*rrset.Collection, erro
 
 // SketchCost is the resident memory of a built sketch in bytes: what
 // its collection holds (rrset.Collection.ResidentBytes — sets, inverted
-// index and the per-node index term) plus a fixed floor for the
+// index and the per-node index term), the memoised selection its first
+// Select will add (rrset.MemoBytes — priced up front, so an entry's
+// cost never changes after insertion), plus a fixed floor for the
 // headers. The service's cost-aware cache eviction and the disk-tier
 // budget both price entries with it.
 func SketchCost(sketch any) int64 {
 	var col *rrset.Collection
+	var k int
 	switch sk := sketch.(type) {
 	case *prima.Sketch:
-		col, _, _, _ = sk.State()
+		col, k, _, _ = sk.State()
 	case *imm.Sketch:
-		col, _, _, _, _ = sk.State()
+		col, k, _, _, _ = sk.State()
 	}
 	const floor = 256
 	if col == nil {
 		return floor
 	}
-	return floor + col.ResidentBytes()
+	return floor + col.ResidentBytes() + rrset.MemoBytes(k)
 }
 
 func firstErr(errs ...error) error {

@@ -461,8 +461,23 @@ func TestStoreSketchBudgetEviction(t *testing.T) {
 func TestSketchCost(t *testing.T) {
 	g := testGraph(t)
 	sk := prima.BuildSketch(g, []int{5}, prima.Options{}, stats.NewRNG(1))
-	if c := SketchCost(sk); c <= 256 {
-		t.Errorf("prima sketch cost = %d, want > floor", c)
+	// The memoised selection (12 bytes per seed of the budget ceiling) is
+	// priced before it exists, so the cost a cache entry was inserted at
+	// still holds after its first Select.
+	want := 256 + sk.Col.ResidentBytes() + 12*int64(sk.MaxBudget)
+	if c := SketchCost(sk); c != want {
+		t.Errorf("prima sketch cost = %d, want %d", c, want)
+	}
+	sk.Select()
+	if c := SketchCost(sk); c != want {
+		t.Errorf("prima sketch cost after Select = %d, want %d", c, want)
+	}
+	isk := imm.BuildSketch(g, 7, imm.Options{}, stats.NewRNG(2))
+	if c, want := SketchCost(isk), 256+isk.Col.ResidentBytes()+12*7; c != want {
+		t.Errorf("imm sketch cost = %d, want %d", c, want)
+	}
+	if c := SketchCost(prima.BuildSketch(g, []int{g.N()}, prima.Options{}, stats.NewRNG(3))); c != 256 {
+		t.Errorf("degenerate sketch cost = %d, want floor (it holds no memo)", c)
 	}
 	if c := SketchCost("not a sketch"); c != 256 {
 		t.Errorf("unknown type cost = %d, want floor", c)

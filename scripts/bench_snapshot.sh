@@ -5,16 +5,26 @@
 # Runs the service-layer allocate benchmarks and writes BENCH_allocate.json
 # with a stable schema (benchmark name -> ns/op, sketchbuilds/op and
 # rrsets/op, plus the commit, date, and the sketch-growth parallelism in
-# effect), so successive CI runs are directly comparable. Then three
+# effect), so successive CI runs are directly comparable. Then four
 # guards:
 #
-#   1. Telemetry overhead: the warm allocate path with tracing and
-#      histograms on must cost < 5% over the same path with -telemetry
-#      off. Each benchmark runs COUNT times and the minimum ns/op is
-#      compared — min-of-N is the standard way to strip scheduler noise
-#      from a threshold check.
-#   2. Regression gate against the committed baseline snapshot: the warm
-#      path must not regress more than MAX_REGRESS_PCT in ns/op, and no
+#   1. Telemetry cost: the warm allocate path with tracing and
+#      histograms on must cost at most 25 µs per request more than the
+#      same path with -telemetry off. Each benchmark runs COUNT times
+#      and the minimum ns/op is compared — min-of-N is the standard way
+#      to strip scheduler noise from a threshold check. The bound is
+#      absolute because the cost is: a fixed few µs of span and
+#      histogram work per request, whatever the request itself costs —
+#      as a share of a warm path that is now a prefix read it is > 100 %.
+#   2. Warm ÷ cold, from the same snapshot: a warm allocation must cost
+#      at most 1/100 of the cold one. A warm request that re-runs the
+#      greedy selection (or anything else proportional to the sketch)
+#      sits near 1/70; the memoised path is beyond 1/1000. Both sides come
+#      from this run on this machine, so the check needs no baseline.
+#   3. The batched burst must not be slower than the unbatched one in
+#      the same snapshot: coalescing that costs more wall time than the
+#      builds it saves is a regression whatever it counts.
+#   4. Work counts against the committed baseline snapshot: no
 #      benchmark's sketchbuilds/op may grow — a build-count increase
 #      means a caching or batching seam silently broke, which wall time
 #      alone can hide. The one exception is the batched burst, whose
@@ -22,16 +32,12 @@
 #      by design): that row is gated on rrsets/op — the RR sets the burst
 #      sampled — not growing more than 10% (which request leads the burst
 #      is a scheduling accident, and the split between build and delta
-#      moves with it).
-#   3. The batched burst must not be slower than the unbatched one in
-#      the same snapshot: coalescing that costs more wall time than the
-#      builds it saves is a regression whatever it counts.
+#      moves with it). Counts, unlike ns/op, compare across machines.
 #
 # Env knobs: BENCH_TIME (default 50x), BENCH_COUNT (default 3),
 # OUT (default BENCH_allocate.json), BASELINE (default: the committed
-# OUT read before overwriting), MAX_REGRESS_PCT (default 10),
-# BENCH_GATE=off to skip the baseline comparison (e.g. when refreshing
-# the baseline on different hardware).
+# OUT read before overwriting), BENCH_GATE=off to skip the baseline
+# comparison.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +45,6 @@ BENCH_TIME="${BENCH_TIME:-50x}"
 BENCH_COUNT="${BENCH_COUNT:-3}"
 OUT="${OUT:-BENCH_allocate.json}"
 BASELINE="${BASELINE:-$OUT}"
-MAX_REGRESS_PCT="${MAX_REGRESS_PCT:-10}"
 BENCH_GATE="${BENCH_GATE:-on}"
 
 # The service defaults RR-set growth parallelism inside each sketch
@@ -109,18 +114,27 @@ extract() {
         }' "$1"
 }
 
-# --- telemetry overhead guard ------------------------------------------
+# --- telemetry cost guard -----------------------------------------------
 on="$(extract "$OUT" "BenchmarkServiceAllocate/warm" ns_per_op)"
 off="$(extract "$OUT" "BenchmarkServiceAllocate/warm-notelemetry" ns_per_op)"
-if [ -z "$on" ] || [ -z "$off" ]; then
-    echo "bench_snapshot: warm/warm-notelemetry results missing, cannot check overhead" >&2
+cold="$(extract "$OUT" "BenchmarkServiceAllocate/cold" ns_per_op)"
+if [ -z "$on" ] || [ -z "$off" ] || [ -z "$cold" ]; then
+    echo "bench_snapshot: cold/warm/warm-notelemetry results missing, cannot check the warm path" >&2
     exit 1
 fi
 awk -v on="$on" -v off="$off" 'BEGIN {
-    pct = (on - off) / off * 100
-    printf "telemetry warm-path overhead: %.2f%% (on %.0f ns/op, off %.0f ns/op)\n", pct, on, off
-    if (pct >= 5) {
-        print "FAIL: telemetry overhead >= 5% on the warm allocate path" > "/dev/stderr"
+    printf "telemetry warm-path cost: %.0f ns/request (on %.0f ns/op, off %.0f ns/op, limit 25000)\n", on - off, on, off
+    if (on - off > 25000) {
+        print "FAIL: telemetry costs more than 25 µs per request on the warm allocate path" > "/dev/stderr"
+        exit 1
+    }
+}'
+
+# --- a warm request is a prefix read, not a selection --------------------
+awk -v warm="$on" -v cold="$cold" 'BEGIN {
+    printf "warm / cold: 1/%.0f (warm %.0f ns/op, cold %.0f ns/op, limit 1/100)\n", cold / warm, warm, cold
+    if (warm * 100 > cold) {
+        print "FAIL: a warm allocation costs more than 1/100 of a cold one" > "/dev/stderr"
         exit 1
     }
 }'
@@ -141,25 +155,13 @@ awk -v b="$b_ns" -v u="$u_ns" 'BEGIN {
     }
 }'
 
-# --- regression gate vs the committed baseline -------------------------
+# --- work counts vs the committed baseline ------------------------------
 if [ "$have_baseline" != 1 ]; then
-    echo "bench_snapshot: no baseline snapshot (BENCH_GATE=$BENCH_GATE), skipping regression gate"
+    echo "bench_snapshot: no baseline snapshot (BENCH_GATE=$BENCH_GATE), skipping the work-count gate"
     exit 0
 fi
 
 fail=0
-
-base_warm="$(extract "$baseline_copy" "BenchmarkServiceAllocate/warm" ns_per_op)"
-if [ -n "$base_warm" ]; then
-    if ! awk -v now="$on" -v base="$base_warm" -v lim="$MAX_REGRESS_PCT" 'BEGIN {
-        pct = (now - base) / base * 100
-        printf "warm-path vs baseline: %+.2f%% (now %.0f ns/op, baseline %.0f ns/op, limit +%s%%)\n", pct, now, base, lim
-        exit (pct > lim + 0) ? 1 : 0
-    }'; then
-        echo "FAIL: warm allocate path regressed more than ${MAX_REGRESS_PCT}% vs $BASELINE" >&2
-        fail=1
-    fi
-fi
 
 # sketchbuilds/op must not grow for any benchmark present in both
 # snapshots, bar the batched burst.

@@ -80,30 +80,9 @@ func Read(r io.Reader, magic string, version uint32, maxPayload uint64) ([]byte,
 	if size > maxPayload {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes", ErrCorrupt, size)
 	}
-	// Grow the payload buffer as bytes actually arrive instead of
-	// trusting the declared size with one up-front allocation: frames
-	// also arrive over HTTP (graph and sketch imports), where a 20-byte
-	// request forging a multi-GiB length field must not commit gigabytes
-	// of zeroed memory before the short read is even detected. Growth is
-	// geometric (amortized O(size) copying) but capped at the declared
-	// size, so allocation stays within ~2x of the bytes actually
-	// received and an honest payload's final slice is exact — no doubled
-	// backing array outlives the read.
-	const initialPayloadCap = 512 << 10
-	payload := make([]byte, min(size, initialPayloadCap))
-	read := 0
-	for {
-		n, err := io.ReadFull(r, payload[read:])
-		read += n
-		if err != nil {
-			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrTruncated, read, size, err)
-		}
-		if uint64(len(payload)) == size {
-			break
-		}
-		grown := make([]byte, min(size, 2*uint64(len(payload))))
-		copy(grown, payload)
-		payload = grown
+	payload, err := readPayload(r, size)
+	if err != nil {
+		return nil, err
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
@@ -114,6 +93,66 @@ func Read(r io.Reader, magic string, version uint32, maxPayload uint64) ([]byte,
 		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, got, want)
 	}
 	return payload, nil
+}
+
+// readPayload reads the size-byte payload that follows a verified
+// header. When r can say how many bytes it has left — Len on in-memory
+// readers, size minus offset on a regular file — the payload is
+// allocated once, exactly, and a declared length the source cannot hold
+// is rejected before any allocation. Otherwise (HTTP bodies, buffered
+// stream readers) the buffer grows as bytes actually arrive instead of
+// trusting the declared size: a 20-byte request forging a multi-GiB
+// length must not commit gigabytes of zeroed memory before the short
+// read is even detected. Growth is geometric (amortized O(size)
+// copying) but capped at the declared size, so allocation stays within
+// ~2x of the bytes actually received and an honest payload's final
+// slice is exact — no doubled backing array outlives the read.
+func readPayload(r io.Reader, size uint64) ([]byte, error) {
+	if left, ok := unread(r); ok {
+		if size > uint64(left) {
+			return nil, fmt.Errorf("%w: payload: %d bytes declared, %d left in the source", ErrTruncated, size, left)
+		}
+		payload := make([]byte, size)
+		if n, err := io.ReadFull(r, payload); err != nil {
+			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrTruncated, n, size, err)
+		}
+		return payload, nil
+	}
+	const initialPayloadCap = 512 << 10
+	payload := make([]byte, min(size, initialPayloadCap))
+	read := 0
+	for {
+		n, err := io.ReadFull(r, payload[read:])
+		read += n
+		if err != nil {
+			return nil, fmt.Errorf("%w: payload: read %d of %d bytes: %v", ErrTruncated, read, size, err)
+		}
+		if uint64(len(payload)) == size {
+			return payload, nil
+		}
+		grown := make([]byte, min(size, 2*uint64(len(payload))))
+		copy(grown, payload)
+		payload = grown
+	}
+}
+
+// unread reports how many bytes r has left, when it can tell.
+func unread(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		info, err := r.Stat()
+		if err != nil || !info.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return info.Size() - off, true
+	}
+	return 0, false
 }
 
 // WriteFileAtomic writes a file via a temp file in the same directory

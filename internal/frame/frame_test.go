@@ -122,30 +122,42 @@ func TestReadForgedLengthDoesNotPreallocate(t *testing.T) {
 	forged := validFrame(t, []byte("short body"))
 	binary.LittleEndian.PutUint64(forged[12:20], 3<<30)
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := Read(bytes.NewReader(forged), testMagic, 3, 4<<30)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-		t.Errorf("Read allocated %d bytes for a 14-byte body declaring 3 GiB", grew)
+	for name, r := range map[string]io.Reader{
+		"sized":   bytes.NewReader(forged),
+		"unsized": struct{ io.Reader }{bytes.NewReader(forged)},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Read(r, testMagic, 3, 4<<30)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: err = %v, want ErrTruncated", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: Read allocated %d bytes for a 14-byte body declaring 3 GiB", name, grew)
+		}
 	}
 }
 
-// TestReadLargePayloadIsExact crosses the initial-capacity boundary: a
-// payload that needs two grow rounds still comes back whole, in a slice
-// with no slack.
+// TestReadLargePayloadIsExact reads a payload past the initial growth
+// capacity both ways a payload arrives: from a source that reports its
+// unread length (one exact allocation) and from one that does not (two
+// grow rounds). Either way it comes back whole, in a slice with no slack.
 func TestReadLargePayloadIsExact(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xa5}, 1<<20+123)
-	got, err := Read(bytes.NewReader(validFrame(t, payload)), testMagic, 3, 4<<30)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip of %d bytes: %d bytes back, err %v", len(payload), len(got), err)
-	}
-	if cap(got) != len(got) {
-		t.Errorf("payload slice has cap %d for len %d", cap(got), len(got))
+	framed := validFrame(t, payload)
+	for name, r := range map[string]io.Reader{
+		"sized":   bytes.NewReader(framed),
+		"unsized": struct{ io.Reader }{bytes.NewReader(framed)},
+	} {
+		got, err := Read(r, testMagic, 3, 4<<30)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: round trip of %d bytes: %d bytes back, err %v", name, len(payload), len(got), err)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: payload slice has cap %d for len %d", name, cap(got), len(got))
+		}
 	}
 }
 

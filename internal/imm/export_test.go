@@ -1,6 +1,9 @@
 package imm
 
-// PrefixCoverage exposes the memoised coverage-at-prefix vector to the
-// external test package (which needs internal/store, an importer of this
-// package, for the round-trip case).
-func (s *Sketch) PrefixCoverage() []int64 { return s.memo.Get(s.Col, s.K).Covered }
+import "uicwelfare/internal/rrset"
+
+// MemoFilled reports whether the sketch's selection memo already holds
+// an answer, without computing one: it offers the memo an empty
+// selection, which a filled memo refuses. An empty memo takes the offer,
+// so a sketch that reports false is spent for further checks.
+func (s *Sketch) MemoFilled() bool { return !s.memo.Adopt(rrset.Selection{}) }

@@ -26,7 +26,7 @@ func checkMemo(t *testing.T, when string, sk *prima.Sketch) {
 			t.Fatalf("%s: Select #%d = %v (%.4f), NodeSelection(%d) = %v (%.4f)", when, round+1, res.Seeds, res.Coverage, sk.MaxBudget, want, frac)
 		}
 	}
-	cov := sk.PrefixCoverage()
+	cov := sk.Selection().Covered
 	if len(cov) != len(want) {
 		t.Fatalf("%s: %d coverage counts for %d seeds", when, len(cov), len(want))
 	}
@@ -37,9 +37,21 @@ func checkMemo(t *testing.T, when string, sk *prima.Sketch) {
 	}
 }
 
+// checkAdopted holds a freshly decoded sketch to its persisted memo:
+// the memo is already filled before any Select — the first Select reads
+// the adopted selection instead of running the greedy — and the answer
+// is the uncached reference's.
+func checkAdopted(t *testing.T, when string, sk *prima.Sketch) {
+	t.Helper()
+	if !sk.MemoFilled() {
+		t.Fatalf("%s: decoded sketch has no selection before its first Select: the greedy would run", when)
+	}
+	checkMemo(t, when, sk)
+}
+
 // TestSelectMemoMatchesUncachedReference walks a sketch through every way
 // the system derives one — built, parallel-grown, extended with and
-// without growth, cloned, round-tripped through the store codec — and
+// without growth, cloned, round-tripped through the .wms and WMSSTRM codecs — and
 // checks each stage's memoised selection; bases are selected before they
 // are derived from, so a stale memo carried along would show.
 func TestSelectMemoMatchesUncachedReference(t *testing.T) {
@@ -100,9 +112,20 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMemo(t, "store round trip", decoded.(*prima.Sketch))
+	checkAdopted(t, "store round trip", decoded.(*prima.Sketch))
 	if got, want := decoded.(*prima.Sketch).Select().Seeds, grown.Select().Seeds; !slices.Equal(got, want) {
 		t.Fatalf("round-tripped sketch selects %v, original %v", got, want)
+	}
+
+	var stream bytes.Buffer
+	if err := store.WriteSketchStreamEntry(&stream, "key", grown); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ReadSketchStream(&stream, g, func(_ string, sk any) error {
+		checkAdopted(t, "stream round trip", sk.(*prima.Sketch))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

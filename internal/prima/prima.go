@@ -9,6 +9,7 @@ package prima
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -87,9 +88,10 @@ type Sketch struct {
 	// allNodesN, when positive, marks the degenerate instance whose
 	// selection is every one of the n nodes in id order.
 	allNodesN int
-	// memo is Col's budget-MaxBudget selection, filled by the first
-	// Select — not at build, extend or restore, so a sketch that is
-	// spilled or shipped without being asked never pays for it.
+	// memo is Col's budget-MaxBudget selection: filled by the first Select or
+	// Selection (the store encoder asks, so a spill persists it), or
+	// adopted from a persisted sketch (AdoptSelection); never at build or
+	// extend.
 	memo rrset.SelectionMemo
 }
 
@@ -280,9 +282,38 @@ func (s *Sketch) State() (col *rrset.Collection, maxBudget, phase1, allNodesN in
 // RestoreSketch reassembles a sketch from the fields State returned. A
 // restored sketch is indistinguishable from the freshly built one: Select
 // on it yields the identical ordering (NodeSelection is deterministic
-// given the collection), recomputed on its first Select.
+// given the collection), recomputed on its first Select unless a
+// persisted selection is adopted first (AdoptSelection).
 func RestoreSketch(col *rrset.Collection, maxBudget, phase1, allNodesN int) *Sketch {
 	return &Sketch{Col: col, MaxBudget: maxBudget, Phase1: phase1, allNodesN: allNodesN}
+}
+
+// Selection returns the sketch's memoised greedy selection, running the
+// greedy first if nothing has filled the memo yet — the persistence
+// seam's view of it (the store codec writes it beside the collection).
+// Degenerate sketches have none and return the zero Selection.
+func (s *Sketch) Selection() rrset.Selection {
+	if s.Col == nil || s.allNodesN > 0 {
+		return rrset.Selection{}
+	}
+	return s.memo.Get(s.Col, s.MaxBudget)
+}
+
+// AdoptSelection installs a persisted selection as the sketch's memo
+// once it passes Col.CheckSelection for the sketch's budget, so the
+// restored sketch's first Select is a read instead of a greedy run.
+// Degenerate sketches have nothing to adopt. A memo already filled keeps
+// its answer — the same one, since the greedy is deterministic given the
+// collection.
+func (s *Sketch) AdoptSelection(sel rrset.Selection) error {
+	if s.Col == nil || s.allNodesN > 0 {
+		return fmt.Errorf("prima: a degenerate sketch has no selection to adopt")
+	}
+	if err := s.Col.CheckSelection(sel, s.MaxBudget); err != nil {
+		return err
+	}
+	s.memo.Adopt(sel)
+	return nil
 }
 
 // Select returns the sketch's greedy ordering as a PRIMA result: the

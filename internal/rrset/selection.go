@@ -1,6 +1,8 @@
 package rrset
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"uicwelfare/internal/graph"
@@ -51,11 +53,12 @@ func (s Selection) Replay(report func(prefix []graph.NodeID)) {
 }
 
 // SelectionMemo holds the one selection of an immutable collection: the
-// first Get runs the greedy, concurrent first callers wait for it rather
-// than repeating it, and every later Get is a read. The zero value is
-// ready to use; a memo must not be copied after first use, and every Get
-// on one memo must name the same collection and budget (the sketch types
-// embed one memo beside the Col and budget it is for).
+// first Get runs the greedy (unless Adopt filled it first), concurrent
+// first callers wait for it rather than repeating it, and every later
+// Get is a read. The zero value is ready to use; a memo must not be
+// copied after first use, and every Get on one memo must name the same
+// collection and budget (the sketch types embed one memo beside the Col
+// and budget it is for).
 type SelectionMemo struct {
 	once sync.Once
 	sel  Selection
@@ -65,6 +68,16 @@ type SelectionMemo struct {
 func (m *SelectionMemo) Get(c *Collection, k int) Selection {
 	m.once.Do(func() { m.sel = c.Select(k) })
 	return m.sel
+}
+
+// Adopt fills an empty memo with a selection computed elsewhere — a
+// persisted one the caller has already checked (CheckSelection) — so
+// the first Get is a read. It loses to a memo already filled, by Get or
+// an earlier Adopt, and reports whether it took.
+func (m *SelectionMemo) Adopt(sel Selection) bool {
+	adopted := false
+	m.once.Do(func() { m.sel, adopted = sel, true })
+	return adopted
 }
 
 // MemoBytes is what a filled SelectionMemo for budget k holds resident:
@@ -89,4 +102,45 @@ func (c *Collection) PrefixCoverage(order []graph.NodeID) []int64 {
 		out[i] = total
 	}
 	return out
+}
+
+// CheckSelection reports whether sel is what Select(k) on c could have
+// produced: min(k, n) distinct in-range seeds, a covered-count vector
+// equal to PrefixCoverage of the order, and the exact-greedy shape of
+// max-coverage — the first marginal gain is the maximum node degree and
+// no later gain exceeds an earlier one. It is the gate a persisted
+// selection passes before a sketch adopts it in place of running the
+// greedy; all of it costs one walk of the seeds' index lists.
+func (c *Collection) CheckSelection(sel Selection, k int) error {
+	n := c.N()
+	if want := min(k, n); len(sel.Order) != want || len(sel.Covered) != want {
+		return fmt.Errorf("rrset: selection of %d seeds (%d counts) for budget %d over %d nodes",
+			len(sel.Order), len(sel.Covered), k, n)
+	}
+	if sel.Sets != c.Len() {
+		return fmt.Errorf("rrset: selection counts out of %d sets, collection holds %d", sel.Sets, c.Len())
+	}
+	seen := make([]bool, n)
+	for i, v := range sel.Order {
+		if v < 0 || int(v) >= n || seen[v] {
+			return fmt.Errorf("rrset: seed %d (%d) repeated or out of range [0, %d)", i, v, n)
+		}
+		seen[v] = true
+	}
+	if !slices.Equal(c.PrefixCoverage(sel.Order), sel.Covered) {
+		return fmt.Errorf("rrset: covered counts disagree with the order's prefix coverage")
+	}
+	var maxDeg int64
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, c.coverIdx[v+1]-c.coverIdx[v])
+	}
+	prevGain, prevCovered := maxDeg, int64(0)
+	for i, covered := range sel.Covered {
+		gain := covered - prevCovered
+		if (i == 0 && gain != maxDeg) || gain > prevGain {
+			return fmt.Errorf("rrset: seed %d gains %d sets after a gain of %d: not a greedy order", i, gain, prevGain)
+		}
+		prevGain, prevCovered = gain, covered
+	}
+	return nil
 }

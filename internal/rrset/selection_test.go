@@ -110,3 +110,44 @@ func TestSelectionMemoConcurrentFirstGet(t *testing.T) {
 		t.Fatalf("MemoBytes(40) = %d, the memo holds %d ids and %d counts", MemoBytes(40), len(got[0].Order), len(got[0].Covered))
 	}
 }
+
+// TestCheckSelection: every selection Select produces passes, and each
+// way a persisted one can be wrong — length, a repeated or out-of-range
+// seed, a covered count off by one, a non-greedy order, a foreign set
+// count — is rejected.
+func TestCheckSelection(t *testing.T) {
+	c := NewCollection(growTestGraph())
+	c.Grow(3000, stats.NewRNG(7))
+	for _, k := range []int{0, 1, 12, c.N() + 3} {
+		if err := c.CheckSelection(c.Select(k), k); err != nil {
+			t.Fatalf("k=%d: Select's own answer rejected: %v", k, err)
+		}
+	}
+	good := c.Select(12)
+	tamper := func(f func(s *Selection)) Selection {
+		s := Selection{Order: slices.Clone(good.Order), Covered: slices.Clone(good.Covered), Sets: good.Sets}
+		f(&s)
+		return s
+	}
+	for name, bad := range map[string]Selection{
+		"short":            tamper(func(s *Selection) { s.Order, s.Covered = s.Order[:11], s.Covered[:11] }),
+		"repeated seed":    tamper(func(s *Selection) { s.Order[5] = s.Order[4] }),
+		"out-of-range":     tamper(func(s *Selection) { s.Order[3] = graph.NodeID(c.N()) }),
+		"negative seed":    tamper(func(s *Selection) { s.Order[0] = -1 }),
+		"covered off":      tamper(func(s *Selection) { s.Covered[7]++ }),
+		"swapped order":    tamper(func(s *Selection) { s.Order[0], s.Order[1] = s.Order[1], s.Order[0] }),
+		"foreign set size": tamper(func(s *Selection) { s.Sets++ }),
+	} {
+		if err := c.CheckSelection(bad, 12); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	var memo SelectionMemo
+	if !memo.Adopt(good) || memo.Adopt(Selection{}) {
+		t.Fatal("Adopt must take an empty memo and lose to a filled one")
+	}
+	if got := memo.Get(c, 12); &got.Order[0] != &good.Order[0] {
+		t.Fatal("Get after Adopt ran the greedy instead of reading the adopted selection")
+	}
+}

@@ -1,13 +1,19 @@
 package service_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"uicwelfare/internal/frame"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/service"
+	"uicwelfare/internal/store"
 	"uicwelfare/internal/telemetry"
 )
 
@@ -269,5 +275,136 @@ func TestBinaryGraphPathLoading(t *testing.T) {
 	e.doJSON("POST", "/v1/graphs", service.GraphRequest{Path: matches[0]}, &fromFile, http.StatusOK)
 	if fromFile.ID != inline.ID {
 		t.Errorf("binary path load produced id %q, inline produced %q — content address must match", fromFile.ID, inline.ID)
+	}
+}
+
+// encodeV1SketchPayload spells a PRIMA sketch the way format version 1
+// did — scalars, then the collection as varint set sizes and varint
+// members, no selection — so the upgrade test can lay down what an
+// older daemon left in its data dir.
+func encodeV1SketchPayload(t *testing.T, prefix []byte, sketch any) []byte {
+	t.Helper()
+	sk, ok := sketch.(*prima.Sketch)
+	if !ok || sk.Col == nil {
+		t.Fatalf("want a PRIMA sketch with a collection, got %T", sketch)
+	}
+	col, maxBudget, phase1, allNodesN := sk.State()
+	out := append([]byte(nil), prefix...)
+	for _, x := range []int{1, maxBudget, phase1, allNodesN, 1, col.Len()} { // family, scalars, presence, sets
+		out = binary.AppendUvarint(out, uint64(x))
+	}
+	offsets := col.Offsets()
+	for i := 0; i < col.Len(); i++ {
+		out = binary.AppendUvarint(out, uint64(offsets[i+1]-offsets[i]))
+	}
+	for _, v := range col.Members() {
+		out = binary.AppendUvarint(out, uint64(v))
+	}
+	return out
+}
+
+// TestUpgradeFromV1SketchSpills boots a daemon over a data dir written
+// by a version-1 build — .wmg graphs plus v1 .wms spills. The graphs
+// load; each v1 spill is a miss (not a load error) that is removed,
+// rebuilt and re-spilled at the current sketch version, which the next
+// lifetime serves from disk; and a v1 sketch-stream import is refused
+// with a 400, not a 500.
+func TestUpgradeFromV1SketchSpills(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newEnv(t, service.Options{DataDir: dir})
+	id := e1.registerGraph(t)
+	req := service.AllocateRequest{GraphID: id, Budgets: []int{5, 3}, Seed: 4}
+	var job allocJobView
+	e1.waitJob(t, e1.submit(t, "/v1/allocate", req), &job)
+	if job.State != service.JobDone {
+		t.Fatalf("allocate failed: %s", job.Error)
+	}
+	e1.srv.Close()
+	e1.svc.Close()
+
+	// Rewrite every spill as version 1.
+	disk, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := disk.LoadGraphs()
+	if len(graphs) != 1 || graphs[0].ID != id {
+		t.Fatalf("data dir graphs = %+v", graphs)
+	}
+	g := graphs[0].Graph
+	spills, err := filepath.Glob(filepath.Join(dir, "sketches", "*"+store.SketchExt))
+	if err != nil || len(spills) != 1 {
+		t.Fatalf("spills = %v (%v), want 1", spills, err)
+	}
+	var v1Sketch any
+	for _, path := range spills {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1Sketch, err = store.DecodeSketch(f, g)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v1 bytes.Buffer
+		if err := frame.Write(&v1, store.SketchMagic, 1, encodeV1SketchPayload(t, nil, v1Sketch)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e2 := newEnv(t, service.Options{DataDir: dir})
+	var info service.GraphInfo
+	e2.doJSON("GET", "/v1/graphs/"+id, nil, &info, http.StatusOK)
+	var job2 allocJobView
+	e2.waitJob(t, e2.submit(t, "/v1/allocate", req), &job2)
+	if job2.State != service.JobDone || job2.Result.SketchCached {
+		t.Fatalf("allocate over a v1 spill: state %s, cached %v (%s), want a rebuild", job2.State, job2.Result != nil && job2.Result.SketchCached, job2.Error)
+	}
+	var st service.StatsResponse
+	e2.doJSON("GET", "/v1/stats", nil, &st, http.StatusOK)
+	if d := st.DiskTier; d == nil || d.Hits != 0 || d.LoadErrors != 0 || d.Spills != 1 {
+		t.Errorf("disk tier = %+v, want no hit, no load error, one fresh spill", st.DiskTier)
+	}
+	for _, path := range spills {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("v1 spill not replaced: %v", err)
+		}
+		if v := binary.LittleEndian.Uint32(raw[8:12]); v != store.SketchVersion {
+			t.Errorf("%s re-spilled at version %d, want %d", filepath.Base(path), v, store.SketchVersion)
+		}
+	}
+	e2.srv.Close()
+	e2.svc.Close()
+
+	// The re-spilled sketch is what the next lifetime serves.
+	e3 := newEnv(t, service.Options{DataDir: dir})
+	var job3 allocJobView
+	e3.waitJob(t, e3.submit(t, "/v1/allocate", req), &job3)
+	if job3.State != service.JobDone || !job3.Result.SketchCached {
+		t.Fatalf("allocate after the upgrade: state %s (%s), want a disk hit", job3.State, job3.Error)
+	}
+	if !slices.EqualFunc(job3.Result.Allocation.Seeds, job.Result.Allocation.Seeds, slices.Equal[[]int64]) {
+		t.Errorf("allocation changed across the upgrade: %v vs %v", job3.Result.Allocation.Seeds, job.Result.Allocation.Seeds)
+	}
+
+	// A v1 sketch-stream entry is refused as a bad request.
+	e4 := newEnv(t, service.Options{NodeID: "b9"})
+	if id4 := e4.registerGraph(t); id4 != id {
+		t.Fatalf("same network registered as %s, want %s", id4, id)
+	}
+	key := []byte(id + "|v1-entry")
+	var stream bytes.Buffer
+	entry := encodeV1SketchPayload(t, append(binary.AppendUvarint(nil, uint64(len(key))), key...), v1Sketch)
+	if err := frame.Write(&stream, store.SketchStreamMagic, 1, entry); err != nil {
+		t.Fatal(err)
+	}
+	status, raw := e4.do("POST", "/v1/graphs/"+id+"/sketches", stream.Bytes())
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "version") {
+		t.Errorf("v1 sketch-stream import: status %d, body %s; want 400 naming the version", status, raw)
 	}
 }

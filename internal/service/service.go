@@ -18,6 +18,7 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/telemetry"
@@ -886,6 +887,15 @@ func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g 
 			}
 			sk, err := build(ctx)
 			if err == nil && s.disk != nil {
+				// The spill persists the sketch's greedy selection: run
+				// it first, under its own span, so sketch_spill times
+				// only the encode and write, and every Select after it is
+				// a prefix read.
+				if sel, ok := sk.(interface{ Selection() rrset.Selection }); ok {
+					endSel := telemetry.StartSpan(ctx, "greedy_select")
+					sel.Selection()
+					endSel()
+				}
 				endSpill := telemetry.StartSpan(ctx, "sketch_spill")
 				_ = s.disk.SaveSketch(graphID, key, sk) // best-effort; failure only costs warmth
 				endSpill()

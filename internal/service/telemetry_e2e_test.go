@@ -105,6 +105,58 @@ func TestTraceIDEndToEnd(t *testing.T) {
 	}
 }
 
+// TestColdSpillAttribution: with a data dir, a cold build's spill
+// persists the sketch's greedy selection, and that selection must be
+// timed as greedy_select, not hidden inside sketch_spill. Between the
+// build's last growth span and the spill there is exactly one
+// greedy_select span (the selection itself), no greedy_select span runs
+// inside the spill, and the request's own selection comes after it.
+// (The adaptive phase's selections, interleaved with growth, are the
+// build's.)
+func TestColdSpillAttribution(t *testing.T) {
+	e := newEnv(t, service.Options{Workers: 2, DataDir: t.TempDir(), TraceSampleAll: true})
+	id := e.registerGraph(t)
+	const traceID = "trace-cold-spill"
+	tracedAllocate(t, e, id, traceID)
+
+	var tree service.TraceTreeResponse
+	e.doJSON("GET", "/v1/traces/"+traceID, nil, &tree, http.StatusOK)
+	end := func(sp service.TraceSpan) int64 { return sp.StartUnixNS + int64(sp.DurationMS*1e6) }
+	const slackNS = 1000 // float rounding of span durations
+	var buildEnd int64
+	var spills, greedy []service.TraceSpan
+	for _, sp := range tree.Spans {
+		switch sp.Stage {
+		case "rrset_grow", "rrset_grow_parallel":
+			buildEnd = max(buildEnd, end(sp))
+		case "sketch_spill":
+			spills = append(spills, sp)
+		case "greedy_select":
+			greedy = append(greedy, sp)
+		}
+	}
+	if buildEnd == 0 || len(spills) != 1 {
+		t.Fatalf("want a build and one sketch_spill, got build end %d and %d spills: %+v", buildEnd, len(spills), tree.Spans)
+	}
+	spill := spills[0]
+	var beforeSpill, afterSpill int
+	for _, sp := range greedy {
+		switch {
+		case end(sp) <= buildEnd+slackNS:
+			// adaptive-phase selection inside the build
+		case end(sp) <= spill.StartUnixNS+slackNS:
+			beforeSpill++
+		case sp.StartUnixNS+slackNS >= end(spill):
+			afterSpill++
+		default:
+			t.Errorf("greedy_select span %+v overlaps sketch_spill %+v", sp.Span, spill.Span)
+		}
+	}
+	if beforeSpill != 1 || afterSpill < 1 {
+		t.Errorf("greedy_select spans: %d between build and spill (want 1), %d after the spill (want >= 1)", beforeSpill, afterSpill)
+	}
+}
+
 // TestMetricsUnderConcurrentAllocates hammers GET /v1/metrics while
 // allocate jobs run — the race detector owns the interesting assertion —
 // then checks the exposition contains the expected route, job, and

@@ -36,8 +36,16 @@ const (
 	GraphMagic = "WMGRAPH\x00"
 	// SketchMagic opens a .wms sketch file.
 	SketchMagic = "WMSKTCH\x00"
-	// Version is the current format version of both codecs.
+	// Version is the current format version of the graph (.wmg) and
+	// sweep-result (.wsr) codecs.
 	Version = 1
+	// SketchVersion is the current format version of the sketch codecs
+	// (.wms files and WMSSTRM stream entries). It moves on its own so a
+	// sketch layout change never strands the persisted graphs: version 2
+	// stores the collection as raw 32-bit words and persists the greedy
+	// selection. An older spill reads as ErrBadVersion — a miss that the
+	// rebuild's spill replaces.
+	SketchVersion = 2
 
 	// maxPayload bounds a frame's declared payload so a corrupt length
 	// field cannot trigger an absurd allocation before the checksum ever
@@ -62,19 +70,14 @@ var (
 	ErrCorrupt = frame.ErrCorrupt
 )
 
-// writeFrame writes one payload framed at this package's Version.
-func writeFrame(w io.Writer, magic string, payload []byte) error {
-	return frame.Write(w, magic, Version, payload)
-}
-
-// readFrame reads and verifies one payload framed at this package's
-// Version, bounded by maxPayload.
-func readFrame(r io.Reader, magic string) ([]byte, error) {
-	return frame.Read(r, magic, Version, maxPayload)
+// readFrame reads and verifies one payload framed at the given format
+// version, bounded by maxPayload.
+func readFrame(r io.Reader, magic string, version uint32) ([]byte, error) {
+	return frame.Read(r, magic, version, maxPayload)
 }
 
 // payloadWriter packs a frame body: varints for counts and ids, fixed
-// 32/64-bit words for floats.
+// 32/64-bit words for floats and for the sketch codec's bulk arrays.
 type payloadWriter struct {
 	buf bytes.Buffer
 	tmp [binary.MaxVarintLen64]byte
@@ -107,9 +110,13 @@ type payloadReader struct {
 	rest []byte
 }
 
+// uvarint reads one varint in its minimal encoding only: a padded
+// encoding (a final 0x00 byte after continuation bytes) is a second
+// spelling of the same value, and every accepted payload must re-encode
+// to its own bytes.
 func (p *payloadReader) uvarint() (uint64, error) {
 	x, n := binary.Uvarint(p.rest)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && p.rest[n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
 	}
 	p.rest = p.rest[n:]
@@ -128,6 +135,18 @@ func (p *payloadReader) count() (int, error) {
 		return 0, fmt.Errorf("%w: count %d exceeds remaining %d bytes", ErrCorrupt, x, len(p.rest))
 	}
 	return int(x), nil
+}
+
+// words returns the next n fixed-width words as raw bytes, rejecting a
+// count the remaining body cannot hold before anyone sizes an
+// allocation by it.
+func (p *payloadReader) words(n uint64, width int) ([]byte, error) {
+	if n > uint64(len(p.rest)/width) {
+		return nil, fmt.Errorf("%w: %d words of %d bytes exceed remaining %d bytes", ErrCorrupt, n, width, len(p.rest))
+	}
+	b := p.rest[:int(n)*width]
+	p.rest = p.rest[len(b):]
+	return b, nil
 }
 
 func (p *payloadReader) float32() (float32, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
@@ -96,6 +97,49 @@ func FuzzDecodeSketch(f *testing.F) {
 		var re bytes.Buffer
 		if err := store.EncodeSketch(&re, sk); err != nil {
 			t.Fatalf("re-encode of accepted sketch failed: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeSketchPayload fuzzes the sketch payload decoder behind a
+// valid frame: each input is framed at SketchVersion with a correct CRC,
+// so mutations reach the structure instead of dying at the checksum.
+// Every rejection must be a typed codec error, and every accepted
+// payload must re-encode to exactly its own bytes.
+func FuzzDecodeSketchPayload(f *testing.F) {
+	g := fuzzGraph()
+	for _, sk := range []any{
+		prima.BuildSketch(g, []int{3, 2}, prima.Options{}, stats.NewRNG(1)),
+		imm.BuildSketch(g, 3, imm.Options{}, stats.NewRNG(2)),
+		imm.BuildSketch(g, g.N(), imm.Options{}, stats.NewRNG(3)), // degenerate: no collection
+	} {
+		var buf bytes.Buffer
+		if err := store.EncodeSketch(&buf, sk); err != nil {
+			f.Fatal(err)
+		}
+		payload := buf.Bytes()[20 : buf.Len()-4]
+		for _, seed := range mutations(payload) {
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var framed bytes.Buffer
+		if err := frame.Write(&framed, store.SketchMagic, store.SketchVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		sk, err := store.DecodeSketch(&framed, g)
+		if err != nil {
+			if !typedCodecError(err) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		var re bytes.Buffer
+		if err := store.EncodeSketch(&re, sk); err != nil {
+			t.Fatalf("re-encode of accepted sketch failed: %v", err)
+		}
+		if got := re.Bytes()[20 : re.Len()-4]; !bytes.Equal(got, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, got)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
 )
 
@@ -34,7 +35,7 @@ func EncodeGraph(w io.Writer, name string, g *graph.Graph) error {
 			p.float32(outProb[j])
 		}
 	}
-	return writeFrame(w, GraphMagic, p.buf.Bytes())
+	return frame.Write(w, GraphMagic, Version, p.buf.Bytes())
 }
 
 // DecodeGraph reads one .wmg frame and reconstructs the graph through
@@ -42,7 +43,7 @@ func EncodeGraph(w io.Writer, name string, g *graph.Graph) error {
 // in-adjacency — so DecodeGraph(EncodeGraph(g)) is structurally equal to
 // g, and a corrupt file yields a typed error, never a broken graph.
 func DecodeGraph(r io.Reader) (name string, g *graph.Graph, err error) {
-	payload, err := readFrame(r, GraphMagic)
+	payload, err := readFrame(r, GraphMagic, Version)
 	if err != nil {
 		return "", nil, err
 	}

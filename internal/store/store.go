@@ -2,6 +2,7 @@ package store
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -81,8 +82,10 @@ type Stats struct {
 	Spills      int64 `json:"spills"`
 	SpillErrors int64 `json:"spill_errors"`
 	// LoadErrors counts unreadable artifacts (truncated, bad checksum,
-	// wrong version); each also removes the offending file so the next
-	// rebuild overwrites it.
+	// an inconsistent payload, a graph of another format version); a
+	// sketch spill also has its file removed so the next rebuild
+	// overwrites it. A sketch spill of another format version is removed
+	// as a plain miss and not counted: it is what an upgrade leaves.
 	LoadErrors int64 `json:"load_errors"`
 	// Evictions counts spilled sketches deleted to honor the byte budget.
 	Evictions int64 `json:"evictions"`
@@ -210,33 +213,60 @@ func (s *Store) SaveSketch(graphID, key string, sketch any) error {
 // LoadSketch returns the spilled sketch for a cache key, or nil on a
 // miss. An unreadable file counts as a load error, is removed so the
 // rebuild's spill replaces it, and reads as a miss — the caller falls
-// back to building from scratch. A positive maxAge additionally rejects
-// (and removes) spills older than it: with a cache TTL configured, a
-// spill left behind by cost eviction or a restart must not resurrect a
-// sketch older than the TTL promises.
+// back to building from scratch. A spill of another sketch format
+// version (one left by an older build) is removed and read as a miss
+// too, but is not a load error: it is the expected one-time cost of an
+// upgrade, not broken persistence. A positive maxAge additionally
+// rejects (and removes) spills older than it: with a cache TTL
+// configured, a spill left behind by cost eviction or a restart must
+// not resurrect a sketch older than the TTL promises. The file is
+// opened and stat'ed once; the age check and the exact-size payload
+// read share that stat.
 func (s *Store) LoadSketch(graphID, key string, g *graph.Graph, maxAge time.Duration) any {
 	path := s.sketchPath(graphID, key)
-	if maxAge > 0 {
-		if info, err := os.Stat(path); err == nil && time.Since(info.ModTime()) > maxAge {
-			os.Remove(path)
-			s.expired.Add(1)
-			return nil
-		}
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil
 	}
-	sketch, err := DecodeSketch(f, g)
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil
+	}
+	if maxAge > 0 && time.Since(info.ModTime()) > maxAge {
+		f.Close()
+		os.Remove(path)
+		s.expired.Add(1)
+		return nil
+	}
+	sketch, err := DecodeSketch(&statReader{f: f, left: info.Size()}, g)
 	f.Close()
 	if err != nil {
-		s.loadErrors.Add(1)
+		if !errors.Is(err, ErrBadVersion) {
+			s.loadErrors.Add(1)
+		}
 		os.Remove(path)
 		return nil
 	}
 	s.diskHits.Add(1)
 	return sketch
 }
+
+// statReader reads an open file whose length its opener has already
+// stat'ed: Len lets frame.Read size the payload exactly without a
+// second Stat.
+type statReader struct {
+	f    *os.File
+	left int64
+}
+
+func (r *statReader) Read(p []byte) (int, error) {
+	n, err := r.f.Read(p)
+	r.left -= int64(n)
+	return n, err
+}
+
+func (r *statReader) Len() int { return int(r.left) }
 
 // DeleteSketch removes one spilled sketch. The cache's TTL expiry uses
 // it: an expired in-memory entry must invalidate the disk copy too, or

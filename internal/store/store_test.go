@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
@@ -290,25 +291,181 @@ func TestStoreGraphLifecycle(t *testing.T) {
 }
 
 // TestDecodeSketchForgedSizeOverflow crafts a .wms with a valid CRC
-// whose set size is near 2^64: the decoder must answer ErrCorrupt, not
-// wrap the offset accumulator negative and panic in make().
+// whose set and member counts are near 2^64: the decoder must answer
+// ErrCorrupt before sizing any allocation by them, not wrap a byte
+// count and panic in make().
 func TestDecodeSketchForgedSizeOverflow(t *testing.T) {
 	g := graph.FromEdges(3, [][3]float64{{0, 1, 0.5}})
+	for _, counts := range [][2]uint64{{1<<63 + 42, 1}, {1, 1<<63 + 42}, {1<<62 + 1, 0}} {
+		var p payloadWriter
+		p.uvarint(familyIMM) // family
+		p.uvarint(1)         // k
+		p.uvarint(0)         // phase1
+		p.float64(1)         // lb
+		p.uvarint(0)         // allNodesN
+		p.uvarint(1)         // collection present
+		p.uvarint(0)         // empty selection
+		p.uvarint(counts[0]) // forged set count
+		p.uvarint(counts[1]) // forged member count
+		p.buf.Write(make([]byte, 16))
+		var buf bytes.Buffer
+		if err := frame.Write(&buf, SketchMagic, SketchVersion, p.buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSketch(&buf, g); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("forged counts %v: err = %v, want ErrCorrupt", counts, err)
+		}
+	}
+}
+
+// forgedSketch is a PRIMA .wms payload spelled out field by field, so a
+// test can break one field and re-frame it with a valid CRC.
+type forgedSketch struct {
+	maxBudget, phase1 uint64
+	order             []uint32
+	covered           []uint64
+	numSets, total    uint64
+	sizes, members    []uint32
+	trailing          []byte
+}
+
+func forgeFrom(sk *prima.Sketch) forgedSketch {
+	sel := sk.Selection()
+	f := forgedSketch{
+		maxBudget: uint64(sk.MaxBudget),
+		phase1:    uint64(sk.Phase1),
+		numSets:   uint64(sk.Col.Len()),
+		total:     uint64(len(sk.Col.Members())),
+	}
+	for i, v := range sel.Order {
+		f.order = append(f.order, uint32(v))
+		f.covered = append(f.covered, uint64(sel.Covered[i]))
+	}
+	offsets := sk.Col.Offsets()
+	for i := 0; i < sk.Col.Len(); i++ {
+		f.sizes = append(f.sizes, uint32(offsets[i+1]-offsets[i]))
+	}
+	for _, v := range sk.Col.Members() {
+		f.members = append(f.members, uint32(v))
+	}
+	return f
+}
+
+// clone deep-copies f so a case can mutate its slices freely.
+func (f forgedSketch) clone() forgedSketch {
+	f.order = append([]uint32(nil), f.order...)
+	f.covered = append([]uint64(nil), f.covered...)
+	f.sizes = append([]uint32(nil), f.sizes...)
+	f.members = append([]uint32(nil), f.members...)
+	return f
+}
+
+func (f forgedSketch) frame(t *testing.T) []byte {
+	t.Helper()
 	var p payloadWriter
-	p.uvarint(familyIMM)  // family
-	p.uvarint(1)          // k
-	p.uvarint(0)          // phase1
-	p.float64(1)          // lb
-	p.uvarint(0)          // allNodesN
-	p.uvarint(1)          // collection present
-	p.uvarint(1)          // one set
-	p.uvarint(1<<63 + 42) // forged huge size
+	p.uvarint(familyPrima)
+	p.uvarint(f.maxBudget)
+	p.uvarint(f.phase1)
+	p.uvarint(0) // allNodesN
+	p.uvarint(1) // collection present
+	p.uvarint(uint64(len(f.order)))
+	for _, v := range f.order {
+		p.buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+	}
+	for _, c := range f.covered {
+		p.buf.Write(binary.LittleEndian.AppendUint64(nil, c))
+	}
+	p.uvarint(f.numSets)
+	p.uvarint(f.total)
+	for _, v := range f.sizes {
+		p.buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+	}
+	for _, v := range f.members {
+		p.buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+	}
+	p.buf.Write(f.trailing)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, SketchMagic, p.buf.Bytes()); err != nil {
+	if err := frame.Write(&buf, SketchMagic, SketchVersion, p.buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSketch(&buf, g); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("forged size: err = %v, want ErrCorrupt", err)
+	return buf.Bytes()
+}
+
+// TestDecodeSketchForgedPayloads feeds the decoder hand-built v2
+// payloads under a valid CRC, each wrong in exactly one way: every one
+// must be ErrCorrupt, never a panic and never an adopted selection.
+func TestDecodeSketchForgedPayloads(t *testing.T) {
+	g := testGraph(t)
+	sk := prima.BuildSketch(g, []int{8, 3}, prima.Options{}, stats.NewRNG(1))
+	base := forgeFrom(sk)
+	var want bytes.Buffer
+	if err := EncodeSketch(&want, sk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(base.frame(t), want.Bytes()) {
+		t.Fatal("the forging helper does not spell the encoder's layout")
+	}
+	if _, err := DecodeSketch(bytes.NewReader(base.frame(t)), g); err != nil {
+		t.Fatalf("unmodified forge rejected: %v", err)
+	}
+
+	// A greedy-looking order whose gains rise: the top seed, then the
+	// least-covering node outside the order, then the rest of the greedy
+	// prefix — with a covered vector that honestly counts it.
+	rising := base.clone()
+	inOrder := map[uint32]bool{}
+	for _, v := range base.order {
+		inOrder[v] = true
+	}
+	low := -1
+	for v := 0; v < g.N(); v++ {
+		if !inOrder[uint32(v)] && (low < 0 || len(sk.Col.Covering(graph.NodeID(v))) < len(sk.Col.Covering(graph.NodeID(low)))) {
+			low = v
+		}
+	}
+	rising.order = append([]uint32{base.order[0], uint32(low)}, base.order[1:len(base.order)-1]...)
+	ids := make([]graph.NodeID, len(rising.order))
+	for i, v := range rising.order {
+		ids[i] = graph.NodeID(v)
+	}
+	for i, c := range sk.Col.PrefixCoverage(ids) {
+		rising.covered[i] = uint64(c)
+	}
+	if rising.covered[1]-rising.covered[0] >= rising.covered[2]-rising.covered[1] {
+		t.Fatal("test setup: the forged order's gains do not rise")
+	}
+
+	cases := map[string]func(f *forgedSketch){
+		"set count beyond the bytes":    func(f *forgedSketch) { f.numSets = 1 << 40 },
+		"member count beyond the bytes": func(f *forgedSketch) { f.total = 1 << 40 },
+		"sizes overshoot member count":  func(f *forgedSketch) { f.sizes[0]++ },
+		"sizes undershoot member count": func(f *forgedSketch) { f.sizes[len(f.sizes)-1]-- },
+		"member out of range":           func(f *forgedSketch) { f.members[len(f.members)/2] = uint32(g.N()) },
+		"member negative as int32":      func(f *forgedSketch) { f.members[0] = 1 << 31 },
+		"selection too short": func(f *forgedSketch) {
+			f.order, f.covered = f.order[:len(f.order)-1], f.covered[:len(f.covered)-1]
+		},
+		"selection too long": func(f *forgedSketch) {
+			f.order, f.covered = append(f.order, uint32(low)), append(f.covered, f.covered[len(f.covered)-1])
+		},
+		"repeated seed":      func(f *forgedSketch) { f.order[2] = f.order[1] },
+		"out-of-range seed":  func(f *forgedSketch) { f.order[1] = uint32(g.N()) },
+		"increasing gains":   func(f *forgedSketch) { *f = rising.clone() },
+		"one trailing byte":  func(f *forgedSketch) { f.trailing = []byte{0} },
+		"four trailing zero": func(f *forgedSketch) { f.trailing = make([]byte, 4) },
+	}
+	for i := range base.covered {
+		cases[fmt.Sprintf("covered[%d] one high", i)] = func(f *forgedSketch) { f.covered[i]++ }
+		cases[fmt.Sprintf("covered[%d] one low", i)] = func(f *forgedSketch) { f.covered[i]-- }
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			f := base.clone()
+			mutate(&f)
+			if _, err := DecodeSketch(bytes.NewReader(f.frame(t)), g); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -539,13 +696,57 @@ func TestReadFrameForgedLengthDoesNotPreallocate(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic)
+	_, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic, Version)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Errorf("readFrame allocated %d bytes for a 10-byte body declaring 3 GiB", grew)
+	}
+
+	// The same forged header in a file: the reader knows the file's
+	// size, so the frame is truncated before any payload allocation —
+	// through a bare *os.File and through LoadSketch's stat'ed reader.
+	path := filepath.Join(t.TempDir(), "forged"+SketchExt)
+	forged := append([]byte(nil), frame.Bytes()...)
+	copy(forged, SketchMagic)
+	binary.LittleEndian.PutUint32(forged[8:12], SketchVersion)
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = readFrame(f, SketchMagic, SketchVersion)
+	runtime.ReadMemStats(&after)
+	f.Close()
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("forged file: err = %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("readFrame allocated %d bytes for a %d-byte file declaring 3 GiB", grew, len(forged))
+	}
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t)
+	if err := os.WriteFile(s.sketchPath("g1", "k"), forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got := s.LoadSketch("g1", "k", g, 0)
+	runtime.ReadMemStats(&after)
+	if got != nil || s.Stats().LoadErrors != 1 {
+		t.Fatalf("forged spill: loaded %v, load errors %d", got, s.Stats().LoadErrors)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("LoadSketch allocated %d bytes for a %d-byte spill declaring 3 GiB", grew, len(forged))
 	}
 
 	// A declared length over the format bound is still rejected outright.
@@ -555,7 +756,40 @@ func TestReadFrameForgedLengthDoesNotPreallocate(t *testing.T) {
 	frame.Write(word[:4])
 	binary.LittleEndian.PutUint64(word[:], uint64(5<<30))
 	frame.Write(word[:])
-	if _, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic); !errors.Is(err, ErrCorrupt) {
+	if _, err := readFrame(bytes.NewReader(frame.Bytes()), GraphMagic, Version); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("oversized declared payload: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadSketchOtherVersionIsAPlainMiss: a spill framed at another
+// sketch format version (what an older build left) is removed and read
+// as a miss, without counting as a load error.
+func TestLoadSketchOtherVersionIsAPlainMiss(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t)
+	id := GraphID(g)
+	if err := s.SaveSketch(id, "key1", imm.BuildSketch(g, 4, imm.Options{}, stats.NewRNG(1))); err != nil {
+		t.Fatal(err)
+	}
+	path := s.sketchPath(id, "key1")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:12], SketchVersion-1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LoadSketch(id, "key1", g, 0); got != nil {
+		t.Fatal("a spill of another format version decoded")
+	}
+	if st := s.Stats(); st.LoadErrors != 0 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want no load error and no hit", st)
+	}
+	if s.HasSketch(id, "key1") {
+		t.Error("the old-version spill was not removed")
 	}
 }

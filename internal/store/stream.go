@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
 )
 
@@ -28,7 +29,7 @@ func WriteSketchStreamEntry(w io.Writer, key string, sketch any) error {
 	if err := encodeSketchPayload(&p, sketch); err != nil {
 		return err
 	}
-	return writeFrame(w, SketchStreamMagic, p.buf.Bytes())
+	return frame.Write(w, SketchStreamMagic, SketchVersion, p.buf.Bytes())
 }
 
 // ReadSketchStream decodes entries from a sketch stream until EOF,
@@ -45,7 +46,7 @@ func ReadSketchStream(r io.Reader, g *graph.Graph, fn func(key string, sketch an
 		} else if err != nil {
 			return n, err
 		}
-		payload, err := readFrame(br, SketchStreamMagic)
+		payload, err := readFrame(br, SketchStreamMagic, SketchVersion)
 		if err != nil {
 			return n, err
 		}
@@ -54,12 +55,16 @@ func ReadSketchStream(r io.Reader, g *graph.Graph, fn func(key string, sketch an
 		if err != nil {
 			return n, err
 		}
-		sketch, err := decodeSketchPayload(&p, g)
+		parts, err := parseSketchPayload(&p)
+		if err == nil {
+			err = p.done()
+		}
 		if err != nil {
 			return n, fmt.Errorf("entry %q: %w", key, err)
 		}
-		if err := p.done(); err != nil {
-			return n, err
+		sketch, err := parts.build(g)
+		if err != nil {
+			return n, fmt.Errorf("entry %q: %w", key, err)
 		}
 		if err := fn(key, sketch); err != nil {
 			return n, err

@@ -125,12 +125,12 @@ func encodeSweepPayload(res *SweepResult) []byte {
 
 // EncodeSweepResult writes the artifact as one framed .wsr payload.
 func EncodeSweepResult(w io.Writer, res *SweepResult) error {
-	return writeFrame(w, SweepMagic, encodeSweepPayload(res))
+	return frame.Write(w, SweepMagic, Version, encodeSweepPayload(res))
 }
 
 // DecodeSweepResult reads and verifies one .wsr artifact.
 func DecodeSweepResult(r io.Reader) (*SweepResult, error) {
-	payload, err := readFrame(r, SweepMagic)
+	payload, err := readFrame(r, SweepMagic, Version)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // Scale factors are kept small so the whole suite completes on a laptop;
-// cmd/experiments runs the same drivers at full stand-in scale and
-// EXPERIMENTS.md records those results.
+// cmd/experiments runs the same drivers at full stand-in scale.
 package welfare
 
 import (
@@ -243,7 +242,8 @@ func BenchmarkTable6RRSetMemory(b *testing.B) {
 	}
 }
 
-// --- Ablations called out in DESIGN.md ---
+// --- Ablations of two design choices: one prefix-preserving PRIMA call
+// instead of one IMM call per budget, and the sharded welfare estimator ---
 
 // BenchmarkAblationPRIMA measures bundleGRD's single PRIMA call against
 // re-running IMM once per distinct budget (what a non-prefix-preserving
@@ -254,13 +254,13 @@ func BenchmarkAblationPRIMA(b *testing.B) {
 	budgets := []int{40, 25, 10, 5, 2}
 	b.Run("prima-once", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			prima.Select(g, budgets, prima.Options{}, rng)
+			prima.Select(g, budgets, rrset.Options{}, rng)
 		}
 	})
 	b.Run("imm-per-budget", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range budgets {
-				imm.Run(g, k, imm.Options{}, rng)
+				imm.Run(g, k, rrset.Options{}, rng)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 // Command experiments regenerates the paper's tables and figures on the
 // synthetic stand-in networks. Each -run target prints the rows of one
-// table or figure; "all" runs everything (EXPERIMENTS.md records a full
-// run).
+// table or figure; "all" runs everything.
 //
 // Examples:
 //

@@ -6,7 +6,7 @@
 // its threshold is below the GAP probability q_{X|state}, so later
 // adoptions of the complement correctly trigger reconsideration.
 //
-// Design note (documented in DESIGN.md): the original research code is
+// Design note: the original research code is
 // unavailable; these re-implementations preserve the properties the
 // paper's comparison rests on — two items only, TIM-scale RR-set counts,
 // a forward Monte-Carlo phase that dominates running time, and seed

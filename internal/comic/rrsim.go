@@ -3,6 +3,7 @@ package comic
 import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
 	"uicwelfare/internal/utility"
@@ -74,7 +75,7 @@ func allocateComIC(g *graph.Graph, m *utility.Model, budgets []int, opts Options
 	bA, bB := budgets[0], budgets[1]
 
 	// Step 1: B's seeds via plain IMM (as the paper does).
-	immRes := imm.Run(g, bB, imm.Options{Eps: opts.Eps, Ell: opts.Ell}, rng)
+	immRes := imm.Run(g, bB, rrset.Options{Eps: opts.Eps, Ell: opts.Ell}, rng)
 	seedsB := immRes.Seeds
 	totalRR := immRes.TotalRRSets
 	numRR := immRes.NumRRSets
@@ -106,7 +107,7 @@ func allocateComIC(g *graph.Graph, m *utility.Model, budgets []int, opts Options
 	}
 
 	// Step 3: TIM-scale reverse sampling for item A.
-	timRes := imm.RunTIM(g, bA, imm.Options{Eps: opts.Eps, Ell: opts.Ell, NodeCoin: coin}, rng)
+	timRes := imm.RunTIM(g, bA, rrset.Options{Eps: opts.Eps, Ell: opts.Ell, NodeCoin: coin}, rng)
 	seedsA := timRes.Seeds
 	totalRR += timRes.TotalRRSets
 	numRR += timRes.NumRRSets

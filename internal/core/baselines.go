@@ -7,6 +7,7 @@ import (
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/itemset"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
 )
@@ -29,14 +30,14 @@ func ItemDisjoint(p *Problem, opts Options, rng *stats.RNG) Result {
 // sketch (built for this problem's graph with k = Σ_i b_i). The sketch
 // is only read, so one cached sketch can serve many concurrent
 // allocations.
-func ItemDisjointFromSketch(p *Problem, sk *imm.Sketch) Result {
+func ItemDisjointFromSketch(p *Problem, sk *rrset.Sketch) Result {
 	return ItemDisjointFromSketchProgress(p, sk, nil)
 }
 
 // ItemDisjointFromSketchProgress is ItemDisjointFromSketch with
 // seed-prefix reporting: report (when non-nil) receives StageSelect
 // events carrying growing prefixes of the sketch's ordering.
-func ItemDisjointFromSketchProgress(p *Problem, sk *imm.Sketch, report progress.Func) Result {
+func ItemDisjointFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
 	alloc := uic.NewAllocation(p.K())
 	if p.TotalBudget() == 0 {
 		return Result{Alloc: alloc}
@@ -92,7 +93,7 @@ func BundleDisjointCtx(ctx context.Context, p *Problem, opts Options, rng *stats
 	remaining := make([]int, k)
 	copy(remaining, p.Budgets)
 
-	immOpts := immOptions(opts)
+	immOpts := sketchOptions(opts)
 	var (
 		bundles  []bundleDisjBundle
 		used     = map[graph.NodeID]bool{}

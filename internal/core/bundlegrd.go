@@ -4,8 +4,8 @@ import (
 	"context"
 
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/prima"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
 )
@@ -85,15 +85,15 @@ func seedReporter(report progress.Func, total int) func(prefix []graph.NodeID) {
 // prebuilt PRIMA sketch (built for this problem's graph and budgets).
 // The sketch is only read, so one cached sketch can serve many
 // concurrent allocations — the fast path of the welmaxd sketch cache.
-func BundleGRDFromSketch(p *Problem, sk *prima.Sketch) Result {
+func BundleGRDFromSketch(p *Problem, sk *rrset.Sketch) Result {
 	return BundleGRDFromSketchProgress(p, sk, nil)
 }
 
 // BundleGRDFromSketchProgress is BundleGRDFromSketch with seed-prefix
 // reporting: report (when non-nil) receives StageSelect events carrying
 // growing prefixes of the sketch's ordering.
-func BundleGRDFromSketchProgress(p *Problem, sk *prima.Sketch, report progress.Func) Result {
-	pres := sk.SelectReport(seedReporter(report, sk.MaxBudget))
+func BundleGRDFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
+	pres := sk.SelectReport(seedReporter(report, sk.K))
 	alloc := uic.NewAllocation(p.K())
 	for i, b := range p.Budgets {
 		if b > len(pres.Seeds) {

@@ -8,6 +8,7 @@ import (
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -17,13 +18,13 @@ func init() {
 	bothCascades := []string{CascadeNameIC, CascadeNameLT}
 	Register(AlgoBundleGRD, Meta{
 		Description:   "Algorithm 1: (1-1/e-ε)-approximate greedy allocation on the prefix-preserving PRIMA ordering",
-		SketchFamily:  "prima",
+		SketchFamily:  prima.Family,
 		Cascades:      bothCascades,
 		CostEstimator: primaCostEstimate,
 	}, func() Planner { return bundleGRDPlanner{} })
 	Register(AlgoItemDisjoint, Meta{
 		Description:   "item-disj baseline (§4.3.1.2): one IMM call, disjoint seeds, one item per seed node",
-		SketchFamily:  "imm",
+		SketchFamily:  imm.Family,
 		Cascades:      bothCascades,
 		CostEstimator: immCostEstimate,
 	}, func() Planner { return itemDisjointPlanner{} })
@@ -34,14 +35,20 @@ func init() {
 	}, func() Planner { return bundleDisjointPlanner{} })
 }
 
-// primaOptions translates allocator options for the PRIMA sketch builder.
-func primaOptions(opts Options) prima.Options {
-	return prima.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade, Progress: opts.Progress, Workers: opts.SketchWorkers}
+// sketchOptions translates allocator options for the sketch builders.
+func sketchOptions(opts Options) rrset.Options {
+	return rrset.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade, Progress: opts.Progress, Workers: opts.SketchWorkers}
 }
 
-// immOptions translates allocator options for the IMM sketch builder.
-func immOptions(opts Options) imm.Options {
-	return imm.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade, Progress: opts.Progress, Workers: opts.SketchWorkers}
+// checkFamily refuses a sketch of another family than the planner's.
+// Both families build the same Go type, and sketches arrive from disk
+// and over WMSSTRM under cache keys a peer chose, so an IMM order
+// imported under a PRIMA key must not be read as a prefix-preserving one.
+func checkFamily(algo, family string, sk *rrset.Sketch) error {
+	if sk.Family != family {
+		return fmt.Errorf("core: %s expects a %s sketch, got family %q", algo, family, sk.Family)
+	}
+	return nil
 }
 
 // bundleGRDPlanner adapts BundleGRD to the registry. The sketch seam is
@@ -49,7 +56,7 @@ func immOptions(opts Options) imm.Options {
 type bundleGRDPlanner struct{}
 
 func (bundleGRDPlanner) Plan(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error) {
-	sk, err := prima.BuildSketchCtx(ctx, p.G, p.Budgets, primaOptions(opts), rng)
+	sk, err := prima.BuildSketchCtx(ctx, p.G, p.Budgets, sketchOptions(opts), rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -60,22 +67,17 @@ func (bundleGRDPlanner) SketchBudgets(p *Problem) []int {
 	return prima.CanonicalBudgets(p.Budgets, p.G.N())
 }
 
-func (bundleGRDPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (any, error) {
-	return prima.BuildSketchCtx(ctx, p.G, p.Budgets, primaOptions(opts), rng)
+func (bundleGRDPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	return prima.BuildSketchCtx(ctx, p.G, p.Budgets, sketchOptions(opts), rng)
 }
 
-func (bundleGRDPlanner) PlanFromSketch(p *Problem, sketch any) (Result, error) {
-	sk, ok := sketch.(*prima.Sketch)
-	if !ok {
-		return Result{}, fmt.Errorf("core: %s expects a *prima.Sketch, got %T", AlgoBundleGRD, sketch)
-	}
-	return BundleGRDFromSketch(p, sk), nil
+func (pl bundleGRDPlanner) PlanFromSketch(p *Problem, sk *rrset.Sketch) (Result, error) {
+	return pl.PlanFromSketchProgress(p, sk, nil)
 }
 
-func (bundleGRDPlanner) PlanFromSketchProgress(p *Problem, sketch any, report progress.Func) (Result, error) {
-	sk, ok := sketch.(*prima.Sketch)
-	if !ok {
-		return Result{}, fmt.Errorf("core: %s expects a *prima.Sketch, got %T", AlgoBundleGRD, sketch)
+func (bundleGRDPlanner) PlanFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) (Result, error) {
+	if err := checkFamily(AlgoBundleGRD, prima.Family, sk); err != nil {
+		return Result{}, err
 	}
 	return BundleGRDFromSketchProgress(p, sk, report), nil
 }
@@ -91,18 +93,17 @@ func (bundleGRDPlanner) MergeBudgets(a, b []int) []int {
 
 // BuildSketchForBudgets builds the PRIMA sketch for an explicit merged
 // budget vector (the batch scheduler's dominating build).
-func (bundleGRDPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (any, error) {
-	return prima.BuildSketchCtx(ctx, p.G, budgets, primaOptions(opts), rng)
+func (bundleGRDPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	return prima.BuildSketchCtx(ctx, p.G, budgets, sketchOptions(opts), rng)
 }
 
 // ExtendSketch grows a resident PRIMA sketch built for oldBudgets into
 // one serving newBudgets (the service's delta-build seam).
-func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sketch any, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (any, error) {
-	sk, ok := sketch.(*prima.Sketch)
-	if !ok {
-		return nil, fmt.Errorf("core: %s expects a *prima.Sketch, got %T", AlgoBundleGRD, sketch)
+func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	if err := checkFamily(AlgoBundleGRD, prima.Family, sk); err != nil {
+		return nil, err
 	}
-	po := primaOptions(opts)
+	po := sketchOptions(opts)
 	return prima.ExtendSketchCtx(ctx, p.G, sk, oldBudgets, po, newBudgets, po, rng)
 }
 
@@ -111,7 +112,7 @@ func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sketch any
 type itemDisjointPlanner struct{}
 
 func (itemDisjointPlanner) Plan(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error) {
-	sk, err := imm.BuildSketchCtx(ctx, p.G, p.TotalBudget(), immOptions(opts), rng)
+	sk, err := imm.BuildSketchCtx(ctx, p.G, p.TotalBudget(), sketchOptions(opts), rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -122,22 +123,17 @@ func (itemDisjointPlanner) SketchBudgets(p *Problem) []int {
 	return []int{p.TotalBudget()}
 }
 
-func (itemDisjointPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (any, error) {
-	return imm.BuildSketchCtx(ctx, p.G, p.TotalBudget(), immOptions(opts), rng)
+func (itemDisjointPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	return imm.BuildSketchCtx(ctx, p.G, p.TotalBudget(), sketchOptions(opts), rng)
 }
 
-func (itemDisjointPlanner) PlanFromSketch(p *Problem, sketch any) (Result, error) {
-	sk, ok := sketch.(*imm.Sketch)
-	if !ok {
-		return Result{}, fmt.Errorf("core: %s expects an *imm.Sketch, got %T", AlgoItemDisjoint, sketch)
-	}
-	return ItemDisjointFromSketch(p, sk), nil
+func (pl itemDisjointPlanner) PlanFromSketch(p *Problem, sk *rrset.Sketch) (Result, error) {
+	return pl.PlanFromSketchProgress(p, sk, nil)
 }
 
-func (itemDisjointPlanner) PlanFromSketchProgress(p *Problem, sketch any, report progress.Func) (Result, error) {
-	sk, ok := sketch.(*imm.Sketch)
-	if !ok {
-		return Result{}, fmt.Errorf("core: %s expects an *imm.Sketch, got %T", AlgoItemDisjoint, sketch)
+func (itemDisjointPlanner) PlanFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) (Result, error) {
+	if err := checkFamily(AlgoItemDisjoint, imm.Family, sk); err != nil {
+		return Result{}, err
 	}
 	return ItemDisjointFromSketchProgress(p, sk, report), nil
 }
@@ -159,27 +155,26 @@ func (itemDisjointPlanner) MergeBudgets(a, b []int) []int {
 
 // BuildSketchForBudgets builds the IMM sketch for an explicit merged
 // total budget (the batch scheduler's dominating build).
-func (itemDisjointPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (any, error) {
+func (itemDisjointPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	k := 0
 	if len(budgets) > 0 {
 		k = budgets[0]
 	}
-	return imm.BuildSketchCtx(ctx, p.G, k, immOptions(opts), rng)
+	return imm.BuildSketchCtx(ctx, p.G, k, sketchOptions(opts), rng)
 }
 
 // ExtendSketch grows a resident IMM sketch to serve the merged total
 // budget (the service's delta-build seam). oldBudgets is unused: the
 // IMM sketch carries its own K and lower bound.
-func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sketch any, _, newBudgets []int, opts Options, rng *stats.RNG) (any, error) {
-	sk, ok := sketch.(*imm.Sketch)
-	if !ok {
-		return nil, fmt.Errorf("core: %s expects an *imm.Sketch, got %T", AlgoItemDisjoint, sketch)
+func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, _, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	if err := checkFamily(AlgoItemDisjoint, imm.Family, sk); err != nil {
+		return nil, err
 	}
 	k := 0
 	if len(newBudgets) > 0 {
 		k = newBudgets[0]
 	}
-	return imm.ExtendSketchCtx(ctx, p.G, sk, k, immOptions(opts), rng)
+	return imm.ExtendSketchCtx(ctx, p.G, sk, k, sketchOptions(opts), rng)
 }
 
 // bundleDisjointPlanner adapts BundleDisjoint. Its adaptive sequence of

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -82,13 +83,13 @@ type SketchPlanner interface {
 	// sketch Plan would build for p — cache-key material alongside
 	// Meta.SketchFamily.
 	SketchBudgets(p *Problem) []int
-	// BuildSketch builds the reusable sketch (a *prima.Sketch or
-	// *imm.Sketch, typed as any to keep the registry family-agnostic).
-	BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (any, error)
-	// PlanFromSketch runs selection and assignment on a prebuilt sketch.
-	// It only reads the sketch, so one cached sketch can serve many
-	// concurrent calls.
-	PlanFromSketch(p *Problem, sketch any) (Result, error)
+	// BuildSketch builds the reusable sketch, whose Family is the
+	// planner's Meta.SketchFamily.
+	BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
+	// PlanFromSketch runs selection and assignment on a prebuilt sketch,
+	// refusing one of another family. It only reads the sketch, so one
+	// cached sketch can serve many concurrent calls.
+	PlanFromSketch(p *Problem, sketch *rrset.Sketch) (Result, error)
 }
 
 // ProgressiveSketchPlanner is the optional capability of sketch
@@ -100,7 +101,7 @@ type SketchPlanner interface {
 // allocation before the job finishes.
 type ProgressiveSketchPlanner interface {
 	SketchPlanner
-	PlanFromSketchProgress(p *Problem, sketch any, report progress.Func) (Result, error)
+	PlanFromSketchProgress(p *Problem, sketch *rrset.Sketch, report progress.Func) (Result, error)
 }
 
 // BatchSketchPlanner is the optional capability of sketch planners
@@ -123,7 +124,7 @@ type BatchSketchPlanner interface {
 	// explicit canonical budget vector on p's graph — p's own budgets
 	// are ignored, which is what lets a batch build dominate several
 	// requests at once.
-	BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (any, error)
+	BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
 }
 
 // ExtendSketchPlanner is the optional capability of batch planners
@@ -141,7 +142,7 @@ type ExtendSketchPlanner interface {
 	// a clone), so concurrent readers of the resident sketch are safe.
 	// Sketches with no collection to append to (degenerate whole-graph
 	// builds) return an error; callers fall back to a cold build.
-	ExtendSketch(ctx context.Context, p *Problem, sketch any, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (any, error)
+	ExtendSketch(ctx context.Context, p *Problem, sketch *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
 }
 
 // Factory builds a fresh planner instance. Lookup invokes it per

@@ -2,9 +2,12 @@
 // figure of the paper's evaluation (§4.3), each returning printable rows.
 // The cmd/experiments binary and the root bench suite wrap these drivers
 // at different scales. Networks are synthetic stand-ins for the paper's
-// five datasets (see DESIGN.md §2 for the substitution rationale);
-// influence probabilities default to the weighted cascade 1/indeg(v)
-// exactly as in the paper.
+// five datasets: the crawls themselves are not bundled, so each is a
+// seeded preferential-attachment graph with the dataset's direction and
+// node count (Twitter and Orkut scaled down to 20k nodes), denser for the
+// denser datasets. The paper's claims compare algorithms on the same
+// network, which a heavy-tailed stand-in of the right shape preserves. Influence probabilities default to the weighted cascade
+// 1/indeg(v) exactly as in the paper.
 package expr
 
 import (

@@ -9,6 +9,7 @@ import (
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
 	"uicwelfare/internal/utility"
@@ -158,8 +159,9 @@ var table5GroundTruth = []struct {
 
 // Table5 simulates eBay-style auctions for each observed itemset and
 // learns the value/noise parameters back, reproducing the §4.3.4.1
-// pipeline (with simulated bidding standing in for the eBay data — see
-// DESIGN.md).
+// pipeline. Simulated bidding stands in for the eBay data, which is not
+// bundled: auctions are simulated from each itemset's ground-truth value
+// and noise, so the table checks that the learning step recovers them.
 func Table5(p Params) ([]Table5Row, error) {
 	p = p.withDefaults()
 	rng := stats.NewRNG(p.Seed)
@@ -211,10 +213,10 @@ func Table6(p Params) ([]Table6Row, error) {
 	var rows []Table6Row
 	for _, name := range []string{"uniform", "large-skew", "moderate-skew"} {
 		budgets := SkewSplits(total)[name]
-		pres := prima.Select(g, budgets, prima.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
+		pres := prima.Select(g, budgets, rrset.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
 		maxIMM := 0
 		for _, b := range dedupInts(budgets) {
-			r := imm.Run(g, b, imm.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
+			r := imm.Run(g, b, rrset.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
 			if r.NumRRSets > maxIMM {
 				maxIMM = r.NumRRSets
 			}
@@ -225,7 +227,7 @@ func Table6(p Params) ([]Table6Row, error) {
 				maxBudget = b
 			}
 		}
-		immMax := imm.Run(g, maxBudget, imm.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
+		immMax := imm.Run(g, maxBudget, rrset.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
 		rows = append(rows, Table6Row{
 			Split:     name,
 			BundleGRD: pres.NumRRSets,

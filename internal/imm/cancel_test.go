@@ -7,6 +7,7 @@ import (
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -14,14 +15,14 @@ func TestBuildSketchCtxPreCanceled(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(1)).WeightedCascade()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sk, err := BuildSketchCtx(ctx, g, 10, Options{}, stats.NewRNG(2))
+	sk, err := BuildSketchCtx(ctx, g, 10, rrset.Options{}, stats.NewRNG(2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if sk != nil {
 		t.Fatalf("canceled build returned a sketch: %+v", sk)
 	}
-	if _, err := RunCtx(ctx, g, 10, Options{}, stats.NewRNG(2)); !errors.Is(err, context.Canceled) {
+	if _, err := RunCtx(ctx, g, 10, rrset.Options{}, stats.NewRNG(2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx err = %v, want context.Canceled", err)
 	}
 }
@@ -34,7 +35,7 @@ func TestBuildSketchCtxCancelDuringGrowth(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	events := 0
-	opts := Options{Progress: func(progress.Event) {
+	opts := rrset.Options{Progress: func(progress.Event) {
 		events++
 		if events == 1 {
 			cancel()
@@ -52,7 +53,7 @@ func TestBuildSketchCtxCancelDuringGrowth(t *testing.T) {
 func TestBuildSketchProgressMonotone(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 4, stats.NewRNG(1)).WeightedCascade()
 	lastDone, lastRound := 0, 0
-	opts := Options{Progress: func(ev progress.Event) {
+	opts := rrset.Options{Progress: func(ev progress.Event) {
 		if ev.Stage != progress.StageSketch {
 			t.Errorf("unexpected stage %q", ev.Stage)
 		}

@@ -28,11 +28,11 @@ func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
 	}
 	const k = 8
 	for name, g := range families {
-		serial, err := BuildSketchCtx(context.Background(), g, k, Options{}, stats.NewRNG(7))
+		serial, err := BuildSketchCtx(context.Background(), g, k, rrset.Options{}, stats.NewRNG(7))
 		if err != nil {
 			t.Fatalf("%s: serial build: %v", name, err)
 		}
-		par, err := BuildSketchCtx(context.Background(), g, k, Options{Workers: 4}, stats.NewRNG(8))
+		par, err := BuildSketchCtx(context.Background(), g, k, rrset.Options{Workers: 4}, stats.NewRNG(8))
 		if err != nil {
 			t.Fatalf("%s: parallel build: %v", name, err)
 		}
@@ -49,7 +49,7 @@ func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
 // size, spread within tolerance, base sketch untouched.
 func TestExtendSketchMatchesColdBuild(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(204)).WeightedCascade()
-	opts := Options{Workers: 2}
+	opts := rrset.Options{Workers: 2}
 	base, err := BuildSketchCtx(context.Background(), g, 5, opts, stats.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +90,11 @@ func TestExtendSketchMatchesColdBuild(t *testing.T) {
 // no new samples and shares the base collection read-only.
 func TestExtendSketchDominatedSharesCollection(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, stats.NewRNG(205)).WeightedCascade()
-	base, err := BuildSketchCtx(context.Background(), g, 10, Options{}, stats.NewRNG(21))
+	base, err := BuildSketchCtx(context.Background(), g, 10, rrset.Options{}, stats.NewRNG(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ExtendSketchCtx(context.Background(), g, base, 4, Options{}, stats.NewRNG(22))
+	ext, err := ExtendSketchCtx(context.Background(), g, base, 4, rrset.Options{}, stats.NewRNG(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,17 @@ func TestExtendSketchDominatedSharesCollection(t *testing.T) {
 func TestExtendSketchRejections(t *testing.T) {
 	g := graph.BarabasiAlbert(100, 3, stats.NewRNG(206)).WeightedCascade()
 	rng := stats.NewRNG(31)
-	if _, err := ExtendSketchCtx(context.Background(), g, nil, 5, Options{}, rng); err == nil {
+	if _, err := ExtendSketchCtx(context.Background(), g, nil, 5, rrset.Options{}, rng); err == nil {
 		t.Fatal("nil sketch extended")
 	}
-	base, err := BuildSketchCtx(context.Background(), g, 5, Options{}, rng)
+	base, err := BuildSketchCtx(context.Background(), g, 5, rrset.Options{}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendSketchCtx(context.Background(), g, base, 0, Options{}, rng); err == nil {
+	if _, err := ExtendSketchCtx(context.Background(), g, base, 0, rrset.Options{}, rng); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if _, err := ExtendSketchCtx(context.Background(), g, base, 100, Options{}, rng); err == nil {
+	if _, err := ExtendSketchCtx(context.Background(), g, base, 100, rrset.Options{}, rng); err == nil {
 		t.Fatal("whole-graph budget accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"uicwelfare/internal/diffusion"
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -54,7 +55,7 @@ func TestEllPlusLog2(t *testing.T) {
 func TestIMMPicksHubOnStar(t *testing.T) {
 	g := graph.Star(50, 0.9)
 	rng := stats.NewRNG(1)
-	res := Run(g, 1, Options{Eps: 0.5, Ell: 1}, rng)
+	res := Run(g, 1, rrset.Options{Eps: 0.5, Ell: 1}, rng)
 	if len(res.Seeds) != 1 || res.Seeds[0] != 0 {
 		t.Errorf("IMM picked %v, want hub", res.Seeds)
 	}
@@ -70,7 +71,7 @@ func TestIMMPicksHubOnStar(t *testing.T) {
 func TestIMMApproximationVsGreedyMC(t *testing.T) {
 	rng := stats.NewRNG(2)
 	g := graph.ErdosRenyi(80, 400, rng).WeightedCascade()
-	res := Run(g, 4, Options{Eps: 0.3, Ell: 1}, rng)
+	res := Run(g, 4, rrset.Options{Eps: 0.3, Ell: 1}, rng)
 	if len(res.Seeds) != 4 {
 		t.Fatalf("got %d seeds", len(res.Seeds))
 	}
@@ -90,7 +91,7 @@ func TestIMMApproximationVsGreedyMC(t *testing.T) {
 func TestIMMSeedsAreDistinct(t *testing.T) {
 	rng := stats.NewRNG(3)
 	g := graph.ErdosRenyi(60, 300, rng).WeightedCascade()
-	res := Run(g, 10, Options{}, rng)
+	res := Run(g, 10, rrset.Options{}, rng)
 	seen := map[graph.NodeID]bool{}
 	for _, s := range res.Seeds {
 		if seen[s] {
@@ -103,7 +104,7 @@ func TestIMMSeedsAreDistinct(t *testing.T) {
 func TestIMMBudgetAtLeastN(t *testing.T) {
 	g := graph.Line(5, 0.5)
 	rng := stats.NewRNG(4)
-	res := Run(g, 10, Options{}, rng)
+	res := Run(g, 10, rrset.Options{}, rng)
 	if len(res.Seeds) != 5 || res.SpreadEst != 5 {
 		t.Errorf("full-graph budget: %+v", res)
 	}
@@ -112,7 +113,7 @@ func TestIMMBudgetAtLeastN(t *testing.T) {
 func TestIMMZeroBudget(t *testing.T) {
 	g := graph.Line(5, 0.5)
 	rng := stats.NewRNG(5)
-	res := Run(g, 0, Options{}, rng)
+	res := Run(g, 0, rrset.Options{}, rng)
 	if len(res.Seeds) != 0 {
 		t.Errorf("zero budget returned seeds: %v", res.Seeds)
 	}
@@ -120,8 +121,8 @@ func TestIMMZeroBudget(t *testing.T) {
 
 func TestIMMDeterministicGivenSeed(t *testing.T) {
 	g := graph.Star(30, 0.5)
-	a := Run(g, 3, Options{}, stats.NewRNG(42))
-	b := Run(g, 3, Options{}, stats.NewRNG(42))
+	a := Run(g, 3, rrset.Options{}, stats.NewRNG(42))
+	b := Run(g, 3, rrset.Options{}, stats.NewRNG(42))
 	if len(a.Seeds) != len(b.Seeds) {
 		t.Fatal("nondeterministic size")
 	}
@@ -138,8 +139,8 @@ func TestIMMDeterministicGivenSeed(t *testing.T) {
 func TestIMMNodeCoinReducesSpreadEst(t *testing.T) {
 	g := graph.Star(100, 0.9)
 	rng := stats.NewRNG(6)
-	full := Run(g, 1, Options{}, rng)
-	damped := Run(g, 1, Options{NodeCoin: func(graph.NodeID) float64 { return 0.3 }}, stats.NewRNG(6))
+	full := Run(g, 1, rrset.Options{}, rng)
+	damped := Run(g, 1, rrset.Options{NodeCoin: func(graph.NodeID) float64 { return 0.3 }}, stats.NewRNG(6))
 	if damped.SpreadEst >= full.SpreadEst {
 		t.Errorf("node coin did not damp spread: %v vs %v", damped.SpreadEst, full.SpreadEst)
 	}
@@ -148,8 +149,8 @@ func TestIMMNodeCoinReducesSpreadEst(t *testing.T) {
 func TestTIMGeneratesMoreRRSetsThanIMM(t *testing.T) {
 	rng := stats.NewRNG(7)
 	g := graph.ErdosRenyi(200, 1200, rng).WeightedCascade()
-	immRes := Run(g, 10, Options{}, stats.NewRNG(8))
-	timRes := RunTIM(g, 10, Options{}, stats.NewRNG(9))
+	immRes := Run(g, 10, rrset.Options{}, stats.NewRNG(8))
+	timRes := RunTIM(g, 10, rrset.Options{}, stats.NewRNG(9))
 	if timRes.NumRRSets <= immRes.NumRRSets {
 		t.Errorf("TIM (%d) should need more RR sets than IMM (%d)",
 			timRes.NumRRSets, immRes.NumRRSets)
@@ -159,7 +160,7 @@ func TestTIMGeneratesMoreRRSetsThanIMM(t *testing.T) {
 func TestTIMPicksHubOnStar(t *testing.T) {
 	g := graph.Star(50, 0.9)
 	rng := stats.NewRNG(10)
-	res := RunTIM(g, 1, Options{}, rng)
+	res := RunTIM(g, 1, rrset.Options{}, rng)
 	if len(res.Seeds) != 1 || res.Seeds[0] != 0 {
 		t.Errorf("TIM picked %v", res.Seeds)
 	}
@@ -168,22 +169,11 @@ func TestTIMPicksHubOnStar(t *testing.T) {
 func TestTIMQualityVsGreedy(t *testing.T) {
 	rng := stats.NewRNG(11)
 	g := graph.ErdosRenyi(80, 400, rng).WeightedCascade()
-	res := RunTIM(g, 4, Options{Eps: 0.3}, rng)
+	res := RunTIM(g, 4, rrset.Options{Eps: 0.3}, rng)
 	timSpread := diffusion.Spread(g, res.Seeds, rng, 40000)
 	greedy := diffusion.GreedySpreadMC(g, 4, 800, rng)
 	greedySpread := diffusion.Spread(g, greedy, rng, 40000)
 	if timSpread < (1-1/math.E-0.3)*greedySpread {
 		t.Errorf("TIM spread %v too low vs greedy %v", timSpread, greedySpread)
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Eps != 0.5 || o.Ell != 1 {
-		t.Errorf("defaults %+v", o)
-	}
-	o = Options{Eps: 0.2, Ell: 2}.withDefaults()
-	if o.Eps != 0.2 || o.Ell != 2 {
-		t.Errorf("explicit options clobbered: %+v", o)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 )
@@ -17,7 +18,7 @@ import (
 // reference on its own collection: Select's seeds and coverage are
 // Col.NodeSelection(K)'s, the coverage-at-prefix vector is the
 // from-scratch recount of every prefix, and asking again changes nothing.
-func checkMemo(t *testing.T, when string, sk *imm.Sketch) {
+func checkMemo(t *testing.T, when string, sk *rrset.Sketch) {
 	t.Helper()
 	want, frac := sk.Col.NodeSelection(sk.K)
 	for round := 0; round < 2; round++ {
@@ -41,7 +42,7 @@ func checkMemo(t *testing.T, when string, sk *imm.Sketch) {
 // the memo is already filled before any Select — the first Select reads
 // the adopted selection instead of running the greedy — and the answer
 // is the uncached reference's.
-func checkAdopted(t *testing.T, when string, sk *imm.Sketch) {
+func checkAdopted(t *testing.T, when string, sk *rrset.Sketch) {
 	t.Helper()
 	if !sk.MemoFilled() {
 		t.Fatalf("%s: decoded sketch has no selection before its first Select: the greedy would run", when)
@@ -58,19 +59,19 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	ctx := context.Background()
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(201)).WeightedCascade()
 
-	built, err := imm.BuildSketchCtx(ctx, g, 6, imm.Options{}, stats.NewRNG(7))
+	built, err := imm.BuildSketchCtx(ctx, g, 6, rrset.Options{}, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMemo(t, "built", built)
 
-	par, err := imm.BuildSketchCtx(ctx, g, 6, imm.Options{Workers: 4}, stats.NewRNG(8))
+	par, err := imm.BuildSketchCtx(ctx, g, 6, rrset.Options{Workers: 4}, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMemo(t, "parallel-grown", par)
 
-	grown, err := imm.ExtendSketchCtx(ctx, g, built, 40, imm.Options{}, stats.NewRNG(9))
+	grown, err := imm.ExtendSketchCtx(ctx, g, built, 40, rrset.Options{}, stats.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,9 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 
 	// A K=6 sketch over the collection sized for 40 has room to spare:
 	// raising it to 12 needs no growth, but a K its memo stops short of.
-	col, _, phase1, lb, allNodesN := grown.State()
-	roomy := imm.RestoreSketch(col, 6, phase1, lb, allNodesN)
+	roomy := &rrset.Sketch{Family: imm.Family, Col: grown.Col, K: 6, Phase1: grown.Phase1, LB: grown.LB}
 	checkMemo(t, "restored over a larger collection", roomy)
-	raised, err := imm.ExtendSketchCtx(ctx, g, roomy, 12, imm.Options{}, stats.NewRNG(10))
+	raised, err := imm.ExtendSketchCtx(ctx, g, roomy, 12, rrset.Options{}, stats.NewRNG(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	checkMemo(t, "extended (no growth, larger K)", raised)
 	checkMemo(t, "base after its extension", roomy)
 
-	same, err := imm.ExtendSketchCtx(ctx, g, roomy, 4, imm.Options{}, stats.NewRNG(11))
+	same, err := imm.ExtendSketchCtx(ctx, g, roomy, 4, rrset.Options{}, stats.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 		t.Fatal("a no-growth extension under an unchanged K should be the base sketch, memo and all")
 	}
 
-	checkMemo(t, "cloned", imm.RestoreSketch(col.Clone(), 40, phase1, lb, allNodesN))
+	checkMemo(t, "cloned", &rrset.Sketch{Family: imm.Family, Col: grown.Col.Clone(), K: 40, Phase1: grown.Phase1, LB: grown.LB})
 
 	var wms bytes.Buffer
 	if err := store.EncodeSketch(&wms, grown); err != nil {
@@ -112,8 +112,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAdopted(t, "store round trip", decoded.(*imm.Sketch))
-	if got, want := decoded.(*imm.Sketch).Select().Seeds, grown.Select().Seeds; !slices.Equal(got, want) {
+	checkAdopted(t, "store round trip", decoded)
+	if got, want := decoded.Select().Seeds, grown.Select().Seeds; !slices.Equal(got, want) {
 		t.Fatalf("round-tripped sketch selects %v, original %v", got, want)
 	}
 
@@ -121,8 +121,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err := store.WriteSketchStreamEntry(&stream, "key", grown); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.ReadSketchStream(&stream, g, func(_ string, sk any) error {
-		checkAdopted(t, "stream round trip", sk.(*imm.Sketch))
+	if _, err := store.ReadSketchStream(&stream, g, func(_ string, sk *rrset.Sketch) error {
+		checkAdopted(t, "stream round trip", sk)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -134,14 +134,14 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 // same report sequence.
 func TestSelectReportConcurrentFirstCallers(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(202)).WeightedCascade()
-	sk, err := imm.BuildSketchCtx(context.Background(), g, 40, imm.Options{}, stats.NewRNG(12))
+	sk, err := imm.BuildSketchCtx(context.Background(), g, 40, rrset.Options{}, stats.NewRNG(12))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, frac := sk.Col.NodeSelection(40)
 	wantReports := [][]graph.NodeID{want[:16], want[:32], want[:40]}
 
-	results := make([]imm.Result, 32)
+	results := make([]rrset.Result, 32)
 	reports := make([][][]graph.NodeID, 32)
 	var wg sync.WaitGroup
 	for i := range results {
@@ -168,7 +168,7 @@ func TestSelectReportConcurrentFirstCallers(t *testing.T) {
 // Seeds slice cannot change what the next caller reads.
 func TestSelectSeedsBelongToCaller(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, stats.NewRNG(203)).WeightedCascade()
-	sk := imm.BuildSketch(g, 12, imm.Options{}, stats.NewRNG(13))
+	sk := imm.BuildSketch(g, 12, rrset.Options{}, stats.NewRNG(13))
 	want, _ := sk.Col.NodeSelection(12)
 
 	first := sk.Select().Seeds

@@ -17,20 +17,18 @@ import (
 // TIM's bound is looser than IMM's, so it generates noticeably more RR
 // sets — the property Fig. 6 of the paper measures. The Com-IC baselines
 // (RR-SIM+, RR-CIM) are built on TIM, matching the original research code.
-func RunTIM(g *graph.Graph, k int, opts Options, rng *stats.RNG) Result {
-	opts = opts.withDefaults()
+func RunTIM(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) rrset.Result {
+	opts = opts.WithDefaults()
 	n := g.N()
 	if k <= 0 || n == 0 {
-		return Result{}
+		return rrset.Result{}
 	}
 	if k > n {
 		k = n
 	}
 	m := g.M()
 
-	col := rrset.NewCollection(g)
-	col.Sampler().NodeCoin = opts.NodeCoin
-	col.Sampler().Cascade = opts.Cascade
+	col := opts.NewCollection(g)
 
 	// KPT estimation (Algorithm 2 of TIM): probe with geometrically
 	// growing sample counts until the width statistic certifies a level.
@@ -72,7 +70,7 @@ func RunTIM(g *graph.Graph, k int, opts Options, rng *stats.RNG) Result {
 	col.Reset()
 	col.Grow(int64(math.Ceil(theta)), rng)
 	seeds, frac := col.NodeSelection(k)
-	return Result{
+	return rrset.Result{
 		Seeds:       seeds,
 		Coverage:    frac,
 		SpreadEst:   float64(n) * frac,

@@ -60,7 +60,7 @@ func Build(g *graph.Graph, maxBudget int, opts Options, rng *stats.RNG) (*Oracle
 	}
 	ladder = append(ladder, maxBudget)
 
-	res := prima.Select(g, ladder, prima.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade}, rng)
+	res := prima.Select(g, ladder, rrset.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade}, rng)
 	o := &Oracle{g: g, order: res.Seeds, NumRRSets: res.NumRRSets}
 
 	// Per-prefix spread estimates from one fresh RR collection: the

@@ -115,8 +115,8 @@ func TestExtendSketchMatchesColdBuild(t *testing.T) {
 		if ext.NumRRSets() < baseLen {
 			t.Fatalf("%s: extended sketch shrank: %d < base %d", name, ext.NumRRSets(), baseLen)
 		}
-		if ext.MaxBudget != 12 {
-			t.Fatalf("%s: extended MaxBudget = %d, want 12", name, ext.MaxBudget)
+		if ext.K != 12 {
+			t.Fatalf("%s: extended K = %d, want 12", name, ext.K)
 		}
 
 		eres, cres := ext.Select(), cold.Select()
@@ -170,8 +170,8 @@ func TestExtendSketchNoGrowthShares(t *testing.T) {
 	if ext.Col != base.Col {
 		t.Fatal("dominated extension should share the base collection")
 	}
-	if ext.MaxBudget != base.MaxBudget {
-		t.Fatalf("MaxBudget = %d, want retained %d", ext.MaxBudget, base.MaxBudget)
+	if ext.K != base.K {
+		t.Fatalf("K = %d, want retained %d", ext.K, base.K)
 	}
 }
 

@@ -9,21 +9,22 @@ import (
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 )
 
 // checkMemo holds a sketch's memoised answer against the uncached
 // reference on its own collection: Select's seeds and coverage are
-// Col.NodeSelection(MaxBudget)'s, the coverage-at-prefix vector is the
+// Col.NodeSelection(K)'s, the coverage-at-prefix vector is the
 // from-scratch recount of every prefix, and asking again changes nothing.
-func checkMemo(t *testing.T, when string, sk *prima.Sketch) {
+func checkMemo(t *testing.T, when string, sk *rrset.Sketch) {
 	t.Helper()
-	want, frac := sk.Col.NodeSelection(sk.MaxBudget)
+	want, frac := sk.Col.NodeSelection(sk.K)
 	for round := 0; round < 2; round++ {
 		res := sk.Select()
 		if !slices.Equal(res.Seeds, want) || res.Coverage != frac {
-			t.Fatalf("%s: Select #%d = %v (%.4f), NodeSelection(%d) = %v (%.4f)", when, round+1, res.Seeds, res.Coverage, sk.MaxBudget, want, frac)
+			t.Fatalf("%s: Select #%d = %v (%.4f), NodeSelection(%d) = %v (%.4f)", when, round+1, res.Seeds, res.Coverage, sk.K, want, frac)
 		}
 	}
 	cov := sk.Selection().Covered
@@ -41,7 +42,7 @@ func checkMemo(t *testing.T, when string, sk *prima.Sketch) {
 // the memo is already filled before any Select — the first Select reads
 // the adopted selection instead of running the greedy — and the answer
 // is the uncached reference's.
-func checkAdopted(t *testing.T, when string, sk *prima.Sketch) {
+func checkAdopted(t *testing.T, when string, sk *rrset.Sketch) {
 	t.Helper()
 	if !sk.MemoFilled() {
 		t.Fatalf("%s: decoded sketch has no selection before its first Select: the greedy would run", when)
@@ -58,7 +59,7 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	ctx := context.Background()
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(101)).WeightedCascade()
 	ladder := []int{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	opts := prima.Options{}
+	opts := rrset.Options{}
 
 	built, err := prima.BuildSketchCtx(ctx, g, ladder, opts, stats.NewRNG(7))
 	if err != nil {
@@ -66,7 +67,7 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	}
 	checkMemo(t, "built", built)
 
-	par, err := prima.BuildSketchCtx(ctx, g, ladder, prima.Options{Workers: 4}, stats.NewRNG(8))
+	par, err := prima.BuildSketchCtx(ctx, g, ladder, rrset.Options{Workers: 4}, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown.NumRRSets() <= built.NumRRSets() || grown.MaxBudget != 40 {
-		t.Fatalf("extension to budget 40 did not grow: %d -> %d sets, ceiling %d", built.NumRRSets(), grown.NumRRSets(), grown.MaxBudget)
+	if grown.NumRRSets() <= built.NumRRSets() || grown.K != 40 {
+		t.Fatalf("extension to budget 40 did not grow: %d -> %d sets, ceiling %d", built.NumRRSets(), grown.NumRRSets(), grown.K)
 	}
 	checkMemo(t, "extended (growth)", grown)
 
@@ -87,8 +88,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raised.Col != built.Col || raised.MaxBudget != 11 {
-		t.Fatalf("want a no-growth extension to ceiling 11, got ceiling %d, shared collection %v", raised.MaxBudget, raised.Col == built.Col)
+	if raised.Col != built.Col || raised.K != 11 {
+		t.Fatalf("want a no-growth extension to ceiling 11, got ceiling %d, shared collection %v", raised.K, raised.Col == built.Col)
 	}
 	checkMemo(t, "extended (no growth, larger ceiling)", raised)
 	checkMemo(t, "base after its extensions", built)
@@ -101,8 +102,7 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 		t.Fatal("a no-growth extension under an unchanged ceiling should be the base sketch, memo and all")
 	}
 
-	_, maxBudget, phase1, allNodesN := grown.State()
-	checkMemo(t, "cloned", prima.RestoreSketch(grown.Col.Clone(), maxBudget, phase1, allNodesN))
+	checkMemo(t, "cloned", &rrset.Sketch{Family: prima.Family, Col: grown.Col.Clone(), K: grown.K, Phase1: grown.Phase1})
 
 	var wms bytes.Buffer
 	if err := store.EncodeSketch(&wms, grown); err != nil {
@@ -112,8 +112,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAdopted(t, "store round trip", decoded.(*prima.Sketch))
-	if got, want := decoded.(*prima.Sketch).Select().Seeds, grown.Select().Seeds; !slices.Equal(got, want) {
+	checkAdopted(t, "store round trip", decoded)
+	if got, want := decoded.Select().Seeds, grown.Select().Seeds; !slices.Equal(got, want) {
 		t.Fatalf("round-tripped sketch selects %v, original %v", got, want)
 	}
 
@@ -121,8 +121,8 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 	if err := store.WriteSketchStreamEntry(&stream, "key", grown); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.ReadSketchStream(&stream, g, func(_ string, sk any) error {
-		checkAdopted(t, "stream round trip", sk.(*prima.Sketch))
+	if _, err := store.ReadSketchStream(&stream, g, func(_ string, sk *rrset.Sketch) error {
+		checkAdopted(t, "stream round trip", sk)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -134,14 +134,14 @@ func TestSelectMemoMatchesUncachedReference(t *testing.T) {
 // same report sequence.
 func TestSelectReportConcurrentFirstCallers(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(102)).WeightedCascade()
-	sk, err := prima.BuildSketchCtx(context.Background(), g, []int{40, 10}, prima.Options{}, stats.NewRNG(12))
+	sk, err := prima.BuildSketchCtx(context.Background(), g, []int{40, 10}, rrset.Options{}, stats.NewRNG(12))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, frac := sk.Col.NodeSelection(40)
 	wantReports := [][]graph.NodeID{want[:16], want[:32], want[:40]}
 
-	results := make([]prima.Result, 32)
+	results := make([]rrset.Result, 32)
 	reports := make([][][]graph.NodeID, 32)
 	var wg sync.WaitGroup
 	for i := range results {
@@ -168,7 +168,7 @@ func TestSelectReportConcurrentFirstCallers(t *testing.T) {
 // Seeds slice cannot change what the next caller reads.
 func TestSelectSeedsBelongToCaller(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, stats.NewRNG(103)).WeightedCascade()
-	sk := prima.BuildSketch(g, []int{12, 4}, prima.Options{}, stats.NewRNG(13))
+	sk := prima.BuildSketch(g, []int{12, 4}, rrset.Options{}, stats.NewRNG(13))
 	want, _ := sk.Col.NodeSelection(12)
 
 	first := sk.Select().Seeds

@@ -7,6 +7,7 @@ import (
 	"uicwelfare/internal/diffusion"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -57,7 +58,7 @@ func TestSelectSingleBudgetMatchesIMMQuality(t *testing.T) {
 	rng := stats.NewRNG(4)
 	g := graph.ErdosRenyi(100, 600, rng).WeightedCascade()
 	pres := Select(g, []int{6}, Options{}, stats.NewRNG(5))
-	ires := imm.Run(g, 6, imm.Options{}, stats.NewRNG(6))
+	ires := imm.Run(g, 6, rrset.Options{}, stats.NewRNG(6))
 	ps := diffusion.Spread(g, pres.Seeds, rng, 30000)
 	is := diffusion.Spread(g, ires.Seeds, rng, 30000)
 	if math.Abs(ps-is) > 0.2*math.Max(ps, is) {
@@ -74,7 +75,7 @@ func TestSelectRRSetCountComparableToIMM(t *testing.T) {
 	pres := Select(g, budgets, Options{}, stats.NewRNG(8))
 	maxIMM := 0
 	for _, b := range budgets {
-		r := imm.Run(g, b, imm.Options{}, stats.NewRNG(9))
+		r := imm.Run(g, b, rrset.Options{}, stats.NewRNG(9))
 		if r.NumRRSets > maxIMM {
 			maxIMM = r.NumRRSets
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"uicwelfare/internal/graph"
 )
@@ -57,16 +58,17 @@ func (s Selection) Replay(report func(prefix []graph.NodeID)) {
 // first callers wait for it rather than repeating it, and every later
 // Get is a read. The zero value is ready to use; a memo must not be
 // copied after first use, and every Get on one memo must name the same
-// collection and budget (the sketch types embed one memo beside the Col
-// and budget it is for).
+// collection and budget (Sketch embeds one memo beside the Col and
+// budget it is for).
 type SelectionMemo struct {
-	once sync.Once
-	sel  Selection
+	once   sync.Once
+	filled atomic.Bool
+	sel    Selection
 }
 
 // Get returns c's budget-k selection, computing it on first use.
 func (m *SelectionMemo) Get(c *Collection, k int) Selection {
-	m.once.Do(func() { m.sel = c.Select(k) })
+	m.once.Do(func() { m.sel = c.Select(k); m.filled.Store(true) })
 	return m.sel
 }
 
@@ -76,7 +78,7 @@ func (m *SelectionMemo) Get(c *Collection, k int) Selection {
 // an earlier Adopt, and reports whether it took.
 func (m *SelectionMemo) Adopt(sel Selection) bool {
 	adopted := false
-	m.once.Do(func() { m.sel, adopted = sel, true })
+	m.once.Do(func() { m.sel, adopted = sel, true; m.filled.Store(true) })
 	return adopted
 }
 

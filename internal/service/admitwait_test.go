@@ -7,6 +7,7 @@ import (
 
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/expr"
+	"uicwelfare/internal/rrset"
 )
 
 // queueEnv builds a daemon with queue-with-deadline admission enabled
@@ -75,7 +76,7 @@ func TestAdmitOrWaitAdmitsWhenSketchLands(t *testing.T) {
 		t.Fatalf("queued request resolved early: %v", aerr)
 	default:
 	}
-	s.cache.Put(planKey(id, plan), struct{}{})
+	s.cache.Put(planKey(id, plan), &rrset.Sketch{})
 
 	select {
 	case aerr := <-done:

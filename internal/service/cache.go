@@ -9,14 +9,14 @@ import (
 	"sync"
 	"time"
 
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/telemetry"
 )
 
 // SketchCache is the in-memory tier of the sketch cache: a
-// concurrency-safe, cost-bounded LRU of RR sketches (prima.Sketch /
-// imm.Sketch values) keyed by the tuple that determines their
-// distribution: (graph, sketch family, cascade model, ε, ℓ, canonical
-// budgets). Sketch generation is the dominant cost of every allocation,
+// concurrency-safe, cost-bounded LRU of RR sketches (*rrset.Sketch)
+// keyed by the tuple that determines their distribution: (graph, sketch
+// family, cascade model, ε, ℓ, canonical budgets). Sketch generation is the dominant cost of every allocation,
 // and a built sketch is immutable and safe for concurrent readers, so
 // the cache lets repeated and concurrent queries against the same
 // resident network reuse one sketch instead of regenerating it. (The
@@ -42,7 +42,7 @@ type SketchCache struct {
 	maxCost    int64         // byte budget; 0 = unbounded
 	ttl        time.Duration // completed-entry lifetime; 0 = immortal
 	now        func() time.Time
-	costOf     func(any) int64 // prices a completed sketch; nil = cost 0
+	costOf     func(*rrset.Sketch) int64 // prices a completed sketch; nil = cost 0
 	entries    map[string]*cacheEntry
 	tick       uint64 // logical clock for LRU ordering
 	totalCost  int64  // sum of completed entries' costs
@@ -67,7 +67,7 @@ type SketchCache struct {
 
 type cacheEntry struct {
 	ready    chan struct{} // closed when sketch/err are set
-	sketch   any
+	sketch   *rrset.Sketch
 	err      error
 	cost     int64 // set when the build completes; in-flight entries cost 0
 	lastUsed uint64
@@ -86,7 +86,7 @@ type cacheEntry struct {
 // every completed entry's lifetime: past it the entry reads as a miss
 // and is rebuilt, so a long-running daemon's sketches are periodically
 // refreshed instead of pinning one early sample forever.
-func NewSketchCache(maxEntries int, maxCostBytes int64, ttl time.Duration, cost func(any) int64) *SketchCache {
+func NewSketchCache(maxEntries int, maxCostBytes int64, ttl time.Duration, cost func(*rrset.Sketch) int64) *SketchCache {
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
@@ -150,7 +150,7 @@ func (c *SketchCache) sweepExpiredLocked() {
 // on a miss. hit reports whether an existing (possibly still in-flight)
 // sketch was reused. On build error nothing is cached; waiters receive
 // the error and the next request rebuilds.
-func (c *SketchCache) GetOrBuild(key string, build func() (any, error)) (sketch any, hit bool, err error) {
+func (c *SketchCache) GetOrBuild(key string, build func() (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
 	return c.GetOrBuildCtx(context.Background(), key, build)
 }
 
@@ -160,7 +160,7 @@ func (c *SketchCache) GetOrBuild(key string, build func() (any, error)) (sketch 
 // waiters still get the sketch). The build callback itself is expected
 // to watch the builder's context — a canceled build reports its error to
 // every waiter and caches nothing, so the next request rebuilds.
-func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func() (any, error)) (sketch any, hit bool, err error) {
+func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func() (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		// An expired completed entry reads as a miss and is dropped;
@@ -225,7 +225,7 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 // a miss reports ok = false without creating an entry or counting a
 // miss. The batch scheduler uses it as its fast path — on a miss the
 // build decision belongs to the scheduler, not to this lookup.
-func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch any, ok bool, err error) {
+func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.Sketch, ok bool, err error) {
 	c.mu.Lock()
 	if e, present := c.entries[key]; present {
 		expired := false
@@ -282,7 +282,7 @@ func (c *SketchCache) Resident(key string) bool {
 // miss. The batched extend path uses it from inside a build callback:
 // blocking there on another key's in-flight entry could deadlock, and a
 // miss must not disturb the counters the benchmarks assert on.
-func (c *SketchCache) Peek(key string) (any, bool) {
+func (c *SketchCache) Peek(key string) (*rrset.Sketch, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -370,7 +370,7 @@ func (c *SketchCache) evictLocked(keep, traceID string) {
 // added. An existing entry — completed or still building — wins: the
 // import must not disturb in-flight waiters or displace a fresher local
 // build.
-func (c *SketchCache) Put(key string, sketch any) bool {
+func (c *SketchCache) Put(key string, sketch *rrset.Sketch) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -405,7 +405,7 @@ func (c *SketchCache) Put(key string, sketch any) bool {
 // CompletedForGraph for sketch shipping.
 type KeyedSketch struct {
 	Key    string
-	Sketch any
+	Sketch *rrset.Sketch
 }
 
 // CompletedForGraph returns the completed, unexpired entries belonging

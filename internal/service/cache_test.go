@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"uicwelfare/internal/rrset"
 )
 
 func TestSketchCacheSingleflight(t *testing.T) {
@@ -18,17 +20,18 @@ func TestSketchCacheSingleflight(t *testing.T) {
 	gate := make(chan struct{})
 
 	const waiters = 8
+	built := &rrset.Sketch{}
 	var wg sync.WaitGroup
-	results := make([]any, waiters)
+	results := make([]*rrset.Sketch, waiters)
 	hits := make([]bool, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.GetOrBuild("k", func() (any, error) {
+			v, hit, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) {
 				builds.Add(1)
 				<-gate // hold every concurrent requester on one build
-				return "sketch", nil
+				return built, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -45,7 +48,7 @@ func TestSketchCacheSingleflight(t *testing.T) {
 	}
 	misses := 0
 	for i := range results {
-		if results[i] != "sketch" {
+		if results[i] != built {
 			t.Fatalf("result %d = %v", i, results[i])
 		}
 		if !hits[i] {
@@ -65,7 +68,7 @@ func TestSketchCacheEviction(t *testing.T) {
 	c := NewSketchCache(2, 0, 0, nil)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, hit, _ := c.GetOrBuild(key, func() (any, error) { return i, nil }); hit {
+		if _, hit, _ := c.GetOrBuild(key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); hit {
 			t.Errorf("key %s: unexpected hit", key)
 		}
 	}
@@ -77,10 +80,10 @@ func TestSketchCacheEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 3", st.Evictions)
 	}
 	// The most recent keys survive.
-	if _, hit, _ := c.GetOrBuild("k4", func() (any, error) { return nil, nil }); !hit {
+	if _, hit, _ := c.GetOrBuild("k4", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
 		t.Error("k4 was evicted")
 	}
-	if _, hit, _ := c.GetOrBuild("k0", func() (any, error) { return 0, nil }); hit {
+	if _, hit, _ := c.GetOrBuild("k0", func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); hit {
 		t.Error("k0 survived eviction")
 	}
 }
@@ -89,10 +92,10 @@ func TestSketchCacheCostEviction(t *testing.T) {
 	// Entry bound is generous; the byte budget is the binding constraint:
 	// each entry costs 60, the budget is 100, so at most one completed
 	// entry fits at a time.
-	c := NewSketchCache(10, 100, 0, func(any) int64 { return 60 })
+	c := NewSketchCache(10, 100, 0, func(*rrset.Sketch) int64 { return 60 })
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.GetOrBuild(key, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := c.GetOrBuild(key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +110,7 @@ func TestSketchCacheCostEviction(t *testing.T) {
 		t.Errorf("max cost = %d", st.MaxCostBytes)
 	}
 	// The newest entry is the survivor.
-	if _, hit, _ := c.GetOrBuild("k2", func() (any, error) { return nil, nil }); !hit {
+	if _, hit, _ := c.GetOrBuild("k2", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
 		t.Error("most recent entry was evicted")
 	}
 	// Eviction on graph invalidation returns its cost to the pool.
@@ -124,11 +127,12 @@ func TestSketchCacheCostEviction(t *testing.T) {
 func TestSketchCacheErrorNotCached(t *testing.T) {
 	c := NewSketchCache(8, 0, 0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrBuild("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := c.GetOrBuild("k", func() (any, error) { return "ok", nil })
-	if err != nil || hit || v != "ok" {
+	ok := &rrset.Sketch{}
+	v, hit, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) { return ok, nil })
+	if err != nil || hit || v != ok {
 		t.Errorf("retry after error: v=%v hit=%v err=%v", v, hit, err)
 	}
 }

@@ -6,9 +6,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
+	"uicwelfare/internal/core"
+	"uicwelfare/internal/graph"
+	"uicwelfare/internal/imm"
+	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/service"
+	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 )
 
@@ -157,6 +164,44 @@ func TestSketchExportImport(t *testing.T) {
 	e2.doJSON("GET", "/v1/stats", nil, &stats, http.StatusOK)
 	if stats.SketchCache.EntriesByFamily["prima"] != 1 {
 		t.Errorf("entries_by_family = %v", stats.SketchCache.EntriesByFamily)
+	}
+}
+
+// TestImportedSketchOfAnotherFamilyIsRefused ships a CRC-valid IMM
+// sketch under a PRIMA cache key. The import itself succeeds — the
+// stream cannot know which family a key's planner expects — so the
+// planner's family check is what keeps bundleGRD from answering with an
+// IMM order, whose prefixes carry no prefix-preserving guarantee.
+func TestImportedSketchOfAnotherFamilyIsRefused(t *testing.T) {
+	e := newEnv(t, service.Options{NodeID: "b9"})
+	info := registerInline(t, e)
+	status, wmg := e.do("GET", "/v1/graphs/"+info.ID+"/export", nil)
+	if status != http.StatusOK {
+		t.Fatalf("export: status %d", status)
+	}
+	_, g, err := store.DecodeGraph(bytes.NewReader(wmg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{2, 1}
+	eps, ell := service.DefaultEpsEll(0, 0)
+	key := service.SketchKey(info.ID, prima.Family, int(graph.CascadeIC), eps, ell, prima.CanonicalBudgets(budgets, g.N()))
+	var stream bytes.Buffer
+	if err := store.WriteSketchStreamEntry(&stream, key, imm.BuildSketch(g, 2, rrset.Options{}, stats.NewRNG(1))); err != nil {
+		t.Fatal(err)
+	}
+	var imp struct {
+		Imported int `json:"imported"`
+	}
+	e.doJSON("POST", "/v1/graphs/"+info.ID+"/sketches", stream.Bytes(), &imp, http.StatusOK)
+	if imp.Imported != 1 {
+		t.Fatalf("import = %+v", imp)
+	}
+
+	var job allocJobView
+	e.waitJob(t, e.submit(t, "/v1/allocate", service.AllocateRequest{GraphID: info.ID, Algo: core.AlgoBundleGRD, Budgets: budgets}), &job)
+	if job.State != service.JobFailed || job.Result != nil || !strings.Contains(job.Error, `family "imm"`) {
+		t.Fatalf("bundleGRD over an IMM sketch: state %s, result %+v, error %q; want a failure naming the family", job.State, job.Result, job.Error)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"uicwelfare/internal/frame"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/telemetry"
@@ -282,15 +283,14 @@ func TestBinaryGraphPathLoading(t *testing.T) {
 // did — scalars, then the collection as varint set sizes and varint
 // members, no selection — so the upgrade test can lay down what an
 // older daemon left in its data dir.
-func encodeV1SketchPayload(t *testing.T, prefix []byte, sketch any) []byte {
+func encodeV1SketchPayload(t *testing.T, prefix []byte, sk *rrset.Sketch) []byte {
 	t.Helper()
-	sk, ok := sketch.(*prima.Sketch)
-	if !ok || sk.Col == nil {
-		t.Fatalf("want a PRIMA sketch with a collection, got %T", sketch)
+	if sk.Family != prima.Family || sk.Col == nil {
+		t.Fatalf("want a PRIMA sketch with a collection, got family %q", sk.Family)
 	}
-	col, maxBudget, phase1, allNodesN := sk.State()
+	col := sk.Col
 	out := append([]byte(nil), prefix...)
-	for _, x := range []int{1, maxBudget, phase1, allNodesN, 1, col.Len()} { // family, scalars, presence, sets
+	for _, x := range []int{1, sk.K, sk.Phase1, sk.AllNodes, 1, col.Len()} { // family, scalars, presence, sets
 		out = binary.AppendUvarint(out, uint64(x))
 	}
 	offsets := col.Offsets()
@@ -336,7 +336,7 @@ func TestUpgradeFromV1SketchSpills(t *testing.T) {
 	if err != nil || len(spills) != 1 {
 		t.Fatalf("spills = %v (%v), want 1", spills, err)
 	}
-	var v1Sketch any
+	var v1Sketch *rrset.Sketch
 	for _, path := range spills {
 		f, err := os.Open(path)
 		if err != nil {

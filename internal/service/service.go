@@ -599,7 +599,7 @@ func (s *Service) ImportSketches(graphID string, r io.Reader) (imported, skipped
 		return 0, 0, fmt.Errorf("unknown graph %q", graphID)
 	}
 	prefix := graphID + "|"
-	_, err = store.ReadSketchStream(r, entry.Graph, func(key string, sketch any) error {
+	_, err = store.ReadSketchStream(r, entry.Graph, func(key string, sketch *rrset.Sketch) error {
 		if !strings.HasPrefix(key, prefix) {
 			return fmt.Errorf("sketch key %q does not belong to graph %q", key, graphID)
 		}
@@ -838,7 +838,7 @@ func (s *Service) sweepIfDeleted(graphID string) {
 // own cancellation (not ctx's) poisoned the wait. found reports a
 // successful hit; a miss is (nil, false, nil) and a real error —
 // including ctx's own cancellation — is (nil, false, err).
-func (s *Service) lookupResident(ctx context.Context, graphID, key string) (sketch any, found bool, err error) {
+func (s *Service) lookupResident(ctx context.Context, graphID, key string) (sketch *rrset.Sketch, found bool, err error) {
 	defer telemetry.StartSpan(ctx, "cache_lookup")()
 	for {
 		sk, ok, err := s.cache.LookupCtx(ctx, key)
@@ -862,7 +862,7 @@ func (s *Service) lookupResident(ctx context.Context, graphID, key string) (sket
 // like they share one build — the disk tier, and only then build, whose
 // result is spilled back to disk. hit reports whether any tier avoided
 // a rebuild.
-func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g *graph.Graph, build func(ctx context.Context) (any, error)) (sketch any, hit bool, err error) {
+func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g *graph.Graph, build func(ctx context.Context) (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
 	var diskHit bool
 	for {
 		var memHit bool
@@ -871,7 +871,7 @@ func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g 
 		// that turns into a disk load or a fresh build does not inflate
 		// the cache-lookup timing with build work.
 		endLookup := telemetry.StartSpan(ctx, "cache_lookup")
-		sketch, memHit, err = s.cache.GetOrBuildCtx(ctx, key, func() (any, error) {
+		sketch, memHit, err = s.cache.GetOrBuildCtx(ctx, key, func() (*rrset.Sketch, error) {
 			endLookup()
 			if s.disk != nil {
 				// The TTL bounds spill age too: a spill left by cost
@@ -891,11 +891,9 @@ func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g 
 				// it first, under its own span, so sketch_spill times
 				// only the encode and write, and every Select after it is
 				// a prefix read.
-				if sel, ok := sk.(interface{ Selection() rrset.Selection }); ok {
-					endSel := telemetry.StartSpan(ctx, "greedy_select")
-					sel.Selection()
-					endSel()
-				}
+				endSel := telemetry.StartSpan(ctx, "greedy_select")
+				sk.Selection()
+				endSel()
 				endSpill := telemetry.StartSpan(ctx, "sketch_spill")
 				_ = s.disk.SaveSketch(graphID, key, sk) // best-effort; failure only costs warmth
 				endSpill()
@@ -928,7 +926,7 @@ func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g 
 // the request's resource accounting, and the recalibration itself is
 // journaled — admission verdicts change when the model moves, and the
 // journal is where an operator reconstructs why.
-func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *allocatePlan, eps, ell float64, budgets []int, sketch any) {
+func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *allocatePlan, eps, ell float64, budgets []int, sketch *rrset.Sketch) {
 	cost := store.SketchCost(sketch)
 	telemetry.AddResource(ctx, telemetry.ResSketchBytesBuilt, cost)
 	if plan.meta.CostEstimator == nil {
@@ -958,7 +956,7 @@ func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *al
 // unchanged. hit reports whether any tier or a shared batch build
 // avoided fresh sketch work for this caller; it is what AllocateResult
 // exposes as SketchCached and what the restart-warm smoke asserts on.
-func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (sketch any, hit bool, err error) {
+func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (sketch *rrset.Sketch, hit bool, err error) {
 	family, cascade := plan.meta.SketchFamily, int(plan.opts.Cascade)
 	key := SketchKey(graphID, family, cascade, eps, ell, sp.SketchBudgets(plan.prob))
 	buildOpts := plan.opts
@@ -966,7 +964,7 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 
 	bp, batchable := sp.(core.BatchSketchPlanner)
 	if s.batcher == nil || !batchable || degenerateBudgets(sp.SketchBudgets(plan.prob), plan.prob.G.N()) {
-		return s.buildThroughTiers(ctx, graphID, key, plan.prob.G, func(bctx context.Context) (any, error) {
+		return s.buildThroughTiers(ctx, graphID, key, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
 			sk, err := sp.BuildSketch(bctx, plan.prob, buildOpts, stats.NewRNG(seed))
 			if err == nil {
 				s.observeBuildCost(bctx, graphID, plan, eps, ell, plan.prob.Budgets, sk)
@@ -1003,7 +1001,7 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 		// Submit records the wait on this request's trace: batch_gather
 		// until its group's build starts, shared_build from there when
 		// the build is another member's.
-		sk, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, sp.SketchBudgets(plan.prob), bp.MergeBudgets,
+		v, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, sp.SketchBudgets(plan.prob), bp.MergeBudgets,
 			func(bctx context.Context, merged []int) (any, bool, error) {
 				// The scheduler runs the group build on its own goroutine
 				// with a detached context; re-attach the submitting
@@ -1022,24 +1020,24 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 				// here on the old key's entry could deadlock the build
 				// callback.
 				target := merged
-				var baseSketch any
+				var baseSketch *rrset.Sketch
 				var baseBudgets []int
 				ep, canExtend := bp.(core.ExtendSketchPlanner)
 				if canExtend {
 					if rec, ok := s.lookupMerged(groupKey); ok {
-						if base, resident := s.cache.Peek(rec.key); resident && numRRSets(base) > 0 {
+						if base, resident := s.cache.Peek(rec.key); resident && base.NumRRSets() > 0 {
 							baseSketch, baseBudgets = base, rec.budgets
 							target = bp.MergeBudgets(rec.budgets, merged)
 						}
 					}
 				}
 				mergedKey := SketchKey(graphID, family, cascade, eps, ell, target)
-				sk, hit, err := s.buildThroughTiers(bctx, graphID, mergedKey, plan.prob.G, func(bctx context.Context) (any, error) {
+				sk, hit, err := s.buildThroughTiers(bctx, graphID, mergedKey, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
 					if baseSketch != nil {
 						esk, eerr := ep.ExtendSketch(bctx, plan.prob, baseSketch, baseBudgets, target, buildOpts, stats.NewRNG(seed))
 						if eerr == nil {
 							s.sketchExtends.Add(1)
-							s.rrSetsAppended.Add(int64(numRRSets(esk) - numRRSets(baseSketch)))
+							s.rrSetsAppended.Add(int64(esk.NumRRSets() - baseSketch.NumRRSets()))
 							s.observeBuildCost(bctx, graphID, plan, eps, ell, target, esk)
 							return esk, nil
 						}
@@ -1062,6 +1060,10 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 			})
 		if err == nil {
 			s.sweepIfDeleted(graphID)
+			// batch.Scheduler is sketch-agnostic (bench/layers.go drives it
+			// with its own build func); every build above returns a
+			// *rrset.Sketch.
+			sk, _ := v.(*rrset.Sketch)
 			return sk, cacheHit || shared, nil
 		}
 		// Like buildThroughTiers' waiters, a batch member can inherit a
@@ -1155,15 +1157,6 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 	return out, nil
 }
 
-// numRRSets reads a sketch's final-collection size through the shared
-// NumRRSets seam (0 for degenerate sketches or foreign types).
-func numRRSets(sketch any) int {
-	if sized, ok := sketch.(interface{ NumRRSets() int }); ok {
-		return sized.NumRRSets()
-	}
-	return 0
-}
-
 // countSketchOutcome lands a request's sketch resolution on its
 // resource accounting: one cache hit when any tier (or a shared batch
 // build) avoided fresh sketch work, one miss otherwise. The acceptance
@@ -1239,16 +1232,13 @@ func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest,
 	if err != nil {
 		return nil, err
 	}
-	out := &WarmResult{
+	return &WarmResult{
 		Algorithm:    plan.meta.Name,
 		SketchFamily: plan.meta.SketchFamily,
 		AlreadyWarm:  hit,
+		NumRRSets:    sketch.NumRRSets(),
 		ElapsedMS:    time.Since(startT).Milliseconds(),
-	}
-	if sized, ok := sketch.(interface{ NumRRSets() int }); ok {
-		out.NumRRSets = sized.NumRRSets()
-	}
-	return out, nil
+	}, nil
 }
 
 // validateEstimate resolves the parts of an EstimateRequest that can be

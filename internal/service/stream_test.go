@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"uicwelfare/internal/core"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
@@ -215,7 +216,7 @@ func (p blockingSketchPlanner) Plan(ctx context.Context, prob *core.Problem, opt
 
 func (blockingSketchPlanner) SketchBudgets(prob *core.Problem) []int { return prob.Budgets }
 
-func (blockingSketchPlanner) BuildSketch(ctx context.Context, prob *core.Problem, opts core.Options, rng *stats.RNG) (any, error) {
+func (blockingSketchPlanner) BuildSketch(ctx context.Context, prob *core.Problem, opts core.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	sketchBuilding <- struct{}{}
 	if sketchBuilds.Add(1) == 1 {
 		select {
@@ -225,10 +226,10 @@ func (blockingSketchPlanner) BuildSketch(ctx context.Context, prob *core.Problem
 			return nil, fmt.Errorf("blocking sketch build was never canceled")
 		}
 	}
-	return "sketch", nil
+	return &rrset.Sketch{Family: "test"}, nil
 }
 
-func (blockingSketchPlanner) PlanFromSketch(prob *core.Problem, sketch any) (core.Result, error) {
+func (blockingSketchPlanner) PlanFromSketch(prob *core.Problem, sketch *rrset.Sketch) (core.Result, error) {
 	return core.Result{Alloc: uic.NewAllocation(prob.K())}, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uicwelfare/internal/rrset"
 )
 
 // fakeClock drives the cache's TTL deterministically.
@@ -30,7 +32,7 @@ func TestSketchCacheTTLExpiry(t *testing.T) {
 	c.now = clock.now
 
 	builds := 0
-	build := func() (any, error) { builds++; return "sketch", nil }
+	build := func() (*rrset.Sketch, error) { builds++; return &rrset.Sketch{}, nil }
 
 	if _, hit, _ := c.GetOrBuild("k", build); hit {
 		t.Fatal("first lookup hit an empty cache")
@@ -76,19 +78,20 @@ func TestSketchCachePutAndExport(t *testing.T) {
 	keyA := SketchKey("gA", "prima", 0, 0.5, 1, []int{2, 2})
 	keyB := SketchKey("gB", "imm", 0, 0.5, 1, []int{3})
 
-	if !c.Put(keyA, "sketchA") {
+	sketchA := &rrset.Sketch{Family: "prima"}
+	if !c.Put(keyA, sketchA) {
 		t.Fatal("Put into empty cache rejected")
 	}
-	if c.Put(keyA, "other") {
+	if c.Put(keyA, &rrset.Sketch{Family: "prima"}) {
 		t.Fatal("Put displaced a resident entry")
 	}
-	if v, hit, _ := c.GetOrBuild(keyA, func() (any, error) { return nil, nil }); !hit || v != "sketchA" {
+	if v, hit, _ := c.GetOrBuild(keyA, func() (*rrset.Sketch, error) { return nil, nil }); !hit || v != sketchA {
 		t.Fatalf("imported entry not served: v=%v hit=%v", v, hit)
 	}
-	c.Put(keyB, "sketchB")
+	c.Put(keyB, &rrset.Sketch{Family: "imm"})
 
 	got := c.CompletedForGraph("gA")
-	if len(got) != 1 || got[0].Key != keyA || got[0].Sketch != "sketchA" {
+	if len(got) != 1 || got[0].Key != keyA || got[0].Sketch != sketchA {
 		t.Fatalf("CompletedForGraph(gA) = %+v", got)
 	}
 	if got := c.CompletedForGraph("gC"); len(got) != 0 {

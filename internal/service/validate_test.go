@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/rrset"
 )
 
 func TestAllocateInlineEstimatePairCap(t *testing.T) {
@@ -42,9 +43,9 @@ func TestInvalidateGraphDropsInFlightBuilds(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.GetOrBuild("g1|prima|x", func() (any, error) {
+		_, _, _ = c.GetOrBuild("g1|prima|x", func() (*rrset.Sketch, error) {
 			<-gate
-			return "sketch", nil
+			return &rrset.Sketch{}, nil
 		})
 	}()
 	// Wait for the build to be registered, then invalidate mid-build.

@@ -9,6 +9,7 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 )
@@ -75,9 +76,9 @@ func FuzzDecodeGraph(f *testing.F) {
 
 func FuzzDecodeSketch(f *testing.F) {
 	g := fuzzGraph()
-	psk := prima.BuildSketch(g, []int{3, 2}, prima.Options{}, stats.NewRNG(1))
-	isk := imm.BuildSketch(g, 3, imm.Options{}, stats.NewRNG(2))
-	for _, sk := range []any{psk, isk} {
+	psk := prima.BuildSketch(g, []int{3, 2}, rrset.Options{}, stats.NewRNG(1))
+	isk := imm.BuildSketch(g, 3, rrset.Options{}, stats.NewRNG(2))
+	for _, sk := range []*rrset.Sketch{psk, isk} {
 		var buf bytes.Buffer
 		if err := store.EncodeSketch(&buf, sk); err != nil {
 			f.Fatal(err)
@@ -108,10 +109,10 @@ func FuzzDecodeSketch(f *testing.F) {
 // payload must re-encode to exactly its own bytes.
 func FuzzDecodeSketchPayload(f *testing.F) {
 	g := fuzzGraph()
-	for _, sk := range []any{
-		prima.BuildSketch(g, []int{3, 2}, prima.Options{}, stats.NewRNG(1)),
-		imm.BuildSketch(g, 3, imm.Options{}, stats.NewRNG(2)),
-		imm.BuildSketch(g, g.N(), imm.Options{}, stats.NewRNG(3)), // degenerate: no collection
+	for _, sk := range []*rrset.Sketch{
+		prima.BuildSketch(g, []int{3, 2}, rrset.Options{}, stats.NewRNG(1)),
+		imm.BuildSketch(g, 3, rrset.Options{}, stats.NewRNG(2)),
+		imm.BuildSketch(g, g.N(), rrset.Options{}, stats.NewRNG(3)), // degenerate: no collection
 	} {
 		var buf bytes.Buffer
 		if err := store.EncodeSketch(&buf, sk); err != nil {
@@ -146,8 +147,8 @@ func FuzzDecodeSketchPayload(f *testing.F) {
 
 func FuzzReadSketchStream(f *testing.F) {
 	g := fuzzGraph()
-	psk := prima.BuildSketch(g, []int{3}, prima.Options{}, stats.NewRNG(3))
-	isk := imm.BuildSketch(g, 2, imm.Options{}, stats.NewRNG(4))
+	psk := prima.BuildSketch(g, []int{3}, rrset.Options{}, stats.NewRNG(3))
+	isk := imm.BuildSketch(g, 2, rrset.Options{}, stats.NewRNG(4))
 	var buf bytes.Buffer
 	if err := store.WriteSketchStreamEntry(&buf, "key-a", psk); err != nil {
 		f.Fatal(err)
@@ -159,7 +160,7 @@ func FuzzReadSketchStream(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := store.ReadSketchStream(bytes.NewReader(data), g, func(key string, sketch any) error {
+		n, err := store.ReadSketchStream(bytes.NewReader(data), g, func(key string, sketch *rrset.Sketch) error {
 			return nil
 		})
 		if n < 0 {

@@ -7,67 +7,63 @@ import (
 
 	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/imm"
-	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
 )
 
-// Sketch family tags in the .wms payload.
+// Sketch family tags in the .wms payload, one per rrset.Sketch.Family.
 const (
-	familyPrima = 1
-	familyIMM   = 2
+	familyPrima = 1 // "prima"
+	familyIMM   = 2 // "imm": also writes the sketch's LB
 )
 
-// EncodeSketch writes a built *prima.Sketch or *imm.Sketch as a .wms
-// frame at SketchVersion: the family tag, the family's scalar fields,
-// the sketch's greedy selection and the RR-set collection as raw words
-// (encodeCollection). Encoding forces the selection if no Select has yet
-// — a spilled or shipped sketch is always followed by a Select, so the
-// work moves rather than grows, and the reloaded copy never re-runs it.
-// The graph is deliberately not embedded — a sketch is only meaningful
-// next to its graph, and the store keys sketch files by the graph's
-// content id, so DecodeSketch takes the resident graph instead.
-func EncodeSketch(w io.Writer, sketch any) error {
+// EncodeSketch writes a built sketch as a .wms frame at SketchVersion:
+// the family tag, the sketch's scalar fields, its greedy selection and
+// the RR-set collection as raw words (encodeCollection). Encoding forces
+// the selection if no Select has yet — a spilled or shipped sketch is
+// always followed by a Select, so the work moves rather than grows, and
+// the reloaded copy never re-runs it. The graph is deliberately not
+// embedded — a sketch is only meaningful next to its graph, and the
+// store keys sketch files by the graph's content id, so DecodeSketch
+// takes the resident graph instead.
+func EncodeSketch(w io.Writer, sk *rrset.Sketch) error {
 	var p payloadWriter
-	if err := encodeSketchPayload(&p, sketch); err != nil {
+	if err := encodeSketchPayload(&p, sk); err != nil {
 		return err
 	}
 	return frame.Write(w, SketchMagic, SketchVersion, p.buf.Bytes())
 }
 
 // encodeSketchPayload packs the frame body shared by the .wms codec and
-// the sketch-stream container (which prepends a cache key to it).
-func encodeSketchPayload(p *payloadWriter, sketch any) error {
-	switch sk := sketch.(type) {
-	case *prima.Sketch:
-		col, maxBudget, phase1, allNodesN := sk.State()
-		p.uvarint(familyPrima)
-		p.uvarint(uint64(maxBudget))
-		p.uvarint(uint64(phase1))
-		p.uvarint(uint64(allNodesN))
-		encodeCollection(p, col, sk.Selection())
-	case *imm.Sketch:
-		col, k, phase1, lb, allNodesN := sk.State()
-		p.uvarint(familyIMM)
-		p.uvarint(uint64(k))
-		p.uvarint(uint64(phase1))
-		p.float64(lb)
-		p.uvarint(uint64(allNodesN))
-		encodeCollection(p, col, sk.Selection())
+// the sketch-stream container (which prepends a cache key to it). The
+// family only decides the tag and whether IMM's LB float is written.
+func encodeSketchPayload(p *payloadWriter, sk *rrset.Sketch) error {
+	var family uint64
+	switch sk.Family {
+	case "prima":
+		family = familyPrima
+	case "imm":
+		family = familyIMM
 	default:
-		return fmt.Errorf("store: cannot encode sketch type %T", sketch)
+		return fmt.Errorf("store: cannot encode sketch family %q", sk.Family)
 	}
+	p.uvarint(family)
+	p.uvarint(uint64(sk.K))
+	p.uvarint(uint64(sk.Phase1))
+	if family == familyIMM {
+		p.float64(sk.LB)
+	}
+	p.uvarint(uint64(sk.AllNodes))
+	encodeCollection(p, sk.Col, sk.Selection())
 	return nil
 }
 
 // DecodeSketch reads one .wms frame against the graph it was built for,
-// returning a *prima.Sketch or *imm.Sketch indistinguishable from the
-// freshly built original: rrset.Restore rebuilds the inverted index and
+// returning a sketch indistinguishable from the freshly built original: rrset.Restore rebuilds the inverted index and
 // re-validates every member against g, and the persisted selection is
 // checked against the restored collection before the sketch adopts it.
 // The caller is responsible for pairing the right graph — the store
 // does so by keying sketch files under the graph's content id.
-func DecodeSketch(r io.Reader, g *graph.Graph) (any, error) {
+func DecodeSketch(r io.Reader, g *graph.Graph) (*rrset.Sketch, error) {
 	payload, err := readFrame(r, SketchMagic, SketchVersion)
 	if err != nil {
 		return nil, err
@@ -86,16 +82,15 @@ func DecodeSketch(r io.Reader, g *graph.Graph) (any, error) {
 }
 
 // sketchParts is a parsed sketch payload before it meets its graph: the
-// family's scalars, the persisted selection and the collection's arrays.
+// sketch's scalars, the persisted selection and the collection's arrays.
 type sketchParts struct {
-	family int
-	// budget is the sketch's MaxBudget (PRIMA) or K (IMM).
-	budget, phase1, allNodesN int
-	lb                        float64
-	hasCol                    bool
-	sel                       rrset.Selection
-	members                   []graph.NodeID
-	offsets                   []int64
+	family                   string
+	budget, phase1, allNodes int
+	lb                       float64
+	hasCol                   bool
+	sel                      rrset.Selection
+	members                  []graph.NodeID
+	offsets                  []int64
 }
 
 // parseSketchPayload unpacks what encodeSketchPayload wrote into typed
@@ -107,38 +102,38 @@ func parseSketchPayload(p *payloadReader) (*sketchParts, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &sketchParts{family: int(family)}
-	var budget, phase1, allNodesN uint64
-	var err1, err2, err3, err4 error
+	s := &sketchParts{}
 	switch family {
 	case familyPrima:
-		budget, err1 = p.uvarint()
-		phase1, err2 = p.uvarint()
-		allNodesN, err3 = p.uvarint()
+		s.family = "prima"
 	case familyIMM:
-		budget, err1 = p.uvarint()
-		phase1, err2 = p.uvarint()
-		s.lb, err3 = p.float64()
-		allNodesN, err4 = p.uvarint()
+		s.family = "imm"
 	default:
 		return nil, fmt.Errorf("%w: unknown sketch family %d", ErrCorrupt, family)
 	}
+	budget, err1 := p.uvarint()
+	phase1, err2 := p.uvarint()
+	var err3 error
+	if family == familyIMM {
+		s.lb, err3 = p.float64()
+	}
+	allNodes, err4 := p.uvarint()
 	if err := firstErr(err1, err2, err3, err4); err != nil {
 		return nil, err
 	}
-	s.budget, s.phase1, s.allNodesN = int(budget), int(phase1), int(allNodesN)
+	s.budget, s.phase1, s.allNodes = int(budget), int(phase1), int(allNodes)
 	if err := parseCollection(p, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// build restores the collection against g, reassembles the family's
-// sketch, and adopts the persisted selection once it checks out against
-// the restored collection. Every inconsistency is ErrCorrupt.
-func (s *sketchParts) build(g *graph.Graph) (any, error) {
-	if s.allNodesN != 0 && (s.allNodesN != g.N() || s.hasCol) {
-		return nil, fmt.Errorf("%w: all-nodes marker %d on a %d-node graph", ErrCorrupt, s.allNodesN, g.N())
+// build restores the collection against g, reassembles the sketch, and
+// adopts the persisted selection once it checks out against the
+// restored collection. Every inconsistency is ErrCorrupt.
+func (s *sketchParts) build(g *graph.Graph) (*rrset.Sketch, error) {
+	if s.allNodes != 0 && (s.allNodes != g.N() || s.hasCol) {
+		return nil, fmt.Errorf("%w: all-nodes marker %d on a %d-node graph", ErrCorrupt, s.allNodes, g.N())
 	}
 	var col *rrset.Collection
 	if s.hasCol {
@@ -148,15 +143,7 @@ func (s *sketchParts) build(g *graph.Graph) (any, error) {
 		}
 		s.sel.Sets = col.Len()
 	}
-	var sketch interface {
-		AdoptSelection(rrset.Selection) error
-	}
-	switch s.family {
-	case familyPrima:
-		sketch = prima.RestoreSketch(col, s.budget, s.phase1, s.allNodesN)
-	default:
-		sketch = imm.RestoreSketch(col, s.budget, s.phase1, s.lb, s.allNodesN)
-	}
+	sketch := &rrset.Sketch{Family: s.family, Col: col, K: s.budget, Phase1: s.phase1, LB: s.lb, AllNodes: s.allNodes}
 	if col != nil {
 		if err := sketch.AdoptSelection(s.sel); err != nil {
 			return nil, fmt.Errorf("%w: persisted selection: %v", ErrCorrupt, err)
@@ -273,20 +260,12 @@ func parseCollection(p *payloadReader, s *sketchParts) error {
 // cost never changes after insertion), plus a fixed floor for the
 // headers. The service's cost-aware cache eviction and the disk-tier
 // budget both price entries with it.
-func SketchCost(sketch any) int64 {
-	var col *rrset.Collection
-	var k int
-	switch sk := sketch.(type) {
-	case *prima.Sketch:
-		col, k, _, _ = sk.State()
-	case *imm.Sketch:
-		col, k, _, _, _ = sk.State()
-	}
+func SketchCost(sk *rrset.Sketch) int64 {
 	const floor = 256
-	if col == nil {
+	if sk.Col == nil {
 		return floor
 	}
-	return floor + col.ResidentBytes() + rrset.MemoBytes(k)
+	return floor + sk.Col.ResidentBytes() + rrset.MemoBytes(sk.K)
 }
 
 func firstErr(errs ...error) error {

@@ -15,6 +15,7 @@ import (
 
 	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/rrset"
 )
 
 // File extensions of the two persisted artifact kinds.
@@ -193,7 +194,7 @@ func (s *Store) sketchPath(graphID, key string) string {
 // budget. Spill failures are counted (Stats.SpillErrors — the operator's
 // signal that persistence is broken) and returned, but are never fatal
 // to the request that built the sketch — the memory tier already has it.
-func (s *Store) SaveSketch(graphID, key string, sketch any) error {
+func (s *Store) SaveSketch(graphID, key string, sketch *rrset.Sketch) error {
 	err := frame.WriteFileAtomic(s.sketchPath(graphID, key), func(w io.Writer) error {
 		return EncodeSketch(w, sketch)
 	})
@@ -222,7 +223,7 @@ func (s *Store) SaveSketch(graphID, key string, sketch any) error {
 // not resurrect a sketch older than the TTL promises. The file is
 // opened and stat'ed once; the age check and the exact-size payload
 // read share that stat.
-func (s *Store) LoadSketch(graphID, key string, g *graph.Graph, maxAge time.Duration) any {
+func (s *Store) LoadSketch(graphID, key string, g *graph.Graph, maxAge time.Duration) *rrset.Sketch {
 	path := s.sketchPath(graphID, key)
 	f, err := os.Open(path)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
 
@@ -104,18 +105,17 @@ func TestGraphIDContentAddressing(t *testing.T) {
 
 func TestSketchRoundTripPrima(t *testing.T) {
 	g := testGraph(t)
-	sk := prima.BuildSketch(g, []int{10, 5}, prima.Options{}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{10, 5}, rrset.Options{}, stats.NewRNG(1))
 	var buf bytes.Buffer
 	if err := EncodeSketch(&buf, sk); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSketch(&buf, g)
+	got, err := DecodeSketch(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := decoded.(*prima.Sketch)
-	if !ok {
-		t.Fatalf("decoded %T", decoded)
+	if got.Family != prima.Family {
+		t.Fatalf("decoded family %q", got.Family)
 	}
 	want, have := sk.Select(), got.Select()
 	if !reflect.DeepEqual(want, have) {
@@ -125,18 +125,17 @@ func TestSketchRoundTripPrima(t *testing.T) {
 
 func TestSketchRoundTripIMM(t *testing.T) {
 	g := testGraph(t)
-	sk := imm.BuildSketch(g, 8, imm.Options{}, stats.NewRNG(1))
+	sk := imm.BuildSketch(g, 8, rrset.Options{}, stats.NewRNG(1))
 	var buf bytes.Buffer
 	if err := EncodeSketch(&buf, sk); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSketch(&buf, g)
+	got, err := DecodeSketch(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := decoded.(*imm.Sketch)
-	if !ok {
-		t.Fatalf("decoded %T", decoded)
+	if got.Family != imm.Family || got.LB != sk.LB {
+		t.Fatalf("decoded family %q, LB %g; want %q, %g", got.Family, got.LB, imm.Family, sk.LB)
 	}
 	want, have := sk.Select(), got.Select()
 	if !reflect.DeepEqual(want, have) {
@@ -147,7 +146,7 @@ func TestSketchRoundTripIMM(t *testing.T) {
 func TestSketchRoundTripDegenerate(t *testing.T) {
 	// k >= n: the sketch has no collection, only the all-nodes marker.
 	g := graph.FromEdges(4, [][3]float64{{0, 1, 0.5}, {1, 2, 0.5}})
-	sk := imm.BuildSketch(g, 10, imm.Options{}, stats.NewRNG(1))
+	sk := imm.BuildSketch(g, 10, rrset.Options{}, stats.NewRNG(1))
 	var buf bytes.Buffer
 	if err := EncodeSketch(&buf, sk); err != nil {
 		t.Fatal(err)
@@ -156,15 +155,9 @@ func TestSketchRoundTripDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, have := sk.Select(), decoded.(*imm.Sketch).Select()
+	want, have := sk.Select(), decoded.Select()
 	if !reflect.DeepEqual(want, have) {
 		t.Errorf("degenerate sketch: want %+v, have %+v", want, have)
-	}
-}
-
-func TestEncodeSketchRejectsUnknownType(t *testing.T) {
-	if err := EncodeSketch(&bytes.Buffer{}, 42); err == nil {
-		t.Fatal("encoded an int as a sketch")
 	}
 }
 
@@ -217,7 +210,7 @@ func TestDecodeGraphCorruptInputs(t *testing.T) {
 	}
 
 	// A sketch frame fed to the graph decoder is a magic mismatch.
-	sk := imm.BuildSketch(g, 4, imm.Options{}, stats.NewRNG(1))
+	sk := imm.BuildSketch(g, 4, rrset.Options{}, stats.NewRNG(1))
 	var buf bytes.Buffer
 	if err := EncodeSketch(&buf, sk); err != nil {
 		t.Fatal(err)
@@ -229,7 +222,7 @@ func TestDecodeGraphCorruptInputs(t *testing.T) {
 
 func TestDecodeSketchCorruptInputs(t *testing.T) {
 	g := testGraph(t)
-	sk := prima.BuildSketch(g, []int{6}, prima.Options{}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{6}, rrset.Options{}, stats.NewRNG(1))
 	var buf bytes.Buffer
 	if err := EncodeSketch(&buf, sk); err != nil {
 		t.Fatal(err)
@@ -274,7 +267,7 @@ func TestStoreGraphLifecycle(t *testing.T) {
 
 	// Spill a sketch for the graph, then delete the graph: both artifacts
 	// must go.
-	sk := imm.BuildSketch(g, 4, imm.Options{}, stats.NewRNG(1))
+	sk := imm.BuildSketch(g, 4, rrset.Options{}, stats.NewRNG(1))
 	if err := s.SaveSketch(id, "key1", sk); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +295,7 @@ func TestDecodeSketchForgedSizeOverflow(t *testing.T) {
 		p.uvarint(1)         // k
 		p.uvarint(0)         // phase1
 		p.float64(1)         // lb
-		p.uvarint(0)         // allNodesN
+		p.uvarint(0)         // allNodes
 		p.uvarint(1)         // collection present
 		p.uvarint(0)         // empty selection
 		p.uvarint(counts[0]) // forged set count
@@ -329,10 +322,10 @@ type forgedSketch struct {
 	trailing          []byte
 }
 
-func forgeFrom(sk *prima.Sketch) forgedSketch {
+func forgeFrom(sk *rrset.Sketch) forgedSketch {
 	sel := sk.Selection()
 	f := forgedSketch{
-		maxBudget: uint64(sk.MaxBudget),
+		maxBudget: uint64(sk.K),
 		phase1:    uint64(sk.Phase1),
 		numSets:   uint64(sk.Col.Len()),
 		total:     uint64(len(sk.Col.Members())),
@@ -366,7 +359,7 @@ func (f forgedSketch) frame(t *testing.T) []byte {
 	p.uvarint(familyPrima)
 	p.uvarint(f.maxBudget)
 	p.uvarint(f.phase1)
-	p.uvarint(0) // allNodesN
+	p.uvarint(0) // allNodes
 	p.uvarint(1) // collection present
 	p.uvarint(uint64(len(f.order)))
 	for _, v := range f.order {
@@ -396,7 +389,7 @@ func (f forgedSketch) frame(t *testing.T) []byte {
 // must be ErrCorrupt, never a panic and never an adopted selection.
 func TestDecodeSketchForgedPayloads(t *testing.T) {
 	g := testGraph(t)
-	sk := prima.BuildSketch(g, []int{8, 3}, prima.Options{}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{8, 3}, rrset.Options{}, stats.NewRNG(1))
 	base := forgeFrom(sk)
 	var want bytes.Buffer
 	if err := EncodeSketch(&want, sk); err != nil {
@@ -524,7 +517,7 @@ func TestStoreCorruptArtifactsAreSkipped(t *testing.T) {
 
 	// Same for sketches: a corrupt spill reads as a miss, counts a load
 	// error, and is removed so the next rebuild replaces it.
-	sk := imm.BuildSketch(g, 4, imm.Options{}, stats.NewRNG(1))
+	sk := imm.BuildSketch(g, 4, rrset.Options{}, stats.NewRNG(1))
 	if err := s.SaveSketch(id, "key1", sk); err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +551,7 @@ func TestStoreSketchTier(t *testing.T) {
 	if s.LoadSketch(id, "key1", g, 0) != nil {
 		t.Fatal("hit on empty store")
 	}
-	sk := prima.BuildSketch(g, []int{5, 3}, prima.Options{}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{5, 3}, rrset.Options{}, stats.NewRNG(1))
 	if err := s.SaveSketch(id, "key1", sk); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +559,7 @@ func TestStoreSketchTier(t *testing.T) {
 	if got == nil {
 		t.Fatal("miss after spill")
 	}
-	if !reflect.DeepEqual(sk.Select(), got.(*prima.Sketch).Select()) {
+	if !reflect.DeepEqual(sk.Select(), got.Select()) {
 		t.Error("disk round-trip changed the selection")
 	}
 	st := s.Stats()
@@ -583,7 +576,7 @@ func TestStoreSketchBudgetEviction(t *testing.T) {
 	}
 	g := testGraph(t)
 	id := GraphID(g)
-	sk := prima.BuildSketch(g, []int{20, 10}, prima.Options{Eps: 0.3}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{20, 10}, rrset.Options{Eps: 0.3}, stats.NewRNG(1))
 	var one bytes.Buffer
 	if err := EncodeSketch(&one, sk); err != nil {
 		t.Fatal(err)
@@ -617,11 +610,11 @@ func TestStoreSketchBudgetEviction(t *testing.T) {
 
 func TestSketchCost(t *testing.T) {
 	g := testGraph(t)
-	sk := prima.BuildSketch(g, []int{5}, prima.Options{}, stats.NewRNG(1))
+	sk := prima.BuildSketch(g, []int{5}, rrset.Options{}, stats.NewRNG(1))
 	// The memoised selection (12 bytes per seed of the budget ceiling) is
 	// priced before it exists, so the cost a cache entry was inserted at
 	// still holds after its first Select.
-	want := 256 + sk.Col.ResidentBytes() + 12*int64(sk.MaxBudget)
+	want := 256 + sk.Col.ResidentBytes() + 12*int64(sk.K)
 	if c := SketchCost(sk); c != want {
 		t.Errorf("prima sketch cost = %d, want %d", c, want)
 	}
@@ -629,15 +622,12 @@ func TestSketchCost(t *testing.T) {
 	if c := SketchCost(sk); c != want {
 		t.Errorf("prima sketch cost after Select = %d, want %d", c, want)
 	}
-	isk := imm.BuildSketch(g, 7, imm.Options{}, stats.NewRNG(2))
+	isk := imm.BuildSketch(g, 7, rrset.Options{}, stats.NewRNG(2))
 	if c, want := SketchCost(isk), 256+isk.Col.ResidentBytes()+12*7; c != want {
 		t.Errorf("imm sketch cost = %d, want %d", c, want)
 	}
-	if c := SketchCost(prima.BuildSketch(g, []int{g.N()}, prima.Options{}, stats.NewRNG(3))); c != 256 {
+	if c := SketchCost(prima.BuildSketch(g, []int{g.N()}, rrset.Options{}, stats.NewRNG(3))); c != 256 {
 		t.Errorf("degenerate sketch cost = %d, want floor (it holds no memo)", c)
-	}
-	if c := SketchCost("not a sketch"); c != 256 {
-		t.Errorf("unknown type cost = %d, want floor", c)
 	}
 }
 
@@ -771,7 +761,7 @@ func TestLoadSketchOtherVersionIsAPlainMiss(t *testing.T) {
 	}
 	g := testGraph(t)
 	id := GraphID(g)
-	if err := s.SaveSketch(id, "key1", imm.BuildSketch(g, 4, imm.Options{}, stats.NewRNG(1))); err != nil {
+	if err := s.SaveSketch(id, "key1", imm.BuildSketch(g, 4, rrset.Options{}, stats.NewRNG(1))); err != nil {
 		t.Fatal(err)
 	}
 	path := s.sketchPath(id, "key1")

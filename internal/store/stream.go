@@ -7,6 +7,7 @@ import (
 
 	"uicwelfare/internal/frame"
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/rrset"
 )
 
 // SketchStreamMagic opens each entry of a sketch-stream container: the
@@ -23,7 +24,7 @@ const SketchStreamMagic = "WMSSTRM\x00"
 // stream. The key is the service's cache key (which embeds the graph's
 // content id), so the importing side can insert the sketch under the
 // identical key and have later identical requests hit it.
-func WriteSketchStreamEntry(w io.Writer, key string, sketch any) error {
+func WriteSketchStreamEntry(w io.Writer, key string, sketch *rrset.Sketch) error {
 	var p payloadWriter
 	p.string(key)
 	if err := encodeSketchPayload(&p, sketch); err != nil {
@@ -37,7 +38,7 @@ func WriteSketchStreamEntry(w io.Writer, key string, sketch any) error {
 // a .wms load). It returns the number of entries successfully delivered
 // to fn; a corrupt entry or an fn error stops the stream with that
 // error, so a truncated transfer imports a prefix and reports why.
-func ReadSketchStream(r io.Reader, g *graph.Graph, fn func(key string, sketch any) error) (int, error) {
+func ReadSketchStream(r io.Reader, g *graph.Graph, fn func(key string, sketch *rrset.Sketch) error) (int, error) {
 	br := bufio.NewReader(r)
 	n := 0
 	for {

@@ -131,7 +131,7 @@ var RealItems = []string{"ps", "controller", "game1", "game2", "game3"}
 // variances chosen so the additive noise matches the learned per-itemset
 // variances as closely as possible.
 //
-// Note (documented in DESIGN.md): the published values are NOT exactly
+// Note: the published values are NOT exactly
 // completable to a supermodular table — the marginal chain for adding
 // games to {ps, controller} (220 -> 292.5 -> 302) decreases, as real
 // data does. The UIC simulator and bundleGRD run fine regardless; use

@@ -509,19 +509,17 @@ func BenchmarkServiceAllocate(b *testing.B) {
 	b.Run("warm-notelemetry", func(b *testing.B) { warm(b, service.Options{TelemetryOff: true}) })
 }
 
-// BenchmarkBatchedAllocate measures the batch scheduler's coalescing
-// win: 8 concurrent allocate requests that differ only in budgets
-// against a cold cache, unbatched (every request builds its
-// exact-budget sketch) versus batched (the first request builds at once
-// on its own budgets; the other seven gather behind that build into one
-// follow-up, which extends the finished sketch to their merged vector).
-// sketchbuilds/op counts sketch constructions per iteration — 8
-// unbatched, 2 batched (the build and the delta-build) — and rrsets/op
-// the RR sets they sampled, which is what the constructions cost: the
-// batched burst must sample about what ONE build of the merged vector
-// would, and finish sooner than the unbatched one. Compare with
-// BenchmarkServiceAllocate, which measures the same layer under
-// identical repeated (not mixed-budget) load.
+// BenchmarkBatchedAllocate measures the batch scheduler's coalescing:
+// 8 concurrent allocate requests that differ only in budgets against a
+// cold cache. The first request builds at once on its own budgets; the
+// other seven gather behind that build into one follow-up, which
+// extends the finished sketch to their merged vector. sketchbuilds/op
+// counts sketch constructions per iteration — 2, the build and the
+// delta-build — and rrsets/op the RR sets they sampled, which is what
+// the constructions cost: the burst must sample about what ONE build of
+// the merged vector would. Compare with BenchmarkServiceAllocate, which
+// measures the same layer under identical repeated (not mixed-budget)
+// load.
 func BenchmarkBatchedAllocate(b *testing.B) {
 	const concurrent = 8
 	run := func(b *testing.B, opts service.Options) {
@@ -566,7 +564,6 @@ func BenchmarkBatchedAllocate(b *testing.B) {
 		b.ReportMetric(float64(st.Batch.CoalescedRequests)/float64(b.N), "coalesced/op")
 		b.ReportMetric(float64(telemetry.ResourceTotals()[telemetry.ResRRSetsGrown]-grownBefore)/float64(b.N), "rrsets/op")
 	}
-	b.Run("unbatched", func(b *testing.B) { run(b, service.Options{Workers: 1}) })
 	b.Run("batched", func(b *testing.B) {
 		run(b, service.Options{Workers: 1, BatchWindow: 25 * time.Millisecond})
 	})

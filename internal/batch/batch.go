@@ -144,8 +144,7 @@ type group struct {
 // New returns a scheduler that holds a request behind an in-flight build
 // of its key for at most window. A window of zero (or negative) still
 // shares an in-flight build with the requests it dominates, but never
-// holds one — callers wanting batching off should simply not route
-// through the scheduler.
+// holds one.
 func New(window time.Duration) *Scheduler {
 	return &Scheduler{window: window, keys: map[string]*keyState{}}
 }

@@ -93,7 +93,7 @@ func (r *Router) preAdmit(adm map[string]*backendAdmission, owner string, nodes,
 	if err != nil || meta.CostEstimator == nil {
 		return nil // unknown planner: the owner will answer; unpriceable: bypass
 	}
-	eps, ell := service.DefaultEpsEll(c.Eps, 0)
+	eps, ell := service.ResolveEpsEll(c.Eps, 0)
 	raw := meta.CostEstimator(nodes, edges, eps, ell, c.Budgets)
 	ratio := a.graphRatio[c.GraphID]
 	if ratio <= 0 {

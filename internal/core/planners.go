@@ -67,10 +67,6 @@ func (bundleGRDPlanner) SketchBudgets(p *Problem) []int {
 	return prima.CanonicalBudgets(p.Budgets, p.G.N())
 }
 
-func (bundleGRDPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
-	return prima.BuildSketchCtx(ctx, p.G, p.Budgets, sketchOptions(opts), rng)
-}
-
 func (pl bundleGRDPlanner) PlanFromSketch(p *Problem, sk *rrset.Sketch) (Result, error) {
 	return pl.PlanFromSketchProgress(p, sk, nil)
 }
@@ -121,10 +117,6 @@ func (itemDisjointPlanner) Plan(ctx context.Context, p *Problem, opts Options, r
 
 func (itemDisjointPlanner) SketchBudgets(p *Problem) []int {
 	return []int{p.TotalBudget()}
-}
-
-func (itemDisjointPlanner) BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
-	return imm.BuildSketchCtx(ctx, p.G, p.TotalBudget(), sketchOptions(opts), rng)
 }
 
 func (pl itemDisjointPlanner) PlanFromSketch(p *Problem, sk *rrset.Sketch) (Result, error) {

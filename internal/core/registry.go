@@ -73,77 +73,55 @@ type Planner interface {
 	Plan(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error)
 }
 
-// SketchPlanner is the optional capability of planners whose dominant
-// cost is building one immutable RR sketch: the service's sketch cache
-// splits Plan into BuildSketch (cached, shared read-only across
-// goroutines) and PlanFromSketch (cheap, per request).
+// SketchPlanner is the capability of planners whose dominant cost is
+// building one immutable RR sketch, and the only sketch seam: the
+// service's resolver splits Plan into a sketch build (cached, shared
+// read-only across goroutines) and PlanFromSketch (cheap, per request).
+// A sketch built for one canonical budget vector serves every request
+// whose budgets that vector dominates — PRIMA's prefix-preserving
+// guarantee covers every budget in the vector it was sized for, and an
+// IMM greedy ordering selected for k is prefix-consistent for any
+// k' ≤ k — which is what lets the service's batch scheduler coalesce
+// concurrent mixed-budget requests onto one build.
 type SketchPlanner interface {
 	Planner
 	// SketchBudgets returns the canonical budget vector identifying the
 	// sketch Plan would build for p — cache-key material alongside
-	// Meta.SketchFamily.
+	// Meta.SketchFamily. BuildSketchForBudgets(p, SketchBudgets(p)) builds
+	// the same sketch Plan does from the same RNG.
 	SketchBudgets(p *Problem) []int
-	// BuildSketch builds the reusable sketch, whose Family is the
-	// planner's Meta.SketchFamily.
-	BuildSketch(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
+	// MergeBudgets merges two canonical sketch-budget vectors into the
+	// canonical vector whose sketch serves any request served by either.
+	// It must be commutative, associative, and idempotent; the batch
+	// scheduler folds a whole group's budgets through it.
+	MergeBudgets(a, b []int) []int
+	// BuildSketchForBudgets builds the family sketch, whose Family is the
+	// planner's Meta.SketchFamily, sized for an explicit canonical budget
+	// vector on p's graph — p's own budgets are ignored, which is what
+	// lets a batch build dominate several requests at once.
+	BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
+	// ExtendSketch grows sketch — resident, built for oldBudgets under
+	// the same (graph, family, cascade, ε, ℓ) group — into one serving
+	// newBudgets at the marginal sampling cost. The input sketch is never
+	// mutated (growth happens on a clone), so concurrent readers of the
+	// resident sketch are safe. Sketches with no collection to append to
+	// return an error (rrset.ErrNotExtendable); callers fall back to a
+	// cold build.
+	ExtendSketch(ctx context.Context, p *Problem, sketch *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
 	// PlanFromSketch runs selection and assignment on a prebuilt sketch,
 	// refusing one of another family. It only reads the sketch, so one
 	// cached sketch can serve many concurrent calls.
 	PlanFromSketch(p *Problem, sketch *rrset.Sketch) (Result, error)
-}
-
-// ProgressiveSketchPlanner is the optional capability of sketch
-// planners whose selection can report the incremental seed prefix as
-// the greedy ordering grows: PlanFromSketchProgress is PlanFromSketch
-// with a progress callback receiving StageSelect events whose
-// SeedPrefix is the ordering committed so far. The welmaxd job stream
-// forwards these to SSE subscribers so clients can render a partial
-// allocation before the job finishes.
-type ProgressiveSketchPlanner interface {
-	SketchPlanner
+	// PlanFromSketchProgress is PlanFromSketch with a progress callback
+	// (nil allowed) receiving StageSelect events whose SeedPrefix is the
+	// ordering committed so far; the welmaxd job stream forwards them to
+	// SSE subscribers.
 	PlanFromSketchProgress(p *Problem, sketch *rrset.Sketch, report progress.Func) (Result, error)
 }
 
-// BatchSketchPlanner is the optional capability of sketch planners
-// whose sketch, built for one budget vector, serves every request whose
-// budgets that vector dominates — the property welmaxd's batch
-// scheduler exploits to coalesce concurrent mixed-budget requests onto
-// one build. Both RR-sketch families qualify: PRIMA's prefix-preserving
-// guarantee covers every budget in the vector it was sized for, and an
-// IMM greedy ordering selected for k is prefix-consistent for any
-// k' ≤ k.
-type BatchSketchPlanner interface {
-	SketchPlanner
-	// MergeBudgets merges two canonical sketch-budget vectors (the form
-	// SketchBudgets returns) into the canonical vector whose sketch
-	// serves any request served by either. It must be commutative,
-	// associative, and idempotent; the batch scheduler folds a whole
-	// group's budgets through it.
-	MergeBudgets(a, b []int) []int
-	// BuildSketchForBudgets builds the family sketch sized for an
-	// explicit canonical budget vector on p's graph — p's own budgets
-	// are ignored, which is what lets a batch build dominate several
-	// requests at once.
-	BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
-}
-
-// ExtendSketchPlanner is the optional capability of batch planners
-// whose resident sketch can grow into a larger one instead of being
-// rebuilt: both RR-sketch families append i.i.d. RR sets to a cloned
-// collection and re-run selection, so a sketch built for budgets b
-// becomes one serving MergeBudgets(b, b') at the marginal sampling
-// cost. The service's batched path uses it as a delta-build when a
-// near-dominating sketch is already resident.
-type ExtendSketchPlanner interface {
-	BatchSketchPlanner
-	// ExtendSketch grows sketch — resident, built for oldBudgets under
-	// the same (graph, family, cascade, ε, ℓ) group — into one serving
-	// newBudgets. The input sketch is never mutated (growth happens on
-	// a clone), so concurrent readers of the resident sketch are safe.
-	// Sketches with no collection to append to (degenerate whole-graph
-	// builds) return an error; callers fall back to a cold build.
-	ExtendSketch(ctx context.Context, p *Problem, sketch *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
-}
+// The benchmark module still spells SketchPlanner by its batch-era name;
+// this alias is the only place that name exists.
+type BatchSketchPlanner = SketchPlanner
 
 // Factory builds a fresh planner instance. Lookup invokes it per
 // resolution, so stateful planners get one instance per run; Register

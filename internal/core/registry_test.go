@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,8 +10,12 @@ import (
 	"testing"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/imm"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/progress"
+	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
+	"uicwelfare/internal/store"
 	"uicwelfare/internal/utility"
 )
 
@@ -149,6 +154,51 @@ func TestRegisterValidation(t *testing.T) {
 	})
 }
 
+// TestBuildSketchForOwnBudgetsMatchesFamilyBuilder pins what replaced the
+// budget-less sketch build: BuildSketchForBudgets on the planner's own
+// canonical budgets is the family builder on the raw budgets, byte for
+// byte in the .wms encoding, from the same RNG. Raw vectors are
+// unsorted, duplicated and exceed n, so canonicalisation is exercised
+// on both sides.
+func TestBuildSketchForOwnBudgetsMatchesFamilyBuilder(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 3, stats.NewRNG(7)).WeightedCascade()
+	ctx := context.Background()
+	encode := func(sk *rrset.Sketch, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := store.EncodeSketch(&b, sk); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, budgets := range [][]int{{7, 15, 7, 3}, {3, g.N() + 10, 7, 7}} {
+		p := MustProblem(g, utility.Config5(len(budgets)), budgets)
+		family := map[string]func() (*rrset.Sketch, error){
+			AlgoBundleGRD: func() (*rrset.Sketch, error) {
+				return prima.BuildSketchCtx(ctx, g, p.Budgets, sketchOptions(Options{}), stats.NewRNG(5))
+			},
+			AlgoItemDisjoint: func() (*rrset.Sketch, error) {
+				return imm.BuildSketchCtx(ctx, g, p.TotalBudget(), sketchOptions(Options{}), stats.NewRNG(5))
+			},
+		}
+		for algo, build := range family {
+			planner, _, err := Lookup(algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := planner.(SketchPlanner)
+			got := encode(sp.BuildSketchForBudgets(ctx, p, sp.SketchBudgets(p), Options{}, stats.NewRNG(5)))
+			if want := encode(build()); !bytes.Equal(got, want) {
+				t.Errorf("%s budgets %v: BuildSketchForBudgets(SketchBudgets) encodes to %d bytes differing from the family builder's %d",
+					algo, budgets, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestPlanFromSketchMemoHitAllocations is the tripwire that keeps a full
 // greedy selection from creeping back onto the warm path: once a sketch
 // has been selected, PlanFromSketch at k = 50 copies seeds out of the
@@ -164,7 +214,7 @@ func TestPlanFromSketchMemoHitAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := planner.(SketchPlanner)
-		sk, err := sp.BuildSketch(context.Background(), prob, Options{}, stats.NewRNG(8))
+		sk, err := sp.BuildSketchForBudgets(context.Background(), prob, sp.SketchBudgets(prob), Options{}, stats.NewRNG(8))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"uicwelfare/internal/batch"
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/telemetry"
@@ -39,7 +38,7 @@ func (s *Service) EstimateCost(graphID string, plan *allocatePlan) int64 {
 	if plan.meta.CostEstimator == nil {
 		return 0
 	}
-	eps, ell := resolveEpsEll(plan.opts.Eps, plan.opts.Ell)
+	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
 	raw := plan.meta.CostEstimator(plan.prob.G.N(), plan.prob.G.M(), eps, ell, plan.prob.Budgets)
 	return s.costModels.Predict(graphID, raw)
 }
@@ -50,35 +49,27 @@ func (s *Service) EstimateCost(graphID string, plan *allocatePlan) int64 {
 // actually refuse (or give up waiting) count the reject themselves, so
 // the queued path's periodic re-checks do not inflate the counter.
 // Admission prices *new* sketch work only: with the exact-budget sketch
-// already resident or in flight — or, under batching, an in-flight
-// build or pending follow-up group whose merged vector already covers
-// the request — serving it costs nothing extra, so it is admitted
-// regardless of the prediction. A request that would *widen* a pending
-// follow-up is still priced as a cold build of its own budgets, although
-// the follow-up will only pay a θ-delta on the finished sketch.
+// already resident or in flight, an in-flight build or pending
+// follow-up group whose merged vector already covers the request, or a
+// resident sketch from a previous batch that dominates it, serving it
+// costs nothing extra, so it is admitted regardless of the prediction.
+// A request that would *widen* a pending follow-up is still priced as a
+// cold build of its own budgets, although the follow-up will only pay a
+// θ-delta on the finished sketch.
 func (s *Service) checkAdmission(graphID string, plan *allocatePlan) *AdmissionError {
 	if s.admissionBytes <= 0 {
 		return nil
 	}
 	if sp, ok := plan.planner.(core.SketchPlanner); ok {
-		eps, ell := resolveEpsEll(plan.opts.Eps, plan.opts.Ell)
-		family, cascade := plan.meta.SketchFamily, int(plan.opts.Cascade)
+		eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
 		budgets := sp.SketchBudgets(plan.prob)
-		if s.cache.Resident(SketchKey(graphID, family, cascade, eps, ell, budgets)) {
+		key := SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, budgets)
+		groupKey := groupKeyOf(key)
+		if s.cache.Resident(key) || s.batcher.Covered(groupKey, budgets, sp.MergeBudgets) {
 			return nil
 		}
-		if bp, ok := sp.(core.BatchSketchPlanner); ok && s.batcher != nil {
-			groupKey := SketchKey(graphID, family, cascade, eps, ell, nil)
-			// An in-flight build or pending follow-up whose merged vector
-			// covers the request, or a resident sketch from a previous
-			// batch that dominates it, both serve it with no new work.
-			if s.batcher.Covered(groupKey, budgets, bp.MergeBudgets) {
-				return nil
-			}
-			if rec, ok := s.lookupMerged(groupKey); ok &&
-				batch.Dominates(bp.MergeBudgets, rec.budgets, budgets) && s.cache.Resident(rec.key) {
-				return nil
-			}
+		if _, ok := s.dominatingMerged(groupKey, sp.MergeBudgets, budgets); ok {
+			return nil
 		}
 	}
 	// Otherwise — including planners with no reusable sketch — price the

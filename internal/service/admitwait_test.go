@@ -43,7 +43,7 @@ func queueEnv(t *testing.T, opts Options) (*Service, string, *allocatePlan) {
 // checks against.
 func planKey(graphID string, plan *allocatePlan) string {
 	sp := plan.planner.(core.SketchPlanner)
-	eps, ell := resolveEpsEll(plan.opts.Eps, plan.opts.Ell)
+	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
 	return SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, sp.SketchBudgets(plan.prob))
 }
 

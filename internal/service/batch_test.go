@@ -29,6 +29,7 @@ type statsView struct {
 	} `json:"sketch_cache"`
 	Batch struct {
 		Enabled           bool    `json:"enabled"`
+		WindowMS          float64 `json:"window_ms"`
 		Batched           int64   `json:"batched"`
 		HeldGroups        int64   `json:"held_groups"`
 		CoalescedRequests int64   `json:"coalesced_requests"`
@@ -210,6 +211,47 @@ func TestBatchedAllocatesCoalesceToOneBuild(t *testing.T) {
 	}
 	if st := e.stats(t); st.Batch.Batched != 3 || st.Batch.HeldGroups != 1 {
 		t.Fatalf("after a lone uncovered repeat: batched = %d, held_groups = %d; want 3 and still 1", st.Batch.Batched, st.Batch.HeldGroups)
+	}
+}
+
+// TestZeroOptionsRunTheScheduler: batching is how a miss resolves, not a
+// mode. The zero Options report the scheduler on at its 10 ms default,
+// and a request arriving while a dominating build runs joins it instead
+// of building its own sketch.
+func TestZeroOptionsRunTheScheduler(t *testing.T) {
+	e := newEnv(t, service.Options{})
+	id := e.registerGraph(t)
+	if st := e.stats(t); !st.Batch.Enabled || st.Batch.WindowMS != 10 {
+		t.Fatalf("batch.enabled = %v, window_ms = %g; want true and 10", st.Batch.Enabled, st.Batch.WindowMS)
+	}
+
+	gate := newBuildGate()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := e.svc.AllocateCtx(context.Background(), &service.AllocateRequest{GraphID: id, Budgets: []int{3, 5}}, gate.progress)
+		leader <- err
+	}()
+	<-gate.started
+	// {5,5} needs the sketch vector {5}, which the parked {5,3} build
+	// dominates: it joins that build.
+	joiner := make(chan *service.AllocateResult, 1)
+	go func() {
+		res, err := e.svc.Allocate(&service.AllocateRequest{GraphID: id, Budgets: []int{5, 5}})
+		if err != nil {
+			t.Errorf("joiner: %v", err)
+		}
+		joiner <- res
+	}()
+	e.awaitCoalesced(t, 1)
+	close(gate.release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if res := <-joiner; res == nil || !res.SketchCached || len(res.Allocation.Seeds[1]) != 5 {
+		t.Fatalf("joiner result %+v: want sketch_cached and 5 seeds for item 1", res)
+	}
+	if st := e.stats(t); st.Batch.Batched != 1 || st.SketchCache.Misses != 1 {
+		t.Fatalf("batched = %d, misses = %d; want one shared build", st.Batch.Batched, st.SketchCache.Misses)
 	}
 }
 

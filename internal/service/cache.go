@@ -146,44 +146,57 @@ func (c *SketchCache) sweepExpiredLocked() {
 	}
 }
 
-// GetOrBuild returns the sketch cached under key, building it with build
-// on a miss. hit reports whether an existing (possibly still in-flight)
-// sketch was reused. On build error nothing is cached; waiters receive
-// the error and the next request rebuilds.
-func (c *SketchCache) GetOrBuild(key string, build func() (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
-	return c.GetOrBuildCtx(context.Background(), key, build)
+// liveLocked reports whether a completed entry is servable: built
+// without error and not past its TTL. It does not drop an expired entry
+// (lookups own expiry so the counters stay consistent). Caller holds
+// c.mu and has seen e.ready closed.
+func (c *SketchCache) liveLocked(e *cacheEntry) bool {
+	return e.err == nil && (c.ttl <= 0 || e.expires.IsZero() || c.now().Before(e.expires))
 }
 
-// GetOrBuildCtx is GetOrBuild with a cancelable wait: a caller blocked
-// on another request's in-flight build returns ctx.Err() as soon as its
-// own context is canceled, without disturbing the build (remaining
-// waiters still get the sketch). The build callback itself is expected
-// to watch the builder's context — a canceled build reports its error to
+// hitLocked is the hit branch GetOrBuildCtx and LookupCtx share. When
+// key has an entry that is in flight or completed and unexpired, it
+// counts a hit, touches the entry's LRU position, releases c.mu and
+// waits for the entry — cancelably: a canceled ctx returns ctx.Err()
+// without disturbing the build. An expired completed entry reads as a
+// miss and is dropped. hit = false means no servable entry, and c.mu is
+// still held.
+func (c *SketchCache) hitLocked(ctx context.Context, key string) (sketch *rrset.Sketch, hit bool, err error) {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil, false, nil
+	}
+	select {
+	case <-e.ready:
+		if c.expireLocked(key, e) {
+			return nil, false, nil
+		}
+	default: // in flight: no deadline yet, always shared
+	}
+	c.tick++
+	e.lastUsed = c.tick
+	c.hits++
+	c.mu.Unlock()
+	select {
+	case <-e.ready:
+	case <-ctx.Done():
+		return nil, true, ctx.Err()
+	}
+	return e.sketch, true, e.err
+}
+
+// GetOrBuildCtx returns the sketch cached under key, building it with
+// build on a miss. hit reports whether an existing (possibly still
+// in-flight) sketch was reused. A caller blocked on another request's
+// in-flight build returns ctx.Err() as soon as its own context is
+// canceled, without disturbing the build (remaining waiters still get
+// the sketch). The build callback itself is expected to watch the
+// builder's context — a failed or canceled build reports its error to
 // every waiter and caches nothing, so the next request rebuilds.
 func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func() (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		// An expired completed entry reads as a miss and is dropped;
-		// this caller becomes the rebuilder. In-flight entries have no
-		// deadline yet and are always shared.
-		expired := false
-		select {
-		case <-e.ready:
-			expired = c.expireLocked(key, e)
-		default:
-		}
-		if !expired {
-			c.tick++
-			e.lastUsed = c.tick
-			c.hits++
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, true, ctx.Err()
-			}
-			return e.sketch, true, e.err
-		}
+	if sk, hit, err := c.hitLocked(ctx, key); hit {
+		return sk, true, err
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.tick++
@@ -227,25 +240,8 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 // build decision belongs to the scheduler, not to this lookup.
 func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.Sketch, ok bool, err error) {
 	c.mu.Lock()
-	if e, present := c.entries[key]; present {
-		expired := false
-		select {
-		case <-e.ready:
-			expired = c.expireLocked(key, e)
-		default:
-		}
-		if !expired {
-			c.tick++
-			e.lastUsed = c.tick
-			c.hits++
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, true, ctx.Err()
-			}
-			return e.sketch, true, e.err
-		}
+	if sk, hit, err := c.hitLocked(ctx, key); hit {
+		return sk, true, err
 	}
 	c.mu.Unlock()
 	return nil, false, nil
@@ -265,13 +261,7 @@ func (c *SketchCache) Resident(key string) bool {
 	}
 	select {
 	case <-e.ready:
-		if e.err != nil {
-			return false
-		}
-		// An expired entry will read as a miss; report it absent without
-		// dropping it here (lookups own expiry so the counters stay
-		// consistent).
-		return c.ttl <= 0 || e.expires.IsZero() || c.now().Before(e.expires)
+		return c.liveLocked(e)
 	default:
 		return true // in-flight: the build is already paid for
 	}
@@ -291,16 +281,12 @@ func (c *SketchCache) Peek(key string) (*rrset.Sketch, bool) {
 	}
 	select {
 	case <-e.ready:
-		if e.err != nil {
-			return nil, false
+		if c.liveLocked(e) {
+			return e.sketch, true
 		}
-		if c.ttl > 0 && !e.expires.IsZero() && !c.now().Before(e.expires) {
-			return nil, false
-		}
-		return e.sketch, true
 	default:
-		return nil, false
 	}
+	return nil, false
 }
 
 // CountPrefix counts the resident (completed-ok, unexpired, or
@@ -318,7 +304,7 @@ func (c *SketchCache) CountPrefix(prefix string) int {
 		}
 		select {
 		case <-e.ready:
-			if e.err == nil && (c.ttl <= 0 || e.expires.IsZero() || c.now().Before(e.expires)) {
+			if c.liveLocked(e) {
 				n++
 			}
 		default:
@@ -541,4 +527,11 @@ func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []
 		b.WriteString(strconv.Itoa(x))
 	}
 	return b.String()
+}
+
+// groupKeyOf cuts the budgets off a SketchKey: the result equals
+// SketchKey with nil budgets, the batch scheduler's group — everything
+// that pins the sketch distribution except the budgets it merges.
+func groupKeyOf(key string) string {
+	return key[:strings.LastIndexByte(key, '|')+1]
 }

@@ -28,7 +28,7 @@ func TestSketchCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) {
+			v, hit, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) {
 				builds.Add(1)
 				<-gate // hold every concurrent requester on one build
 				return built, nil
@@ -68,7 +68,7 @@ func TestSketchCacheEviction(t *testing.T) {
 	c := NewSketchCache(2, 0, 0, nil)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, hit, _ := c.GetOrBuild(key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); hit {
+		if _, hit, _ := c.GetOrBuildCtx(context.Background(), key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); hit {
 			t.Errorf("key %s: unexpected hit", key)
 		}
 	}
@@ -80,10 +80,10 @@ func TestSketchCacheEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 3", st.Evictions)
 	}
 	// The most recent keys survive.
-	if _, hit, _ := c.GetOrBuild("k4", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k4", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
 		t.Error("k4 was evicted")
 	}
-	if _, hit, _ := c.GetOrBuild("k0", func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k0", func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); hit {
 		t.Error("k0 survived eviction")
 	}
 }
@@ -95,7 +95,7 @@ func TestSketchCacheCostEviction(t *testing.T) {
 	c := NewSketchCache(10, 100, 0, func(*rrset.Sketch) int64 { return 60 })
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.GetOrBuild(key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); err != nil {
+		if _, _, err := c.GetOrBuildCtx(context.Background(), key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestSketchCacheCostEviction(t *testing.T) {
 		t.Errorf("max cost = %d", st.MaxCostBytes)
 	}
 	// The newest entry is the survivor.
-	if _, hit, _ := c.GetOrBuild("k2", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k2", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
 		t.Error("most recent entry was evicted")
 	}
 	// Eviction on graph invalidation returns its cost to the pool.
@@ -127,11 +127,11 @@ func TestSketchCacheCostEviction(t *testing.T) {
 func TestSketchCacheErrorNotCached(t *testing.T) {
 	c := NewSketchCache(8, 0, 0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	ok := &rrset.Sketch{}
-	v, hit, err := c.GetOrBuild("k", func() (*rrset.Sketch, error) { return ok, nil })
+	v, hit, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) { return ok, nil })
 	if err != nil || hit || v != ok {
 		t.Errorf("retry after error: v=%v hit=%v err=%v", v, hit, err)
 	}
@@ -153,6 +153,13 @@ func TestSketchKeyCanonicalization(t *testing.T) {
 	} {
 		if other == a {
 			t.Errorf("distinct tuple collides: %q", other)
+		}
+	}
+	// The batch group key is the sketch key with its budgets cut off.
+	group := SketchKey("g1", "prima", 0, 0.5, 1, nil)
+	for _, budgets := range [][]int{{50, 30}, {7}, nil} {
+		if got := groupKeyOf(SketchKey("g1", "prima", 0, 0.5, 1, budgets)); got != group {
+			t.Errorf("groupKeyOf(budgets %v) = %q, want %q", budgets, got, group)
 		}
 	}
 }

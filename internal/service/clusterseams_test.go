@@ -184,7 +184,7 @@ func TestImportedSketchOfAnotherFamilyIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	budgets := []int{2, 1}
-	eps, ell := service.DefaultEpsEll(0, 0)
+	eps, ell := service.ResolveEpsEll(0, 0)
 	key := service.SketchKey(info.ID, prima.Family, int(graph.CascadeIC), eps, ell, prima.CanonicalBudgets(budgets, g.N()))
 	var stream bytes.Buffer
 	if err := store.WriteSketchStreamEntry(&stream, key, imm.BuildSketch(g, 2, rrset.Options{}, stats.NewRNG(1))); err != nil {

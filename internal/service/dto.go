@@ -5,9 +5,10 @@
 // generation — the dominant cost of every allocation — through a
 // concurrency-safe sketch cache, so repeated and concurrent queries
 // against the same network reuse sketches instead of regenerating them.
-// Requests that differ only in budgets and arrive while a sketch of
-// their group is building additionally coalesce onto that build or onto
-// one delta-build behind it (Options.BatchWindow, via internal/batch),
+// Every sketch miss resolves through the batch scheduler
+// (internal/batch): requests that differ only in budgets and arrive
+// while a sketch of their group is building coalesce onto that build or
+// onto one delta-build behind it (Options.BatchWindow caps the hold),
 // and cost-based admission control
 // (Options.AdmissionMB) refuses — retryably, with 429 — requests whose
 // predicted sketch cost would blow the cache budget.

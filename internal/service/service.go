@@ -72,17 +72,15 @@ type Options struct {
 	// can verify it is probing the backend it thinks it is. Empty (the
 	// single-node default) keeps plain "j<seq>" ids.
 	NodeID string
-	// BatchWindow enables the budget-coalescing batch scheduler
-	// (internal/batch). A sketch-cache miss whose group — same graph,
-	// sketch family, cascade, ε, ℓ; budgets free — has no build in
-	// flight builds at once on its own budgets. Misses arriving while
-	// that build runs share it when it dominates them, and otherwise
-	// merge into one follow-up that extends the finished sketch the
-	// moment the build returns. BatchWindow is the longest such a
-	// follow-up may be held: it fires when the window elapses even if
-	// the build it gathered behind is still running. Zero (the default)
-	// disables batching; every miss builds its exact-budget sketch
-	// immediately.
+	// BatchWindow caps how long the budget-coalescing batch scheduler
+	// (internal/batch) may hold a sketch miss. Every miss goes through
+	// it: a miss whose group — same graph, sketch family, cascade, ε, ℓ;
+	// budgets free — has no build in flight builds at once on its own
+	// budgets. Misses arriving while that build runs share it when it
+	// dominates them, and otherwise merge into one follow-up that
+	// extends the finished sketch the moment the build returns, or when
+	// BatchWindow elapses if the build is still running. Zero (or
+	// negative) means DefaultBatchWindow; batching cannot be turned off.
 	BatchWindow time.Duration
 	// AdmissionMB enables cost-based admission control: allocate and
 	// warm requests whose predicted sketch cost (the planner's
@@ -135,6 +133,10 @@ type Options struct {
 	TraceSampleAll bool
 }
 
+// DefaultBatchWindow is the batch window a zero Options.BatchWindow
+// resolves to, and welmaxd's -batch-window default.
+const DefaultBatchWindow = 10 * time.Millisecond
+
 // Service owns the daemon's state: the graph registry, the RR-sketch
 // cache (in-memory tier plus optional disk tier), the job store, and the
 // worker pool. Handler exposes it over HTTP.
@@ -155,8 +157,9 @@ type Service struct {
 	// GOMAXPROCS at construction).
 	sketchWorkers int
 
-	// batcher coalesces concurrent mixed-budget sketch builds; nil when
-	// batching is disabled (BatchWindow 0).
+	// batcher coalesces concurrent mixed-budget sketch builds: every
+	// sketch miss short of the degenerate whole-graph one resolves
+	// through it.
 	batcher     *batch.Scheduler
 	batchWindow time.Duration
 	// sketchExtends counts batched builds served by extending a resident
@@ -234,6 +237,9 @@ func New(opts Options) (*Service, error) {
 	if opts.SketchWorkers <= 0 {
 		opts.SketchWorkers = runtime.GOMAXPROCS(0)
 	}
+	if opts.BatchWindow <= 0 {
+		opts.BatchWindow = DefaultBatchWindow
+	}
 	// Open the disk tier before starting the worker pool: a failed Open
 	// must not leave the pool's goroutines running behind the error.
 	var disk *store.Store
@@ -254,7 +260,9 @@ func New(opts Options) (*Service, error) {
 		nodeID:         opts.NodeID,
 		clusterToken:   opts.ClusterToken,
 		cacheTTL:       opts.CacheTTL,
+		batcher:        batch.New(opts.BatchWindow),
 		batchWindow:    opts.BatchWindow,
+		mergedIdx:      map[string]mergedSketch{},
 		sketchWorkers:  opts.SketchWorkers,
 		admissionBytes: int64(opts.AdmissionMB) << 20,
 		costModels:     store.NewCostModels(),
@@ -305,27 +313,23 @@ func New(opts Options) (*Service, error) {
 		gid, _, _ := strings.Cut(key, "|")
 		s.flight.Record(journal.Event{Type: journal.CacheEvict, Graph: gid, Key: key, Bytes: cost, TraceID: traceID})
 	})
-	if opts.BatchWindow > 0 {
-		s.batcher = batch.New(opts.BatchWindow)
-		s.mergedIdx = map[string]mergedSketch{}
-		// Journal every group that reaches its build: which group fired,
-		// how many requests share the one sketch, how long they were
-		// held and what released them. The hook runs on the build's
-		// goroutine; the ring append is O(1) and non-blocking. The trace
-		// id is the group's first submitter's.
-		s.batcher.SetFireHook(func(f batch.Fire) {
-			gid, _, _ := strings.Cut(f.Key, "|")
-			s.flight.Record(journal.Event{
-				Type:    journal.BatchFire,
-				Graph:   gid,
-				Key:     f.Key,
-				Count:   int64(f.Waiters),
-				WaitMS:  f.Wait.Milliseconds(),
-				Reason:  f.Reason,
-				TraceID: f.TraceID,
-			})
+	// Journal every group that reaches its build: which group fired, how
+	// many requests share the one sketch, how long they were held and
+	// what released them. The hook runs on the build's goroutine; the
+	// ring append is O(1) and non-blocking. The trace id is the group's
+	// first submitter's.
+	s.batcher.SetFireHook(func(f batch.Fire) {
+		gid, _, _ := strings.Cut(f.Key, "|")
+		s.flight.Record(journal.Event{
+			Type:    journal.BatchFire,
+			Graph:   gid,
+			Key:     f.Key,
+			Count:   int64(f.Waiters),
+			WaitMS:  f.Wait.Milliseconds(),
+			Reason:  f.Reason,
+			TraceID: f.TraceID,
 		})
-	}
+	})
 	if opts.AdmissionQueue > 0 {
 		s.admissionQueue = make(chan struct{}, opts.AdmissionQueue)
 	}
@@ -448,7 +452,7 @@ type StatsResponse struct {
 	// daemon runs without -data-dir.
 	DiskTier *store.Stats `json:"disk_tier,omitempty"`
 	// Batch reports the budget-coalescing scheduler and the cost-based
-	// admission control (zeros when both are disabled).
+	// admission control (admission fields zero when it is disabled).
 	Batch BatchStats `json:"batch"`
 	// Sweeps reports the experiment-sweep subsystem's cell counters.
 	Sweeps      SweepStats       `json:"sweeps"`
@@ -466,7 +470,8 @@ type StatsResponse struct {
 // allocates, so every counter read here must be synchronized with its
 // writer.
 type BatchStats struct {
-	// Enabled reports whether a batch window is configured.
+	// Enabled is always true — every sketch miss resolves through the
+	// scheduler — and stays on the wire for clients that read it.
 	Enabled bool `json:"enabled"`
 	// WindowMS is the configured batch window in milliseconds: the
 	// longest a miss may be held behind an in-flight build of its group.
@@ -525,8 +530,13 @@ func (s *Service) Stats() StatsResponse {
 		ds := s.disk.Stats()
 		out.DiskTier = &ds
 	}
+	bs := s.batcher.Stats()
 	out.Batch = BatchStats{
-		Enabled:                s.batcher != nil,
+		Enabled:                true,
+		WindowMS:               float64(s.batchWindow) / float64(time.Millisecond),
+		Batched:                bs.Batches,
+		HeldGroups:             bs.Held,
+		CoalescedRequests:      bs.Coalesced,
 		SketchExtends:          s.sketchExtends.Load(),
 		RRSetsAppended:         s.rrSetsAppended.Load(),
 		AdmissionRejects:       s.admissionRejects.Load(),
@@ -537,13 +547,6 @@ func (s *Service) Stats() StatsResponse {
 		EstimatesCoalesced:     s.estimatesCoalesced.Load(),
 	}
 	out.Sweeps = s.sweeps.Stats()
-	if s.batcher != nil {
-		bs := s.batcher.Stats()
-		out.Batch.WindowMS = float64(s.batchWindow) / float64(time.Millisecond)
-		out.Batch.Batched = bs.Batches
-		out.Batch.HeldGroups = bs.Held
-		out.Batch.CoalescedRequests = bs.Coalesced
-	}
 	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()
 	return out
 }
@@ -719,12 +722,13 @@ func seedOf(s uint64) uint64 {
 	return s
 }
 
-// resolveEpsEll applies the paper's approximation-parameter defaults
+// ResolveEpsEll applies the paper's approximation-parameter defaults
 // (ε = 0.5, ℓ = 1) to unset request values. This is the single place
-// the service-wide defaults live — the allocate/warm paths and
-// admission pricing all resolve through it, so admission cannot price
-// one sketch while the build keys another.
-func resolveEpsEll(eps, ell float64) (float64, float64) {
+// the service-wide defaults live — the allocate/warm paths, admission
+// pricing and the cluster router's pre-admission pricing all resolve
+// through it, so no tier can price one sketch while the build keys
+// another.
+func ResolveEpsEll(eps, ell float64) (float64, float64) {
 	if eps <= 0 {
 		eps = 0.5
 	}
@@ -733,12 +737,6 @@ func resolveEpsEll(eps, ell float64) (float64, float64) {
 	}
 	return eps, ell
 }
-
-// DefaultEpsEll exposes the service-wide approximation-parameter
-// defaults to other tiers — the cluster router's pre-admission pricing
-// must resolve ε/ℓ exactly the way backend admission will, or the two
-// would price different sketches.
-func DefaultEpsEll(eps, ell float64) (float64, float64) { return resolveEpsEll(eps, ell) }
 
 // Allocate synchronously solves one allocation request with no
 // cancellation or progress reporting (the warm-path benchmarks and the
@@ -783,13 +781,22 @@ func (s *Service) lookupMerged(groupKey string) (mergedSketch, bool) {
 	return rec, ok
 }
 
+// dominatingMerged returns the cache key of the group's latest
+// batch-built sketch when that sketch dominates budgets and is resident
+// (completed or in flight): the one check by which admission waves a
+// request through and the resolver serves it without new sketch work.
+func (s *Service) dominatingMerged(groupKey string, merge batch.MergeFunc, budgets []int) (string, bool) {
+	rec, ok := s.lookupMerged(groupKey)
+	if !ok || !batch.Dominates(merge, rec.budgets, budgets) || !s.cache.Resident(rec.key) {
+		return "", false
+	}
+	return rec.key, true
+}
+
 // dropMergedForGraph forgets a deleted graph's merged-sketch records
 // (group keys start with "<graphID>|", like cache keys) so the index
 // does not grow with long-dead graphs.
 func (s *Service) dropMergedForGraph(graphID string) {
-	if s.mergedIdx == nil {
-		return
-	}
 	prefix := graphID + "|"
 	s.mergedMu.Lock()
 	for k := range s.mergedIdx {
@@ -805,9 +812,10 @@ func (s *Service) dropMergedForGraph(graphID string) {
 // "build" samples nothing and returns the all-nodes identity ordering,
 // which is only prefix-preserving for the full budget — so a degenerate
 // request must never coalesce with sampled builds: merging would drag
-// every group member's result onto the unsampled ordering. The batched
-// path routes these requests directly instead; they cost nothing to
-// build, so there is nothing to coalesce anyway.
+// every group member's result onto the unsampled ordering. The resolver
+// builds these requests directly instead, its one exit before the
+// scheduler; they cost nothing to build, so there is nothing to
+// coalesce anyway.
 func degenerateBudgets(budgets []int, n int) bool {
 	for _, b := range budgets {
 		if b >= n {
@@ -833,27 +841,29 @@ func (s *Service) sweepIfDeleted(graphID string) {
 	}
 }
 
-// lookupResident resolves key through the in-memory tier without
-// triggering a build on a miss, retrying when an in-flight builder's
-// own cancellation (not ctx's) poisoned the wait. found reports a
-// successful hit; a miss is (nil, false, nil) and a real error —
-// including ctx's own cancellation — is (nil, false, err).
-func (s *Service) lookupResident(ctx context.Context, graphID, key string) (sketch *rrset.Sketch, found bool, err error) {
+// inheritedCancel reports whether err is a cancellation or deadline
+// expiry this request inherited from someone else's build through a
+// shared cache entry or batch group, while its own ctx is still live.
+// Such a request retries — becoming the new builder if need be —
+// instead of failing a job nobody canceled.
+func inheritedCancel(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+}
+
+// lookupResident serves a request from the in-memory tier without
+// building: the exact-budget key first, then the group's resident
+// merged sketch when it dominates budgets. Both lookups wait
+// (cancelably) on an in-flight entry. found reports a resident entry;
+// err is that entry's build error or ctx's own cancellation.
+func (s *Service) lookupResident(ctx context.Context, key string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, found bool, err error) {
 	defer telemetry.StartSpan(ctx, "cache_lookup")()
-	for {
-		sk, ok, err := s.cache.LookupCtx(ctx, key)
-		if !ok {
-			return nil, false, nil
-		}
-		if err == nil {
-			s.sweepIfDeleted(graphID)
-			return sk, true, nil
-		}
-		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			continue // the in-flight builder died, not us: re-resolve
-		}
-		return nil, false, err
+	if sk, ok, err := s.cache.LookupCtx(ctx, key); ok {
+		return sk, true, err
 	}
+	if mkey, ok := s.dominatingMerged(groupKeyOf(key), merge, budgets); ok {
+		return s.cache.LookupCtx(ctx, mkey)
+	}
+	return nil, false, nil
 }
 
 // buildThroughTiers resolves key through the tiered cache: the
@@ -905,12 +915,11 @@ func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g 
 			s.sweepIfDeleted(graphID)
 			return sketch, memHit || diskHit, nil
 		}
-		// A waiter inherits the *builder's* cancellation (or deadline
-		// expiry) through the shared singleflight entry. If this
-		// request's own context is still live, the dead entry has
-		// already been evicted — retry, becoming the new builder,
-		// instead of failing a job nobody canceled.
-		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// The dead singleflight entry has already been evicted: a waiter
+		// that inherited its builder's cancellation retries here, because
+		// inside the scheduler's detached group build sketchForPlan's own
+		// retry never sees the error.
+		if inheritedCancel(ctx, err) {
 			continue
 		}
 		return nil, false, err
@@ -943,139 +952,122 @@ func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *al
 	})
 }
 
-// sketchForPlan resolves a sketch-capable plan's sketch. The exact
-// budget key is consulted first (memory tier, cancelable in-flight
-// waits); on a miss the request either builds its own sketch through
-// the tiered cache (batching disabled) or enters the batch scheduler:
-// with no build of its group in flight it builds at once on its own
-// budgets; otherwise it shares the in-flight build, or the one
-// follow-up that merges every uncovered request's budgets and extends
-// the finished sketch when that build returns. Either way the group's
-// sketch is sized for its merged budgets and cached under the merged
-// key, so the disk tier and singleflight semantics apply to it
-// unchanged. hit reports whether any tier or a shared batch build
-// avoided fresh sketch work for this caller; it is what AllocateResult
-// exposes as SketchCached and what the restart-warm smoke asserts on.
+// sketchForPlan resolves a sketch-capable plan's sketch — the one way a
+// sketch request resolves. A request is served, in order, by its
+// exact-budget key, then by the group's resident merged sketch when that
+// dominates it (memory tier, cancelable in-flight waits — see
+// lookupResident), and otherwise by buildMiss. hit reports whether any
+// tier or a shared batch build avoided fresh sketch work for this
+// caller; it is what AllocateResult exposes as SketchCached and what the
+// restart-warm smoke asserts on.
 func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (sketch *rrset.Sketch, hit bool, err error) {
-	family, cascade := plan.meta.SketchFamily, int(plan.opts.Cascade)
-	key := SketchKey(graphID, family, cascade, eps, ell, sp.SketchBudgets(plan.prob))
+	budgets := sp.SketchBudgets(plan.prob)
+	key := SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, budgets)
+	for {
+		sk, found, err := s.lookupResident(ctx, key, sp.MergeBudgets, budgets)
+		if !found && err == nil {
+			sk, found, err = s.buildMiss(ctx, graphID, key, budgets, sp, plan, eps, ell, seed)
+		}
+		if err == nil {
+			s.sweepIfDeleted(graphID)
+			return sk, found, nil
+		}
+		// A request can inherit a cancellation that was never its own:
+		// the in-flight entry it waited on lost its builder, or the batch
+		// group it joined lost every other waiter mid-build. Re-resolve
+		// from the top, leading a fresh group if need be.
+		if !inheritedCancel(ctx, err) {
+			return nil, false, err
+		}
+	}
+}
+
+// buildMiss resolves a request no resident sketch serves. Degenerate
+// budgets build directly through the tiered cache, the one path around
+// the scheduler. Every other miss enters the batch scheduler: with no
+// build of its group in flight it builds at once on its own budgets;
+// otherwise it shares the in-flight build, or the one follow-up that
+// merges every uncovered request's budgets and extends the finished
+// sketch when that build returns. The group's sketch is cached under its
+// merged key, so the disk tier and singleflight semantics apply to it
+// unchanged.
+func (s *Service) buildMiss(ctx context.Context, graphID, key string, budgets []int, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (*rrset.Sketch, bool, error) {
 	buildOpts := plan.opts
 	buildOpts.Eps, buildOpts.Ell = eps, ell
-
-	bp, batchable := sp.(core.BatchSketchPlanner)
-	if s.batcher == nil || !batchable || degenerateBudgets(sp.SketchBudgets(plan.prob), plan.prob.G.N()) {
+	build := func(bctx context.Context, target []int) (*rrset.Sketch, error) {
+		sk, err := sp.BuildSketchForBudgets(bctx, plan.prob, target, buildOpts, stats.NewRNG(seed))
+		if err == nil {
+			s.observeBuildCost(bctx, graphID, plan, eps, ell, target, sk)
+		}
+		return sk, err
+	}
+	if degenerateBudgets(budgets, plan.prob.G.N()) {
 		return s.buildThroughTiers(ctx, graphID, key, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
-			sk, err := sp.BuildSketch(bctx, plan.prob, buildOpts, stats.NewRNG(seed))
-			if err == nil {
-				s.observeBuildCost(bctx, graphID, plan, eps, ell, plan.prob.Budgets, sk)
-			}
-			return sk, err
+			return build(bctx, budgets)
 		})
 	}
 
-	// Batched path. Fast path first: an exact-budget sketch already
-	// resident (or in flight) never reaches the scheduler.
-	if sk, found, err := s.lookupResident(ctx, graphID, key); found || err != nil {
-		return sk, found, err
-	}
-
-	// Group by everything that pins the sketch distribution except the
-	// budgets; the scheduler merges those. The build callback depends
-	// only on group-key material plus the merged budgets it is handed,
-	// so it is safe for the scheduler to run the first member's closure
-	// on behalf of the whole group.
-	groupKey := SketchKey(graphID, family, cascade, eps, ell, nil)
-
-	// Second fast path: a previous batch's sketch dominating this
-	// request may still be resident under its merged key — serve from
-	// it instead of cold-building the exact-budget sketch the merged
-	// one already subsumes. An evicted or expired record falls through
-	// to the scheduler.
-	if rec, ok := s.lookupMerged(groupKey); ok && batch.Dominates(bp.MergeBudgets, rec.budgets, sp.SketchBudgets(plan.prob)) {
-		if sk, found, err := s.lookupResident(ctx, graphID, rec.key); found || err != nil {
-			return sk, found, err
-		}
-	}
-
-	for {
-		// Submit records the wait on this request's trace: batch_gather
-		// until its group's build starts, shared_build from there when
-		// the build is another member's.
-		v, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, sp.SketchBudgets(plan.prob), bp.MergeBudgets,
-			func(bctx context.Context, merged []int) (any, bool, error) {
-				// The scheduler runs the group build on its own goroutine
-				// with a detached context; re-attach the submitting
-				// request's trace so build-stage spans land on it rather
-				// than vanishing.
-				bctx = telemetry.NewContext(bctx, telemetry.FromContext(ctx))
-				// Delta-build seam: when the group's previous batch-built
-				// sketch is still resident but does not dominate the new
-				// merged vector (a *near*-dominating sketch — a full
-				// dominance hit was already served before Submit), extend
-				// it to the union of the two vectors instead of
-				// cold-building. This is the path a follow-up group takes:
-				// the scheduler starts it only after the build it gathered
-				// behind has returned, i.e. after that build's sketch is
-				// resident and recorded below. Peek never waits: blocking
-				// here on the old key's entry could deadlock the build
-				// callback.
-				target := merged
-				var baseSketch *rrset.Sketch
-				var baseBudgets []int
-				ep, canExtend := bp.(core.ExtendSketchPlanner)
-				if canExtend {
-					if rec, ok := s.lookupMerged(groupKey); ok {
-						if base, resident := s.cache.Peek(rec.key); resident && base.NumRRSets() > 0 {
-							baseSketch, baseBudgets = base, rec.budgets
-							target = bp.MergeBudgets(rec.budgets, merged)
-						}
-					}
+	// The scheduler runs the first member's build closure on behalf of
+	// the whole group, so it depends only on group-key material plus the
+	// merged budgets it is handed.
+	groupKey := groupKeyOf(key)
+	// Submit records the wait on this request's trace: batch_gather until
+	// its group's build starts, shared_build from there when the build is
+	// another member's.
+	v, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, budgets, sp.MergeBudgets,
+		func(bctx context.Context, merged []int) (any, bool, error) {
+			// The scheduler runs the group build on its own goroutine with
+			// a detached context; re-attach the submitting request's trace
+			// so build-stage spans land on it rather than vanishing.
+			bctx = telemetry.NewContext(bctx, telemetry.FromContext(ctx))
+			// Delta-build seam: when the group's previous batch-built
+			// sketch is still resident but does not dominate the new
+			// merged vector (a full dominance hit was already served
+			// before Submit), extend it to the union of the two vectors
+			// instead of cold-building. This is the path a follow-up group
+			// takes: the scheduler starts it only after the build it
+			// gathered behind has returned, i.e. after that build's sketch
+			// is resident and recorded below. Peek never waits: blocking
+			// here on the old key's entry could deadlock the build
+			// callback.
+			target := merged
+			var base *rrset.Sketch
+			var baseBudgets []int
+			if rec, ok := s.lookupMerged(groupKey); ok {
+				if sk, resident := s.cache.Peek(rec.key); resident && sk.NumRRSets() > 0 {
+					base, baseBudgets = sk, rec.budgets
+					target = sp.MergeBudgets(rec.budgets, merged)
 				}
-				mergedKey := SketchKey(graphID, family, cascade, eps, ell, target)
-				sk, hit, err := s.buildThroughTiers(bctx, graphID, mergedKey, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
-					if baseSketch != nil {
-						esk, eerr := ep.ExtendSketch(bctx, plan.prob, baseSketch, baseBudgets, target, buildOpts, stats.NewRNG(seed))
-						if eerr == nil {
-							s.sketchExtends.Add(1)
-							s.rrSetsAppended.Add(int64(esk.NumRRSets() - baseSketch.NumRRSets()))
-							s.observeBuildCost(bctx, graphID, plan, eps, ell, target, esk)
-							return esk, nil
-						}
-						if bctx.Err() != nil {
-							return nil, eerr
-						}
-						// Not extendable (degenerate family state, shape
-						// mismatch): fall through to the cold build.
-					}
-					sk, err := bp.BuildSketchForBudgets(bctx, plan.prob, target, buildOpts, stats.NewRNG(seed))
+			}
+			// Inside the group build: disk, then extend-or-build, then
+			// spill.
+			mergedKey := SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, target)
+			sk, hit, err := s.buildThroughTiers(bctx, graphID, mergedKey, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
+				if base != nil {
+					esk, err := sp.ExtendSketch(bctx, plan.prob, base, baseBudgets, target, buildOpts, stats.NewRNG(seed))
 					if err == nil {
-						s.observeBuildCost(bctx, graphID, plan, eps, ell, target, sk)
+						s.sketchExtends.Add(1)
+						s.rrSetsAppended.Add(int64(esk.NumRRSets() - base.NumRRSets()))
+						s.observeBuildCost(bctx, graphID, plan, eps, ell, target, esk)
+						return esk, nil
 					}
-					return sk, err
-				})
-				if err == nil {
-					s.recordMerged(groupKey, target, mergedKey)
+					if bctx.Err() != nil {
+						return nil, err
+					}
+					// Not extendable (degenerate family state, shape
+					// mismatch): fall through to the cold build.
 				}
-				return sk, hit, err
+				return build(bctx, target)
 			})
-		if err == nil {
-			s.sweepIfDeleted(graphID)
-			// batch.Scheduler is sketch-agnostic (bench/layers.go drives it
-			// with its own build func); every build above returns a
-			// *rrset.Sketch.
-			sk, _ := v.(*rrset.Sketch)
-			return sk, cacheHit || shared, nil
-		}
-		// Like buildThroughTiers' waiters, a batch member can inherit a
-		// cancellation that was never its own — e.g. it joined a group
-		// whose other waiters all detached mid-build. If this request's
-		// context is still live, re-enter the scheduler (leading a fresh
-		// group if need be) instead of failing a job nobody canceled.
-		if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			continue
-		}
-		return nil, false, err
-	}
+			if err == nil {
+				s.recordMerged(groupKey, target, mergedKey)
+			}
+			return sk, hit, err
+		})
+	// batch.Scheduler is sketch-agnostic (bench/layers.go drives it with
+	// its own build func); every build above returns a *rrset.Sketch.
+	sk, _ := v.(*rrset.Sketch)
+	return sk, cacheHit || shared, err
 }
 
 // AllocateCtx solves one allocation request under ctx, reporting
@@ -1108,7 +1100,7 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 	plan.opts.Progress = report
 	prob, opts := plan.prob, plan.opts
 	seed := seedOf(req.Seed)
-	eps, ell := resolveEpsEll(opts.Eps, opts.Ell)
+	eps, ell := ResolveEpsEll(opts.Eps, opts.Ell)
 
 	var (
 		res core.Result
@@ -1122,11 +1114,7 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 		hit = h
 		countSketchOutcome(ctx, h)
 		endSel := telemetry.StartSpan(ctx, "greedy_select")
-		if pp, ok := sp.(core.ProgressiveSketchPlanner); ok && report != nil {
-			res, err = pp.PlanFromSketchProgress(prob, v, report)
-		} else {
-			res, err = sp.PlanFromSketch(prob, v)
-		}
+		res, err = sp.PlanFromSketchProgress(prob, v, report)
 		endSel()
 		if err != nil {
 			return nil, err
@@ -1218,7 +1206,7 @@ func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest,
 	}
 	telemetry.FromContext(ctx).SetFamily(planFamily(plan.meta))
 	plan.opts.Progress = report
-	eps, ell := resolveEpsEll(plan.opts.Eps, plan.opts.Ell)
+	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
 	sketch, hit, err := s.sketchForPlan(ctx, graphID, sp, plan, eps, ell, seedOf(req.Seed))
 	if err != nil {
 		return nil, err
@@ -1282,12 +1270,6 @@ func (s *Service) validateEstimate(req *EstimateRequest) (*GraphEntry, *uic.Allo
 			alloc.K(), req.Config, model.K())
 	}
 	return entry, alloc, model, nil
-}
-
-// Estimate synchronously runs one estimation request with no
-// cancellation or progress reporting.
-func (s *Service) Estimate(req *EstimateRequest) (*EstimateResult, error) {
-	return s.EstimateCtx(context.Background(), req, nil)
 }
 
 // EstimateCtx runs one estimation request under ctx, reporting progress

@@ -427,8 +427,13 @@ func TestConcurrentAllocationsShareOneSketch(t *testing.T) {
 	if st.SketchCache.Misses != 1 {
 		t.Errorf("sketches generated %d times, want once", st.SketchCache.Misses)
 	}
-	if st.SketchCache.Hits < concurrent {
-		t.Errorf("cache hits = %d, want >= %d", st.SketchCache.Hits, concurrent)
+	// Every request but the builder is served without new work: by the
+	// in-flight or resident cache entry (a hit), or by joining the
+	// running batch group before its build reached the cache (coalesced).
+	// The post-fleet request makes concurrent such requests.
+	if served := st.SketchCache.Hits + st.Batch.CoalescedRequests; served < concurrent {
+		t.Errorf("cache hits %d + coalesced requests %d = %d, want >= %d",
+			st.SketchCache.Hits, st.Batch.CoalescedRequests, served, concurrent)
 	}
 }
 

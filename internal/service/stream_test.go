@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"uicwelfare/internal/core"
+	"uicwelfare/internal/progress"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/stats"
@@ -185,15 +187,15 @@ func TestCancelMidSketchBuild(t *testing.T) {
 	}
 }
 
-// blockSketchAlgo is a SketchPlanner test double whose first BuildSketch
-// call parks until its context is canceled (signalling `building` on
-// entry); later calls return instantly. It makes the
-// builder-cancellation/waiter-retry interaction deterministic.
+// blockSketchAlgo is a SketchPlanner test double whose first
+// BuildSketchForBudgets call parks until its context is canceled
+// (signalling `building` on entry); later calls return instantly. It
+// makes the builder-cancellation/waiter-retry interaction deterministic.
 const blockSketchAlgo = "test-block-sketch"
 
 var (
 	sketchBuilds   atomic.Int32
-	sketchBuilding = make(chan struct{}, 16) // receives one token per BuildSketch entry
+	sketchBuilding = make(chan struct{}, 16) // receives one token per build entry
 )
 
 func init() {
@@ -207,7 +209,7 @@ func init() {
 type blockingSketchPlanner struct{}
 
 func (p blockingSketchPlanner) Plan(ctx context.Context, prob *core.Problem, opts core.Options, rng *stats.RNG) (core.Result, error) {
-	sk, err := p.BuildSketch(ctx, prob, opts, rng)
+	sk, err := p.BuildSketchForBudgets(ctx, prob, prob.Budgets, opts, rng)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -216,7 +218,27 @@ func (p blockingSketchPlanner) Plan(ctx context.Context, prob *core.Problem, opt
 
 func (blockingSketchPlanner) SketchBudgets(prob *core.Problem) []int { return prob.Budgets }
 
-func (blockingSketchPlanner) BuildSketch(ctx context.Context, prob *core.Problem, opts core.Options, rng *stats.RNG) (*rrset.Sketch, error) {
+// MergeBudgets is the element-wise maximum, padded to the longer vector.
+func (blockingSketchPlanner) MergeBudgets(a, b []int) []int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	out := slices.Clone(a)
+	for i, x := range b {
+		out[i] = max(out[i], x)
+	}
+	return out
+}
+
+func (blockingSketchPlanner) ExtendSketch(context.Context, *core.Problem, *rrset.Sketch, []int, []int, core.Options, *stats.RNG) (*rrset.Sketch, error) {
+	return nil, rrset.ErrNotExtendable
+}
+
+func (p blockingSketchPlanner) PlanFromSketchProgress(prob *core.Problem, sketch *rrset.Sketch, _ progress.Func) (core.Result, error) {
+	return p.PlanFromSketch(prob, sketch)
+}
+
+func (blockingSketchPlanner) BuildSketchForBudgets(ctx context.Context, prob *core.Problem, _ []int, opts core.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	sketchBuilding <- struct{}{}
 	if sketchBuilds.Add(1) == 1 {
 		select {
@@ -254,7 +276,7 @@ func TestCancelBuilderDoesNotFailWaiter(t *testing.T) {
 	req := service.AllocateRequest{GraphID: id, Budgets: []int{2, 2}, Algo: blockSketchAlgo}
 	builder := e.submit(t, "/v1/allocate", req)
 	select {
-	case <-sketchBuilding: // builder is inside BuildSketch, parked on ctx
+	case <-sketchBuilding: // builder is inside its sketch build, parked on ctx
 	case <-time.After(30 * time.Second):
 		t.Fatal("builder never started building")
 	}
@@ -267,14 +289,14 @@ func TestCancelBuilderDoesNotFailWaiter(t *testing.T) {
 	e.waitState(t, builder, service.JobCanceled)
 
 	// The waiter inherits the canceled build error, retries as the new
-	// builder (second BuildSketch returns instantly), and completes.
+	// builder (second build returns instantly), and completes.
 	var job allocJobView
 	e.waitJob(t, waiter, &job)
 	if job.State != service.JobDone {
 		t.Fatalf("waiter job ended %q (error %q), want done", job.State, job.Error)
 	}
 	if got := sketchBuilds.Load(); got != 2 {
-		t.Errorf("BuildSketch ran %d times, want 2 (canceled builder + retrying waiter)", got)
+		t.Errorf("the sketch build ran %d times, want 2 (canceled builder + retrying waiter)", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -34,18 +35,18 @@ func TestSketchCacheTTLExpiry(t *testing.T) {
 	builds := 0
 	build := func() (*rrset.Sketch, error) { builds++; return &rrset.Sketch{}, nil }
 
-	if _, hit, _ := c.GetOrBuild("k", build); hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k", build); hit {
 		t.Fatal("first lookup hit an empty cache")
 	}
 	// Within the TTL the entry serves hits.
 	clock.advance(30 * time.Second)
-	if _, hit, _ := c.GetOrBuild("k", build); !hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k", build); !hit {
 		t.Fatal("lookup inside TTL missed")
 	}
 	// A hit does not extend the deadline: past the original TTL the entry
 	// reads as a miss and this caller rebuilds.
 	clock.advance(31 * time.Second)
-	if _, hit, _ := c.GetOrBuild("k", build); hit {
+	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k", build); hit {
 		t.Fatal("lookup past TTL still hit")
 	}
 	if builds != 2 {
@@ -85,7 +86,7 @@ func TestSketchCachePutAndExport(t *testing.T) {
 	if c.Put(keyA, &rrset.Sketch{Family: "prima"}) {
 		t.Fatal("Put displaced a resident entry")
 	}
-	if v, hit, _ := c.GetOrBuild(keyA, func() (*rrset.Sketch, error) { return nil, nil }); !hit || v != sketchA {
+	if v, hit, _ := c.GetOrBuildCtx(context.Background(), keyA, func() (*rrset.Sketch, error) { return nil, nil }); !hit || v != sketchA {
 		t.Fatalf("imported entry not served: v=%v hit=%v", v, hit)
 	}
 	c.Put(keyB, &rrset.Sketch{Family: "imm"})

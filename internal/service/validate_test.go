@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestInvalidateGraphDropsInFlightBuilds(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.GetOrBuild("g1|prima|x", func() (*rrset.Sketch, error) {
+		_, _, _ = c.GetOrBuildCtx(context.Background(), "g1|prima|x", func() (*rrset.Sketch, error) {
 			<-gate
 			return &rrset.Sketch{}, nil
 		})

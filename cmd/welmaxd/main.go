@@ -115,7 +115,7 @@ func main() {
 		queueCap   = flag.Int("queue", 64, "job queue capacity")
 		cacheCap   = flag.Int("cache", 64, "sketch cache capacity (entries)")
 		cacheMB    = flag.Int("cache-mb", 0, "sketch cache budget in MB of approximate resident cost (0 = entry bound only)")
-		retention  = flag.Int("retain", 1024, "finished jobs kept queryable")
+		retention  = flag.Int("retain", 1024, "finished jobs kept queryable; the earliest-finished are evicted first")
 		allowPaths = flag.Bool("allow-paths", false, "let POST /v1/graphs load server-side edge-list or .wmg files")
 		preload    = flag.String("preload", "", "built-in network to load at startup (optional)")
 		dataDir    = flag.String("data-dir", "", "persistence directory: graphs, spilled sketches, and the job audit trail survive restarts (optional)")

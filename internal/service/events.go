@@ -76,18 +76,16 @@ func WantsEventStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// writeSSE emits one "event:/data:" frame with v as its JSON data and
-// flushes it; false means the stream is over (the client went away).
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) bool {
+// writeSSE emits one "event:/data:" frame with v as its JSON data;
+// false means the stream is over (the client went away). It does not
+// flush: a replay goes out in one flush, live frames in one each.
+func writeSSE(w http.ResponseWriter, event string, v any) bool {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return false
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-		return false
-	}
-	fl.Flush()
-	return true
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	return err == nil
 }
 
 // handleEvents implements GET /v1/events: the control-plane flight
@@ -135,13 +133,12 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder,
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
 	for _, e := range past {
-		if !writeSSE(w, fl, e.Type, e) {
+		if !writeSSE(w, e.Type, e) {
 			return
 		}
 	}
+	fl.Flush()
 	for {
 		var e journal.Event
 		select {
@@ -153,8 +150,9 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder,
 			}
 		case e = <-relayed:
 		}
-		if !writeSSE(w, fl, e.Type, e) {
+		if !writeSSE(w, e.Type, e) {
 			return
 		}
+		fl.Flush()
 	}
 }

@@ -90,9 +90,7 @@ func (s *Service) newTrace(w http.ResponseWriter, r *http.Request) *telemetry.Tr
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -415,24 +413,26 @@ func streamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	// write emits one SSE frame; it reports whether the stream continues.
 	// lastSeq tracks the highest sequence written so a synthesized resync
-	// event keeps the strictly-increasing seq contract.
+	// event keeps the strictly-increasing seq contract. Returning after
+	// the terminal frame lets net/http flush and end the response.
 	lastSeq := 0
 	write := func(ev JobEvent) bool {
 		if ev.Seq == 0 {
 			ev.Seq = lastSeq + 1
 		}
 		lastSeq = ev.Seq
-		return writeSSE(w, fl, ev.Type, ev) && !ev.Terminal()
+		return writeSSE(w, ev.Type, ev) && !ev.Terminal()
 	}
+	// The header and the whole replay go out in one flush.
 	for _, ev := range past {
 		if !write(ev) {
 			return
 		}
 	}
+	fl.Flush()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -450,6 +450,7 @@ func streamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id 
 			if !write(ev) {
 				return
 			}
+			fl.Flush()
 		}
 	}
 }

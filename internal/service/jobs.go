@@ -206,16 +206,26 @@ func (j *Job) view() JobView {
 }
 
 // JobStore tracks jobs by id and counts them by state. Finished jobs
-// are retained up to a bound; beyond it the oldest done/failed jobs are
+// are retained up to a bound; beyond it the earliest-finished jobs are
 // dropped so a long-running daemon's memory stays flat. Queued and
-// running jobs are never dropped.
+// running jobs are never dropped. Retention costs O(1) amortised per
+// finished job, whatever the bound.
 type JobStore struct {
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	ids    []string // insertion order, for listing
-	seq    int
-	retain int
-	prefix string // node prefix baked into every minted id
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// ids is insertion order, for listing. Ids of removed and trimmed
+	// jobs stay in it (deadIDs counts them) until they are half of it.
+	ids     []string
+	deadIDs int
+	// finished queues terminal job ids in finish order, the order trim
+	// evicts in; terminal counts the ones still present. Ids of jobs
+	// removed since they finished (deadFinished) are skipped when popped.
+	finished     []string
+	deadFinished int
+	terminal     int
+	seq          int
+	retain       int
+	prefix       string // node prefix baked into every minted id
 	// onFinal, when set, receives the wire view of every job reaching a
 	// terminal state (the audit-trail spill). Called synchronously under
 	// the store lock — the sink must be fast and must not call back.
@@ -287,12 +297,34 @@ func (s *JobStore) Remove(id string) {
 	j.cancel()
 	s.closeSubsLocked(j)
 	delete(s.jobs, id)
-	for i, x := range s.ids {
-		if x == id {
-			s.ids = append(s.ids[:i], s.ids[i+1:]...)
-			break
+	if j.State.Terminal() {
+		s.terminal--
+		if s.deadFinished++; 2*s.deadFinished >= len(s.finished) {
+			s.finished, s.deadFinished = s.liveLocked(s.finished), 0
 		}
 	}
+	s.dropIDLocked()
+}
+
+// dropIDLocked notes that one id in s.ids no longer names a job, and
+// compacts s.ids once such ids are half of it. Caller holds s.mu.
+func (s *JobStore) dropIDLocked() {
+	if s.deadIDs++; 2*s.deadIDs >= len(s.ids) {
+		s.ids, s.deadIDs = s.liveLocked(s.ids), 0
+	}
+}
+
+// liveLocked filters ids in place down to the jobs still in the store.
+// Caller holds s.mu.
+func (s *JobStore) liveLocked(ids []string) []string {
+	keep := ids[:0]
+	for _, id := range ids {
+		if _, ok := s.jobs[id]; ok {
+			keep = append(keep, id)
+		}
+	}
+	clear(ids[len(keep):])
+	return keep
 }
 
 // Start marks the job running and returns its cancellation context. A
@@ -365,6 +397,10 @@ func (s *JobStore) Finish(id string, result any, err error) {
 // caller can run the sink's disk append after unlocking — a slow disk
 // must not stall every other job-store operation.
 func (s *JobStore) finalizeLocked(j *Job, state JobState, errMsg string) (func(JobView), JobView) {
+	if !j.State.Terminal() {
+		s.finished = append(s.finished, j.ID)
+		s.terminal++
+	}
 	j.State = state
 	j.Err = errMsg
 	s.publishLocked(j, JobEvent{Type: string(state), Error: errMsg})
@@ -396,30 +432,21 @@ func (s *JobStore) Cancel(id string) (view JobView, requested, ok bool) {
 	return j.view(), true, true
 }
 
-// trimLocked drops the oldest finished jobs beyond the retention bound.
-// Caller holds s.mu.
+// trimLocked drops the earliest-finished jobs beyond the retention
+// bound. Caller holds s.mu.
 func (s *JobStore) trimLocked() {
-	finished := 0
-	for _, j := range s.jobs {
-		if j.State.Terminal() {
-			finished++
-		}
-	}
-	drop := finished - s.retain
-	if drop <= 0 {
-		return
-	}
-	keep := s.ids[:0]
-	for _, id := range s.ids {
-		j := s.jobs[id]
-		if drop > 0 && j.State.Terminal() {
-			delete(s.jobs, id)
-			drop--
+	for s.terminal > s.retain {
+		id := s.finished[0]
+		s.finished[0] = ""
+		s.finished = s.finished[1:]
+		if _, ok := s.jobs[id]; !ok {
+			s.deadFinished-- // removed after it finished
 			continue
 		}
-		keep = append(keep, id)
+		delete(s.jobs, id)
+		s.terminal--
+		s.dropIDLocked()
 	}
-	s.ids = keep
 }
 
 // Publish appends a progress event to the job's stream and broadcasts
@@ -493,7 +520,7 @@ func (s *JobStore) closeSubsLocked(j *Job) {
 	for ch := range j.subs {
 		close(ch)
 	}
-	j.subs = map[chan JobEvent]struct{}{}
+	j.subs = nil
 }
 
 // Subscribe returns the job's event history so far plus a channel
@@ -543,9 +570,9 @@ func (s *JobStore) Snapshot(id string) (JobView, bool) {
 func (s *JobStore) List(state JobState) []JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.ids))
+	out := make([]JobView, 0, len(s.jobs))
 	for _, id := range s.ids {
-		if j := s.jobs[id]; state == "" || j.State == state {
+		if j := s.jobs[id]; j != nil && (state == "" || j.State == state) {
 			out = append(out, j.view())
 		}
 	}

@@ -9,6 +9,7 @@
 package welfare
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -356,7 +357,7 @@ func BenchmarkNodeSelection(b *testing.B) {
 	g := expr.Networks[2].Generate(0.2, 4)
 	col := rrset.NewCollection(g)
 	rng := stats.NewRNG(4)
-	col.Grow(20000, rng)
+	_ = col.GrowParallelCtx(context.Background(), 20000, rng, 1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.NodeSelection(50)

@@ -11,15 +11,16 @@
 // while a sketch build of their group runs are coalesced — onto that
 // build when it covers them, otherwise onto one follow-up that extends
 // its sketch when it returns (-batch-window caps the hold and must be
-// positive; batching cannot be turned off). Sketch builds shard RR-set
-// sampling across -sketch-workers goroutines (GOMAXPROCS by default; 1 restores
-// the legacy serial path) with deterministic per-worker RNG streams,
-// and a batched build whose group already holds a resident
-// near-dominating sketch extends it — appending RR sets and re-running
-// selection — instead of rebuilding (sketch_extends / rr_sets_appended
-// in /v1/stats). -admission-mb adds cost-based
-// admission control: requests whose predicted sketch cost exceeds the
-// budget answer 429 with a retryable body instead of queueing
+// positive; batching cannot be turned off). Sketch builds grow RR sets
+// on -sketch-workers goroutines (GOMAXPROCS by default) that claim
+// chunks, each sampled from its own seeded stream, so a cold build's
+// answer for a request seed is the same at every setting. A batched
+// build whose group already holds a resident near-dominating sketch
+// extends it — appending RR sets and re-running selection — instead of
+// rebuilding (sketch_extends / rr_sets_appended in /v1/stats).
+// -admission-mb adds cost-based admission control: requests whose
+// predicted sketch cost exceeds the budget answer 429 with a retryable
+// body instead of queueing
 // (-admission-queue holds near-budget requests briefly before the 429).
 // POST /v1/sweeps runs a whole experiment grid — graphs × utility
 // configs × ε × budget vectors × planners — as one job: cells stream
@@ -111,7 +112,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 2, "allocation/estimation worker count (also the number of cells one sweep runs at once)")
-		sketchWkrs = flag.Int("sketch-workers", 0, "RR-set growth parallelism inside each sketch build (0 = GOMAXPROCS, 1 = legacy serial)")
+		sketchWkrs = flag.Int("sketch-workers", 0, "RR-set growth parallelism inside each sketch build (0 = GOMAXPROCS); answers do not depend on it")
 		queueCap   = flag.Int("queue", 64, "job queue capacity")
 		cacheCap   = flag.Int("cache", 64, "sketch cache capacity (entries)")
 		cacheMB    = flag.Int("cache-mb", 0, "sketch cache budget in MB of approximate resident cost (0 = entry bound only)")

@@ -23,9 +23,8 @@ type Options struct {
 	// the planner as RR sampling proceeds.
 	Progress progress.Func
 	// SketchWorkers is the RR-set growth parallelism handed to the
-	// sketch builders (prima/imm Options.Workers): sampling shards
-	// across this many goroutines with deterministic per-worker RNG
-	// streams. 0 or 1 keeps the legacy serial path.
+	// sketch builders (prima/imm Options.Workers); 0 means 1. The
+	// sketch depends on the RNG, never on this count.
 	SketchWorkers int
 }
 

@@ -86,15 +86,13 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 			break
 		}
 	}
-	if err := grow(int64(math.Ceil(theta))); err != nil {
-		return nil, err
-	}
 	grown := col.Len()
 
 	// Chen'18 fix: the final seed set must be selected on RR sets that are
 	// independent of the adaptive stopping rule, so regenerate from
-	// scratch. The final NodeSelection is left to Select so the
-	// regenerated collection can be cached and shared.
+	// scratch (the adaptive collection is not grown to θ first: nothing
+	// would read those sets). The final NodeSelection is left to Select
+	// so the regenerated collection can be cached and shared.
 	col.Reset()
 	if err := grow(int64(math.Ceil(theta))); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"context"
 	"math"
 
 	"uicwelfare/internal/graph"
@@ -29,6 +30,7 @@ func RunTIM(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) rrset.Res
 	m := g.M()
 
 	col := opts.NewCollection(g)
+	ctx := context.Background() // never canceled: the grows below cannot fail
 
 	// KPT estimation (Algorithm 2 of TIM): probe with geometrically
 	// growing sample counts until the width statistic certifies a level.
@@ -43,7 +45,7 @@ func RunTIM(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) rrset.Res
 	for i := 1; i <= maxI; i++ {
 		ci := int64(math.Ceil((6*opts.Ell*logn + 6*math.Log(math.Log2(float64(n)))) * math.Pow(2, float64(i))))
 		start := col.Len()
-		col.Grow(int64(prevCount)+ci, rng)
+		_ = col.GrowParallelCtx(ctx, int64(prevCount)+ci, rng, opts.Workers, nil)
 		// κ(R) = 1 - (1 - w(R)/m)^k, averaged over the batch
 		sum := prevWidthSum
 		for j := start; j < col.Len(); j++ {
@@ -68,7 +70,7 @@ func RunTIM(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) rrset.Res
 	probes := col.Len()
 
 	col.Reset()
-	col.Grow(int64(math.Ceil(theta)), rng)
+	_ = col.GrowParallelCtx(ctx, int64(math.Ceil(theta)), rng, opts.Workers, nil)
 	seeds, frac := col.NodeSelection(k)
 	return rrset.Result{
 		Seeds:       seeds,

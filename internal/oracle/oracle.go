@@ -7,6 +7,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"uicwelfare/internal/graph"
@@ -67,7 +68,7 @@ func Build(g *graph.Graph, maxBudget int, opts Options, rng *stats.RNG) (*Oracle
 	// estimator sigma(S) = n·F_R(S) is valid for every S simultaneously.
 	col := rrset.NewCollection(g)
 	col.Sampler().Cascade = opts.Cascade
-	col.Grow(int64(opts.SpreadSamples), rng)
+	_ = col.GrowParallelCtx(context.Background(), int64(opts.SpreadSamples), rng, 1, nil) // background ctx: never canceled
 	o.spread = make([]float64, len(o.order)+1)
 	for b, hit := range col.PrefixCoverage(o.order) {
 		o.spread[b+1] = float64(g.N()) * float64(hit) / float64(col.Len())

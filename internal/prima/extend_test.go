@@ -26,7 +26,7 @@ func testFamilies(t *testing.T) map[string]*graph.Graph {
 // from different sketches.
 func evalSpread(g *graph.Graph, seeds []graph.NodeID, seed uint64) float64 {
 	eval := rrset.NewCollection(g)
-	eval.Grow(20000, stats.NewRNG(seed))
+	_ = eval.GrowParallelCtx(context.Background(), 20000, stats.NewRNG(seed), 1, nil)
 	return float64(g.N()) * eval.FractionCovered(seeds)
 }
 

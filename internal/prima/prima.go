@@ -153,10 +153,15 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 			if theta > thetaFinal {
 				thetaFinal = theta
 			}
-			if err := grow(int64(math.Ceil(theta))); err != nil {
-				return nil, err
-			}
 			s++
+			// The collection carries into the next budget's coverage
+			// test; after the last budget nothing reads it, since the
+			// regeneration below starts from scratch.
+			if s < len(bs) {
+				if err := grow(int64(math.Ceil(theta))); err != nil {
+					return nil, err
+				}
+			}
 			budgetSwitch = true
 		} else {
 			i++

@@ -1,20 +1,16 @@
 package rrset
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/stats"
-	"uicwelfare/internal/telemetry"
 )
 
 // Collection stores a growing multiset of RR sets together with the
 // inverted node -> set index needed by NodeSelection. Sets and index are
 // both flat arrays (CSR): no per-set or per-node allocation.
 //
-// Concurrency: the Grow family, Reset and ReleaseScratch mutate the
+// Concurrency: GrowParallelCtx, Reset and ReleaseScratch mutate the
 // collection and must be serialized by the caller. Once growing stops,
 // the read-only surface (Len, TotalSize, Set, Covering, CoverageOf,
 // FractionCovered, NodeSelection — which allocates all of its scratch
@@ -34,14 +30,15 @@ type Collection struct {
 	coverIdx []int64
 	coverIDs []int32
 
+	// sampler is the template the grow workers copy their cascade and
+	// node coin from (Sampler); it never samples itself.
 	sampler *Sampler
 
-	// Parallel-grow state (see GrowParallelCtx): pooled per-worker
-	// samplers reused across adaptive rounds, and the width statistic
-	// accumulated by parallel workers (read/written atomically — workers
-	// add while EdgesVisited may be read for progress displays).
-	parSamplers []*Sampler
-	parEdges    int64
+	// Grow state (see GrowParallelCtx): pooled per-worker samplers
+	// reused across adaptive rounds, and the width statistic of every
+	// stored set.
+	samplers []*Sampler
+	edges    int64
 }
 
 // NewCollection returns an empty collection for g.
@@ -83,7 +80,8 @@ func (c *Collection) buildIndex() {
 	c.coverIDs = ids
 }
 
-// Sampler exposes the underlying sampler so callers can set a node coin.
+// Sampler exposes the template sampler so callers can set the cascade
+// and node coin every later grow samples under.
 func (c *Collection) Sampler() *Sampler { return c.sampler }
 
 // Members returns the flattened member storage of every stored set (set i
@@ -139,11 +137,9 @@ func (c *Collection) Len() int { return len(c.offsets) - 1 }
 // TotalSize returns the total number of node memberships across all sets.
 func (c *Collection) TotalSize() int64 { return int64(len(c.members)) }
 
-// EdgesVisited returns the cumulative width statistic of all samples,
-// including sets sampled by parallel workers (see GrowParallelCtx).
-func (c *Collection) EdgesVisited() int64 {
-	return c.sampler.EdgesVisited + atomic.LoadInt64(&c.parEdges)
-}
+// EdgesVisited returns the cumulative width statistic of every set the
+// collection's grows added (carried over by Clone).
+func (c *Collection) EdgesVisited() int64 { return c.edges }
 
 // ResidentBytes is what the stored sets and their index occupy: every
 // membership once in the flat set storage and once in the index (4
@@ -155,58 +151,11 @@ func (c *Collection) ResidentBytes() int64 {
 		8*int64(len(c.offsets)) + 8*int64(len(c.coverIdx))
 }
 
-// ReleaseScratch drops the n-sized sampling scratch (the primary
-// sampler's and the pooled per-worker samplers' visited arrays) once
-// growth is over, so a collection kept resident holds only its sets and
-// index. Growing it again is legal; the scratch is re-allocated then.
-func (c *Collection) ReleaseScratch() {
-	c.sampler.release()
-	c.parSamplers = nil
-}
-
-// Grow samples RR sets until the collection holds at least target sets.
-func (c *Collection) Grow(target int64, rng *stats.RNG) {
-	_ = c.GrowCtx(context.Background(), target, rng, nil) // background ctx: never canceled
-}
-
-// growChunk is how many RR sets GrowCtx samples between cancellation
-// checks and progress reports. Small enough that cancellation lands
-// promptly even on graphs where a single set is expensive, large enough
-// that the per-chunk overhead is invisible next to the sampling itself.
-const growChunk = 256
-
-// GrowCtx is Grow with cooperative cancellation and progress reporting:
-// every growChunk samples it checks ctx and, when report is non-nil,
-// reports the sets sampled so far against target. It returns ctx.Err()
-// when canceled, leaving the collection with whatever it had sampled;
-// callers abandoning the build should discard the collection.
-func (c *Collection) GrowCtx(ctx context.Context, target int64, rng *stats.RNG, report func(done, target int64)) error {
-	defer telemetry.StartSpan(ctx, "rrset_grow")()
-	start := int64(c.Len())
-	defer func() {
-		if grown := int64(c.Len()) - start; grown > 0 {
-			c.buildIndex()
-			telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, grown)
-		}
-	}()
-	for int64(c.Len()) < target {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stop := int64(c.Len()) + growChunk
-		if stop > target {
-			stop = target
-		}
-		for int64(c.Len()) < stop {
-			c.members = c.sampler.Sample(rng, c.members)
-			c.offsets = append(c.offsets, int64(len(c.members)))
-		}
-		if report != nil {
-			report(int64(c.Len()), target)
-		}
-	}
-	return nil
-}
+// ReleaseScratch drops the n-sized sampling scratch (the pooled
+// per-worker samplers' visited arrays) once growth is over, so a
+// collection kept resident holds only its sets and index. Growing it
+// again is legal; the scratch is re-allocated then.
+func (c *Collection) ReleaseScratch() { c.samplers = nil }
 
 // Set returns the members of set i.
 func (c *Collection) Set(i int) []graph.NodeID {
@@ -219,11 +168,12 @@ func (c *Collection) Covering(v graph.NodeID) []int32 {
 	return c.coverIDs[c.coverIdx[v]:c.coverIdx[v+1]]
 }
 
-// Reset drops all stored sets, keeping allocated capacity. PRIMA uses this
-// for its final from-scratch regeneration phase.
+// Reset drops all stored sets and their storage. PRIMA and IMM use this
+// for their final from-scratch regeneration, which is usually larger
+// than the adaptive collection: kept, the old arrays would stay live
+// beside the ones the regeneration allocates.
 func (c *Collection) Reset() {
-	c.members = c.members[:0]
-	c.offsets = c.offsets[:1]
+	c.members, c.offsets, c.coverIDs = nil, []int64{0}, nil
 	c.buildIndex()
 }
 

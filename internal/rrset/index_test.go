@@ -40,10 +40,10 @@ func TestCSRIndexMatchesAppendBuiltIndex(t *testing.T) {
 
 	c := NewCollection(g)
 	checkIndex(t, "empty", c)
-	c.Grow(700, stats.NewRNG(1))
-	checkIndex(t, "serial grow", c)
-	c.Grow(1500, stats.NewRNG(2))
-	checkIndex(t, "second serial grow", c)
+	grow(t, c, 700, stats.NewRNG(1))
+	checkIndex(t, "one-worker grow", c)
+	grow(t, c, 1500, stats.NewRNG(2))
+	checkIndex(t, "second one-worker grow", c)
 
 	for _, workers := range []int{1, 2, 4} {
 		p := NewCollection(g)
@@ -77,17 +77,19 @@ func TestCSRIndexMatchesAppendBuiltIndex(t *testing.T) {
 	checkIndex(t, "clone + extend", cl)
 	checkIndex(t, "original after clone + extend", c)
 
-	// A canceled serial grow keeps whatever it sampled; the index must
-	// still describe exactly those sets.
-	before := c.Len()
-	canceled, cancel := context.WithCancel(ctx)
-	if err := c.GrowCtx(canceled, 5000, stats.NewRNG(6), func(int64, int64) { cancel() }); err == nil {
-		t.Fatal("canceled grow returned nil")
+	// A canceled grow leaves the collection unchanged, at every worker
+	// count; the index must still describe exactly the sets it had.
+	for _, workers := range []int{1, 3} {
+		before := slices.Clone(c.Offsets())
+		canceled, cancel := context.WithCancel(ctx)
+		if err := c.GrowParallelCtx(canceled, 5000, stats.NewRNG(6), workers, func(int64, int64) { cancel() }); err == nil {
+			t.Fatal("canceled grow returned nil")
+		}
+		if !slices.Equal(c.Offsets(), before) {
+			t.Fatalf("W=%d: canceled grow left %d sets, had %d", workers, c.Len(), len(before)-1)
+		}
+		checkIndex(t, "canceled grow", c)
 	}
-	if c.Len() <= before || c.Len() >= 5000 {
-		t.Fatalf("cancel after the first chunk left %d sets (had %d)", c.Len(), before)
-	}
-	checkIndex(t, "canceled serial grow", c)
 }
 
 // fixedSets generates a deterministic Members/Offsets pair — distinct
@@ -164,7 +166,7 @@ func TestReleaseScratchKeepsCollectionGrowable(t *testing.T) {
 func TestResidentBytes(t *testing.T) {
 	g := growTestGraph()
 	c := NewCollection(g)
-	c.Grow(500, stats.NewRNG(1))
+	grow(t, c, 500, stats.NewRNG(1))
 	want := 8*c.TotalSize() + 8*int64(c.Len()+1) + 8*int64(g.N()+1)
 	if got := c.ResidentBytes(); got != want {
 		t.Errorf("ResidentBytes = %d, want %d (8/member + 8/set boundary + 8/index start)", got, want)

@@ -11,85 +11,70 @@ import (
 	"uicwelfare/internal/telemetry"
 )
 
+// growChunk is how many RR sets one chunk of a grow holds: the unit of
+// seeding, work claiming, cancellation checks and progress reports.
+// Small enough that cancellation lands promptly even on graphs where a
+// single set is expensive, large enough that the per-chunk overhead is
+// invisible next to the sampling itself.
+const growChunk = 256
+
 // GrowParallelCtx grows the collection to at least target RR sets using
-// the given number of worker goroutines. workers <= 1 delegates to the
-// serial GrowCtx path unchanged (same RNG draws, same result — the
-// legacy behavior).
+// the given number of worker goroutines (values below 1 mean 1). The
+// grown sets depend only on (rng state, collection length, target) —
+// never on workers or goroutine scheduling:
 //
-// For workers > 1 the growth is deterministic for a fixed (rng state,
-// workers) pair, independent of goroutine scheduling:
+//   - one base seed is drawn from rng (a single Uint64, so the caller's
+//     stream advances by exactly one draw per grow that samples);
+//   - the sets to add are cut into chunks of growChunk, counted from the
+//     grow's start, and chunk j samples from its own stream,
+//     stats.NewRNG(stats.Mix(base, j));
+//   - workers claim chunks from an atomic counter (so skewed set sizes
+//     balance) and sample into private buffers; worker 0 runs on the
+//     calling goroutine, so workers = 1 spawns nothing;
+//   - after every worker stops, the chunks are copied into the
+//     collection in chunk order and the inverted index is rebuilt once.
 //
-//   - one base seed is drawn from rng (a single Uint64), and worker w's
-//     private RNG is seeded from the (w+1)-th splitmix64 expansion of
-//     that base — per-worker streams that never contend and never
-//     interleave;
-//   - the target is split into fixed chunks of growChunk sets, chunk j
-//     statically assigned to worker j mod workers; each worker samples
-//     its chunks in increasing j with its one sequential stream, so
-//     chunk contents depend only on (base, w, chunk sequence);
-//   - workers sample into private buffers; after all workers finish,
-//     the chunks are copied into the collection in chunk-index order
-//     and the inverted index is rebuilt once, so Members()/Offsets()
-//     are byte-identical across runs.
-//
-// EdgesVisited and progress are accumulated through atomics while
-// workers run; report (when non-nil) observes a monotone done count.
-// Cancellation is checked once per chunk per worker; on ctx error the
-// collection is left exactly as it was — no partial merge.
+// The span is rrset_grow at one worker and rrset_grow_parallel above.
+// report (when non-nil) observes a monotone done count that ends at the
+// collection's new length. Cancellation is checked before each chunk;
+// on ctx error the collection — sets, index and EdgesVisited — is left
+// exactly as it was.
 func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *stats.RNG, workers int, report func(done, target int64)) error {
-	if workers <= 1 {
-		return c.GrowCtx(ctx, target, rng, report)
-	}
 	start := int64(c.Len())
 	need := target - start
 	if need <= 0 {
 		return nil
 	}
-	defer telemetry.StartSpan(ctx, "rrset_grow_parallel")()
-	defer func() {
-		telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, int64(c.Len())-start)
-	}()
-
 	numChunks := int((need + growChunk - 1) / growChunk)
-	if workers > numChunks {
-		workers = numChunks
+	workers = min(max(workers, 1), numChunks)
+	span := "rrset_grow"
+	if workers > 1 {
+		span = "rrset_grow_parallel"
 	}
-
-	// Per-worker RNG seeds: one Uint64 from the caller's stream (so the
-	// caller's stream advances by exactly one draw per parallel grow),
-	// then worker w's stream is NewRNG(base + w)'s first output fed back
-	// through NewRNG — the splitmix64 expansion inside NewRNG decorrelates
-	// the consecutive raw seeds.
+	defer telemetry.StartSpan(ctx, span)()
 	base := rng.Uint64()
-	seeds := make([]uint64, workers)
-	for w := range seeds {
-		seeds[w] = stats.NewRNG(base + uint64(w)).Uint64()
-	}
 
-	// chunkSpan records where chunk j's sets landed inside its worker's
-	// private buffers; indices (not slices) stay valid across buffer
-	// reallocation.
+	// chunkSpan records where chunk j's sets landed inside the private
+	// buffers of the worker that claimed it; indices (not slices) stay
+	// valid across buffer reallocation.
 	type chunkSpan struct {
+		worker             int
 		memStart, memEnd   int
 		sizeStart, sizeEnd int
 	}
 	type workerOut struct {
 		buf   []graph.NodeID
 		sizes []int32
+		edges int64
 	}
 	chunks := make([]chunkSpan, numChunks)
 	outs := make([]workerOut, workers)
+	c.ensureSamplers(workers)
 
-	c.ensureParSamplers(workers)
-
-	var done atomic.Int64
+	var next, done atomic.Int64
 	var reportMu sync.Mutex
 	lastReported := start
-	progress := func(sets int64) {
-		if report == nil {
-			return
-		}
-		d := start + done.Add(sets)
+	progress := func(d int64) {
 		reportMu.Lock()
 		if d > lastReported {
 			lastReported = d
@@ -98,58 +83,63 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 		reportMu.Unlock()
 	}
 
+	// A worker keeps its buffers in locals until it stops: neighbouring
+	// outs entries share a cache line.
+	work := func(w int) {
+		smp := c.samplers[w]
+		edgesBase := smp.EdgesVisited
+		var buf []graph.NodeID
+		var sizes []int32
+		var crng stats.RNG
+		for ctx.Err() == nil {
+			j := int(next.Add(1) - 1)
+			if j >= numChunks {
+				break
+			}
+			lo := int64(j) * growChunk
+			hi := min(lo+growChunk, need)
+			crng.Seed(stats.Mix(base, uint64(j))) // the stream of NewRNG(Mix(base, j))
+			sp := chunkSpan{worker: w, memStart: len(buf), sizeStart: len(sizes)}
+			for s := lo; s < hi; s++ {
+				before := len(buf)
+				buf = smp.Sample(&crng, buf)
+				sizes = append(sizes, int32(len(buf)-before))
+			}
+			sp.memEnd, sp.sizeEnd = len(buf), len(sizes)
+			chunks[j] = sp
+			if report != nil {
+				progress(start + done.Add(hi-lo))
+			}
+		}
+		outs[w] = workerOut{buf: buf, sizes: sizes, edges: smp.EdgesVisited - edgesBase}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wrng := stats.NewRNG(seeds[w])
-			smp := c.parSamplers[w]
-			var buf []graph.NodeID
-			var sizes []int32
-			edgesBase := smp.EdgesVisited
-			for j := w; j < numChunks; j += workers {
-				if ctx.Err() != nil {
-					break
-				}
-				lo := int64(j) * growChunk
-				hi := lo + growChunk
-				if hi > need {
-					hi = need
-				}
-				sp := &chunks[j]
-				sp.memStart, sp.sizeStart = len(buf), len(sizes)
-				for s := lo; s < hi; s++ {
-					before := len(buf)
-					buf = smp.Sample(wrng, buf)
-					sizes = append(sizes, int32(len(buf)-before))
-				}
-				sp.memEnd, sp.sizeEnd = len(buf), len(sizes)
-				atomic.AddInt64(&c.parEdges, smp.EdgesVisited-edgesBase)
-				edgesBase = smp.EdgesVisited
-				progress(hi - lo)
-			}
-			outs[w] = workerOut{buf: buf, sizes: sizes}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	// Merge in chunk-index order, after every worker has stopped touching
-	// its buffers. The sizes are known, so the storage grows once, each
-	// chunk lands by bulk copy, and the inverted index is rebuilt in one
+	// Merge in chunk order, after every worker has stopped touching its
+	// buffers. The sizes are known, so the storage grows once, each chunk
+	// lands by bulk copy, and the inverted index is rebuilt in one
 	// counting pass.
-	addMembers, addSets := 0, 0
+	addMembers := 0
 	for _, o := range outs {
 		addMembers += len(o.buf)
-		addSets += len(o.sizes)
+		c.edges += o.edges
 	}
 	c.members = slices.Grow(c.members, addMembers)
-	c.offsets = slices.Grow(c.offsets, addSets)
-	for j, sp := range chunks {
-		o := &outs[j%workers]
+	c.offsets = slices.Grow(c.offsets, int(need))
+	for _, sp := range chunks {
+		o := &outs[sp.worker]
 		c.members = append(c.members, o.buf[sp.memStart:sp.memEnd]...)
 		end := c.offsets[len(c.offsets)-1]
 		for _, sz := range o.sizes[sp.sizeStart:sp.sizeEnd] {
@@ -158,25 +148,21 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 		}
 	}
 	c.buildIndex()
+	telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, need)
 	if report != nil {
-		reportMu.Lock()
-		if int64(c.Len()) > lastReported {
-			lastReported = int64(c.Len())
-			report(int64(c.Len()), target)
-		}
-		reportMu.Unlock()
+		progress(int64(c.Len()))
 	}
 	return nil
 }
 
-// ensureParSamplers sizes the pooled per-worker samplers (reused across
+// ensureSamplers sizes the pooled per-worker samplers (reused across
 // adaptive rounds) and syncs their cascade/node-coin configuration with
-// the collection's primary sampler.
-func (c *Collection) ensureParSamplers(workers int) {
-	for len(c.parSamplers) < workers {
-		c.parSamplers = append(c.parSamplers, NewSampler(c.g))
+// the collection's template sampler.
+func (c *Collection) ensureSamplers(workers int) {
+	for len(c.samplers) < workers {
+		c.samplers = append(c.samplers, NewSampler(c.g))
 	}
-	for _, smp := range c.parSamplers[:workers] {
+	for _, smp := range c.samplers[:workers] {
 		smp.Cascade = c.sampler.Cascade
 		smp.NodeCoin = c.sampler.NodeCoin
 	}
@@ -184,10 +170,11 @@ func (c *Collection) ensureParSamplers(workers int) {
 
 // Clone returns a deep copy of the collection sharing nothing mutable
 // with the original: members, offsets, and the inverted index are
-// copied, and the clone gets a fresh sampler carrying the original's
-// cascade, node coin, and cumulative width statistic. The original may
-// keep serving concurrent readers (the sketch-cache contract) while the
-// clone is grown further — the ExtendSketch seam.
+// copied, and the clone gets a fresh template sampler carrying the
+// original's cascade and node coin, plus the cumulative width
+// statistic. The original may keep serving concurrent readers (the
+// sketch-cache contract) while the clone is grown further — the
+// ExtendSketch seam.
 func (c *Collection) Clone() *Collection {
 	nc := &Collection{
 		g:        c.g,
@@ -196,9 +183,9 @@ func (c *Collection) Clone() *Collection {
 		coverIdx: slices.Clone(c.coverIdx),
 		coverIDs: slices.Clone(c.coverIDs),
 		sampler:  NewSampler(c.g),
+		edges:    c.edges,
 	}
 	nc.sampler.Cascade = c.sampler.Cascade
 	nc.sampler.NodeCoin = c.sampler.NodeCoin
-	nc.sampler.EdgesVisited = c.EdgesVisited()
 	return nc
 }

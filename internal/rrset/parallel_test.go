@@ -59,22 +59,66 @@ func TestGrowParallelDeterministicForFixedSeedAndWorkers(t *testing.T) {
 	sameCollections(t, runs[0], runs[2])
 }
 
-// TestGrowParallelWorkersOneMatchesSerial: workers <= 1 must be the
-// legacy serial path bit-for-bit — same RNG draws, same Members and
-// Offsets as GrowCtx on the same seed.
-func TestGrowParallelWorkersOneMatchesSerial(t *testing.T) {
-	g := growTestGraph()
-	const target = 1500
-	for _, workers := range []int{0, 1} {
-		serial := NewCollection(g)
-		if err := serial.GrowCtx(context.Background(), target, stats.NewRNG(11), nil); err != nil {
-			t.Fatal(err)
+// TestGrowIndependentOfWorkers is the one-grower contract: the grown
+// sets depend only on (rng state, start, target), so every worker count
+// yields the same Members, Offsets and EdgesVisited — across incremental
+// grows, and for a clone grown on from a shared prefix. Three sampler
+// paths: IC over skip-sampled neighbourhoods, IC with per-edge coins
+// over mixed probabilities, and LT through a node coin.
+func TestGrowIndependentOfWorkers(t *testing.T) {
+	coin := func(v graph.NodeID) float64 { return 0.3 + 0.2*float64(v%3) }
+	families := []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"ic-skip", graph.ErdosRenyi(150, 6000, stats.NewRNG(42)).UniformProb(0.02), Options{}},
+		{"ic-mixed", mixedProbGraph(), Options{}},
+		{"lt-node-coin", graph.PreferentialDirected(300, 6, stats.NewRNG(41)).WeightedCascade(),
+			Options{Cascade: graph.CascadeLT, NodeCoin: coin}},
+	}
+	if share := skipShare(families[0].g); share != 1 {
+		t.Fatalf("ic-skip: %.2f of neighbourhoods skip-sampled, want all", share)
+	}
+	if share := skipShare(families[1].g); share <= 0 || share >= 1 {
+		t.Fatalf("ic-mixed: %.2f of neighbourhoods skip-sampled, want a mix", share)
+	}
+	const mid, final = 700, 2300 // neither a chunk multiple
+	ctx := context.Background()
+	for _, f := range families {
+		growW := func(c *Collection, target int64, rng *stats.RNG, workers int) {
+			t.Helper()
+			if err := c.GrowParallelCtx(ctx, target, rng, workers, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		par := NewCollection(g)
-		if err := par.GrowParallelCtx(context.Background(), target, stats.NewRNG(11), workers, nil); err != nil {
-			t.Fatal(err)
+		var ref, refClone *Collection
+		for _, workers := range []int{1, 2, 3, 8} {
+			c, rng := f.opts.NewCollection(f.g), stats.NewRNG(11)
+			growW(c, mid, rng, workers)
+			cl := c.Clone()
+			growW(c, final, rng, workers)
+			growW(cl, final, stats.NewRNG(12), workers)
+			if c.Len() != final || cl.Len() != final {
+				t.Fatalf("%s W=%d: grew %d / %d sets, want %d", f.name, workers, c.Len(), cl.Len(), final)
+			}
+			if ref == nil {
+				ref, refClone = c, cl
+				continue
+			}
+			sameCollections(t, ref, c)
+			sameCollections(t, refClone, cl)
+			if c.EdgesVisited() != ref.EdgesVisited() || cl.EdgesVisited() != refClone.EdgesVisited() {
+				t.Fatalf("%s W=%d: EdgesVisited %d / %d, W=1 had %d / %d", f.name, workers,
+					c.EdgesVisited(), cl.EdgesVisited(), ref.EdgesVisited(), refClone.EdgesVisited())
+			}
 		}
-		sameCollections(t, serial, par)
+		// The clone continues exactly as the original would have under
+		// the same stream: the start, not the history, fixes the chunks.
+		direct := f.opts.NewCollection(f.g)
+		growW(direct, mid, stats.NewRNG(11), 2)
+		growW(direct, final, stats.NewRNG(12), 3)
+		sameCollections(t, refClone, direct)
 	}
 }
 
@@ -174,8 +218,8 @@ func TestGrowParallelProgressMonotone(t *testing.T) {
 }
 
 // TestGrowParallelEdgesVisited: the width statistic must accumulate
-// across parallel workers and keep accumulating on subsequent serial
-// growth.
+// across parallel workers and keep accumulating on a later one-worker
+// grow.
 func TestGrowParallelEdgesVisited(t *testing.T) {
 	g := growTestGraph()
 	c := NewCollection(g)
@@ -186,7 +230,7 @@ func TestGrowParallelEdgesVisited(t *testing.T) {
 	if afterPar == 0 {
 		t.Fatal("EdgesVisited not tracked through parallel workers")
 	}
-	if err := c.GrowCtx(context.Background(), 1100, stats.NewRNG(18), nil); err != nil {
+	if err := c.GrowParallelCtx(context.Background(), 1100, stats.NewRNG(18), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.EdgesVisited() <= afterPar {
@@ -240,22 +284,22 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestGrowParallelSelectionQuality: a parallel-built collection is
-// statistically interchangeable with a serial one — greedy coverage at
-// the same budget must agree within a loose tolerance.
+// TestGrowParallelSelectionQuality: collections grown from different
+// seeds are statistically interchangeable — greedy coverage at the same
+// budget must agree within a loose tolerance.
 func TestGrowParallelSelectionQuality(t *testing.T) {
 	g := growTestGraph()
-	serial := NewCollection(g)
-	if err := serial.GrowCtx(context.Background(), 3000, stats.NewRNG(29), nil); err != nil {
+	one := NewCollection(g)
+	if err := one.GrowParallelCtx(context.Background(), 3000, stats.NewRNG(29), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	par := NewCollection(g)
 	if err := par.GrowParallelCtx(context.Background(), 3000, stats.NewRNG(37), 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, covS := serial.NodeSelection(8)
+	_, covS := one.NodeSelection(8)
 	_, covP := par.NodeSelection(8)
 	if diff := covS - covP; diff > 0.1 || diff < -0.1 {
-		t.Fatalf("coverage diverges: serial %g vs parallel %g", covS, covP)
+		t.Fatalf("coverage diverges: one worker %g vs four %g", covS, covP)
 	}
 }

@@ -20,7 +20,7 @@ import (
 type Sampler struct {
 	g *graph.Graph
 	// visited[v] == epoch marks v reached in the current sample; the
-	// array is allocated on first use and dropped by release.
+	// array is allocated on first use.
 	visited []int32
 	epoch   int32
 	// Cascade selects the diffusion model sampled against: IC performs
@@ -41,12 +41,6 @@ type Sampler struct {
 // NewSampler returns a sampler for g.
 func NewSampler(g *graph.Graph) *Sampler {
 	return &Sampler{g: g}
-}
-
-// release drops the n-sized visited array; the next sample re-allocates
-// it. Configuration and the width statistic are kept.
-func (s *Sampler) release() {
-	s.visited, s.epoch = nil, 0
 }
 
 // Sample draws one RR set rooted at a uniformly random node and appends

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,14 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/stats"
 )
+
+// grow grows c to target sets on one worker.
+func grow(t testing.TB, c *Collection, target int64, rng *stats.RNG) {
+	t.Helper()
+	if err := c.GrowParallelCtx(context.Background(), target, rng, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSampleFromDeterministicLine(t *testing.T) {
 	// line 0 -> 1 -> 2 with p=1: RR set from root 2 is {2,1,0}
@@ -105,7 +114,7 @@ func TestCollectionAddAndSet(t *testing.T) {
 	g := graph.Line(3, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(6)
-	c.Grow(10, rng)
+	grow(t, c, 10, rng)
 	if c.Len() != 10 {
 		t.Fatalf("len=%d", c.Len())
 	}
@@ -126,7 +135,7 @@ func TestCollectionInvertedIndex(t *testing.T) {
 	g := graph.Line(3, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(7)
-	c.Grow(20, rng)
+	grow(t, c, 20, rng)
 	// rebuild index by scanning sets and compare with the index
 	count := make(map[graph.NodeID]int)
 	for i := 0; i < c.Len(); i++ {
@@ -145,7 +154,7 @@ func TestCoverageOf(t *testing.T) {
 	g := graph.Line(3, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(8)
-	c.Grow(50, rng)
+	grow(t, c, 50, rng)
 	// node 0 reaches everything on a p=1 line, so it covers every set
 	if got := c.CoverageOf([]graph.NodeID{0}); got != c.Len() {
 		t.Errorf("coverage of node 0 = %d, want %d", got, c.Len())
@@ -159,7 +168,7 @@ func TestCollectionReset(t *testing.T) {
 	g := graph.Line(3, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(9)
-	c.Grow(5, rng)
+	grow(t, c, 5, rng)
 	c.Reset()
 	if c.Len() != 0 || c.TotalSize() != 0 {
 		t.Errorf("reset failed: len=%d", c.Len())
@@ -167,7 +176,7 @@ func TestCollectionReset(t *testing.T) {
 	if c.CoverageOf([]graph.NodeID{0}) != 0 {
 		t.Errorf("stale coverage after reset")
 	}
-	c.Grow(5, rng)
+	grow(t, c, 5, rng)
 	if c.Len() != 5 {
 		t.Errorf("regrow failed")
 	}
@@ -177,7 +186,7 @@ func TestNodeSelectionPicksSourceOnLine(t *testing.T) {
 	g := graph.Line(4, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(10)
-	c.Grow(200, rng)
+	grow(t, c, 200, rng)
 	seeds, covered := c.NodeSelection(1)
 	if len(seeds) != 1 || seeds[0] != 0 {
 		t.Errorf("selected %v, want {0}", seeds)
@@ -191,7 +200,7 @@ func TestNodeSelectionPrefixProperty(t *testing.T) {
 	rng := stats.NewRNG(11)
 	g := graph.ErdosRenyi(60, 240, rng).WeightedCascade()
 	c := NewCollection(g)
-	c.Grow(2000, rng)
+	grow(t, c, 2000, rng)
 	s5, _ := c.NodeSelection(5)
 	s10, _ := c.NodeSelection(10)
 	for i := range s5 {
@@ -205,7 +214,7 @@ func TestNodeSelectionCoverageMatchesRecount(t *testing.T) {
 	rng := stats.NewRNG(12)
 	g := graph.ErdosRenyi(50, 200, rng).WeightedCascade()
 	c := NewCollection(g)
-	c.Grow(1000, rng)
+	grow(t, c, 1000, rng)
 	seeds, covered := c.NodeSelection(7)
 	recount := c.FractionCovered(seeds)
 	if math.Abs(covered-recount) > 1e-12 {
@@ -218,7 +227,7 @@ func TestNodeSelectionGreedyIsExactGreedy(t *testing.T) {
 	rng := stats.NewRNG(13)
 	g := graph.ErdosRenyi(30, 120, rng).WeightedCascade()
 	c := NewCollection(g)
-	c.Grow(500, rng)
+	grow(t, c, 500, rng)
 	seeds, _ := c.NodeSelection(4)
 
 	// naive greedy
@@ -254,7 +263,7 @@ func TestNodeSelectionBudgetOverflow(t *testing.T) {
 	g := graph.Line(3, 1)
 	c := NewCollection(g)
 	rng := stats.NewRNG(14)
-	c.Grow(10, rng)
+	grow(t, c, 10, rng)
 	seeds, covered := c.NodeSelection(10)
 	if len(seeds) != 3 {
 		t.Errorf("selected %d seeds from 3-node graph", len(seeds))

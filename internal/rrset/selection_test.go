@@ -21,7 +21,7 @@ func TestSelectRecordsCoverageAtEveryPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := NewCollection(growTestGraph())
-	grown.Grow(3000, stats.NewRNG(5))
+	grow(t, grown, 3000, stats.NewRNG(5))
 
 	for name, c := range map[string]*Collection{"fixed": fixed, "grown": grown, "empty": NewCollection(growTestGraph())} {
 		for _, k := range []int{0, 1, 12, 50, c.N() + 7} {
@@ -84,7 +84,7 @@ func TestReplayCadence(t *testing.T) {
 // array, so the greedy ran once — equal to the uncached reference.
 func TestSelectionMemoConcurrentFirstGet(t *testing.T) {
 	c := NewCollection(growTestGraph())
-	c.Grow(3000, stats.NewRNG(6))
+	grow(t, c, 3000, stats.NewRNG(6))
 	want, _ := c.NodeSelection(40)
 
 	var memo SelectionMemo
@@ -117,7 +117,7 @@ func TestSelectionMemoConcurrentFirstGet(t *testing.T) {
 // count — is rejected.
 func TestCheckSelection(t *testing.T) {
 	c := NewCollection(growTestGraph())
-	c.Grow(3000, stats.NewRNG(7))
+	grow(t, c, 3000, stats.NewRNG(7))
 	for _, k := range []int{0, 1, 12, c.N() + 3} {
 		if err := c.CheckSelection(c.Select(k), k); err != nil {
 			t.Fatalf("k=%d: Select's own answer rejected: %v", k, err)

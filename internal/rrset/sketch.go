@@ -25,10 +25,10 @@ type Options struct {
 	// Progress, when non-nil, receives StageSketch events as the RR-set
 	// collection grows (each adaptive round and the final regeneration).
 	Progress progress.Func
-	// Workers is the RR-set growth parallelism: each grow phase shards
-	// sampling across this many goroutines with deterministic per-worker
-	// RNG streams (GrowParallelCtx). 0 or 1 keeps the legacy serial path —
-	// the library zero value changes nothing.
+	// Workers is the RR-set growth parallelism: each grow phase's chunks
+	// are claimed by this many goroutines (GrowParallelCtx; 0 means 1).
+	// Every chunk samples from its own seeded stream, so the sketch
+	// depends on the RNG, never on Workers.
 	Workers int
 }
 
@@ -68,8 +68,9 @@ type Result struct {
 	Coverage  float64 // F_R(Seeds) on the final collection
 	SpreadEst float64 // n · F_R(Seeds)
 	NumRRSets int     // RR sets in the final collection
-	// TotalRRSets counts every RR set generated, including the phase-1
-	// collection that the Chen'18 fix throws away before reselection.
+	// TotalRRSets counts every RR set generated: NumRRSets plus the
+	// adaptive-phase sets the θ rule read, which the Chen'18 fix throws
+	// away before reselection.
 	TotalRRSets int
 	LB          float64 // lower bound on OPT_k used to size the collection
 }
@@ -93,8 +94,8 @@ type Sketch struct {
 	// K is the budget ceiling the sketch was sized for — PRIMA's top
 	// canonical budget, IMM's k — and the length of its selection.
 	K int
-	// Phase1 counts the adaptive-phase samples discarded before the
-	// final regeneration (for TotalRRSets accounting).
+	// Phase1 counts the adaptive-phase sets the θ rule read, discarded
+	// before the final regeneration (for TotalRRSets accounting).
 	Phase1 int
 	// LB is the lower bound on OPT_K the adaptive phase established. IMM
 	// keeps it to size extensions; PRIMA leaves it 0.

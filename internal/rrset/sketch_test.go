@@ -28,7 +28,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestExtendSketchChecksBeforeTheRule(t *testing.T) {
 	g := graph.Line(40, 0.5)
 	col := NewCollection(g)
-	col.Grow(100, stats.NewRNG(1))
+	grow(t, col, 100, stats.NewRNG(1))
 	sk := &Sketch{Family: "test", Col: col, K: 3}
 	asked := false
 	rule := func(int) (int64, int, error) { asked = true; return 200, 3, nil }

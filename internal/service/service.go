@@ -32,9 +32,9 @@ type Options struct {
 	// Workers is the allocation/estimation worker-pool size (default 2).
 	Workers int
 	// SketchWorkers is the RR-set growth parallelism inside each sketch
-	// build (welmaxd -sketch-workers): sampling shards across this many
-	// goroutines with deterministic per-worker RNG streams. 0 (the
-	// default) resolves to GOMAXPROCS; 1 keeps the legacy serial path.
+	// build (welmaxd -sketch-workers): this many goroutines claim the
+	// grow's chunks, each sampled from its own seeded stream, so answers
+	// do not depend on it. 0 (the default) resolves to GOMAXPROCS.
 	SketchWorkers int
 	// QueueCap bounds the job queue (default 64).
 	QueueCap int

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -550,5 +553,44 @@ func TestJobListing(t *testing.T) {
 	}
 	if !strings.HasPrefix(list.Jobs[0].ID, "j") {
 		t.Errorf("job id = %q", list.Jobs[0].ID)
+	}
+}
+
+// TestAllocateIndependentOfSketchWorkers: a cold allocation's answer
+// depends on the request seed, not on -sketch-workers — two daemons
+// growing their sketches on 1 and 4 goroutines return the same seeds and
+// the same RR-set counts, for a PRIMA and an IMM sketch family.
+func TestAllocateIndependentOfSketchWorkers(t *testing.T) {
+	_, g, err := service.LoadGraph(&service.GraphRequest{Network: "flixster", Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"", "item-disj"} {
+		var results []*service.AllocateResult
+		for _, workers := range []int{1, 4} {
+			svc, err := service.New(service.Options{SketchWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry, _, err := svc.RegisterGraph("w", g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := svc.AllocateCtx(context.Background(), &service.AllocateRequest{
+				GraphID: entry.ID, Algo: algo, Budgets: []int{10, 5}, Seed: 7,
+			}, nil)
+			svc.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		a, b := results[0], results[1]
+		if !reflect.DeepEqual(a.Allocation, b.Allocation) || !slices.Equal(a.SeedOrder, b.SeedOrder) ||
+			a.NumRRSets != b.NumRRSets || a.TotalRRSets != b.TotalRRSets {
+			t.Errorf("algo %q: 1 vs 4 sketch workers differ:\n  seeds %v / %v\n  order %v / %v\n  rr sets %d+%d / %d+%d",
+				algo, a.Allocation.Seeds, b.Allocation.Seeds, a.SeedOrder, b.SeedOrder,
+				a.NumRRSets, a.TotalRRSets, b.NumRRSets, b.TotalRRSets)
+		}
 	}
 }

@@ -70,8 +70,8 @@ func TestTraceIDEndToEnd(t *testing.T) {
 	for _, stage := range []string{"cache_lookup", "rrset_grow", "greedy_select", "estimate"} {
 		st, ok := view.Stages[stage]
 		if stage == "rrset_grow" && !ok {
-			// RR-set growth runs serial or parallel depending on
-			// GOMAXPROCS; either span name satisfies the check.
+			// RR-set growth runs on one worker or several depending
+			// on GOMAXPROCS; either span name satisfies the check.
 			st, ok = view.Stages["rrset_grow_parallel"]
 		}
 		if !ok || st.Count < 1 {

@@ -123,8 +123,8 @@ func TestTracesEndpoint(t *testing.T) {
 			t.Errorf("tree missing %q span (have %v)", want, stages)
 		}
 	}
-	// Serial builds emit rrset_grow, parallel builds (GOMAXPROCS > 1)
-	// emit rrset_grow_parallel; the tree must carry one of the two.
+	// One-worker grows emit rrset_grow, multi-worker ones (GOMAXPROCS >
+	// 1) emit rrset_grow_parallel; the tree must carry one of the two.
 	if !stages["rrset_grow"] && !stages["rrset_grow_parallel"] {
 		t.Errorf("tree missing the rrset_grow / rrset_grow_parallel span (have %v)", stages)
 	}

@@ -30,6 +30,14 @@ func splitmix64(x *uint64) uint64 {
 // stream.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream NewRNG(seed) starts, in place — a hot loop
+// that reseeds per unit of work allocates nothing.
+func (r *RNG) Seed(seed uint64) {
+	*r = RNG{}
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -38,7 +46,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split returns a new RNG seeded from the current stream, suitable for
@@ -148,4 +155,12 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
+}
+
+// Mix returns output i of the splitmix64 sequence seeded at base —
+// random access into it, so parallel work can give its i-th unit an
+// independent stream, NewRNG(Mix(base, i)), whichever goroutine runs it.
+func Mix(base, i uint64) uint64 {
+	x := base + i*0x9e3779b97f4a7c15
+	return splitmix64(&x)
 }

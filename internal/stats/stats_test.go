@@ -340,3 +340,23 @@ func TestLogNChooseK(t *testing.T) {
 		t.Error("k>n should be -Inf")
 	}
 }
+
+// TestSeedRestartsNewRNGStream: reseeding in place — even a generator
+// holding a cached Gaussian — yields exactly NewRNG's stream, and Mix
+// gives distinct indices distinct seeds.
+func TestSeedRestartsNewRNGStream(t *testing.T) {
+	r := NewRNG(99)
+	r.NormFloat64() // leaves the second polar output cached
+	for _, seed := range []uint64{0, 1, Mix(7, 0), Mix(7, 1)} {
+		r.Seed(seed)
+		ref := NewRNG(seed)
+		for i := 0; i < 8; i++ {
+			if a, b := r.NormFloat64(), ref.NormFloat64(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %v, NewRNG %v", seed, i, a, b)
+			}
+		}
+	}
+	if Mix(7, 0) == Mix(7, 1) || Mix(7, 1) == Mix(8, 1) {
+		t.Error("Mix collides on neighbouring inputs")
+	}
+}

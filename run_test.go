@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"uicwelfare/internal/service"
 )
 
 func runTestProblem(t *testing.T) *Problem {
@@ -152,4 +154,33 @@ func TestGenerateNetworkE(t *testing.T) {
 		}
 	}()
 	GenerateNetwork("myspace", 1, 1)
+}
+
+// TestRunAgreesWithDaemon: the library and the daemon build one sketch
+// for one seed — welfare.Run grows it on one goroutine, the daemon on
+// four — so a cold allocation returns the same seeds from either.
+func TestRunAgreesWithDaemon(t *testing.T) {
+	p := runTestProblem(t)
+	res, err := Run(context.Background(), p, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Options{SketchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	entry, _, err := svc.RegisterGraph("run", p.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon, err := svc.AllocateCtx(context.Background(), &service.AllocateRequest{
+		GraphID: entry.ID, Budgets: p.Budgets, Seed: 7,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(daemon.Allocation.Seeds), fmt.Sprint(res.Alloc.Seeds); got != want {
+		t.Errorf("daemon seeds %s, welfare.Run seeds %s", got, want)
+	}
 }

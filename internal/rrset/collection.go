@@ -2,20 +2,27 @@ package rrset
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"uicwelfare/internal/graph"
 )
 
 // Collection stores a growing multiset of RR sets together with the
 // inverted node -> set index needed by NodeSelection. Sets and index are
-// both flat arrays (CSR): no per-set or per-node allocation.
+// both flat arrays (CSR): no per-set or per-node allocation. The index
+// is built on its first read (Covering, Select, CoverageOf,
+// PrefixCoverage), not by the operations that change the sets, so a
+// collection whose selection was adopted from disk never builds it.
 //
 // Concurrency: GrowParallelCtx, Reset and ReleaseScratch mutate the
 // collection and must be serialized by the caller. Once growing stops,
 // the read-only surface (Len, TotalSize, Set, Covering, CoverageOf,
 // FractionCovered, NodeSelection — which allocates all of its scratch
-// state locally) is safe for any number of concurrent readers. The IMM/PRIMA sketch caches
-// build a collection once and then share it read-only across request
+// state locally) is safe for any number of concurrent readers: the first
+// index read builds the index under a mutex, exactly once, and every
+// other reader waits for it. The IMM/PRIMA sketch caches build a
+// collection once and then share it read-only across request
 // goroutines.
 type Collection struct {
 	g *graph.Graph
@@ -25,8 +32,12 @@ type Collection struct {
 	offsets []int64 // set i occupies members[offsets[i]:offsets[i+1]]
 
 	// inverted index in CSR form: the ids of the sets containing node v,
-	// ascending, are coverIDs[coverIdx[v]:coverIdx[v+1]]. Rebuilt by one
-	// counting pass over members at the end of every grow (buildIndex).
+	// ascending, are coverIDs[coverIdx[v]:coverIdx[v+1]]. Built by one
+	// counting pass over members (buildIndex) on the first read after the
+	// sets last changed; indexed reports whether it describes the current
+	// sets, and indexMu serializes the build.
+	indexMu  sync.Mutex
+	indexed  atomic.Bool
 	coverIdx []int64
 	coverIDs []int32
 
@@ -44,19 +55,37 @@ type Collection struct {
 // NewCollection returns an empty collection for g.
 func NewCollection(g *graph.Graph) *Collection {
 	return &Collection{
-		g:        g,
-		offsets:  []int64{0},
-		coverIdx: make([]int64, g.N()+1),
-		sampler:  NewSampler(g),
+		g:       g,
+		offsets: []int64{0},
+		sampler: NewSampler(g),
 	}
+}
+
+// index returns the inverted index, building it first if the sets
+// changed since it was last built. Concurrent first readers build it
+// once: the loser of the mutex finds it built.
+func (c *Collection) index() (idx []int64, ids []int32) {
+	if !c.indexed.Load() {
+		c.indexMu.Lock()
+		if !c.indexed.Load() {
+			c.buildIndex()
+			c.indexed.Store(true)
+		}
+		c.indexMu.Unlock()
+	}
+	return c.coverIdx, c.coverIDs
 }
 
 // buildIndex rebuilds the inverted index from members/offsets by
 // counting sort: count each node's memberships, prefix-sum the counts
 // into list starts, then scan the sets in id order dropping each id at
 // its node's cursor — so every list comes out ascending. The cursors
-// are the coverIdx entries themselves, shifted back afterwards.
+// are the coverIdx entries themselves, shifted back afterwards. The
+// arrays of a stale index are reused when large enough.
 func (c *Collection) buildIndex() {
+	if len(c.coverIdx) != c.g.N()+1 {
+		c.coverIdx = make([]int64, c.g.N()+1)
+	}
 	idx := c.coverIdx
 	clear(idx)
 	for _, v := range c.members {
@@ -96,13 +125,14 @@ func (c *Collection) Members() []graph.NodeID { return c.members }
 func (c *Collection) Offsets() []int64 { return c.offsets }
 
 // Restore reassembles a collection for g from flattened member storage
-// as returned by Members and Offsets, rebuilding the inverted
-// node -> set index. The inputs are validated — a malformed pair (e.g.
-// from a corrupt sketch file) returns an error rather than a collection
-// that would misbehave under NodeSelection. The slices are retained;
-// callers must not modify them afterwards. The restored collection is
-// immediately usable read-only (the sketch-cache contract); growing it
-// further is also legal.
+// as returned by Members and Offsets. The inputs are validated — a
+// malformed pair (e.g. from a corrupt sketch file) returns an error
+// rather than a collection that would misbehave under NodeSelection —
+// and nothing else is done: the inverted index waits for its first read,
+// which a sketch that adopts its persisted selection never makes. The
+// slices are retained; callers must not modify them afterwards. The
+// restored collection is immediately usable read-only (the sketch-cache
+// contract); growing it further is also legal.
 func Restore(g *graph.Graph, members []graph.NodeID, offsets []int64) (*Collection, error) {
 	if len(offsets) == 0 || offsets[0] != 0 {
 		return nil, fmt.Errorf("rrset: offsets must start at 0")
@@ -124,7 +154,6 @@ func Restore(g *graph.Graph, members []graph.NodeID, offsets []int64) (*Collecti
 	}
 	c := NewCollection(g)
 	c.members, c.offsets = members, offsets
-	c.buildIndex()
 	return c, nil
 }
 
@@ -144,11 +173,12 @@ func (c *Collection) EdgesVisited() int64 { return c.edges }
 // ResidentBytes is what the stored sets and their index occupy: every
 // membership once in the flat set storage and once in the index (4
 // bytes each), 8 bytes per set boundary, 8 per node for the index's
-// list starts. Sampling scratch is not counted — sketch builders
-// release it (ReleaseScratch) before a collection becomes resident.
+// list starts. The index is priced as built whether or not it is yet,
+// so a cached entry's cost never changes when a first read builds it.
+// Sampling scratch is not counted — sketch builders release it
+// (ReleaseScratch) before a collection becomes resident.
 func (c *Collection) ResidentBytes() int64 {
-	return 4*int64(len(c.members)) + 4*int64(len(c.coverIDs)) +
-		8*int64(len(c.offsets)) + 8*int64(len(c.coverIdx))
+	return 8*int64(len(c.members)) + 8*int64(len(c.offsets)) + 8*int64(c.g.N()+1)
 }
 
 // ReleaseScratch drops the n-sized sampling scratch (the pooled
@@ -162,19 +192,22 @@ func (c *Collection) Set(i int) []graph.NodeID {
 	return c.members[c.offsets[i]:c.offsets[i+1]]
 }
 
-// Covering returns the ids of the stored sets containing v. The slice
-// aliases internal storage and must not be modified.
+// Covering returns the ids of the stored sets containing v, building
+// the index if this is its first read. The slice aliases internal
+// storage and must not be modified.
 func (c *Collection) Covering(v graph.NodeID) []int32 {
-	return c.coverIDs[c.coverIdx[v]:c.coverIdx[v+1]]
+	idx, ids := c.index()
+	return ids[idx[v]:idx[v+1]]
 }
 
-// Reset drops all stored sets and their storage. PRIMA and IMM use this
-// for their final from-scratch regeneration, which is usually larger
-// than the adaptive collection: kept, the old arrays would stay live
-// beside the ones the regeneration allocates.
+// Reset drops all stored sets and their storage, index included (the
+// next index read builds an empty one). PRIMA and IMM use this for their
+// final from-scratch regeneration, which is usually larger than the
+// adaptive collection: kept, the old arrays would stay live beside the
+// ones the regeneration allocates.
 func (c *Collection) Reset() {
 	c.members, c.offsets, c.coverIDs = nil, []int64{0}, nil
-	c.buildIndex()
+	c.indexed.Store(false)
 }
 
 // CoverageOf returns the number of sets hit by the given seed set,
@@ -225,9 +258,10 @@ func (c *Collection) Select(k int) Selection {
 	if k > n {
 		k = n
 	}
+	idx, _ := c.index()
 	deg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		deg[v] = int32(c.coverIdx[v+1] - c.coverIdx[v])
+		deg[v] = int32(idx[v+1] - idx[v])
 	}
 	setCovered := make([]bool, c.Len())
 	sel := Selection{

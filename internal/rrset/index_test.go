@@ -32,8 +32,8 @@ func checkIndex(t *testing.T, when string, c *Collection) {
 }
 
 // TestCSRIndexMatchesAppendBuiltIndex: after every operation that
-// (re)builds the CSR index, Covering(v) equals the append-built list for
-// every node — same ids, ascending.
+// changes the sets, the CSR index the next read builds gives, for every
+// node, Covering(v) equal to the append-built list — same ids, ascending.
 func TestCSRIndexMatchesAppendBuiltIndex(t *testing.T) {
 	g := growTestGraph()
 	ctx := context.Background()

@@ -32,7 +32,8 @@ const growChunk = 256
 //     balance) and sample into private buffers; worker 0 runs on the
 //     calling goroutine, so workers = 1 spawns nothing;
 //   - after every worker stops, the chunks are copied into the
-//     collection in chunk order and the inverted index is rebuilt once.
+//     collection in chunk order and the inverted index is marked stale
+//     (its next read rebuilds it).
 //
 // The span is rrset_grow at one worker and rrset_grow_parallel above.
 // report (when non-nil) observes a monotone done count that ends at the
@@ -128,9 +129,8 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 	}
 
 	// Merge in chunk order, after every worker has stopped touching its
-	// buffers. The sizes are known, so the storage grows once, each chunk
-	// lands by bulk copy, and the inverted index is rebuilt in one
-	// counting pass.
+	// buffers. The sizes are known, so the storage grows once and each
+	// chunk lands by bulk copy; the index is left for its next read.
 	addMembers := 0
 	for _, o := range outs {
 		addMembers += len(o.buf)
@@ -147,7 +147,7 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 			c.offsets = append(c.offsets, end)
 		}
 	}
-	c.buildIndex()
+	c.indexed.Store(false)
 	telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, need)
 	if report != nil {
 		progress(int64(c.Len()))
@@ -169,21 +169,20 @@ func (c *Collection) ensureSamplers(workers int) {
 }
 
 // Clone returns a deep copy of the collection sharing nothing mutable
-// with the original: members, offsets, and the inverted index are
-// copied, and the clone gets a fresh template sampler carrying the
-// original's cascade and node coin, plus the cumulative width
-// statistic. The original may keep serving concurrent readers (the
-// sketch-cache contract) while the clone is grown further — the
-// ExtendSketch seam.
+// with the original: members and offsets are copied, and the clone gets
+// a fresh template sampler carrying the original's cascade and node
+// coin, plus the cumulative width statistic. The inverted index is not
+// copied — the clone builds its own on first read — since ExtendSketch
+// grows the clone at once, which would make a copy stale. The original
+// may keep serving concurrent readers (the sketch-cache contract) while
+// the clone is grown further — the ExtendSketch seam.
 func (c *Collection) Clone() *Collection {
 	nc := &Collection{
-		g:        c.g,
-		members:  slices.Clone(c.members),
-		offsets:  slices.Clone(c.offsets),
-		coverIdx: slices.Clone(c.coverIdx),
-		coverIDs: slices.Clone(c.coverIDs),
-		sampler:  NewSampler(c.g),
-		edges:    c.edges,
+		g:       c.g,
+		members: slices.Clone(c.members),
+		offsets: slices.Clone(c.offsets),
+		sampler: NewSampler(c.g),
+		edges:   c.edges,
 	}
 	nc.sampler.Cascade = c.sampler.Cascade
 	nc.sampler.NodeCoin = c.sampler.NodeCoin

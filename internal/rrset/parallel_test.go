@@ -62,21 +62,10 @@ func TestGrowParallelDeterministicForFixedSeedAndWorkers(t *testing.T) {
 // TestGrowIndependentOfWorkers is the one-grower contract: the grown
 // sets depend only on (rng state, start, target), so every worker count
 // yields the same Members, Offsets and EdgesVisited — across incremental
-// grows, and for a clone grown on from a shared prefix. Three sampler
-// paths: IC over skip-sampled neighbourhoods, IC with per-edge coins
-// over mixed probabilities, and LT through a node coin.
+// grows, and for a clone grown on from a shared prefix, on each of the
+// three sampler paths (samplerFamilies).
 func TestGrowIndependentOfWorkers(t *testing.T) {
-	coin := func(v graph.NodeID) float64 { return 0.3 + 0.2*float64(v%3) }
-	families := []struct {
-		name string
-		g    *graph.Graph
-		opts Options
-	}{
-		{"ic-skip", graph.ErdosRenyi(150, 6000, stats.NewRNG(42)).UniformProb(0.02), Options{}},
-		{"ic-mixed", mixedProbGraph(), Options{}},
-		{"lt-node-coin", graph.PreferentialDirected(300, 6, stats.NewRNG(41)).WeightedCascade(),
-			Options{Cascade: graph.CascadeLT, NodeCoin: coin}},
-	}
+	families := samplerFamilies()
 	if share := skipShare(families[0].g); share != 1 {
 		t.Fatalf("ic-skip: %.2f of neighbourhoods skip-sampled, want all", share)
 	}

@@ -2,7 +2,6 @@ package rrset
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,7 +111,10 @@ func (c *Collection) PrefixCoverage(order []graph.NodeID) []int64 {
 // max-coverage — the first marginal gain is the maximum node degree and
 // no later gain exceeds an earlier one. It is the gate a persisted
 // selection passes before a sketch adopts it in place of running the
-// greedy; all of it costs one walk of the seeds' index lists.
+// greedy, and it reads no index: one pass over the stored sets counts
+// every node's memberships (its degree) and finds the earliest seed
+// position in each set, whose histogram's running sums are the order's
+// prefix coverage.
 func (c *Collection) CheckSelection(sel Selection, k int) error {
 	n := c.N()
 	if want := min(k, n); len(sel.Order) != want || len(sel.Covered) != want {
@@ -122,19 +124,44 @@ func (c *Collection) CheckSelection(sel Selection, k int) error {
 	if sel.Sets != c.Len() {
 		return fmt.Errorf("rrset: selection counts out of %d sets, collection holds %d", sel.Sets, c.Len())
 	}
-	seen := make([]bool, n)
+	// pos[v] is v's position in the order; notSeed marks every other
+	// node and, as a set's minimum, a set no seed covers.
+	notSeed := int32(len(sel.Order))
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = notSeed
+	}
 	for i, v := range sel.Order {
-		if v < 0 || int(v) >= n || seen[v] {
+		if v < 0 || int(v) >= n || pos[v] != notSeed {
 			return fmt.Errorf("rrset: seed %d (%d) repeated or out of range [0, %d)", i, v, n)
 		}
-		seen[v] = true
+		pos[v] = int32(i)
 	}
-	if !slices.Equal(c.PrefixCoverage(sel.Order), sel.Covered) {
-		return fmt.Errorf("rrset: covered counts disagree with the order's prefix coverage")
+	deg := make([]int32, n)
+	firstHit := make([]int64, len(sel.Order)+1)
+	for i := 0; i < c.Len(); i++ {
+		first := notSeed
+		for _, v := range c.Set(i) {
+			deg[v]++
+			// first = min(first, pos[v]) without a branch (both lie in
+			// [0, notSeed], so d cannot overflow): the compiler keeps a
+			// loop-carried min as a compare-and-jump, which mispredicts
+			// often enough to slow the whole decode.
+			d := pos[v] - first
+			first += d & (d >> 31)
+		}
+		firstHit[first]++
+	}
+	var covered int64
+	for i, want := range sel.Covered {
+		covered += firstHit[i]
+		if covered != want {
+			return fmt.Errorf("rrset: covered counts disagree with the order's prefix coverage")
+		}
 	}
 	var maxDeg int64
-	for v := 0; v < n; v++ {
-		maxDeg = max(maxDeg, c.coverIdx[v+1]-c.coverIdx[v])
+	for _, d := range deg {
+		maxDeg = max(maxDeg, int64(d))
 	}
 	prevGain, prevCovered := maxDeg, int64(0)
 	for i, covered := range sel.Covered {

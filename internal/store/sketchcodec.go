@@ -58,10 +58,12 @@ func encodeSketchPayload(p *payloadWriter, sk *rrset.Sketch) error {
 }
 
 // DecodeSketch reads one .wms frame against the graph it was built for,
-// returning a sketch indistinguishable from the freshly built original: rrset.Restore rebuilds the inverted index and
-// re-validates every member against g, and the persisted selection is
-// checked against the restored collection before the sketch adopts it.
-// The caller is responsible for pairing the right graph — the store
+// returning a sketch indistinguishable from the freshly built original.
+// rrset.Restore re-validates every member against g, and the persisted
+// selection is checked against the restored collection (one pass over
+// its sets) before the sketch adopts it. No inverted index is built: the
+// adopted selection answers every Select, and a later index read builds
+// it. The caller is responsible for pairing the right graph — the store
 // does so by keying sketch files under the graph's content id.
 func DecodeSketch(r io.Reader, g *graph.Graph) (*rrset.Sketch, error) {
 	payload, err := readFrame(r, SketchMagic, SketchVersion)
@@ -76,7 +78,7 @@ func DecodeSketch(r io.Reader, g *graph.Graph) (*rrset.Sketch, error) {
 	if err := p.done(); err != nil {
 		return nil, err
 	}
-	// The frame buffer is dead from here on: Restore's index is built
+	// The frame buffer is dead from here on: the selection check runs
 	// while only the decoded arrays are live.
 	return parts.build(g)
 }

@@ -274,7 +274,10 @@ func BenchmarkAblationWelfareEstimator(b *testing.B) {
 	g := expr.Networks[0].Generate(0.1, 2)
 	m := utility.RealParams()
 	p := core.MustProblem(g, m, []int{20, 20, 15, 10, 10})
-	res := core.BundleGRD(p, core.Options{}, rng)
+	res, err := core.Plan(context.Background(), core.AlgoBundleGRD, p, core.Options{}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("sequential", func(b *testing.B) {
 		sim := uic.NewSimulator(g, m)
 		for i := 0; i < b.N; i++ {
@@ -299,7 +302,10 @@ func BenchmarkAblationCascade(b *testing.B) {
 		b.Run(cascade.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng := stats.NewRNG(uint64(i) + 1)
-				res := core.BundleGRD(p, core.Options{Cascade: cascade}, rng)
+				res, err := core.Plan(context.Background(), core.AlgoBundleGRD, p, core.Options{Cascade: cascade}, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
 				sim := uic.NewSimulator(g, m)
 				sim.Cascade = cascade
 				est := sim.EstimateWelfare(res.Alloc, rng, 500)
@@ -334,7 +340,9 @@ func BenchmarkAblationOracle(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
 				p := core.MustProblem(g, m, q)
-				core.BundleGRD(p, core.Options{}, stats.NewRNG(uint64(i)+6))
+				if _, err := core.Plan(context.Background(), core.AlgoBundleGRD, p, core.Options{}, stats.NewRNG(uint64(i)+6)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -175,7 +175,7 @@ func loadOrGenerate(path string, directed bool, network string, scale float64, s
 		}
 		return g.WeightedCascade(), nil
 	}
-	return welfare.GenerateNetworkE(network, scale, seed)
+	return welfare.GenerateNetwork(network, scale, seed)
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -14,8 +15,10 @@ import (
 )
 
 func main() {
-	rng := welfare.NewRNG(11)
-	g := welfare.GenerateNetwork("douban-movie", 0.5, 11)
+	g, err := welfare.GenerateNetwork("douban-movie", 0.5, 11)
+	if err != nil {
+		panic(err)
+	}
 	m := welfare.RealParams()
 	fmt.Printf("network: %v\n", g)
 	fmt.Println("items: PlayStation, controller, game1, game2, game3 (Table 5 utilities)")
@@ -39,9 +42,13 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res := welfare.BundleGRD(p, welfare.Options{}, rng)
-		est := welfare.EstimateWelfare(p, res.Alloc, welfare.NewRNG(5), 10000)
-		results = append(results, outcome{name, est.Mean, 1.96 * est.StdErr})
+		// One seed per split: the outcome of a split never depends on the
+		// order the map is ranged in.
+		res, err := welfare.Run(context.Background(), p, welfare.WithSeed(11), welfare.WithRuns(10000))
+		if err != nil {
+			panic(err)
+		}
+		results = append(results, outcome{name, res.Welfare.Mean, 1.96 * res.Welfare.StdErr})
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].welfare > results[j].welfare })
 

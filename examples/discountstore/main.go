@@ -10,14 +10,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	welfare "uicwelfare"
 )
 
 func main() {
-	rng := welfare.NewRNG(21)
-	g := welfare.GenerateNetwork("douban-book", 0.5, 21)
+	g, err := welfare.GenerateNetwork("douban-book", 0.5, 21)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("network: %v\n\n", g)
 
 	// Three devices: hub, camera, doorbell. Alone each is worth slightly
@@ -69,11 +72,13 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res := welfare.BundleGRD(p, welfare.Options{Cascade: tc.cascade}, rng)
-		sim := welfare.NewSimulator(g, tc.m)
-		sim.Cascade = tc.cascade
-		est := sim.EstimateWelfare(res.Alloc, welfare.NewRNG(5), 10000)
-		fmt.Printf("%-18s welfare %8.1f ± %6.1f\n", tc.name, est.Mean, 1.96*est.StdErr)
+		// Run plans and estimates under the same cascade.
+		res, err := welfare.Run(context.Background(), p,
+			welfare.WithCascade(tc.cascade), welfare.WithSeed(21), welfare.WithRuns(10000))
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-18s welfare %8.1f ± %6.1f\n", tc.name, res.Welfare.Mean, 1.96*res.Welfare.StdErr)
 	}
 
 	fmt.Println("\nthe discount turns a marginal bundle into a propagating one.")

@@ -10,16 +10,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	welfare "uicwelfare"
 )
 
 func main() {
-	rng := welfare.NewRNG(7)
-
 	// A Twitter-like follower network stand-in.
-	g := welfare.GenerateNetwork("twitter", 0.5, 7)
+	g, err := welfare.GenerateNetwork("twitter", 0.5, 7)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("network: %v\n\n", g)
 
 	// Table 5's learned utilities: prices C$260/20/5/5/5, values from
@@ -50,19 +52,14 @@ func main() {
 		panic(err)
 	}
 
-	type algo struct {
-		name string
-		run  func(*welfare.Problem, welfare.Options, *welfare.RNG) welfare.Result
-	}
-	for _, a := range []algo{
-		{welfare.AlgoBundleGRD, welfare.BundleGRD},
-		{welfare.AlgoBundleDisjoint, welfare.BundleDisjoint},
-		{welfare.AlgoItemDisjoint, welfare.ItemDisjoint},
-	} {
-		res := a.run(p, welfare.Options{}, rng)
-		est := welfare.EstimateWelfare(p, res.Alloc, welfare.NewRNG(99), 10000)
+	for _, name := range []string{welfare.AlgoBundleGRD, welfare.AlgoBundleDisjoint, welfare.AlgoItemDisjoint} {
+		res, err := welfare.Run(context.Background(), p,
+			welfare.WithAlgorithm(name), welfare.WithSeed(7), welfare.WithRuns(10000))
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-12s welfare %8.1f ± %6.1f   (IMM calls: %d)\n",
-			a.name, est.Mean, 1.96*est.StdErr, res.IMMInvocations)
+			name, res.Welfare.Mean, 1.96*res.Welfare.StdErr, res.IMMInvocations)
 	}
 	fmt.Println("\nitem-disj earns nothing: every item alone has negative utility,")
 	fmt.Println("so separated seeds never adopt and the cascade never starts.")

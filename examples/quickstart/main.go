@@ -17,7 +17,7 @@ func main() {
 
 	// A Flixster-like social network (Table 2 stand-in) with the paper's
 	// weighted-cascade influence probabilities p(u,v) = 1/indeg(v).
-	g, err := welfare.GenerateNetworkE("flixster", 0.5, 42)
+	g, err := welfare.GenerateNetwork("flixster", 0.5, 42)
 	if err != nil {
 		panic(err)
 	}

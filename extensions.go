@@ -15,8 +15,8 @@ import (
 type Cascade = graph.Cascade
 
 // The two built-in triggering models. All of the paper's results carry
-// over from IC to LT (§5); set Options.Cascade and Simulator.Cascade to
-// switch.
+// over from IC to LT (§5); pass WithCascade to Run and set
+// Simulator.Cascade to switch.
 const (
 	CascadeIC = graph.CascadeIC
 	CascadeLT = graph.CascadeLT

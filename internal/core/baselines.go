@@ -12,32 +12,16 @@ import (
 	"uicwelfare/internal/uic"
 )
 
-// ItemDisjoint is the item-disj baseline of §4.3.1.2: select Σ_i b_i
-// seeds with one IMM call, then walk items in non-increasing budget
-// order, assigning each item the next b_i unused nodes. Every seed node
-// carries exactly one item, so the baseline cannot exploit
-// supermodularity at the seeds — it relies purely on propagation.
-//
-// Deprecated: use Plan(ctx, AlgoItemDisjoint, ...) or the registered
-// planner, which add cancellation and progress reporting. This wrapper
-// delegates with a background context.
-func ItemDisjoint(p *Problem, opts Options, rng *stats.RNG) Result {
-	res, _ := itemDisjointPlanner{}.Plan(context.Background(), p, opts, rng) // background ctx: never canceled
-	return res
-}
-
-// ItemDisjointFromSketch runs the item-disj assignment on a prebuilt IMM
-// sketch (built for this problem's graph with k = Σ_i b_i). The sketch
-// is only read, so one cached sketch can serve many concurrent
-// allocations.
-func ItemDisjointFromSketch(p *Problem, sk *rrset.Sketch) Result {
-	return ItemDisjointFromSketchProgress(p, sk, nil)
-}
-
-// ItemDisjointFromSketchProgress is ItemDisjointFromSketch with
-// seed-prefix reporting: report (when non-nil) receives StageSelect
-// events carrying growing prefixes of the sketch's ordering.
-func ItemDisjointFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
+// itemDisjoint is the item-disj baseline of §4.3.1.2 run on a prebuilt
+// IMM sketch (built for this problem's graph with k = Σ_i b_i): take the
+// Σ_i b_i seeds of that one IMM selection, then walk items in
+// non-increasing budget order, assigning each item the next b_i unused
+// nodes. Every seed node carries exactly one item, so the baseline
+// cannot exploit supermodularity at the seeds — it relies purely on
+// propagation. The sketch is only read, so one cached sketch can serve
+// many concurrent allocations. report (when non-nil) receives
+// StageSelect events carrying growing prefixes of the sketch's ordering.
+func itemDisjoint(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
 	alloc := uic.NewAllocation(p.K())
 	if p.TotalBudget() == 0 {
 		return Result{Alloc: alloc}
@@ -58,7 +42,7 @@ func ItemDisjointFromSketchProgress(p *Problem, sk *rrset.Sketch, report progres
 	}
 }
 
-// bundleDisjBundle is one bundle found by BundleDisjoint: an itemset with
+// bundleDisjBundle is one bundle found by bundleDisjoint: an itemset with
 // non-negative deterministic utility and the fresh seed nodes assigned to
 // it.
 type bundleDisjBundle struct {
@@ -66,28 +50,16 @@ type bundleDisjBundle struct {
 	seeds []graph.NodeID
 }
 
-// BundleDisjoint is the bundle-disj baseline of §4.3.1.2: repeatedly find
-// the minimum-sized itemset with non-negative deterministic utility among
-// the remaining budgets, allocate it to a fresh set of min-budget seed
-// nodes (a new IMM selection each time), deduct budgets, and finally
+// bundleDisjoint is the bundle-disj baseline of §4.3.1.2: repeatedly
+// find the minimum-sized itemset with non-negative deterministic utility
+// among the remaining budgets, allocate it to a fresh set of min-budget
+// seed nodes (a new IMM selection each time), deduct budgets, and finally
 // recycle surplus budgets onto existing bundles (or fresh IMM seeds).
 // It exploits supermodularity through bundling but pays for repeated IMM
 // invocations and cannot interleave budgets the way the prefix ordering
-// does.
-//
-// Deprecated: use Plan(ctx, AlgoBundleDisjoint, ...) or
-// BundleDisjointCtx, which add cancellation and progress reporting.
-// This wrapper delegates with a background context.
-func BundleDisjoint(p *Problem, opts Options, rng *stats.RNG) Result {
-	res, _ := BundleDisjointCtx(context.Background(), p, opts, rng) // background ctx: never canceled
-	return res
-}
-
-// BundleDisjointCtx is BundleDisjoint with cooperative cancellation and
-// progress reporting: each of the adaptive sequence of IMM selections
-// checks ctx while sampling, so a canceled context stops the run
-// promptly with ctx.Err().
-func BundleDisjointCtx(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error) {
+// does. Each IMM selection checks ctx while sampling, so a canceled
+// context stops the run promptly with ctx.Err().
+func bundleDisjoint(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error) {
 	k := p.K()
 	alloc := uic.NewAllocation(k)
 	remaining := make([]int, k)

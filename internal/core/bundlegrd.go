@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/progress"
 	"uicwelfare/internal/rrset"
-	"uicwelfare/internal/stats"
 	"uicwelfare/internal/uic"
 )
 
@@ -45,22 +42,6 @@ type Result struct {
 	IMMInvocations int
 }
 
-// BundleGRD is Algorithm 1: select the top-b nodes with the
-// prefix-preserving PRIMA ordering (b the maximum budget), then assign
-// item i to the top-b_i prefix. By Theorem 2 the resulting allocation is
-// a (1-1/e-ε)-approximation to the optimal expected social welfare with
-// probability at least 1-1/n^ℓ — crucially, without ever reading the
-// valuation, prices, or noise (the algorithm is parameter-free given
-// mutual complementarity).
-//
-// Deprecated: use Plan(ctx, AlgoBundleGRD, ...) or the registered
-// planner, which add cancellation and progress reporting. This wrapper
-// delegates with a background context.
-func BundleGRD(p *Problem, opts Options, rng *stats.RNG) Result {
-	res, _ := bundleGRDPlanner{}.Plan(context.Background(), p, opts, rng) // background ctx: never canceled
-	return res
-}
-
 // seedReporter adapts a progress.Func into the seed-prefix callback the
 // sketch SelectReport methods take: each prefix is copied into a fresh
 // int64 slice (the callback's argument aliases selection storage) and
@@ -80,18 +61,18 @@ func seedReporter(report progress.Func, total int) func(prefix []graph.NodeID) {
 	}
 }
 
-// BundleGRDFromSketch runs bundleGRD's selection and assignment on a
-// prebuilt PRIMA sketch (built for this problem's graph and budgets).
-// The sketch is only read, so one cached sketch can serve many
-// concurrent allocations — the fast path of the welmaxd sketch cache.
-func BundleGRDFromSketch(p *Problem, sk *rrset.Sketch) Result {
-	return BundleGRDFromSketchProgress(p, sk, nil)
-}
-
-// BundleGRDFromSketchProgress is BundleGRDFromSketch with seed-prefix
-// reporting: report (when non-nil) receives StageSelect events carrying
-// growing prefixes of the sketch's ordering.
-func BundleGRDFromSketchProgress(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
+// bundleGRD is Algorithm 1 run on a prebuilt PRIMA sketch (built for
+// this problem's graph and budgets): take the top-b nodes of the
+// prefix-preserving ordering (b the maximum budget), then assign item i
+// to the top-b_i prefix. By Theorem 2 the resulting allocation is a
+// (1-1/e-ε)-approximation to the optimal expected social welfare with
+// probability at least 1-1/n^ℓ — crucially, without ever reading the
+// valuation, prices, or noise (the algorithm is parameter-free given
+// mutual complementarity). The sketch is only read, so one cached sketch
+// can serve many concurrent allocations — the fast path of the welmaxd
+// sketch cache. report (when non-nil) receives StageSelect events
+// carrying growing prefixes of the sketch's ordering.
+func bundleGRD(p *Problem, sk *rrset.Sketch, report progress.Func) Result {
 	pres := sk.SelectReport(seedReporter(report, sk.K))
 	alloc := uic.NewAllocation(p.K())
 	for i, b := range p.Budgets {

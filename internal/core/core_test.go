@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,6 +17,17 @@ import (
 func testGraph(n, m int, seed uint64) *graph.Graph {
 	rng := stats.NewRNG(seed)
 	return graph.ErdosRenyi(n, m, rng).WeightedCascade()
+}
+
+// plan runs the named planner through the registry, failing the test
+// on an error.
+func plan(t *testing.T, name string, p *Problem, opts Options, rng *stats.RNG) Result {
+	t.Helper()
+	res, err := Plan(context.Background(), name, p, opts, rng)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
 }
 
 func TestNewProblemValidation(t *testing.T) {
@@ -90,7 +102,7 @@ func TestBundleGRDStructure(t *testing.T) {
 	g := testGraph(80, 400, 4)
 	m := utility.Config1()
 	p := MustProblem(g, m, []int{7, 3})
-	res := BundleGRD(p, Options{}, stats.NewRNG(5))
+	res := plan(t, AlgoBundleGRD, p, Options{}, stats.NewRNG(5))
 	if err := p.CheckAllocation(res.Alloc); err != nil {
 		t.Fatalf("bundleGRD violated budgets: %v", err)
 	}
@@ -115,8 +127,8 @@ func TestBundleGRDIsParameterFree(t *testing.T) {
 	g := testGraph(60, 240, 6)
 	p1 := MustProblem(g, utility.Config1(), []int{5, 2})
 	p2 := MustProblem(g, utility.Config3(), []int{5, 2})
-	r1 := BundleGRD(p1, Options{}, stats.NewRNG(7))
-	r2 := BundleGRD(p2, Options{}, stats.NewRNG(7))
+	r1 := plan(t, AlgoBundleGRD, p1, Options{}, stats.NewRNG(7))
+	r2 := plan(t, AlgoBundleGRD, p2, Options{}, stats.NewRNG(7))
 	for i := range r1.SeedOrder {
 		if r1.SeedOrder[i] != r2.SeedOrder[i] {
 			t.Fatal("allocation depends on utilities; it must not")
@@ -128,7 +140,7 @@ func TestItemDisjointStructure(t *testing.T) {
 	g := testGraph(80, 400, 8)
 	m := utility.Config1()
 	p := MustProblem(g, m, []int{5, 3})
-	res := ItemDisjoint(p, Options{}, stats.NewRNG(9))
+	res := plan(t, AlgoItemDisjoint, p, Options{}, stats.NewRNG(9))
 	if err := p.CheckAllocation(res.Alloc); err != nil {
 		t.Fatalf("item-disj violated budgets: %v", err)
 	}
@@ -154,7 +166,7 @@ func TestBundleDisjointConfig1SeparateBundles(t *testing.T) {
 	// equivalent.
 	g := testGraph(80, 400, 10)
 	p := MustProblem(g, utility.Config1(), []int{4, 4})
-	res := BundleDisjoint(p, Options{}, stats.NewRNG(11))
+	res := plan(t, AlgoBundleDisjoint, p, Options{}, stats.NewRNG(11))
 	if err := p.CheckAllocation(res.Alloc); err != nil {
 		t.Fatalf("bundle-disj violated budgets: %v", err)
 	}
@@ -178,7 +190,7 @@ func TestBundleDisjointConfig3CoLocates(t *testing.T) {
 	// the paper calls bundleGRD and bundle-disj equivalent.
 	g := testGraph(80, 400, 12)
 	p := MustProblem(g, utility.Config3(), []int{4, 4})
-	res := BundleDisjoint(p, Options{}, stats.NewRNG(13))
+	res := plan(t, AlgoBundleDisjoint, p, Options{}, stats.NewRNG(13))
 	if err := p.CheckAllocation(res.Alloc); err != nil {
 		t.Fatalf("bundle-disj violated budgets: %v", err)
 	}
@@ -201,8 +213,8 @@ func TestBundleGRDBeatsItemDisjointOnConfig3(t *testing.T) {
 	p := MustProblem(g, m, []int{10, 10})
 	rng := stats.NewRNG(15)
 
-	grd := BundleGRD(p, Options{}, rng)
-	disj := ItemDisjoint(p, Options{}, rng)
+	grd := plan(t, AlgoBundleGRD, p, Options{}, rng)
+	disj := plan(t, AlgoItemDisjoint, p, Options{}, rng)
 
 	sim := uic.NewSimulator(g, m)
 	const runs = 30000
@@ -225,7 +237,7 @@ func TestBundleGRDApproximatesBruteForceOPT(t *testing.T) {
 	rng := stats.NewRNG(18)
 
 	_, optWelfare := BruteForceOPT(p, 4000, rng)
-	grd := BundleGRD(p, Options{Eps: 0.3}, rng)
+	grd := plan(t, AlgoBundleGRD, p, Options{Eps: 0.3}, rng)
 	sim := uic.NewSimulator(g, m)
 	grdWelfare := sim.EstimateWelfare(grd.Alloc, stats.NewRNG(19), 20000).Mean
 
@@ -299,7 +311,7 @@ func TestLemma5WelfareDecomposition(t *testing.T) {
 	m := utility.Config8(3, stats.NewRNG(25))
 	budgets := []int{8, 5, 2}
 	p := MustProblem(g, m, budgets)
-	grd := BundleGRD(p, Options{}, rng)
+	grd := plan(t, AlgoBundleGRD, p, Options{}, rng)
 
 	noise := m.SampleNoise(rng)
 	util := m.UtilityTable(noise, nil)
@@ -337,9 +349,9 @@ func TestZeroBudgetsProduceEmptyAllocation(t *testing.T) {
 	m := utility.Config1()
 	p := MustProblem(g, m, []int{0, 0})
 	for name, res := range map[string]Result{
-		"bundleGRD":   BundleGRD(p, Options{}, stats.NewRNG(29)),
-		"item-disj":   ItemDisjoint(p, Options{}, stats.NewRNG(30)),
-		"bundle-disj": BundleDisjoint(p, Options{}, stats.NewRNG(31)),
+		"bundleGRD":   plan(t, AlgoBundleGRD, p, Options{}, stats.NewRNG(29)),
+		"item-disj":   plan(t, AlgoItemDisjoint, p, Options{}, stats.NewRNG(30)),
+		"bundle-disj": plan(t, AlgoBundleDisjoint, p, Options{}, stats.NewRNG(31)),
 	} {
 		if res.Alloc.Pairs() != 0 {
 			t.Errorf("%s allocated %d pairs with zero budgets", name, res.Alloc.Pairs())
@@ -352,9 +364,9 @@ func TestAllAlgorithmsRespectBudgetsOnRealParams(t *testing.T) {
 	m := utility.RealParams()
 	p := MustProblem(g, m, []int{30, 30, 20, 10, 10})
 	for name, res := range map[string]Result{
-		"bundleGRD":   BundleGRD(p, Options{}, stats.NewRNG(33)),
-		"item-disj":   ItemDisjoint(p, Options{}, stats.NewRNG(34)),
-		"bundle-disj": BundleDisjoint(p, Options{}, stats.NewRNG(35)),
+		"bundleGRD":   plan(t, AlgoBundleGRD, p, Options{}, stats.NewRNG(33)),
+		"item-disj":   plan(t, AlgoItemDisjoint, p, Options{}, stats.NewRNG(34)),
+		"bundle-disj": plan(t, AlgoBundleDisjoint, p, Options{}, stats.NewRNG(35)),
 	} {
 		if err := p.CheckAllocation(res.Alloc); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -379,7 +391,7 @@ func TestItemDisjointZeroWelfareOnAllNegative(t *testing.T) {
 	g := testGraph(60, 300, 37)
 	m := utility.RealParams() // every singleton negative
 	p := MustProblem(g, m, []int{5, 5, 5, 5, 5})
-	res := ItemDisjoint(p, Options{}, stats.NewRNG(38))
+	res := plan(t, AlgoItemDisjoint, p, Options{}, stats.NewRNG(38))
 	sim := uic.NewSimulator(g, m)
 	w := sim.EstimateWelfare(res.Alloc, stats.NewRNG(39), 5000)
 	if w.Mean > 1e-9 {

@@ -51,7 +51,7 @@ func checkFamily(algo, family string, sk *rrset.Sketch) error {
 	return nil
 }
 
-// bundleGRDPlanner adapts BundleGRD to the registry. The sketch seam is
+// bundleGRDPlanner adapts bundleGRD to the registry. The sketch seam is
 // PRIMA: one prefix-preserving sketch serves every budget prefix.
 type bundleGRDPlanner struct{}
 
@@ -60,7 +60,7 @@ func (bundleGRDPlanner) Plan(ctx context.Context, p *Problem, opts Options, rng 
 	if err != nil {
 		return Result{}, err
 	}
-	return BundleGRDFromSketch(p, sk), nil
+	return bundleGRD(p, sk, nil), nil
 }
 
 func (bundleGRDPlanner) SketchBudgets(p *Problem) []int {
@@ -75,7 +75,7 @@ func (bundleGRDPlanner) PlanFromSketchProgress(p *Problem, sk *rrset.Sketch, rep
 	if err := checkFamily(AlgoBundleGRD, prima.Family, sk); err != nil {
 		return Result{}, err
 	}
-	return BundleGRDFromSketchProgress(p, sk, report), nil
+	return bundleGRD(p, sk, report), nil
 }
 
 // MergeBudgets unions two canonical PRIMA budget vectors: a sketch
@@ -103,7 +103,7 @@ func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.
 	return prima.ExtendSketchCtx(ctx, p.G, sk, oldBudgets, po, newBudgets, po, rng)
 }
 
-// itemDisjointPlanner adapts ItemDisjoint to the registry. The sketch
+// itemDisjointPlanner adapts itemDisjoint to the registry. The sketch
 // seam is IMM sized for the total budget.
 type itemDisjointPlanner struct{}
 
@@ -112,7 +112,7 @@ func (itemDisjointPlanner) Plan(ctx context.Context, p *Problem, opts Options, r
 	if err != nil {
 		return Result{}, err
 	}
-	return ItemDisjointFromSketch(p, sk), nil
+	return itemDisjoint(p, sk, nil), nil
 }
 
 func (itemDisjointPlanner) SketchBudgets(p *Problem) []int {
@@ -127,7 +127,7 @@ func (itemDisjointPlanner) PlanFromSketchProgress(p *Problem, sk *rrset.Sketch, 
 	if err := checkFamily(AlgoItemDisjoint, imm.Family, sk); err != nil {
 		return Result{}, err
 	}
-	return ItemDisjointFromSketchProgress(p, sk, report), nil
+	return itemDisjoint(p, sk, report), nil
 }
 
 // MergeBudgets takes the larger of two IMM total budgets: the greedy
@@ -169,11 +169,11 @@ func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrs
 	return imm.ExtendSketchCtx(ctx, p.G, sk, k, sketchOptions(opts), rng)
 }
 
-// bundleDisjointPlanner adapts BundleDisjoint. Its adaptive sequence of
+// bundleDisjointPlanner adapts bundleDisjoint. Its adaptive sequence of
 // IMM calls depends on intermediate results, so there is no reusable
 // sketch — it is a plain Planner.
 type bundleDisjointPlanner struct{}
 
 func (bundleDisjointPlanner) Plan(ctx context.Context, p *Problem, opts Options, rng *stats.RNG) (Result, error) {
-	return BundleDisjointCtx(ctx, p, opts, rng)
+	return bundleDisjoint(ctx, p, opts, rng)
 }

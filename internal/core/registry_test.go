@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -76,30 +75,6 @@ func TestLookupDefaultAndUnknown(t *testing.T) {
 	}
 	if _, err := Plan(context.Background(), "no-such-algo", testProblem(t), Options{}, stats.NewRNG(1)); err == nil {
 		t.Fatal("Plan with unknown algorithm succeeded")
-	}
-}
-
-// TestPlannersMatchLegacyFunctions pins the wrappers to the registry:
-// the deprecated free functions and registry dispatch must produce
-// identical allocations for identical seeds.
-func TestPlannersMatchLegacyFunctions(t *testing.T) {
-	p := testProblem(t)
-	opts := Options{Eps: 0.5, Ell: 1}
-	legacy := map[string]func() Result{
-		AlgoBundleGRD:      func() Result { return BundleGRD(p, opts, stats.NewRNG(3)) },
-		AlgoItemDisjoint:   func() Result { return ItemDisjoint(p, opts, stats.NewRNG(3)) },
-		AlgoBundleDisjoint: func() Result { return BundleDisjoint(p, opts, stats.NewRNG(3)) },
-	}
-	for name, run := range legacy {
-		got, err := Plan(context.Background(), name, p, opts, stats.NewRNG(3))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := run()
-		if fmt.Sprint(got.Alloc.Seeds) != fmt.Sprint(want.Alloc.Seeds) {
-			t.Errorf("%s: registry and legacy allocations differ:\n  registry %v\n  legacy   %v",
-				name, got.Alloc.Seeds, want.Alloc.Seeds)
-		}
 	}
 }
 

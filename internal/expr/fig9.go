@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"time"
 
 	"uicwelfare/internal/bdhs"
@@ -52,7 +53,10 @@ func Fig9(network string, pcts []int, p Params) ([]Fig9Row, error) {
 		}
 		budgets := []int{b, b, b, b, b}
 		prob := core.MustProblem(g, m, budgets)
-		res := core.BundleGRD(prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed+uint64(pct)))
+		res, err := core.Plan(context.Background(), core.AlgoBundleGRD, prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed+uint64(pct)))
+		if err != nil {
+			return nil, err
+		}
 		est := uic.NewSimulator(g, m).EstimateWelfare(res.Alloc, stats.NewRNG(p.Seed+23), p.Runs)
 		reached := 0.0
 		if stepBench > 0 {
@@ -107,7 +111,10 @@ func Fig9d(p Params) ([]Fig9dRow, error) {
 			budgets := []int{budget, budget, budget, budget, budget}
 			prob := core.MustProblem(g, m, budgets)
 			start := time.Now()
-			res := core.BundleGRD(prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed+uint64(pct)))
+			res, err := core.Plan(context.Background(), core.AlgoBundleGRD, prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed+uint64(pct)))
+			if err != nil {
+				return nil, err
+			}
 			ms := float64(time.Since(start).Microseconds()) / 1000.0
 			est := uic.NewSimulator(g, m).EstimateWelfare(res.Alloc, stats.NewRNG(p.Seed+29), p.Runs)
 			rows = append(rows, Fig9dRow{

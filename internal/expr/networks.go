@@ -54,7 +54,7 @@ func NetworkByName(name string) (NetworkSpec, error) {
 // GenerateByName synthesizes the named stand-in network (non-positive
 // scale defaults to 1.0, seed 0 defaults to 1), returning an error for
 // an unknown name — the single generation path behind
-// welfare.GenerateNetworkE, the service, and the CLI, so bad input is a
+// welfare.GenerateNetwork, the service, and the CLI, so bad input is a
 // 400/usage error everywhere instead of a panic.
 func GenerateByName(name string, scale float64, seed uint64) (*graph.Graph, error) {
 	spec, err := NetworkByName(name)

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -121,7 +122,10 @@ func Fig8d(p Params) ([]RealRow, error) {
 		budgets := SkewSplits(total)[name]
 		prob := core.MustProblem(g, m, budgets)
 		start := time.Now()
-		res := core.BundleGRD(prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
+		res, err := core.Plan(context.Background(), core.AlgoBundleGRD, prob, core.Options{Eps: p.Eps, Ell: p.Ell}, stats.NewRNG(p.Seed))
+		if err != nil {
+			return nil, err
+		}
 		ms := float64(time.Since(start).Microseconds()) / 1000.0
 		est := uic.NewSimulator(g, m).EstimateWelfare(res.Alloc, stats.NewRNG(p.Seed+17), p.Runs)
 		rows = append(rows, RealRow{

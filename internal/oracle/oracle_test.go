@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -111,7 +112,10 @@ func TestOracleQualityVsDirectBundleGRD(t *testing.T) {
 	}
 	oAlloc, _ := o.Allocate(budgets)
 	p := core.MustProblem(g, m, budgets)
-	direct := core.BundleGRD(p, core.Options{}, stats.NewRNG(9))
+	direct, err := core.Plan(context.Background(), core.AlgoBundleGRD, p, core.Options{}, stats.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	simO := uic.NewSimulator(g, m).EstimateWelfare(oAlloc, stats.NewRNG(10), 20000).Mean
 	simD := uic.NewSimulator(g, m).EstimateWelfare(direct.Alloc, stats.NewRNG(10), 20000).Mean

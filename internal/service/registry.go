@@ -138,7 +138,7 @@ func LoadGraph(req *GraphRequest) (name string, g *graph.Graph, err error) {
 	case req.Network != "":
 		// The spec lookup is only for the size precheck; generation goes
 		// through the shared error-returning path (the one
-		// welfare.GenerateNetworkE wraps) so an unknown name stays a
+		// welfare.GenerateNetwork wraps) so an unknown name stays a
 		// 400, never a panic.
 		spec, err := expr.NetworkByName(req.Network)
 		if err != nil {

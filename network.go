@@ -19,27 +19,10 @@ func NetworkNames() []string {
 }
 
 // GenerateNetwork synthesizes one of the built-in stand-in networks at
-// the given scale (1.0 = default size) with weighted-cascade edge
-// probabilities. It panics on an unknown name; see NetworkNames.
-//
-// Deprecated: use GenerateNetworkE, which reports an unknown name as an
-// error instead of panicking — what the service and CLI paths need to
-// turn bad input into a 400/usage message. Unlike GenerateNetworkE,
-// this wrapper passes scale and seed through verbatim (no defaulting),
-// preserving the graphs existing callers reproduce.
-func GenerateNetwork(name string, scale float64, seed uint64) *Graph {
-	spec, err := expr.NetworkByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return spec.Generate(scale, seed)
-}
-
-// GenerateNetworkE synthesizes one of the built-in stand-in networks at
 // the given scale (non-positive defaults to 1.0 = default size; seed 0
 // defaults to 1) with weighted-cascade edge probabilities. An unknown
 // name is an error listing the valid names.
-func GenerateNetworkE(name string, scale float64, seed uint64) (*Graph, error) {
+func GenerateNetwork(name string, scale float64, seed uint64) (*Graph, error) {
 	g, err := expr.GenerateByName(name, scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("%w (have %v)", err, NetworkNames())

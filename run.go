@@ -93,9 +93,7 @@ type RunResult struct {
 	Welfare *WelfareEstimate
 }
 
-// Run solves a WelMax instance through the planner registry — the
-// context-aware entrypoint superseding the positional BundleGRD /
-// ItemDisjoint / BundleDisjoint free functions:
+// Run solves a WelMax instance through the planner registry:
 //
 //	res, err := welfare.Run(ctx, p,
 //	    welfare.WithAlgorithm(welfare.AlgoBundleGRD),

@@ -8,12 +8,13 @@ import (
 	"sync"
 	"testing"
 
+	"uicwelfare/internal/core"
 	"uicwelfare/internal/service"
 )
 
 func runTestProblem(t *testing.T) *Problem {
 	t.Helper()
-	g, err := GenerateNetworkE("flixster", 0.02, 3)
+	g, err := GenerateNetwork("flixster", 0.02, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +41,6 @@ func TestRunDefaultsAndOptions(t *testing.T) {
 		t.Fatalf("allocation = %+v", res.Alloc)
 	}
 
-	// The deprecated free function and Run agree for the same seed.
-	legacy := BundleGRD(p, Options{}, NewRNG(1))
-	if fmt.Sprint(legacy.Alloc.Seeds) != fmt.Sprint(res.Alloc.Seeds) {
-		t.Error("Run and deprecated BundleGRD disagree for the same seed")
-	}
-
 	full, err := Run(context.Background(), p,
 		WithAlgorithm(AlgoItemDisjoint),
 		WithEps(0.4),
@@ -61,6 +56,27 @@ func TestRunDefaultsAndOptions(t *testing.T) {
 	}
 	if full.Welfare == nil || full.Welfare.Runs != 500 || full.Welfare.Mean <= 0 {
 		t.Errorf("welfare = %+v", full.Welfare)
+	}
+}
+
+// TestRunMatchesCorePlan pins Run's seed convention for every registered
+// planner: WithSeed(s) selects seeds from NewRNG(s), exactly what
+// core.Plan does when handed that RNG.
+func TestRunMatchesCorePlan(t *testing.T) {
+	p := runTestProblem(t)
+	const seed = 5
+	for _, name := range AlgorithmNames() {
+		res, err := Run(context.Background(), p, WithAlgorithm(name), WithSeed(seed))
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		want, err := core.Plan(context.Background(), name, p, core.Options{}, NewRNG(seed))
+		if err != nil {
+			t.Fatalf("%s: core.Plan: %v", name, err)
+		}
+		if got, want := fmt.Sprint(res.Alloc.Seeds), fmt.Sprint(want.Alloc.Seeds); got != want {
+			t.Errorf("%s: Run seeds %s, core.Plan seeds %s", name, got, want)
+		}
 	}
 }
 
@@ -139,21 +155,14 @@ func TestAlgorithmListing(t *testing.T) {
 	}
 }
 
-func TestGenerateNetworkE(t *testing.T) {
-	g, err := GenerateNetworkE("flixster", 0.02, 1)
+func TestGenerateNetwork(t *testing.T) {
+	g, err := GenerateNetwork("flixster", 0.02, 1)
 	if err != nil || g.N() == 0 {
 		t.Fatalf("g = %v, err = %v", g, err)
 	}
-	if _, err := GenerateNetworkE("myspace", 1, 1); err == nil || !strings.Contains(err.Error(), "myspace") {
+	if _, err := GenerateNetwork("myspace", 1, 1); err == nil || !strings.Contains(err.Error(), "myspace") {
 		t.Fatalf("unknown network: err = %v", err)
 	}
-	// The deprecated panicking wrapper still panics on bad input.
-	defer func() {
-		if recover() == nil {
-			t.Error("GenerateNetwork did not panic on unknown name")
-		}
-	}()
-	GenerateNetwork("myspace", 1, 1)
 }
 
 // TestRunAgreesWithDaemon: the library and the daemon build one sketch

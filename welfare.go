@@ -14,7 +14,10 @@
 //
 // Quick start:
 //
-//	g, _ := welfare.GenerateNetworkE("flixster", 1.0, 1)
+//	g, err := welfare.GenerateNetwork("flixster", 1.0, 1)
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
 //	m := welfare.Config1() // two complementary items (Table 3)
 //	p, _ := welfare.NewProblem(g, m, []int{50, 50})
 //	res, _ := welfare.Run(context.Background(), p,
@@ -59,8 +62,6 @@ type (
 	Allocation = uic.Allocation
 	// Problem is a WelMax instance (graph, model, per-item budgets).
 	Problem = core.Problem
-	// Options carries the approximation parameters ε and ℓ.
-	Options = core.Options
 	// Result is an allocation plus effort statistics.
 	Result = core.Result
 	// RNG is the deterministic random generator used everywhere.
@@ -109,30 +110,6 @@ func TableValuation(k int, vals []float64) (Valuation, error) {
 	return utility.NewTableValuation(k, vals)
 }
 
-// BundleGRD runs Algorithm 1: the (1-1/e-ε)-approximate greedy
-// allocation built on the prefix-preserving PRIMA seed selection.
-//
-// Deprecated: use Run with WithAlgorithm(AlgoBundleGRD), which adds
-// context cancellation and progress reporting.
-func BundleGRD(p *Problem, opts Options, rng *RNG) Result {
-	return core.BundleGRD(p, opts, rng)
-}
-
-// ItemDisjoint runs the item-disj baseline (one item per seed node).
-//
-// Deprecated: use Run with WithAlgorithm(AlgoItemDisjoint).
-func ItemDisjoint(p *Problem, opts Options, rng *RNG) Result {
-	return core.ItemDisjoint(p, opts, rng)
-}
-
-// BundleDisjoint runs the bundle-disj baseline (greedy bundling with
-// fresh seeds per bundle).
-//
-// Deprecated: use Run with WithAlgorithm(AlgoBundleDisjoint).
-func BundleDisjoint(p *Problem, opts Options, rng *RNG) Result {
-	return core.BundleDisjoint(p, opts, rng)
-}
-
 // NewSimulator builds a UIC diffusion simulator for direct use.
 func NewSimulator(g *Graph, m *Model) *Simulator { return uic.NewSimulator(g, m) }
 
@@ -140,11 +117,6 @@ func NewSimulator(g *Graph, m *Model) *Simulator { return uic.NewSimulator(g, m)
 // allocation under the problem's model.
 func EstimateWelfare(p *Problem, alloc *Allocation, rng *RNG, runs int) WelfareEstimate {
 	return uic.NewSimulator(p.G, p.Model).EstimateWelfare(alloc, rng, runs)
-}
-
-// EstimateWelfareParallel shards the estimate across worker goroutines.
-func EstimateWelfareParallel(p *Problem, alloc *Allocation, rng *RNG, runs, workers int) WelfareEstimate {
-	return uic.EstimateWelfareParallel(p.G, p.Model, alloc, rng, runs, workers)
 }
 
 // Ready-made experimental configurations from the paper.

@@ -1,21 +1,30 @@
 package welfare
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"uicwelfare/internal/core"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
 	rng := NewRNG(1)
-	g := GenerateNetwork("flixster", 0.05, 1)
+	g, err := GenerateNetwork("flixster", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := Config1()
 	p, err := NewProblem(g, m, []int{5, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BundleGRD(p, Options{}, rng)
+	res, err := core.Plan(context.Background(), AlgoBundleGRD, p, core.Options{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Alloc.Pairs() != 8 {
 		t.Errorf("pairs = %d", res.Alloc.Pairs())
 	}
@@ -23,7 +32,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if est.Mean <= 0 {
 		t.Errorf("welfare %v", est.Mean)
 	}
-	par := EstimateWelfareParallel(p, res.Alloc, NewRNG(2), 2000, 2)
+	par, err := EstimateWelfareCtx(context.Background(), p, res.Alloc, CascadeIC, NewRNG(2), 2000, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(par.Mean-est.Mean) > 5*(par.StdErr+est.StdErr)+1 {
 		t.Errorf("parallel %v vs sequential %v", par.Mean, est.Mean)
 	}
@@ -31,16 +43,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	rng := NewRNG(3)
-	g := GenerateNetwork("douban-book", 0.05, 3)
+	g, err := GenerateNetwork("douban-book", 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := Config3()
 	p, err := NewProblem(g, m, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range []Result{
-		ItemDisjoint(p, Options{}, rng),
-		BundleDisjoint(p, Options{}, rng),
-	} {
+	for _, name := range []string{AlgoItemDisjoint, AlgoBundleDisjoint} {
+		res, err := core.Plan(context.Background(), name, p, core.Options{}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Alloc.Seeds[0]) != 4 {
 			t.Errorf("baseline allocated %d seeds", len(res.Alloc.Seeds[0]))
 		}

@@ -20,7 +20,6 @@ import (
 	"uicwelfare/internal/expr"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
-	"uicwelfare/internal/oracle"
 	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/service"
@@ -315,22 +314,27 @@ func BenchmarkAblationCascade(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOracle compares answering 8 budget queries from the
-// prefix oracle against rerunning bundleGRD per query.
-func BenchmarkAblationOracle(b *testing.B) {
+// BenchmarkAblationSketchReuse compares answering 8 budget queries from
+// one bundleGRD sketch built at budget 16 against rerunning bundleGRD
+// per query.
+func BenchmarkAblationSketchReuse(b *testing.B) {
 	g := expr.Networks[0].Generate(0.1, 4)
 	m := utility.Config1()
 	queries := [][]int{{2, 1}, {4, 2}, {8, 3}, {16, 5}, {16, 16}, {12, 7}, {3, 3}, {16, 1}}
-	b.Run("oracle", func(b *testing.B) {
-		rng := stats.NewRNG(5)
-		o, err := oracle.Build(g, 16, oracle.Options{}, rng)
+	b.Run("sketch", func(b *testing.B) {
+		pl, _, err := core.Lookup(core.AlgoBundleGRD)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp := pl.(core.SketchPlanner)
+		sk, err := sp.BuildSketchForBudgets(context.Background(), core.MustProblem(g, m, []int{16, 16}), []int{16}, core.Options{}, stats.NewRNG(5))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, err := o.Allocate(q); err != nil {
+				if _, err := sp.PlanFromSketchProgress(core.MustProblem(g, m, q), sk, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

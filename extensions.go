@@ -2,14 +2,13 @@ package welfare
 
 import (
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/oracle"
 	"uicwelfare/internal/uic"
 	"uicwelfare/internal/utility"
 )
 
 // Extensions beyond the paper's core experiments, each called out in its
 // §5 discussion: triggering models other than IC, submodular bundle
-// prices, personalized noise, and an influence oracle.
+// prices, and personalized noise.
 
 // Cascade selects the diffusion model: CascadeIC (default) or CascadeLT.
 type Cascade = graph.Cascade
@@ -48,17 +47,4 @@ type PersonalizedSimulator = uic.PersonalizedSim
 // NewPersonalizedSimulator builds a personalized-noise simulator.
 func NewPersonalizedSimulator(g *Graph, m *Model) *PersonalizedSimulator {
 	return uic.NewPersonalizedSim(g, m)
-}
-
-// Oracle answers budget queries (seed sets, spreads, bundleGRD
-// allocations) from one prefix-preserving precomputation.
-type Oracle = oracle.Oracle
-
-// OracleOptions configures BuildOracle.
-type OracleOptions = oracle.Options
-
-// BuildOracle precomputes a prefix-preserving seed ordering up to
-// maxBudget; queries then cost O(answer size).
-func BuildOracle(g *Graph, maxBudget int, opts OracleOptions, rng *RNG) (*Oracle, error) {
-	return oracle.Build(g, maxBudget, opts, rng)
 }

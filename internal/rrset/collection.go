@@ -11,9 +11,9 @@ import (
 // Collection stores a growing multiset of RR sets together with the
 // inverted node -> set index needed by NodeSelection. Sets and index are
 // both flat arrays (CSR): no per-set or per-node allocation. The index
-// is built on its first read (Covering, Select, CoverageOf,
-// PrefixCoverage), not by the operations that change the sets, so a
-// collection whose selection was adopted from disk never builds it.
+// is built on its first read (Covering, Select, CoverageOf), not by the
+// operations that change the sets, so a collection whose selection was
+// adopted from disk never builds it.
 //
 // Concurrency: GrowParallelCtx, Reset and ReleaseScratch mutate the
 // collection and must be serialized by the caller. Once growing stops,

@@ -168,7 +168,9 @@ func TestLazyIndexConcurrentFirstReads(t *testing.T) {
 }
 
 // refCheckSelection is CheckSelection's predicate read off the index:
-// PrefixCoverage of the order and the maximum index degree.
+// the order's prefix coverage walked through Covering (PrefixCoverage
+// shares CheckSelection's pass, so it cannot be the reference) and the
+// maximum index degree.
 func refCheckSelection(c *Collection, sel Selection, k int) error {
 	n := c.N()
 	if want := min(k, n); len(sel.Order) != want || len(sel.Covered) != want {
@@ -184,8 +186,18 @@ func refCheckSelection(c *Collection, sel Selection, k int) error {
 		}
 		seen[v] = true
 	}
-	if !slices.Equal(c.PrefixCoverage(sel.Order), sel.Covered) {
-		return fmt.Errorf("prefix coverage")
+	covered := make([]bool, c.Len())
+	var hits int64
+	for i, v := range sel.Order {
+		for _, id := range c.Covering(v) {
+			if !covered[id] {
+				covered[id] = true
+				hits++
+			}
+		}
+		if hits != sel.Covered[i] {
+			return fmt.Errorf("prefix coverage")
+		}
 	}
 	idx, _ := c.index()
 	var maxDeg int64

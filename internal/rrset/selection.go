@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,57 +89,38 @@ func MemoBytes(k int) int64 { return 12 * int64(k) }
 // PrefixCoverage returns, for every prefix order[:i+1], the number of
 // stored sets it hits — the coverage-at-prefix vector of an arbitrary
 // order (Select records the same vector for the greedy order as it
-// goes).
+// goes). It reads no index.
 func (c *Collection) PrefixCoverage(order []graph.NodeID) []int64 {
-	covered := make([]bool, c.Len())
-	out := make([]int64, len(order))
-	var total int64
-	for i, v := range order {
-		for _, id := range c.Covering(v) {
-			if !covered[id] {
-				covered[id] = true
-				total++
-			}
-		}
-		out[i] = total
-	}
-	return out
+	covered, _, _ := c.prefixCoverage(order)
+	return covered
 }
 
-// CheckSelection reports whether sel is what Select(k) on c could have
-// produced: min(k, n) distinct in-range seeds, a covered-count vector
-// equal to PrefixCoverage of the order, and the exact-greedy shape of
-// max-coverage — the first marginal gain is the maximum node degree and
-// no later gain exceeds an earlier one. It is the gate a persisted
-// selection passes before a sketch adopts it in place of running the
-// greedy, and it reads no index: one pass over the stored sets counts
-// every node's memberships (its degree) and finds the earliest seed
-// position in each set, whose histogram's running sums are the order's
-// prefix coverage.
-func (c *Collection) CheckSelection(sel Selection, k int) error {
+// prefixCoverage makes one pass over the stored sets, without the index:
+// it counts every node's memberships (deg, its degree) and finds the
+// earliest position of order in each set, whose histogram's running sums
+// are covered, the number of sets order[:i+1] hits for every i. A node
+// repeated in order keeps its first position, so its repeats hit
+// nothing new; distinct reports whether order repeats none. Every id in
+// order must lie in [0, n).
+func (c *Collection) prefixCoverage(order []graph.NodeID) (covered []int64, deg []int32, distinct bool) {
 	n := c.N()
-	if want := min(k, n); len(sel.Order) != want || len(sel.Covered) != want {
-		return fmt.Errorf("rrset: selection of %d seeds (%d counts) for budget %d over %d nodes",
-			len(sel.Order), len(sel.Covered), k, n)
-	}
-	if sel.Sets != c.Len() {
-		return fmt.Errorf("rrset: selection counts out of %d sets, collection holds %d", sel.Sets, c.Len())
-	}
 	// pos[v] is v's position in the order; notSeed marks every other
 	// node and, as a set's minimum, a set no seed covers.
-	notSeed := int32(len(sel.Order))
+	notSeed := int32(len(order))
 	pos := make([]int32, n)
 	for v := range pos {
 		pos[v] = notSeed
 	}
-	for i, v := range sel.Order {
-		if v < 0 || int(v) >= n || pos[v] != notSeed {
-			return fmt.Errorf("rrset: seed %d (%d) repeated or out of range [0, %d)", i, v, n)
+	distinct = true
+	for i, v := range order {
+		if pos[v] != notSeed {
+			distinct = false
+			continue
 		}
 		pos[v] = int32(i)
 	}
-	deg := make([]int32, n)
-	firstHit := make([]int64, len(sel.Order)+1)
+	deg = make([]int32, n)
+	firstHit := make([]int64, len(order)+1)
 	for i := 0; i < c.Len(); i++ {
 		first := notSeed
 		for _, v := range c.Set(i) {
@@ -152,12 +134,40 @@ func (c *Collection) CheckSelection(sel Selection, k int) error {
 		}
 		firstHit[first]++
 	}
-	var covered int64
-	for i, want := range sel.Covered {
-		covered += firstHit[i]
-		if covered != want {
-			return fmt.Errorf("rrset: covered counts disagree with the order's prefix coverage")
+	for i := 1; i < len(firstHit); i++ {
+		firstHit[i] += firstHit[i-1]
+	}
+	return firstHit[:len(order)], deg, distinct
+}
+
+// CheckSelection reports whether sel is what Select(k) on c could have
+// produced: min(k, n) distinct in-range seeds, a covered-count vector
+// equal to PrefixCoverage of the order, and the exact-greedy shape of
+// max-coverage — the first marginal gain is the maximum node degree and
+// no later gain exceeds an earlier one. It is the gate a persisted
+// selection passes before a sketch adopts it in place of running the
+// greedy, and it reads no index: prefixCoverage's one pass over the
+// stored sets yields both the prefix coverage and the degrees.
+func (c *Collection) CheckSelection(sel Selection, k int) error {
+	n := c.N()
+	if want := min(k, n); len(sel.Order) != want || len(sel.Covered) != want {
+		return fmt.Errorf("rrset: selection of %d seeds (%d counts) for budget %d over %d nodes",
+			len(sel.Order), len(sel.Covered), k, n)
+	}
+	if sel.Sets != c.Len() {
+		return fmt.Errorf("rrset: selection counts out of %d sets, collection holds %d", sel.Sets, c.Len())
+	}
+	for i, v := range sel.Order {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("rrset: seed %d (%d) out of range [0, %d)", i, v, n)
 		}
+	}
+	prefix, deg, distinct := c.prefixCoverage(sel.Order)
+	if !distinct {
+		return fmt.Errorf("rrset: selection repeats a seed")
+	}
+	if !slices.Equal(prefix, sel.Covered) {
+		return fmt.Errorf("rrset: covered counts disagree with the order's prefix coverage")
 	}
 	var maxDeg int64
 	for _, d := range deg {

@@ -194,6 +194,35 @@ func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 	}
 }
 
+// PrefixSpread estimates the spread of every prefix of the sketch's
+// greedy order: σ̂[b] = n·F_R₂(order[:b]) for b = 0…K. The greedy chose
+// its order to cover Col, so reading the spread off Col is biased
+// upward; the RIS estimator n·F_R(S) is unbiased only on sets sampled
+// independently of S. So every call samples a fresh R₂ on Col's graph
+// under opts, as ExtendSketch samples its appended sets, and takes only
+// the order and the size from Col: R₂ holds exactly Col.Len() sets, OPIM's
+// equal split between the selection and the validation collection, so
+// the estimate's error is on the scale the θ rule accepted for the
+// selection. R₂ is discarded afterwards. A degenerate sketch has no
+// collection to size R₂ by and returns an error; a canceled ctx returns
+// ctx.Err().
+func (s *Sketch) PrefixSpread(ctx context.Context, opts Options, rng *stats.RNG) ([]float64, error) {
+	if s.Col == nil || s.AllNodes > 0 || s.Col.Len() == 0 {
+		return nil, fmt.Errorf("rrset: a degenerate sketch has no collection to size a spread estimate by")
+	}
+	r2 := opts.NewCollection(s.Col.g)
+	if err := opts.Grow(ctx, r2, int64(s.Col.Len()), 1, rng); err != nil {
+		return nil, err
+	}
+	n, sets := float64(r2.N()), float64(r2.Len())
+	hits := r2.PrefixCoverage(s.Selection().Order)
+	spread := make([]float64, len(hits)+1)
+	for b, hit := range hits {
+		spread[b+1] = n * float64(hit) / sets
+	}
+	return spread, nil
+}
+
 // ErrNotExtendable marks a sketch that cannot grow in place: degenerate
 // (all-nodes or empty) sketches carry no collection to append to, and a
 // family's θ rule refuses requests the existing samples cannot serve.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -824,11 +825,12 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 // --- proxy plumbing -----------------------------------------------------
 
-// proxy forwards req to the named backend, streaming the response back
-// (flushing per chunk, which is what lets SSE event streams pass
-// through). body, when non-nil, replaces the (already consumed) request
-// body. Returns the relayed status, or 0 when the backend was
-// unreachable (a 502 with a retryable body was written instead).
+// proxy forwards req to the named backend and relays the response (see
+// relayBody). body, when non-nil, replaces the (already consumed)
+// request body. Returns the relayed status, or 0 when the backend was
+// unreachable (a 502 with a retryable body was written instead). A
+// backend body cut short after the status went out aborts the client's
+// connection, so the client sees an error instead of a short 200.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request, backend string, body []byte) int {
 	base, ok := r.members.URLOf(backend)
 	if !ok {
@@ -885,9 +887,25 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, backend string,
 			w.Header().Set(h, v)
 		}
 	}
+	stream := strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
+	length := resp.ContentLength
+	if stream || req.Method == http.MethodHead || !bodyAllowed(resp.StatusCode) {
+		length = -1
+	}
+	if length >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
-	copyFlush(w, resp.Body)
+	if err := relayBody(w, resp.Body, length, stream); err != nil && req.Context().Err() == nil {
+		panic(http.ErrAbortHandler)
+	}
 	return resp.StatusCode
+}
+
+// bodyAllowed reports whether a response with this status may carry a
+// body (RFC 9110: not 1xx, 204 or 304).
+func bodyAllowed(status int) bool {
+	return status >= 200 && status != http.StatusNoContent && status != http.StatusNotModified
 }
 
 // hopHeaders are the hop-by-hop (or transport-owned) request headers a
@@ -918,23 +936,45 @@ func copyEndToEndHeaders(dst, src http.Header) {
 	}
 }
 
-// copyFlush copies src to dst, flushing after every read so proxied SSE
-// frames reach the client as the backend emits them.
-func copyFlush(dst http.ResponseWriter, src io.Reader) {
-	fl, _ := dst.(http.Flusher)
-	buf := make([]byte, 32<<10)
+// relayBufs holds the 32 KiB relay buffers, one per proxied response
+// in flight: a fresh buffer per response was the router's largest
+// allocation on a warm op.
+var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// relayBody copies a backend response body to the client. An event
+// stream (stream) is flushed after every read, so SSE frames reach the
+// client as the backend emits them. Any other body is never flushed:
+// one whose known length fits the buffer is read whole and written in
+// one Write behind the Content-Length proxy set, and a longer one is
+// copied in buffer-sized writes. It returns the read error that cut the
+// body short; a failed write means the client left and is not reported.
+func relayBody(w http.ResponseWriter, body io.Reader, length int64, stream bool) error {
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
+	if length >= 0 && length <= int64(len(buf)) {
+		if _, err := io.ReadFull(body, buf[:length]); err != nil {
+			return err
+		}
+		_, _ = w.Write(buf[:length])
+		return nil
+	}
+	fl, _ := w.(http.Flusher)
 	for {
-		n, err := src.Read(buf)
+		n, err := body.Read(buf)
 		if n > 0 {
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return nil
 			}
-			if fl != nil {
+			if stream && fl != nil {
 				fl.Flush()
 			}
 		}
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			return
+			return err
 		}
 	}
 }

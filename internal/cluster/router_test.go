@@ -1,14 +1,18 @@
 package cluster_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +20,9 @@ import (
 	"uicwelfare/internal/cluster"
 	"uicwelfare/internal/service"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // retryableBody decodes the router's transient-failure error shape.
 type retryableBody struct {
@@ -546,5 +553,212 @@ func TestCorruptSpillRecoversFromLiveHolder(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(path); err != nil || bytes.HasPrefix(raw, []byte("garbage")) {
 		t.Errorf("spill not repaired after recovery (err %v)", err)
+	}
+}
+
+// stubRouter fronts one stub backend "b0" — a health-probe answer plus
+// the routes mux adds — with a router, and returns the router's URL.
+func stubRouter(t *testing.T, mux *http.ServeMux) string {
+	t.Helper()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(service.HealthzResponse{Status: "ok", Node: "b0"})
+	})
+	stub := httptest.NewServer(mux)
+	t.Cleanup(stub.Close)
+	rt, err := cluster.New(cluster.Options{
+		Backends:      []cluster.Backend{{Name: "b0", URL: stub.URL}},
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	rt.Sync(syncCtx())
+	return front.URL
+}
+
+// TestProxyRelaysContentLength: a non-stream body goes through the
+// router under the backend's Content-Length, with no chunked framing,
+// whether it fits one relay buffer or not.
+func TestProxyRelaysContentLength(t *testing.T) {
+	small := []byte(`{"id":"b0-j1","kind":"allocate","state":"done"}` + "\n")
+	large := bytes.Repeat([]byte("0123456789abcdef"), 5000) // 80 KB, over the 32 KiB buffer
+	mux := http.NewServeMux()
+	for id, body := range map[string][]byte{"b0-j1": small, "b0-j2": large} {
+		mux.HandleFunc("GET /v1/jobs/"+id, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			_, _ = w.Write(body)
+		})
+	}
+	front := stubRouter(t, mux)
+	for id, want := range map[string][]byte{"b0-j1": small, "b0-j2": large} {
+		resp, err := http.Get(front + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none",
+				id, resp.ContentLength, resp.TransferEncoding, len(want))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: relayed body differs from the backend's (%d vs %d bytes)", id, len(got), len(want))
+		}
+	}
+}
+
+// TestProxyStreamsSSELive: an SSE stream through the router delivers a
+// progress frame while the backend still holds the terminal frame back,
+// so the relay flushes stream bodies per read.
+func TestProxyStreamsSSELive(t *testing.T) {
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/b0-j1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		_, _ = fmt.Fprint(w, "event: progress\ndata: {\"seq\":1,\"type\":\"progress\"}\n\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		_, _ = fmt.Fprint(w, "event: done\ndata: {\"seq\":2,\"type\":\"done\"}\n\n")
+	})
+	front := stubRouter(t, mux)
+	resp, err := http.Get(front + "/v1/jobs/b0-j1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	next := func() string {
+		select {
+		case l := <-lines:
+			return l
+		case <-time.After(10 * time.Second):
+			t.Fatal("no SSE line within 10s: the router is holding the stream back")
+			return ""
+		}
+	}
+	if l := next(); l != "event: progress" {
+		t.Fatalf("first line %q, want the live progress frame", l)
+	}
+	close(release)
+	var last string
+	for l := range lines {
+		if strings.HasPrefix(l, "event: ") {
+			last = l
+		}
+	}
+	if last != "event: done" {
+		t.Errorf("last event %q, want the terminal done frame", last)
+	}
+}
+
+// TestProxyTruncatedBodyIsAnError: a backend body cut short mid-response
+// reaches the client as a failed read, never as a short 200 — both when
+// the backend declared its length and when it streamed chunks.
+func TestProxyTruncatedBodyIsAnError(t *testing.T) {
+	mux := http.NewServeMux()
+	for id, declare := range map[string]bool{"b0-j1": true, "b0-j2": false} {
+		mux.HandleFunc("GET /v1/jobs/"+id, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if declare {
+				w.Header().Set("Content-Length", "1000")
+			}
+			_, _ = w.Write(bytes.Repeat([]byte("x"), 500))
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // drop the connection mid-body
+		})
+	}
+	front := stubRouter(t, mux)
+	for _, id := range []string{"b0-j1", "b0-j2"} {
+		resp, err := http.Get(front + "/v1/jobs/" + id)
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err == nil {
+			t.Errorf("%s: truncated backend body relayed as a complete %d response", id, resp.StatusCode)
+		}
+	}
+}
+
+// cannedBackend is an in-process backend "b0": an http.RoundTripper
+// answering the health probe and every other request with body, so an
+// allocation count covers the router alone.
+type cannedBackend struct{ body []byte }
+
+func (c cannedBackend) RoundTrip(r *http.Request) (*http.Response, error) {
+	body := c.body
+	if r.URL.Path == "/v1/healthz" {
+		body = []byte(`{"status":"ok","node":"b0"}`)
+	}
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		Request:       r,
+	}, nil
+}
+
+// discardWriter is a bare http.ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestProxyRelayAllocations: relaying a non-stream response allocates
+// a small envelope, not a fresh 32 KiB copy buffer per response. The
+// figure is the process's TotalAlloc per response relayed, with the
+// backend and the client in-process stubs, so it is the router's own.
+func TestProxyRelayAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	body := bytes.Repeat([]byte("x"), 800)
+	rt, err := cluster.New(cluster.Options{
+		Backends:      []cluster.Backend{{Name: "b0", URL: "http://b0.invalid"}},
+		ProbeInterval: time.Hour,
+		Client:        &http.Client{Transport: cannedBackend{body: body}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rt.Sync(syncCtx())
+	h := rt.Handler()
+	req := httptest.NewRequest("GET", "/v1/jobs/b0-j1", nil)
+	relay := func() {
+		h.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+	}
+	for range 20 { // pools warm up
+		relay()
+	}
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		relay()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 8<<10 {
+		t.Errorf("relaying one %d-byte response allocates %d B; want under 8 KiB", len(body), per)
 	}
 }

@@ -76,18 +76,6 @@ func WantsEventStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// writeSSE emits one "event:/data:" frame with v as its JSON data;
-// false means the stream is over (the client went away). It does not
-// flush: a replay goes out in one flush, live frames in one each.
-func writeSSE(w http.ResponseWriter, event string, v any) bool {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return false
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	return err == nil
-}
-
 // handleEvents implements GET /v1/events: the control-plane flight
 // recorder's query endpoint (cursor pagination plus type/graph/node/
 // since filters) and, in stream mode, a live SSE tail of matching
@@ -134,7 +122,7 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder,
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	for _, e := range past {
-		if !writeSSE(w, e.Type, e) {
+		if data, err := json.Marshal(e); err != nil || !writeSSEFrame(w, e.Type, data) {
 			return
 		}
 	}
@@ -150,7 +138,7 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *journal.Recorder,
 			}
 		case e = <-relayed:
 		}
-		if !writeSSE(w, e.Type, e) {
+		if data, err := json.Marshal(e); err != nil || !writeSSEFrame(w, e.Type, data) {
 			return
 		}
 		fl.Flush()

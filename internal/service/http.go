@@ -290,7 +290,9 @@ func (s *Service) enqueue(w http.ResponseWriter, kind, graphID string, tr *telem
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job queue full"))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": job.ID, "state": string(JobQueued), "trace_id": tr.ID()})
+	writeEncoded(w, http.StatusAccepted, func(b []byte) ([]byte, error) {
+		return appendAccepted(b, job.ID, tr.ID()), nil
+	})
 }
 
 // writeAdmissionReject answers 429 Too Many Requests for a request
@@ -414,17 +416,21 @@ func streamJobEvents(w http.ResponseWriter, r *http.Request, jobs *JobStore, id 
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// write emits one SSE frame; it reports whether the stream continues.
-	// lastSeq tracks the highest sequence written so a synthesized resync
-	// event keeps the strictly-increasing seq contract. Returning after
-	// the terminal frame lets net/http flush and end the response.
+	// write emits one SSE frame, its data encoded into the stream's
+	// pooled buffer; it reports whether the stream continues. lastSeq
+	// tracks the highest sequence written so a synthesized resync event
+	// keeps the strictly-increasing seq contract. Returning after the
+	// terminal frame lets net/http flush and end the response.
+	data := bodyBufs.Get().(*[]byte)
+	defer putBody(data)
 	lastSeq := 0
 	write := func(ev JobEvent) bool {
 		if ev.Seq == 0 {
 			ev.Seq = lastSeq + 1
 		}
 		lastSeq = ev.Seq
-		return writeSSE(w, ev.Type, ev) && !ev.Terminal()
+		*data = ev.appendJSON((*data)[:0])
+		return writeSSEFrame(w, ev.Type, *data) && !ev.Terminal()
 	}
 	// The header and the whole replay go out in one flush.
 	for _, ev := range past {
@@ -541,7 +547,7 @@ func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeEncoded(w, http.StatusOK, view.appendJSON)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

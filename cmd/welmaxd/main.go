@@ -10,18 +10,17 @@
 // scheduler: allocate requests that differ only in budgets and arrive
 // while a sketch build of their group runs are coalesced — onto that
 // build when it covers them, otherwise onto one follow-up that extends
-// its sketch when it returns (-batch-window caps the hold and must be
-// positive; batching cannot be turned off). Sketch builds grow RR sets
-// on -sketch-workers goroutines (GOMAXPROCS by default) that claim
-// chunks, each sampled from its own seeded stream, so a cold build's
-// answer for a request seed is the same at every setting. A batched
+// its sketch when it returns, held at most 10ms (batching cannot be
+// turned off). Sketch builds grow RR sets on -sketch-workers goroutines
+// (GOMAXPROCS by default) that claim chunks, each sampled from its own
+// seeded stream, so a cold build's answer for a request seed is the
+// same at every setting. A batched
 // build whose group already holds a resident near-dominating sketch
 // extends it — appending RR sets and re-running selection — instead of
 // rebuilding (sketch_extends / rr_sets_appended in /v1/stats).
 // -admission-mb adds cost-based admission control: requests whose
 // predicted sketch cost exceeds the budget answer 429 with a retryable
-// body instead of queueing
-// (-admission-queue holds near-budget requests briefly before the 429).
+// body instead of queueing.
 // POST /v1/sweeps runs a whole experiment grid — graphs × utility
 // configs × ε × budget vectors × planners — as one job: cells stream
 // per-cell progress over SSE and results land as a checksummed .wsr
@@ -71,9 +70,9 @@
 // resource deltas — kept in a bounded in-memory ring (512 traces) with
 // tail-sampled spill to checksummed segments under <data-dir>/traces
 // (32 MB, oldest deleted first; -trace-sample sets the keep
-// probability, and slow, errored, and admission-queued traces are
-// always kept). Control-plane decisions land the same way in the
-// flight recorder behind GET /v1/events (4096-event ring, 32 MB under
+// probability, and slow and errored traces are always kept).
+// Control-plane decisions land the same way in the flight recorder
+// behind GET /v1/events (4096-event ring, 32 MB under
 // <data-dir>/journal); both logs continue their sequence numbers — and
 // so their cursors — across a restart. GET /v1/traces lists retained
 // traces with route/graph/min_ms/since filters and cursor pagination,
@@ -118,15 +117,10 @@ func main() {
 		cacheMB    = flag.Int("cache-mb", 0, "sketch cache budget in MB of approximate resident cost (0 = entry bound only)")
 		retention  = flag.Int("retain", 1024, "finished jobs kept queryable; the earliest-finished are evicted first")
 		allowPaths = flag.Bool("allow-paths", false, "let POST /v1/graphs load server-side edge-list or .wmg files")
-		preload    = flag.String("preload", "", "built-in network to load at startup (optional)")
 		dataDir    = flag.String("data-dir", "", "persistence directory: graphs, spilled sketches, and the job audit trail survive restarts (optional)")
 		diskMB     = flag.Int("disk-mb", 0, "spilled-sketch disk budget in MB (0 = unbounded; needs -data-dir)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "in-memory sketch lifetime (0 = forever); expired sketches rebuild on next use")
-		batchWin   = flag.Duration("batch-window", service.DefaultBatchWindow, "budget coalescing: a sketch miss with no build of its group (same graph, eps, ell, cascade) in flight builds at once; misses arriving during that build share it or merge into one follow-up that extends its sketch when it returns, held at most this long (must be > 0)")
 		admitMB    = flag.Int("admission-mb", 0, "cost-based admission control: reject allocate/warm requests (429, retryable) whose predicted sketch cost exceeds this many MB (0 disables)")
-		admitQueue = flag.Int("admission-queue", 0, "queue-with-deadline admission: hold up to this many near-budget requests briefly instead of answering 429 (0 disables, needs -admission-mb)")
-		admitWait  = flag.Duration("admission-wait", 2*time.Second, "how long a queued near-budget request waits for admission before the 429 (with -admission-queue)")
-		admitSlack = flag.Float64("admission-slack", 1.5, "queue eligibility: only requests predicted within this factor of -admission-mb queue; further over rejects immediately")
 		nodeID     = flag.String("node", "", "cluster node id: job ids become <node>-j<seq> and /v1/healthz reports it (required behind a router)")
 		route      = flag.String("route", "", "run as a cluster router over these backends: 'b0=http://host:port,b1=...' (ignores backend-only flags except -data-dir and -cluster-token)")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "router health-probe cadence (with -route)")
@@ -135,16 +129,12 @@ func main() {
 		telemetryF = flag.String("telemetry", "on", "request tracing and latency histograms: on or off")
 		slowMS     = flag.Int("slow-ms", 1000, "log a structured slow-request line (with trace id and per-stage timings) for jobs at or above this many milliseconds (0 disables)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
-		traceSmpl  = flag.Float64("trace-sample", 0.05, "tail-sampling keep probability for fast successful traces; slow, errored, and admission-queued traces are always kept")
+		traceSmpl  = flag.Float64("trace-sample", 0.05, "tail-sampling keep probability for fast successful traces; slow and errored traces are always kept")
 	)
 	flag.Parse()
 
 	if *telemetryF != "on" && *telemetryF != "off" {
 		fmt.Fprintf(os.Stderr, "welmaxd: -telemetry must be on or off, got %q\n", *telemetryF)
-		os.Exit(1)
-	}
-	if *batchWin <= 0 {
-		fmt.Fprintf(os.Stderr, "welmaxd: -batch-window must be > 0, got %v: batching can no longer be disabled, every sketch miss resolves through the batch scheduler\n", *batchWin)
 		os.Exit(1)
 	}
 	startPprof(*pprofAddr)
@@ -187,11 +177,7 @@ func main() {
 		DataDir:        *dataDir,
 		DiskMB:         *diskMB,
 		CacheTTL:       *cacheTTL,
-		BatchWindow:    *batchWin,
 		AdmissionMB:    *admitMB,
-		AdmissionQueue: *admitQueue,
-		AdmissionWait:  *admitWait,
-		AdmissionSlack: *admitSlack,
 		NodeID:         *nodeID,
 		ClusterToken:   clusterToken,
 		TelemetryOff:   *telemetryF == "off",
@@ -206,25 +192,6 @@ func main() {
 
 	if *dataDir != "" {
 		log.Printf("data dir %s: %d graphs re-indexed", *dataDir, svc.Registry().Len())
-	}
-
-	if *preload != "" {
-		name, g, err := service.LoadGraph(&service.GraphRequest{Network: *preload})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "welmaxd:", err)
-			os.Exit(1)
-		}
-		entry, existed, err := svc.RegisterGraph(name, g)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "welmaxd:", err)
-			os.Exit(1)
-		}
-		verb := "preloaded"
-		if existed {
-			verb = "already resident:"
-		}
-		log.Printf("%s %s as %s (%d nodes, %d edges)",
-			verb, name, entry.ID, g.N(), g.M())
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}

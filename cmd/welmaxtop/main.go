@@ -560,7 +560,10 @@ func (c *console) renderGauges(b *strings.Builder) {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(b, "%-32s %12s   ", strings.TrimPrefix(name, "welmax_"), formatValue(v))
+		if col%2 != 0 {
+			b.WriteString("   ")
+		}
+		fmt.Fprintf(b, "%-32s %12s", strings.TrimPrefix(name, "welmax_"), formatValue(v))
 		if col++; col%2 == 0 {
 			b.WriteByte('\n')
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strings"
@@ -213,19 +212,11 @@ func (r *Router) handlePlacement(w http.ResponseWriter, req *http.Request) {
 	res := map[string]residency{}
 	errs := map[string]string{}
 	for _, fr := range r.fanout(req.Context(), http.MethodGet, "/v1/graphs/"+id) {
-		if fr.err != nil {
-			errs[fr.backend] = fr.err.Error()
-			continue
-		}
-		if fr.status == http.StatusNotFound {
-			continue
-		}
-		if fr.status != http.StatusOK {
-			errs[fr.backend] = fmt.Sprintf("status %d", fr.status)
+		if fr.err == nil && fr.status == http.StatusNotFound {
 			continue
 		}
 		var gi service.GraphInfo
-		if err := json.Unmarshal(fr.body, &gi); err != nil {
+		if err := fr.decode(&gi); err != nil {
 			errs[fr.backend] = err.Error()
 			continue
 		}

@@ -18,7 +18,8 @@ import (
 // source (the router's own log plus every live shard's) for a page
 // after that source's cursor, merge the pages by time, cut to the
 // limit, and hand back a composite cursor that resumes every source
-// exactly where the merged page ended.
+// exactly where the merged page ended — or, for a source it could not
+// read, where the client's cursor already had it.
 
 // routerNode is the source name of the router's own journal and trace
 // store in composite cursors.
@@ -176,6 +177,14 @@ func mergePages[T any](values url.Values, cursor mergedCursor, limit int, member
 			at = max(at, p.next)
 		}
 		parts = append(parts, fmt.Sprintf("%s:%d", p.src, at))
+	}
+	// A source that could not be read — marked down or failing mid-query
+	// — keeps the position the client already held, so the resume after
+	// it comes back replays none of its history.
+	for src := range out.errs {
+		if at := cursor.of(src); at > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", src, at))
+		}
 	}
 	sort.Strings(parts)
 	out.cursor = strings.Join(parts, ",")

@@ -153,6 +153,22 @@ func TestMergePages(t *testing.T) {
 			next: "b0:3,router:3",
 			errs: map[string]string{"b1": "backend down", "b2": "status 500"},
 		},
+		{
+			name:   "an unread source keeps its cursor position",
+			cursor: "b0:1,b1:1,b2:5,router:2",
+			limit:  4,
+			members: []BackendStatus{
+				{Name: "b0", Healthy: true}, {Name: "b1", Healthy: true}, {Name: "b2", Healthy: false},
+			},
+			logs: map[string]source{
+				routerNode: logs[routerNode],
+				"b0":       logs["b0"],
+				"b1":       {err: errors.New("status 500")},
+			},
+			want: []string{"b0/2", "router/3", "b0/3"},
+			next: "b0:3,b1:1,b2:5,router:3",
+			errs: map[string]string{"b1": "status 500", "b2": "backend down"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -51,21 +50,17 @@ func (r *Router) routerGauges() []telemetry.Gauge {
 // so `welmax_http_request_duration_seconds{route="POST /v1/allocate"}`
 // is one series covering the whole cluster. Gauges are point-in-time
 // per shard and cannot be meaningfully summed, so each is relayed with
-// a node label identifying the backend it came from. Unreachable
-// backends contribute a welmax_backend_up{node} of 0 and nothing else —
-// a scrape never fails because a shard is down.
+// a node label identifying the backend it came from. A backend that is
+// unreachable or answers anything but a 200 JSON export contributes a
+// welmax_backend_up{node} of 0 and nothing else — a scrape never fails
+// because a shard is down.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	groups := [][]telemetry.HistSnapshot{r.metrics.Snapshot()}
 	gauges := r.routerGauges()
 	errs := map[string]string{}
 	for _, res := range r.fanout(req.Context(), http.MethodGet, "/v1/metrics?format=json") {
-		if res.err != nil {
-			errs[res.backend] = res.err.Error()
-			gauges = append(gauges, backendUp(res.backend, 0))
-			continue
-		}
 		var export telemetry.Export
-		if err := json.Unmarshal(res.body, &export); err != nil {
+		if err := res.decode(&export); err != nil {
 			errs[res.backend] = err.Error()
 			gauges = append(gauges, backendUp(res.backend, 0))
 			continue

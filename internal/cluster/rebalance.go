@@ -41,13 +41,10 @@ func (r *Router) syncCatalog(ctx context.Context) {
 // re-route the graph even if the backend that introduced it dies.
 func (r *Router) adopt(ctx context.Context) {
 	for _, res := range r.fanout(ctx, http.MethodGet, "/v1/graphs") {
-		if res.err != nil || res.status != http.StatusOK {
-			continue
-		}
 		var body struct {
 			Graphs []service.GraphInfo `json:"graphs"`
 		}
-		if err := json.Unmarshal(res.body, &body); err != nil {
+		if res.decode(&body) != nil {
 			continue
 		}
 		for _, gi := range body.Graphs {

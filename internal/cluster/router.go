@@ -52,9 +52,7 @@ type Options struct {
 	ClusterToken string
 	// TraceSample is the tail-sampling keep probability for fast
 	// successful router trace fragments (errored ones are always kept).
-	// TraceSampleAll forces the sample rate to 1 (tests).
-	TraceSample    float64
-	TraceSampleAll bool
+	TraceSample float64
 	// Client is the HTTP client for probes and proxying (default: a
 	// plain &http.Client{}; timeouts come from request contexts).
 	Client *http.Client
@@ -179,7 +177,6 @@ func New(opts Options) (*Router, error) {
 	traces, err := tracestore.New(tracestore.Options{
 		Node:       "router",
 		SampleRate: opts.TraceSample,
-		SampleAll:  opts.TraceSampleAll,
 		Dir:        filepath.Join(spillDir, "traces"),
 	})
 	if err != nil {
@@ -656,14 +653,10 @@ func (r *Router) handleListGraphs(w http.ResponseWriter, req *http.Request) {
 	seen := map[string]service.GraphInfo{}
 	errs := map[string]string{}
 	for _, res := range results {
-		if res.err != nil {
-			errs[res.backend] = res.err.Error()
-			continue
-		}
 		var body struct {
 			Graphs []service.GraphInfo `json:"graphs"`
 		}
-		if err := json.Unmarshal(res.body, &body); err != nil {
+		if err := res.decode(&body); err != nil {
 			errs[res.backend] = err.Error()
 			continue
 		}
@@ -721,8 +714,10 @@ type RouterStats struct {
 		UptimeMS            int64 `json:"uptime_ms"`
 	} `json:"cluster"`
 	// Backends maps node name to that backend's full StatsResponse;
-	// unreachable backends appear in Errors instead.
+	// backends that could not be read appear in Errors instead, and
+	// Partial is set.
 	Backends map[string]service.StatsResponse `json:"backends"`
+	Partial  bool                             `json:"partial,omitempty"`
 	Errors   map[string]string                `json:"errors,omitempty"`
 }
 
@@ -743,20 +738,19 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	out.Cluster.UptimeMS = time.Since(r.start).Milliseconds()
 	out.Backends = map[string]service.StatsResponse{}
 	for _, res := range r.fanout(ctx, http.MethodGet, "/v1/stats") {
-		if res.err != nil {
+		var st service.StatsResponse
+		if err := res.decode(&st); err != nil {
 			if out.Errors == nil {
 				out.Errors = map[string]string{}
 			}
-			out.Errors[res.backend] = res.err.Error()
+			out.Partial = true
+			out.Errors[res.backend] = err.Error()
 			continue
 		}
-		var st service.StatsResponse
-		if err := json.Unmarshal(res.body, &st); err == nil {
-			out.Backends[res.backend] = st
-			out.Cluster.Batched += st.Batch.Batched
-			out.Cluster.CoalescedRequests += st.Batch.CoalescedRequests
-			out.Cluster.AdmissionRejects += st.Batch.AdmissionRejects
-		}
+		out.Backends[res.backend] = st
+		out.Cluster.Batched += st.Batch.Batched
+		out.Cluster.CoalescedRequests += st.Batch.CoalescedRequests
+		out.Cluster.AdmissionRejects += st.Batch.AdmissionRejects
 	}
 	return out
 }
@@ -776,27 +770,19 @@ func (r *Router) handleListJobs(w http.ResponseWriter, req *http.Request) {
 	var jobs []json.RawMessage
 	errs := map[string]string{}
 	for _, res := range r.fanout(req.Context(), http.MethodGet, path) {
-		if res.err != nil {
-			errs[res.backend] = res.err.Error()
-			continue
-		}
-		if res.status == http.StatusBadRequest {
+		if res.err == nil && res.status == http.StatusBadRequest {
 			// A 400 (bad ?state=) is the client's error; relay it.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(res.status)
 			_, _ = w.Write(res.body)
 			return
 		}
-		if res.status != http.StatusOK {
-			// Any other failure is that backend's problem, not the
-			// listing's: report it partial like an unreachable backend.
-			errs[res.backend] = fmt.Sprintf("status %d", res.status)
-			continue
-		}
+		// Any other failure is that backend's problem, not the
+		// listing's: report it partial.
 		var body struct {
 			Jobs []json.RawMessage `json:"jobs"`
 		}
-		if err := json.Unmarshal(res.body, &body); err != nil {
+		if err := res.decode(&body); err != nil {
 			errs[res.backend] = err.Error()
 			continue
 		}
@@ -1025,6 +1011,19 @@ type fanoutResult struct {
 	status  int
 	body    []byte
 	err     error
+}
+
+// decode reads one backend's answer into v. A transport error, a
+// non-200 status ("status 500") or a body that is not JSON is that
+// backend's error, which callers report instead of merging the body.
+func (res fanoutResult) decode(v any) error {
+	if res.err != nil {
+		return res.err
+	}
+	if res.status != http.StatusOK {
+		return fmt.Errorf("status %d", res.status)
+	}
+	return json.Unmarshal(res.body, v)
 }
 
 // fanout issues the request to every live backend concurrently, each

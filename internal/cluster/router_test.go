@@ -198,6 +198,78 @@ func TestFanoutRespectsDeadlineWithSlowBackend(t *testing.T) {
 	}
 }
 
+// TestFanoutReadsNon200AsShardError: a backend that passes the
+// identity probe but answers /v1/stats, /v1/graphs and /v1/metrics with
+// a JSON 500 body is a failing shard, not an empty one. Each merged view
+// names it in errors with partial set, merges nothing from it, and the
+// scrape reports it down.
+func TestFanoutReadsNon200AsShardError(t *testing.T) {
+	real := startBackendAt(t, "b0", "127.0.0.1:0", service.Options{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(service.HealthzResponse{Status: "ok", Node: "b1"})
+	})
+	for _, route := range []string{"GET /v1/stats", "GET /v1/graphs", "GET /v1/metrics"} {
+		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			_, _ = fmt.Fprint(w, `{"error":"boom"}`)
+		})
+	}
+	failing := httptest.NewServer(mux)
+	t.Cleanup(failing.Close)
+
+	rt, err := cluster.New(cluster.Options{
+		Backends: []cluster.Backend{
+			{Name: "b0", URL: real.url()},
+			{Name: "b1", URL: failing.URL},
+		},
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	c := &client{t: t, base: front.URL}
+	rt.Sync(syncCtx())
+
+	var stats cluster.RouterStats
+	c.doJSON("GET", "/v1/stats", nil, &stats, http.StatusOK)
+	if _, ok := stats.Backends["b1"]; ok {
+		t.Error("failing backend merged into stats as an all-zero backend")
+	}
+	if _, ok := stats.Backends["b0"]; !ok {
+		t.Error("healthy backend missing from stats")
+	}
+	if !stats.Partial || stats.Errors["b1"] != "status 500" {
+		t.Errorf("stats partial=%v errors=%v, want b1: status 500", stats.Partial, stats.Errors)
+	}
+
+	var merged struct {
+		Partial bool              `json:"partial"`
+		Errors  map[string]string `json:"errors"`
+	}
+	for _, path := range []string{"/v1/graphs", "/v1/metrics?format=json"} {
+		merged.Partial, merged.Errors = false, nil
+		c.doJSON("GET", path, nil, &merged, http.StatusOK)
+		if !merged.Partial || merged.Errors["b1"] != "status 500" {
+			t.Errorf("%s: partial=%v errors=%v, want b1: status 500", path, merged.Partial, merged.Errors)
+		}
+	}
+
+	status, text := c.do("GET", "/v1/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
+	}
+	for _, want := range []string{`welmax_backend_up{node="b0"} 1`, `welmax_backend_up{node="b1"} 0`} {
+		if !strings.Contains(string(text), want+"\n") {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
+}
+
 // TestAdoptsDirectlyRegisteredGraph registers a graph on a backend
 // behind the router's back (the backends serve the full single-node
 // API): the next sync must adopt it — fetching its .wmg so it is

@@ -46,11 +46,8 @@ type backendAdmission struct {
 func (r *Router) refreshAdmission(ctx context.Context) map[string]*backendAdmission {
 	out := map[string]*backendAdmission{}
 	for _, res := range r.fanout(ctx, http.MethodGet, "/v1/metrics?format=json") {
-		if res.err != nil || res.status != http.StatusOK {
-			continue
-		}
 		var export telemetry.Export
-		if err := json.Unmarshal(res.body, &export); err != nil {
+		if res.decode(&export) != nil {
 			continue
 		}
 		adm := &backendAdmission{graphRatio: map[string]float64{}}

@@ -40,7 +40,6 @@ const (
 	CacheEvict  = "cache_evict"
 	CacheExpire = "cache_expire"
 
-	AdmissionQueue       = "admission_queue"
 	AdmissionReject      = "admission_reject"
 	AdmissionRecalibrate = "admission_recalibrate"
 

@@ -199,7 +199,7 @@ func TestConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Record(Event{Type: AdmissionQueue, Graph: fmt.Sprintf("g%d", w), WaitMS: int64(i)})
+				r.Record(Event{Type: AdmissionReject, Graph: fmt.Sprintf("g%d", w), WaitMS: int64(i)})
 			}
 		}(w)
 	}

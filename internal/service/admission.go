@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/journal"
@@ -43,11 +42,11 @@ func (s *Service) EstimateCost(graphID string, plan *allocatePlan) int64 {
 	return s.costModels.Predict(graphID, raw)
 }
 
-// checkAdmission applies cost-based admission control to a validated
-// allocate/warm plan, returning a non-nil *AdmissionError when the
-// request would be refused right now. It is a pure check — callers that
-// actually refuse (or give up waiting) count the reject themselves, so
-// the queued path's periodic re-checks do not inflate the counter.
+// admit applies cost-based admission control to a validated
+// allocate/warm plan. The allocate handler, the warm handler and a
+// sweep cell all call it. A refusal is counted, journaled under the
+// request's trace id and returned as the *AdmissionError the caller
+// answers 429 (retryable) with.
 // Admission prices *new* sketch work only: with the exact-budget sketch
 // already resident or in flight, an in-flight build or pending
 // follow-up group whose merged vector already covers the request, or a
@@ -56,7 +55,7 @@ func (s *Service) EstimateCost(graphID string, plan *allocatePlan) int64 {
 // A request that would *widen* a pending follow-up is still priced as a
 // cold build of its own budgets, although the follow-up will only pay a
 // θ-delta on the finished sketch.
-func (s *Service) checkAdmission(graphID string, plan *allocatePlan) *AdmissionError {
+func (s *Service) admit(ctx context.Context, graphID string, plan *allocatePlan) *AdmissionError {
 	if s.admissionBytes <= 0 {
 		return nil
 	}
@@ -74,106 +73,16 @@ func (s *Service) checkAdmission(graphID string, plan *allocatePlan) *AdmissionE
 	}
 	// Otherwise — including planners with no reusable sketch — price the
 	// request's sketch work directly.
-	if est := s.EstimateCost(graphID, plan); est > s.admissionBytes {
-		return &AdmissionError{EstimatedBytes: est, BudgetBytes: s.admissionBytes}
+	est := s.EstimateCost(graphID, plan)
+	if est <= s.admissionBytes {
+		return nil
 	}
-	return nil
-}
-
-// admitPlan is the immediate form of admission: check once, count the
-// reject, answer. The benchmarks and tests that exercise raw admission
-// semantics go through it.
-func (s *Service) admitPlan(graphID string, plan *allocatePlan) *AdmissionError {
-	aerr := s.checkAdmission(graphID, plan)
-	if aerr != nil {
-		s.admissionRejects.Add(1)
-		s.recordReject(context.Background(), graphID, aerr, 0)
-	}
-	return aerr
-}
-
-// recordReject journals one admission reject with the predicted cost
-// and any time the request spent queued before losing.
-func (s *Service) recordReject(ctx context.Context, graphID string, aerr *AdmissionError, waited time.Duration) {
+	s.admissionRejects.Add(1)
 	s.flight.Record(journal.Event{
 		Type:    journal.AdmissionReject,
 		Graph:   graphID,
 		TraceID: telemetry.FromContext(ctx).ID(),
-		Bytes:   aerr.EstimatedBytes,
-		WaitMS:  waited.Milliseconds(),
+		Bytes:   est,
 	})
-}
-
-// admissionRecheck is how often a queued request re-prices itself while
-// holding a queue slot.
-const admissionRecheck = 25 * time.Millisecond
-
-// admitOrWait is queue-with-deadline admission: a request refused by
-// checkAdmission whose predicted overshoot is small (estimate within
-// the configured slack factor of the budget) holds a slot in a bounded
-// FIFO and re-checks periodically — a finishing build recalibrates the
-// cost model, a completing warm makes the sketch resident, a batch
-// group forms a covering merged vector — instead of bouncing 429 off
-// every client in a sweep's reject-retry loop. The wait ends at the
-// deadline (counted as a queue timeout plus a reject), on ctx
-// cancellation, or on admission. Requests far over budget, and all
-// requests when the queue is disabled or full, reject immediately as
-// before.
-func (s *Service) admitOrWait(ctx context.Context, graphID string, plan *allocatePlan) *AdmissionError {
-	aerr := s.checkAdmission(graphID, plan)
-	if aerr == nil {
-		return nil
-	}
-	slack := int64(float64(s.admissionBytes) * s.admissionSlack)
-	if s.admissionQueue == nil || aerr.EstimatedBytes > slack {
-		s.admissionRejects.Add(1)
-		s.recordReject(ctx, graphID, aerr, 0)
-		return aerr
-	}
-	select {
-	case s.admissionQueue <- struct{}{}:
-	default: // queue full: shed immediately
-		s.admissionRejects.Add(1)
-		s.recordReject(ctx, graphID, aerr, 0)
-		return aerr
-	}
-	defer func() { <-s.admissionQueue }()
-	s.admissionQueued.Add(1)
-	queuedAt := time.Now()
-	s.flight.Record(journal.Event{
-		Type:    journal.AdmissionQueue,
-		Graph:   graphID,
-		TraceID: telemetry.FromContext(ctx).ID(),
-		Bytes:   aerr.EstimatedBytes,
-	})
-	// Whatever the outcome, the time spent holding the slot is the
-	// request's queue-wait resource.
-	defer func() {
-		telemetry.AddResource(ctx, telemetry.ResQueueWaitMS, time.Since(queuedAt).Milliseconds())
-	}()
-
-	deadline := time.NewTimer(s.admissionWait)
-	defer deadline.Stop()
-	tick := time.NewTicker(admissionRecheck)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			s.admissionRejects.Add(1)
-			s.recordReject(ctx, graphID, aerr, time.Since(queuedAt))
-			return aerr
-		case <-deadline.C:
-			s.admissionQueueTimeouts.Add(1)
-			s.admissionRejects.Add(1)
-			s.recordReject(ctx, graphID, aerr, time.Since(queuedAt))
-			return aerr
-		case <-tick.C:
-			if next := s.checkAdmission(graphID, plan); next == nil {
-				s.admissionQueueAdmitted.Add(1)
-				return nil
-			} else {
-				aerr = next // report the freshest estimate on timeout
-			}
-		}
-	}
+	return &AdmissionError{EstimatedBytes: est, BudgetBytes: s.admissionBytes}
 }

@@ -223,9 +223,9 @@ func (s *Service) handleWarmGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	// Warming is exactly the sketch work admission exists to price;
 	// apply the same gate as POST /v1/allocate. The trace rides the
-	// admission context so queue waits and journal events carry its id.
+	// admission context so a reject's journal event carries its id.
 	endAdmit := tr.StartSpan("admission_check")
-	aerr := s.admitOrWait(telemetry.NewContext(r.Context(), tr), id, plan)
+	aerr := s.admit(telemetry.NewContext(r.Context(), tr), id, plan)
 	endAdmit()
 	if aerr != nil {
 		writeAdmissionReject(w, aerr, tr.ID())
@@ -328,12 +328,10 @@ func (s *Service) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cost-based admission: refuse (retryably) work whose predicted
 	// sketch cost would blow the cache budget before it ties up a
-	// worker — queueing briefly (admitOrWait) when the overshoot is
-	// small enough that imminent cache/batch churn may admit it. The
-	// trace rides the admission context so queue waits and journal
-	// events carry its id.
+	// worker. The trace rides the admission context so a reject's
+	// journal event carries its id.
 	endAdmit := tr.StartSpan("admission_check")
-	aerr := s.admitOrWait(telemetry.NewContext(r.Context(), tr), req.GraphID, plan)
+	aerr := s.admit(telemetry.NewContext(r.Context(), tr), req.GraphID, plan)
 	endAdmit()
 	if aerr != nil {
 		writeAdmissionReject(w, aerr, tr.ID())

@@ -174,7 +174,7 @@ type JobView struct {
 	// the rest of the view).
 	Stages map[string]telemetry.StageStats `json:"stages,omitempty"`
 	// Resources is the trace's per-kind resource accounting
-	// (rr_sets_grown, cache_hits, queue_wait_ms, ...), attached with
+	// (rr_sets_grown, cache_hits, bytes_shipped, ...), attached with
 	// Stages — the per-request answer to "what did this job cost".
 	Resources map[string]int64 `json:"resources,omitempty"`
 }

@@ -180,7 +180,6 @@ func (s *Service) finishJob(id, kind, graphID string, tr *telemetry.Trace, start
 			Start:        tr.Start(),
 			DurationMS:   float64(elapsed) / float64(time.Millisecond),
 			Slow:         s.slowThreshold > 0 && elapsed >= s.slowThreshold,
-			Queued:       tr.Resources()[telemetry.ResQueueWaitMS] > 0,
 			Spans:        tr.Spans(),
 			SpansDropped: tr.DroppedSpans(),
 			Resources:    tr.Resources(),

@@ -89,21 +89,6 @@ type Options struct {
 	// instead of queueing work that would blow the cache budget. Zero
 	// disables admission (every request is queued).
 	AdmissionMB int
-	// AdmissionQueue enables queue-with-deadline admission: a request
-	// refused by cost-based admission whose predicted overshoot is small
-	// (estimate ≤ AdmissionSlack × the budget) holds one of this many
-	// FIFO slots and re-checks until AdmissionWait elapses, instead of
-	// answering 429 immediately — sweeps otherwise turn every near-miss
-	// into a client-side reject-retry loop. Zero (the default) keeps the
-	// immediate-429 behavior.
-	AdmissionQueue int
-	// AdmissionWait is how long a queued request may wait for admission
-	// (default 2s).
-	AdmissionWait time.Duration
-	// AdmissionSlack is the queue-eligibility factor: only requests whose
-	// estimate is within this multiple of the admission budget queue;
-	// anything further over rejects immediately (default 1.5).
-	AdmissionSlack float64
 	// ClusterToken, when set, is the shared secret the cluster-internal
 	// endpoints (POST /v1/graphs/import and the sketch export/import
 	// routes) require in the ClusterTokenHeader. Imported sketches become
@@ -123,18 +108,14 @@ type Options struct {
 	// slow-request log line is emitted (default 1s; < 0 disables).
 	SlowThreshold time.Duration
 	// TraceSample is the probability of keeping a completed trace that
-	// was neither slow nor errored nor admission-queued (those are
-	// always kept — tail sampling). Zero keeps only the always-kept
-	// classes; 1 keeps everything.
+	// was neither slow nor errored (those are always kept — tail
+	// sampling). Zero keeps only the always-kept classes; 1 keeps
+	// everything.
 	TraceSample float64
-	// TraceSampleAll forces TraceSample to 1 (tests and single-node
-	// debugging; the zero-value Options otherwise samples out every
-	// fast success).
-	TraceSampleAll bool
 }
 
 // DefaultBatchWindow is the batch window a zero Options.BatchWindow
-// resolves to, and welmaxd's -batch-window default.
+// resolves to, and the one welmaxd runs.
 const DefaultBatchWindow = 10 * time.Millisecond
 
 // Service owns the daemon's state: the graph registry, the RR-sketch
@@ -184,15 +165,6 @@ type Service struct {
 	admissionBytes   int64
 	costModels       *store.CostModels
 	admissionRejects atomic.Int64
-	// Queue-with-deadline admission (see Options.AdmissionQueue): the
-	// buffered channel is the bounded FIFO's slot semaphore, nil when
-	// disabled.
-	admissionQueue         chan struct{}
-	admissionWait          time.Duration
-	admissionSlack         float64
-	admissionQueued        atomic.Int64
-	admissionQueueAdmitted atomic.Int64
-	admissionQueueTimeouts atomic.Int64
 
 	// estFlight coalesces identical concurrent estimate requests onto
 	// one Monte-Carlo run (sweep cells issue estimate storms);
@@ -296,7 +268,6 @@ func New(opts Options) (*Service, error) {
 		s.traces, err = tracestore.New(tracestore.Options{
 			Node:       opts.NodeID,
 			SampleRate: opts.TraceSample,
-			SampleAll:  opts.TraceSampleAll,
 			Dir:        traceDir,
 		})
 		if err != nil {
@@ -330,15 +301,6 @@ func New(opts Options) (*Service, error) {
 			TraceID: f.TraceID,
 		})
 	})
-	if opts.AdmissionQueue > 0 {
-		s.admissionQueue = make(chan struct{}, opts.AdmissionQueue)
-	}
-	if s.admissionWait = opts.AdmissionWait; s.admissionWait <= 0 {
-		s.admissionWait = 2 * time.Second
-	}
-	if s.admissionSlack = opts.AdmissionSlack; s.admissionSlack <= 0 {
-		s.admissionSlack = 1.5
-	}
 	s.sweeps = s.newSweepEngine()
 	s.jobs.SetNodeID(opts.NodeID)
 	// A TTL expiry must invalidate the disk spill too — otherwise the
@@ -496,13 +458,6 @@ type BatchStats struct {
 	AdmissionRejects int64 `json:"admission_rejects"`
 	// AdmissionMaxBytes is the configured admission budget (0 = off).
 	AdmissionMaxBytes int64 `json:"admission_max_bytes,omitempty"`
-	// Queue-with-deadline admission counters: requests that took a queue
-	// slot instead of an immediate 429, how many of those were admitted
-	// by a later re-check, and how many timed out into the 429 they were
-	// originally spared.
-	AdmissionQueued        int64 `json:"admission_queued"`
-	AdmissionQueueAdmitted int64 `json:"admission_queue_admitted"`
-	AdmissionQueueTimeouts int64 `json:"admission_queue_timeouts"`
 	// EstimatesCoalesced counts estimate requests served from another
 	// identical in-flight request's Monte-Carlo run.
 	EstimatesCoalesced int64 `json:"estimates_coalesced"`
@@ -532,19 +487,16 @@ func (s *Service) Stats() StatsResponse {
 	}
 	bs := s.batcher.Stats()
 	out.Batch = BatchStats{
-		Enabled:                true,
-		WindowMS:               float64(s.batchWindow) / float64(time.Millisecond),
-		Batched:                bs.Batches,
-		HeldGroups:             bs.Held,
-		CoalescedRequests:      bs.Coalesced,
-		SketchExtends:          s.sketchExtends.Load(),
-		RRSetsAppended:         s.rrSetsAppended.Load(),
-		AdmissionRejects:       s.admissionRejects.Load(),
-		AdmissionMaxBytes:      s.admissionBytes,
-		AdmissionQueued:        s.admissionQueued.Load(),
-		AdmissionQueueAdmitted: s.admissionQueueAdmitted.Load(),
-		AdmissionQueueTimeouts: s.admissionQueueTimeouts.Load(),
-		EstimatesCoalesced:     s.estimatesCoalesced.Load(),
+		Enabled:            true,
+		WindowMS:           float64(s.batchWindow) / float64(time.Millisecond),
+		Batched:            bs.Batches,
+		HeldGroups:         bs.Held,
+		CoalescedRequests:  bs.Coalesced,
+		SketchExtends:      s.sketchExtends.Load(),
+		RRSetsAppended:     s.rrSetsAppended.Load(),
+		AdmissionRejects:   s.admissionRejects.Load(),
+		AdmissionMaxBytes:  s.admissionBytes,
+		EstimatesCoalesced: s.estimatesCoalesced.Load(),
 	}
 	out.Sweeps = s.sweeps.Stats()
 	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()

@@ -79,10 +79,9 @@ func (s *Service) newSweepEngine() *SweepEngine {
 }
 
 // attemptCell makes one attempt at a cell through exactly the client
-// path: validate → queue-with-deadline admission → pool job →
-// AllocateCtx (tiered cache, batcher, estimate flight). Transient
-// refusals (a full job queue, an admission reject that
-// queue-with-deadline could not absorb) ask for a retry.
+// path: validate → admission → pool job → AllocateCtx (tiered cache,
+// batcher, estimate flight). Transient refusals (a full job queue, an
+// admission reject) ask for a retry.
 func (s *Service) attemptCell(ctx context.Context, slots chan struct{}, c *SweepCellRun) (JobState, error) {
 	c.Row.Node = s.nodeID
 	select {
@@ -99,7 +98,7 @@ func (s *Service) attemptCell(ctx context.Context, slots chan struct{}, c *Sweep
 		// stale. Retrying cannot help.
 		return JobFailed, err
 	}
-	if err := s.admitOrWait(ctx, req.GraphID, plan); err != nil {
+	if err := s.admit(ctx, req.GraphID, plan); err != nil {
 		return JobQueued, err
 	}
 	jobID, outcome, ok := s.submitCell(c.TraceID, req)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/sweep"
@@ -219,6 +220,59 @@ func TestSweepEndToEnd(t *testing.T) {
 	e.doJSON("GET", "/v1/stats", nil, &stats, http.StatusOK)
 	if stats.Sweeps.CellsDone < 4 {
 		t.Errorf("stats cells_done = %d, want >= 4", stats.Sweeps.CellsDone)
+	}
+}
+
+// TestSweepCellOverAdmissionGivesUp: a sweep cell runs the same
+// admission as POST /v1/allocate. A cell priced over -admission-mb is
+// refused on every attempt; the engine backs off and retries it, and
+// after maxCellAttempts the cell — not the sweep — fails. Every refusal
+// counts as a reject and is journaled under the sweep's trace id.
+func TestSweepCellOverAdmissionGivesUp(t *testing.T) {
+	e := newEnv(t, service.Options{AdmissionMB: 1, Workers: 1})
+	id := e.registerGraph(t)
+	before := e.stats(t).Batch.AdmissionRejects
+
+	var accepted struct {
+		SweepID string `json:"sweep_id"`
+		TraceID string `json:"trace_id"`
+	}
+	// ε at the floor prices far past the 1MB budget.
+	e.doJSON("POST", "/v1/sweeps", sweep.Spec{
+		GraphIDs: []string{id},
+		Eps:      []float64{0.05},
+		Budgets:  [][]int{{10, 10}},
+	}, &accepted, http.StatusAccepted)
+	if accepted.TraceID == "" {
+		t.Fatalf("sweep accepted without a trace id: %+v", accepted)
+	}
+	view := e.waitSweep(t, accepted.SweepID)
+	if view.State != service.JobDone || view.Result == nil || view.Result.Failed != 1 {
+		t.Fatalf("sweep finished %s with %+v, want done with one failed cell", view.State, view.Result)
+	}
+	var res sweep.ResultsResponse
+	e.doJSON("GET", "/v1/sweeps/"+accepted.SweepID+"/results", nil, &res, http.StatusOK)
+	if len(res.Cells) != 1 {
+		t.Fatalf("results: %d cells, want 1", len(res.Cells))
+	}
+	const want = "gave up after 4 attempts: predicted sketch cost "
+	if c := res.Cells[0]; c.State != string(service.JobFailed) || !strings.HasPrefix(c.Error, want) {
+		t.Errorf("cell ended %s %q, want failed %q…", c.State, c.Error, want)
+	}
+	if got := e.stats(t).Batch.AdmissionRejects - before; got != 4 {
+		t.Errorf("admission_rejects rose by %d, want 4", got)
+	}
+	var events struct {
+		Events []journal.Event `json:"events"`
+	}
+	e.doJSON("GET", "/v1/events?type="+journal.AdmissionReject+"&trace="+accepted.TraceID, nil, &events, http.StatusOK)
+	if len(events.Events) != 4 {
+		t.Fatalf("%d admission_reject events under the sweep's trace, want 4: %+v", len(events.Events), events.Events)
+	}
+	for _, ev := range events.Events {
+		if ev.TraceID != accepted.TraceID || ev.Graph != id || ev.Bytes <= 1<<20 {
+			t.Errorf("reject event %+v, want trace %s, graph %s and a cost over 1MB", ev, accepted.TraceID, id)
+		}
 	}
 }
 

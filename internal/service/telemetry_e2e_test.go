@@ -114,7 +114,7 @@ func TestTraceIDEndToEnd(t *testing.T) {
 // (The adaptive phase's selections, interleaved with growth, are the
 // build's.)
 func TestColdSpillAttribution(t *testing.T) {
-	e := newEnv(t, service.Options{Workers: 2, DataDir: t.TempDir(), TraceSampleAll: true})
+	e := newEnv(t, service.Options{Workers: 2, DataDir: t.TempDir(), TraceSample: 1})
 	id := e.registerGraph(t)
 	const traceID = "trace-cold-spill"
 	tracedAllocate(t, e, id, traceID)

@@ -143,7 +143,6 @@ const (
 	ResSketchBytesBuilt = "sketch_bytes_built"
 	ResCacheHits        = "cache_hits"
 	ResCacheMisses      = "cache_misses"
-	ResQueueWaitMS      = "queue_wait_ms"
 	ResBytesShipped     = "bytes_shipped"
 )
 

@@ -30,7 +30,6 @@ import (
 const (
 	KeptSlow    = "slow"
 	KeptError   = "error"
-	KeptQueued  = "queued"
 	KeptSampled = "sampled"
 )
 
@@ -53,11 +52,10 @@ type Record struct {
 	Start      time.Time `json:"start"`
 	DurationMS float64   `json:"duration_ms"`
 	Error      string    `json:"error,omitempty"`
-	// Slow and Queued mark why the trace bypassed sampling; Kept names
-	// the final keep reason (slow, error, queued, sampled).
-	Slow   bool   `json:"slow,omitempty"`
-	Queued bool   `json:"queued,omitempty"`
-	Kept   string `json:"kept,omitempty"`
+	// Slow marks a trace that bypassed sampling; Kept names the final
+	// keep reason (slow, error, sampled).
+	Slow bool   `json:"slow,omitempty"`
+	Kept string `json:"kept,omitempty"`
 
 	Spans        []telemetry.Span `json:"spans,omitempty"`
 	SpansDropped int64            `json:"spans_dropped,omitempty"`
@@ -96,7 +94,7 @@ type Options struct {
 	// RingSize bounds the in-memory ring (default 512 traces).
 	RingSize int
 	// SampleRate is the probability of keeping a trace that is neither
-	// slow nor errored nor queued, clamped to [0, 1]. Negative keeps
+	// slow nor errored, clamped to [0, 1]. Negative keeps
 	// none of them; the default (0 on the zero value) is rescued to 1
 	// by SampleAll for tests — welmaxd passes -trace-sample.
 	SampleRate float64
@@ -181,9 +179,9 @@ func New(opts Options) (*Store, error) {
 }
 
 // Add offers one completed trace to the store. Tail sampling decides
-// retention: slow, errored, and admission-queued traces are always
-// kept; the rest survive with the configured sample probability. Add
-// reports whether the record was kept. Safe from any goroutine; a nil
+// retention: slow and errored traces are always kept; the rest survive
+// with the configured sample probability. Add reports whether the
+// record was kept. Safe from any goroutine; a nil
 // store keeps nothing.
 func (s *Store) Add(rec Record) bool {
 	if s == nil {
@@ -201,8 +199,6 @@ func (s *Store) Add(rec Record) bool {
 		rec.Kept = KeptError
 	case rec.Slow:
 		rec.Kept = KeptSlow
-	case rec.Queued:
-		rec.Kept = KeptQueued
 	case rand.Float64() < s.sample:
 		rec.Kept = KeptSampled
 	default:

@@ -29,7 +29,6 @@ func TestTailSamplingKeepReasons(t *testing.T) {
 	}{
 		{Record{TraceID: "t-err", Error: "boom"}, true, KeptError},
 		{Record{TraceID: "t-slow", Slow: true}, true, KeptSlow},
-		{Record{TraceID: "t-q", Queued: true}, true, KeptQueued},
 		{Record{TraceID: "t-fast"}, false, ""},
 	}
 	for _, c := range cases {
@@ -51,8 +50,8 @@ func TestTailSamplingKeepReasons(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Offered != 4 || st.Kept != 3 || st.SampledOut != 1 {
-		t.Errorf("stats = %+v, want offered 4 kept 3 sampled_out 1", st)
+	if st.Offered != 3 || st.Kept != 2 || st.SampledOut != 1 {
+		t.Errorf("stats = %+v, want offered 3 kept 2 sampled_out 1", st)
 	}
 	// An error always wins the keep-reason precedence, even when slow.
 	s.Add(Record{TraceID: "t-both", Error: "x", Slow: true})

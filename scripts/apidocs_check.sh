@@ -5,16 +5,20 @@
 # (internal/service/http.go) and the cluster router mux
 # (internal/cluster/router.go) and checks it appears in docs/API.md;
 # then checks the reverse — every "### `METHOD /path`" heading in the
-# docs still corresponds to a registered route. Either direction
-# failing means the docs drifted from the code; CI runs this so the
-# drift cannot land silently.
+# docs still corresponds to a registered route. The daemon flags get
+# the same two-way check: every flag.*("name" defined in
+# cmd/welmaxd/main.go needs a row in the "## Daemon flags" table, and
+# every row there must name a defined flag. Either direction failing
+# means the docs drifted from the code; CI runs this so the drift
+# cannot land silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 DOC=docs/API.md
 SOURCES=(internal/service/http.go internal/cluster/router.go)
+DAEMON=cmd/welmaxd/main.go
 
-for f in "$DOC" "${SOURCES[@]}"; do
+for f in "$DOC" "${SOURCES[@]}" "$DAEMON"; do
   [ -f "$f" ] || { echo "apidocs_check: missing $f" >&2; exit 1; }
 done
 
@@ -43,8 +47,33 @@ while IFS= read -r route; do
   fi
 done <<<"$doc_routes"
 
+# Flags look like: flag.Duration("probe-interval", ...)
+code_flags=$(grep -hoE 'flag\.(String|Int|Bool|Duration|Float64)\("[^"]+"' "$DAEMON" \
+  | sed -E 's/.*\("([^"]+)"/-\1/' | sort -u)
+
+# Documented flags are the first cells of the "## Daemon flags" table:
+# | `-probe-interval` | `2s` | ... |
+doc_flags=$(awk '/^## /{in_flags = ($0 == "## Daemon flags")} in_flags' "$DOC" \
+  | grep -oE '^\| `-[a-z0-9-]+` \|' | sed -E 's/^\| `([^`]+)` \|/\1/' | sort -u)
+
+while IFS= read -r f; do
+  [ -z "$f" ] && continue
+  if ! printf '%s\n' "$doc_flags" | grep -qxF -- "$f"; then
+    echo "apidocs_check: $DOC has no Daemon flags row for defined flag: $f" >&2
+    fail=1
+  fi
+done <<<"$code_flags"
+
+while IFS= read -r f; do
+  [ -z "$f" ] && continue
+  if ! printf '%s\n' "$code_flags" | grep -qxF -- "$f"; then
+    echo "apidocs_check: $DOC documents a flag $DAEMON does not define: $f" >&2
+    fail=1
+  fi
+done <<<"$doc_flags"
+
 if [ "$fail" -ne 0 ]; then
-  echo "apidocs_check: FAILED — update docs/API.md to match the muxes" >&2
+  echo "apidocs_check: FAILED — update docs/API.md to match the muxes and $DAEMON" >&2
   exit 1
 fi
-echo "apidocs_check: ok ($(printf '%s\n' "$code_routes" | grep -c .) routes documented)"
+echo "apidocs_check: ok ($(printf '%s\n' "$code_routes" | grep -c .) routes, $(printf '%s\n' "$code_flags" | grep -c .) flags documented)"

@@ -31,7 +31,6 @@ func (r *Router) routerGauges() []telemetry.Gauge {
 	out := []telemetry.Gauge{
 		{Name: "welmax_cluster_rebalances", Value: float64(r.rebalances.Load())},
 		{Name: "welmax_cluster_sketch_ships", Value: float64(r.ships.Load())},
-		{Name: "welmax_cluster_pre_admission_rejects", Value: float64(r.preAdmitRejects.Load())},
 		stateGauge("done", cells.CellsDone),
 		stateGauge("failed", cells.CellsFailed),
 		stateGauge("canceled", cells.CellsCanceled),

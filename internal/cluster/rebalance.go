@@ -84,7 +84,7 @@ func (r *Router) adopt(ctx context.Context) {
 			r.mu.Lock()
 			adopted := r.catalog[gi.ID] == nil && !r.tombs[gi.ID]
 			if adopted {
-				r.catalog[gi.ID] = &graphRecord{id: gi.ID, name: gi.Name, owner: res.backend, nodes: gi.Nodes, edges: gi.Edges}
+				r.catalog[gi.ID] = &graphRecord{id: gi.ID, name: gi.Name, owner: res.backend}
 			}
 			r.mu.Unlock()
 			if !adopted {

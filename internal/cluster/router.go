@@ -104,10 +104,6 @@ type Router struct {
 	// that dispatches each cell to the owning shard (see newSweepEngine).
 	jobs   *service.JobStore
 	sweeps *service.SweepEngine
-	// preAdmitRejects counts cells the router refused to dispatch
-	// because their predicted sketch cost was obviously over the owning
-	// backend's admission budget (satellite: pre-admission at the edge).
-	preAdmitRejects atomic.Int64
 	// dirty marks an unconverged catalog (a move failed, or a graph's
 	// owner is down): the probe loop re-runs syncCatalog every round
 	// while set, not only on membership flips, so transient move
@@ -128,11 +124,6 @@ type graphRecord struct {
 	id    string
 	name  string
 	owner string
-	// nodes/edges cache the graph's size for sweep pre-admission: the
-	// router prices a cell's sketch work with the same core cost
-	// estimators the backends use, and those need n and m.
-	nodes int
-	edges int
 }
 
 // New assembles a router over the given topology. Call Start to begin
@@ -620,10 +611,9 @@ func (r *Router) handleCreateGraph(w http.ResponseWriter, req *http.Request) {
 		r.mu.Lock()
 		delete(r.tombs, id) // a re-registration revives a deleted id
 		if rec = r.catalog[id]; rec == nil {
-			r.catalog[id] = &graphRecord{id: id, name: name, owner: owner, nodes: g.N(), edges: g.M()}
+			r.catalog[id] = &graphRecord{id: id, name: name, owner: owner}
 		} else {
 			rec.owner = owner
-			rec.nodes, rec.edges = g.N(), g.M()
 		}
 		r.mu.Unlock()
 	}
@@ -704,14 +694,11 @@ type RouterStats struct {
 		CoalescedRequests int64 `json:"coalesced_requests"`
 		AdmissionRejects  int64 `json:"admission_rejects"`
 		// SweepCells* count the router's sweep-dispatched cells by
-		// terminal state; PreAdmissionRejects counts cells refused at the
-		// router because their predicted cost was obviously over the
-		// owner's admission budget.
-		SweepCellsDone      int64 `json:"sweep_cells_done"`
-		SweepCellsFailed    int64 `json:"sweep_cells_failed"`
-		SweepCellsCanceled  int64 `json:"sweep_cells_canceled"`
-		PreAdmissionRejects int64 `json:"pre_admission_rejects"`
-		UptimeMS            int64 `json:"uptime_ms"`
+		// terminal state.
+		SweepCellsDone     int64 `json:"sweep_cells_done"`
+		SweepCellsFailed   int64 `json:"sweep_cells_failed"`
+		SweepCellsCanceled int64 `json:"sweep_cells_canceled"`
+		UptimeMS           int64 `json:"uptime_ms"`
 	} `json:"cluster"`
 	// Backends maps node name to that backend's full StatsResponse;
 	// backends that could not be read appear in Errors instead, and
@@ -734,7 +721,6 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	out.Cluster.SweepCellsDone = cells.CellsDone
 	out.Cluster.SweepCellsFailed = cells.CellsFailed
 	out.Cluster.SweepCellsCanceled = cells.CellsCanceled
-	out.Cluster.PreAdmissionRejects = r.preAdmitRejects.Load()
 	out.Cluster.UptimeMS = time.Since(r.start).Milliseconds()
 	out.Backends = map[string]service.StatsResponse{}
 	for _, res := range r.fanout(ctx, http.MethodGet, "/v1/stats") {

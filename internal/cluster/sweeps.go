@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"uicwelfare/internal/core"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
@@ -23,91 +22,12 @@ import (
 // JobStore — but its cells execute as a compute-plane scheduler: each
 // is dispatched to the shard that owns its graph (HRW placement — the
 // sketches a cell needs are where its graph is), with bounded in-flight
-// cells per shard, pre-admission at the edge, and a retry asked of the
-// engine on transient refusals (429 admission, 502 owner-down during a
-// rebalance). A dead shard fails only its own unfinished cells; the
-// sweep completes with those rows marked failed.
-
-// --- pre-admission ------------------------------------------------------
-
-// backendAdmission is one shard's admission posture, read off its
-// /v1/metrics gauges: the configured budget, the global calibration
-// ratio, and the per-graph ratios (welmax_graph_cost_ratio{graph_id}).
-type backendAdmission struct {
-	budgetBytes float64
-	globalRatio float64
-	graphRatio  map[string]float64
-}
-
-// refreshAdmission snapshots every live backend's admission gauges in
-// one metrics fanout. Backends that fail the fetch are simply absent —
-// pre-admission then waves their cells through and lets the shard's own
-// admission control decide, which is always the safe direction.
-func (r *Router) refreshAdmission(ctx context.Context) map[string]*backendAdmission {
-	out := map[string]*backendAdmission{}
-	for _, res := range r.fanout(ctx, http.MethodGet, "/v1/metrics?format=json") {
-		var export telemetry.Export
-		if res.decode(&export) != nil {
-			continue
-		}
-		adm := &backendAdmission{graphRatio: map[string]float64{}}
-		for _, g := range export.Gauges {
-			switch g.Name {
-			case "welmax_admission_max_bytes":
-				adm.budgetBytes = g.Value
-			case "welmax_cost_ratio_global":
-				adm.globalRatio = g.Value
-			case "welmax_graph_cost_ratio":
-				for _, l := range g.Labels {
-					if l.Name == "graph_id" {
-						adm.graphRatio[l.Value] = g.Value
-					}
-				}
-			}
-		}
-		out[res.backend] = adm
-	}
-	return out
-}
-
-// preAdmitSlack is how far over a shard's admission budget a cell's
-// predicted cost must be before the router refuses to dispatch it.
-// Deliberately loose (2×): the router's estimate is made from relayed
-// gauges that may be a sweep old, and a borderline cell deserves the
-// shard's own, fresher verdict — pre-admission exists to stop the
-// obviously hopeless cells, not to replicate admission control.
-const preAdmitSlack = 2.0
-
-// preAdmit prices one cell against its owner's snapshot, mirroring the
-// backend's EstimateCost: the planner's a-priori estimator scaled by
-// the owner's learned calibration ratio. A nil error means "dispatch".
-func (r *Router) preAdmit(adm map[string]*backendAdmission, owner string, nodes, edges int, c *sweep.Cell) error {
-	a := adm[owner]
-	if a == nil || a.budgetBytes <= 0 {
-		return nil // no snapshot, or admission disabled on the owner
-	}
-	_, meta, err := core.Lookup(c.Algo)
-	if err != nil || meta.CostEstimator == nil {
-		return nil // unknown planner: the owner will answer; unpriceable: bypass
-	}
-	eps, ell := service.ResolveEpsEll(c.Eps, 0)
-	raw := meta.CostEstimator(nodes, edges, eps, ell, c.Budgets)
-	ratio := a.graphRatio[c.GraphID]
-	if ratio <= 0 {
-		ratio = a.globalRatio
-	}
-	if ratio <= 0 {
-		ratio = 1
-	}
-	predicted := int64(float64(raw) * ratio)
-	if limit := int64(a.budgetBytes * preAdmitSlack); predicted > limit {
-		return fmt.Errorf("router pre-admission: predicted sketch cost %d bytes is over %.0fx backend %s's admission budget (%d bytes)",
-			predicted, preAdmitSlack, owner, int64(a.budgetBytes))
-	}
-	return nil
-}
-
-// --- sweep execution ----------------------------------------------------
+// cells per shard and a retry asked of the engine on transient
+// refusals (429 admission, 502 owner-down during a rebalance). A cell is
+// exactly one POST /v1/allocate on its owner: admission is the owner's
+// own, so the router holds no copy of the cost model. A dead shard fails
+// only its own unfinished cells; the sweep completes with those rows
+// marked failed.
 
 const (
 	// sweepShardConcurrency bounds how many sweep cells the router keeps
@@ -137,19 +57,16 @@ func (r *Router) newSweepEngine() *service.SweepEngine {
 			}
 			return nil
 		},
-		// The admission snapshot is taken once per sweep: cheap, and fresh
-		// enough for the deliberately-loose pre-admission threshold. A cell
-		// holds its shard's slot from dispatch through its terminal poll:
-		// the bound is on cells occupying the shard, not on concurrent HTTP
-		// calls.
-		Begin: func(ctx context.Context) service.SweepAttempt {
-			adm := r.refreshAdmission(ctx)
+		// A cell holds its shard's slot from dispatch through its terminal
+		// poll: the bound is on cells occupying the shard, not on concurrent
+		// HTTP calls.
+		Begin: func(context.Context) service.SweepAttempt {
 			slots := map[string]chan struct{}{}
 			for _, m := range r.members.Snapshot() {
 				slots[m.Name] = make(chan struct{}, sweepShardConcurrency)
 			}
 			return func(ctx context.Context, c *service.SweepCellRun) (service.JobState, error) {
-				return r.attemptRemoteCell(ctx, adm, slots, c)
+				return r.attemptRemoteCell(ctx, slots, c)
 			}
 		},
 	}
@@ -172,12 +89,12 @@ func (r *Router) newSweepEngine() *service.SweepEngine {
 }
 
 // attemptRemoteCell makes one attempt at a cell: resolve the graph's
-// owner, pre-admit, take a slot on that shard, dispatch the allocate and
-// poll the owner's job to completion. Every attempt re-resolves
-// ownership, so a cell interrupted by a rebalance lands on the graph's
-// new home. Transient refusals (owner down or mid-move, 429 admission,
-// full job queue, transport errors) are journaled and ask for a retry.
-func (r *Router) attemptRemoteCell(ctx context.Context, adm map[string]*backendAdmission, slots map[string]chan struct{}, c *service.SweepCellRun) (service.JobState, error) {
+// owner, take a slot on that shard, dispatch the allocate and poll the
+// owner's job to completion. Every attempt re-resolves ownership, so a
+// cell interrupted by a rebalance lands on the graph's new home.
+// Transient refusals (owner down or mid-move, 429 admission, full job
+// queue, transport errors) are journaled and ask for a retry.
+func (r *Router) attemptRemoteCell(ctx context.Context, slots map[string]chan struct{}, c *service.SweepCellRun) (service.JobState, error) {
 	cell := c.Cell
 	// record journals one scheduling decision about this cell.
 	record := func(ev journal.Event) {
@@ -198,18 +115,6 @@ func (r *Router) attemptRemoteCell(ctx context.Context, adm map[string]*backendA
 	// names the previous attempt's shard here.
 	if prev := c.Row.Node; prev != "" && owner != prev {
 		record(journal.Event{Type: journal.SweepShardFailover, From: prev, To: owner})
-	}
-	r.mu.Lock()
-	var nodes, edges int
-	if rec := r.catalog[cell.GraphID]; rec != nil {
-		nodes, edges = rec.nodes, rec.edges
-	}
-	r.mu.Unlock()
-	if err := r.preAdmit(adm, owner, nodes, edges, cell); err != nil {
-		// Obviously over budget wherever it lands: failing now is the
-		// point of pre-admission (no dispatch, no 429 round-trips).
-		r.preAdmitRejects.Add(1)
-		return service.JobFailed, err
 	}
 	body, err := json.Marshal(service.CellAllocateRequest(c.Spec, cell))
 	if err != nil {

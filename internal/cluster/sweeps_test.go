@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"uicwelfare/internal/cluster"
+	"uicwelfare/internal/journal"
 	"uicwelfare/internal/service"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/sweep"
@@ -283,10 +284,14 @@ func TestClusterSweepSurvivesShardDeath(t *testing.T) {
 	}
 }
 
-// TestRouterSweepPreAdmission: a cell whose predicted sketch cost is
-// far over its owner's admission budget (read off the relayed
-// /v1/metrics gauges) fails at the router without a dispatch.
-func TestRouterSweepPreAdmission(t *testing.T) {
+// TestRouterSweepCellOverAdmissionGivesUp: a router-run cell is one
+// POST /v1/allocate on its owner, so its admission is the owner's own.
+// A cell priced far over the owner's budget is refused with a 429 on
+// every attempt; the engine backs off and retries it exactly as it
+// does a single-node cell, and after four attempts the cell — not the
+// sweep — fails. Every refusal is the owner's admission_reject,
+// journaled under the sweep's trace id.
+func TestRouterSweepCellOverAdmissionGivesUp(t *testing.T) {
 	backends := []*backend{
 		startBackendAt(t, "b0", "127.0.0.1:0", service.Options{Workers: 1, AdmissionMB: 1}),
 	}
@@ -299,31 +304,39 @@ func TestRouterSweepPreAdmission(t *testing.T) {
 	rt.Sync(syncCtx())
 
 	info := c.registerLine(2000)
-	spec := sweep.Spec{
+	var accepted struct {
+		SweepID string `json:"sweep_id"`
+		TraceID string `json:"trace_id"`
+	}
+	c.doJSON("POST", "/v1/sweeps", sweep.Spec{
 		GraphIDs: []string{info.ID},
 		Budgets:  [][]int{{10, 10}},
 		Eps:      []float64{0.05}, // ε at the floor prices ~100× past any 1MB budget
+	}, &accepted, http.StatusAccepted)
+	if accepted.TraceID == "" {
+		t.Fatalf("sweep accepted without a trace id: %+v", accepted)
 	}
-	sweepID := c.createSweep(spec)
-	view := c.waitSweep(sweepID, 30*time.Second)
+	view := c.waitSweep(accepted.SweepID, 30*time.Second)
 	if view.State != service.JobDone || view.Result == nil || view.Result.Failed != 1 {
 		t.Fatalf("sweep: %s %+v", view.State, view.Result)
 	}
 	var res sweep.ResultsResponse
-	c.doJSON("GET", "/v1/sweeps/"+sweepID+"/results", nil, &res, http.StatusOK)
+	c.doJSON("GET", "/v1/sweeps/"+accepted.SweepID+"/results", nil, &res, http.StatusOK)
 	cell := res.Cells[0]
-	if cell.State != string(service.JobFailed) || !strings.Contains(cell.Error, "pre-admission") {
+	if cell.State != string(service.JobFailed) || !strings.Contains(cell.Error, "gave up after 4 attempts") ||
+		!strings.Contains(cell.Error, "status 429") {
 		t.Fatalf("cell: %+v", cell)
 	}
-	if cell.JobID != "" {
-		t.Errorf("pre-admission reject still dispatched job %s", cell.JobID)
+	if stats := rt.Stats(syncCtx()); stats.Cluster.AdmissionRejects != 4 {
+		t.Errorf("cluster admission_rejects = %d, want 4", stats.Cluster.AdmissionRejects)
 	}
-	if stats := rt.Stats(syncCtx()); stats.Cluster.PreAdmissionRejects == 0 {
-		t.Error("pre_admission_rejects counter not incremented")
+	var events cluster.ClusterEventsResponse
+	c.doJSON("GET", "/v1/events?type="+journal.AdmissionReject+"&trace="+accepted.TraceID, nil, &events, http.StatusOK)
+	if len(events.Events) != 4 {
+		t.Fatalf("%d admission_reject events under the sweep's trace, want 4: %+v", len(events.Events), events.Events)
 	}
 
-	// A small graph at default ε dispatches and completes —
-	// pre-admission only stops the obviously refusable cells.
+	// A small graph at default ε dispatches and completes.
 	small := c.registerLine(16)
 	okID := c.createSweep(sweep.Spec{GraphIDs: []string{small.ID}, Budgets: [][]int{{2, 2}}, Runs: 200})
 	okView := c.waitSweep(okID, 30*time.Second)

@@ -256,20 +256,39 @@ func (s *Service) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// enqueue creates a job under the request's trace and submits run to
-// the pool; run must return the job's result and honor its context
-// (DELETE /v1/jobs/{id} cancels it) while reporting progress through
-// report. The trace travels in the job context so span timings land on
-// it, and finishJob attaches them to the job record when the run ends.
-// It answers 202 with the job id, or 503 when the queue is full.
-// graphID labels the trace-store record so /v1/traces can filter by
-// graph; it is advisory only and may be empty.
+// enqueue submits run as a job (see submit) and answers 202 with the
+// job id, or 503 when the queue is full.
 func (s *Service) enqueue(w http.ResponseWriter, kind, graphID string, tr *telemetry.Trace, req any, run func(ctx context.Context, report progress.Func) (any, error)) {
+	jobID, ok := s.submit(kind, graphID, tr, req, run, nil)
+	if !ok {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job queue full"))
+		return
+	}
+	writeEncoded(w, http.StatusAccepted, func(b []byte) ([]byte, error) {
+		return appendAccepted(b, jobID, tr.ID()), nil
+	})
+}
+
+// submit creates a job of kind under the trace and submits run to the
+// pool; run must return the job's result and honor its context (DELETE
+// /v1/jobs/{id} cancels it) while reporting progress through report.
+// The trace travels in the job context so span timings land on it, and
+// finishJob attaches them to the job record when the run ends. done,
+// when not nil, is called with the run's error after finishJob, or with
+// context.Canceled when the job was canceled while queued. graphID
+// labels the trace-store record so /v1/traces can filter by graph; it
+// is advisory only and may be empty. It returns the job id, or false
+// when the pool queue was full (and no job remains).
+func (s *Service) submit(kind, graphID string, tr *telemetry.Trace, req any, run func(ctx context.Context, report progress.Func) (any, error), done func(error)) (string, bool) {
 	job := s.jobs.Create(kind, tr.ID(), req)
 	ok := s.pool.Submit(func() {
 		ctx, ok := s.jobs.Start(job.ID)
 		if !ok {
-			return // canceled while queued; Start finalized the job
+			// Canceled while queued; Start finalized the job.
+			if done != nil {
+				done(context.Canceled)
+			}
+			return
 		}
 		started := time.Now()
 		ctx = telemetry.NewContext(ctx, tr)
@@ -284,15 +303,15 @@ func (s *Service) enqueue(w http.ResponseWriter, kind, graphID string, tr *telem
 			})
 		})
 		s.finishJob(job.ID, kind, graphID, tr, started, result, err)
+		if done != nil {
+			done(err)
+		}
 	})
 	if !ok {
 		s.jobs.Remove(job.ID)
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job queue full"))
-		return
+		return "", false
 	}
-	writeEncoded(w, http.StatusAccepted, func(b []byte) ([]byte, error) {
-		return appendAccepted(b, job.ID, tr.ID()), nil
-	})
+	return job.ID, true
 }
 
 // writeAdmissionReject answers 429 Too Many Requests for a request

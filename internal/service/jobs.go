@@ -86,7 +86,7 @@ const (
 // store's mutex; handlers read them through Snapshot.
 type Job struct {
 	ID       string
-	Kind     string // "allocate" | "estimate"
+	Kind     string // "allocate" | "estimate" | "warm" | "sweep" | "cell"
 	State    JobState
 	Created  time.Time
 	Started  time.Time

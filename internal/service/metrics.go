@@ -44,8 +44,7 @@ func (s *Service) gauges() []telemetry.Gauge {
 		{Name: "welmax_batch_coalesced_requests", Value: float64(st.Batch.CoalescedRequests)},
 		{Name: "welmax_admission_rejects", Value: float64(st.Batch.AdmissionRejects)},
 		// welmax_admission_max_bytes is the configured admission budget
-		// (0 = admission disabled). The router's sweep pre-admission
-		// reads it per backend to price cells at the edge.
+		// (0 = admission disabled).
 		{Name: "welmax_admission_max_bytes", Value: float64(s.admissionBytes)},
 		{Name: "welmax_jobs_queue_depth", Value: float64(st.QueueDepth)},
 		{Name: "welmax_workers_busy", Value: float64(st.BusyWorkers)},

@@ -166,12 +166,6 @@ type Service struct {
 	costModels       *store.CostModels
 	admissionRejects atomic.Int64
 
-	// estFlight coalesces identical concurrent estimate requests onto
-	// one Monte-Carlo run (sweep cells issue estimate storms);
-	// estimatesCoalesced counts the waiters served from a leader's run.
-	estFlight          estimateFlight
-	estimatesCoalesced atomic.Int64
-
 	// sweeps runs POST /v1/sweeps grids as jobs of this service's store,
 	// each cell an ordinary pool job (see newSweepEngine).
 	sweeps *SweepEngine
@@ -458,9 +452,6 @@ type BatchStats struct {
 	AdmissionRejects int64 `json:"admission_rejects"`
 	// AdmissionMaxBytes is the configured admission budget (0 = off).
 	AdmissionMaxBytes int64 `json:"admission_max_bytes,omitempty"`
-	// EstimatesCoalesced counts estimate requests served from another
-	// identical in-flight request's Monte-Carlo run.
-	EstimatesCoalesced int64 `json:"estimates_coalesced"`
 	// CostRatio and CostSamples describe the cost-model calibration:
 	// the learned observed/predicted ratio and how many completed
 	// builds informed it.
@@ -487,16 +478,15 @@ func (s *Service) Stats() StatsResponse {
 	}
 	bs := s.batcher.Stats()
 	out.Batch = BatchStats{
-		Enabled:            true,
-		WindowMS:           float64(s.batchWindow) / float64(time.Millisecond),
-		Batched:            bs.Batches,
-		HeldGroups:         bs.Held,
-		CoalescedRequests:  bs.Coalesced,
-		SketchExtends:      s.sketchExtends.Load(),
-		RRSetsAppended:     s.rrSetsAppended.Load(),
-		AdmissionRejects:   s.admissionRejects.Load(),
-		AdmissionMaxBytes:  s.admissionBytes,
-		EstimatesCoalesced: s.estimatesCoalesced.Load(),
+		Enabled:           true,
+		WindowMS:          float64(s.batchWindow) / float64(time.Millisecond),
+		Batched:           bs.Batches,
+		HeldGroups:        bs.Held,
+		CoalescedRequests: bs.Coalesced,
+		SketchExtends:     s.sketchExtends.Load(),
+		RRSetsAppended:    s.rrSetsAppended.Load(),
+		AdmissionRejects:  s.admissionRejects.Load(),
+		AdmissionMaxBytes: s.admissionBytes,
 	}
 	out.Sweeps = s.sweeps.Stats()
 	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()
@@ -676,10 +666,9 @@ func seedOf(s uint64) uint64 {
 
 // ResolveEpsEll applies the paper's approximation-parameter defaults
 // (ε = 0.5, ℓ = 1) to unset request values. This is the single place
-// the service-wide defaults live — the allocate/warm paths, admission
-// pricing and the cluster router's pre-admission pricing all resolve
-// through it, so no tier can price one sketch while the build keys
-// another.
+// the service-wide defaults live — the allocate/warm paths and
+// admission pricing both resolve through it, so admission cannot price
+// one sketch while the build keys another.
 func ResolveEpsEll(eps, ell float64) (float64, float64) {
 	if eps <= 0 {
 		eps = 0.5
@@ -1226,17 +1215,9 @@ func (s *Service) validateEstimate(req *EstimateRequest) (*GraphEntry, *uic.Allo
 
 // EstimateCtx runs one estimation request under ctx, reporting progress
 // through report (which may be nil); a canceled context aborts the
-// Monte-Carlo loop promptly with ctx.Err(). Identical concurrent
-// requests are coalesced onto one run (see estimateFlight) — sweep
-// cells issue estimate storms, and the seeded estimator makes sharing
-// invisible apart from the saved work.
+// Monte-Carlo loop promptly with ctx.Err(). The estimator is seeded by
+// the request, so identical requests get identical answers.
 func (s *Service) EstimateCtx(ctx context.Context, req *EstimateRequest, report progress.Func) (*EstimateResult, error) {
-	return s.estimateCoalesced(ctx, req, report)
-}
-
-// estimateDirect is the uncoalesced estimate path (the flight group's
-// leader runs here).
-func (s *Service) estimateDirect(ctx context.Context, req *EstimateRequest, report progress.Func) (*EstimateResult, error) {
 	startT := time.Now()
 	entry, alloc, model, err := s.validateEstimate(req)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // which is the point: a sweep is the paper's evaluation grid expressed
 // as traffic, and the serving stack's coalescing tiers are what make
 // the grid tractable (cells sharing a (graph, ε) group coalesce onto a
-// build and its delta-builds; identical estimates coalesce onto one
-// Monte-Carlo run).
+// build and its delta-builds). A cell's welfare is estimated inline by
+// AllocateCtx.
 
 // CellAllocateRequest maps one expanded grid cell onto the ordinary
 // allocate request that executes it. Exported because the cluster
@@ -79,9 +79,12 @@ func (s *Service) newSweepEngine() *SweepEngine {
 }
 
 // attemptCell makes one attempt at a cell through exactly the client
-// path: validate → admission → pool job → AllocateCtx (tiered cache,
-// batcher, estimate flight). Transient refusals (a full job queue, an
-// admission reject) ask for a retry.
+// path: validate → admission → pool job → AllocateCtx (tiered cache and
+// batcher). The cell job is of kind "cell" and runs under the sweep's
+// trace id, so the whole grid greps by one id; in a cluster the job
+// id's node prefix is how results prove which shard ran the cell.
+// Transient refusals (a full job queue, an admission reject) ask for a
+// retry.
 func (s *Service) attemptCell(ctx context.Context, slots chan struct{}, c *SweepCellRun) (JobState, error) {
 	c.Row.Node = s.nodeID
 	select {
@@ -101,68 +104,34 @@ func (s *Service) attemptCell(ctx context.Context, slots chan struct{}, c *Sweep
 	if err := s.admit(ctx, req.GraphID, plan); err != nil {
 		return JobQueued, err
 	}
-	jobID, outcome, ok := s.submitCell(c.TraceID, req)
+	// res is written by the worker before done sends on outcome.
+	var res *AllocateResult
+	outcome := make(chan error, 1)
+	jobID, ok := s.submit("cell", req.GraphID, telemetry.NewTrace(c.TraceID, s.telemetryOn), req,
+		func(ctx context.Context, report progress.Func) (any, error) {
+			var err error
+			res, err = s.AllocateCtx(ctx, req, report)
+			return res, err
+		},
+		func(err error) { outcome <- err })
 	if !ok {
 		return JobQueued, errors.New("job queue full")
 	}
 	c.Row.JobID = jobID
 	select {
-	case out := <-outcome:
-		if out.err == nil {
-			c.SetResult(out.res)
+	case err := <-outcome:
+		if err == nil {
+			c.SetResult(res)
 			return JobDone, nil
 		}
-		if ctx.Err() != nil && errors.Is(out.err, context.Canceled) {
+		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
 			return JobCanceled, nil
 		}
-		return JobFailed, out.err
+		return JobFailed, err
 	case <-ctx.Done():
 		// Sweep canceled while the cell ran: propagate to the cell job
 		// and record the cell canceled without waiting for the worker.
 		s.jobs.Cancel(jobID)
 		return JobCanceled, nil
 	}
-}
-
-// cellOutcome is a finished cell job's result, delivered off the worker.
-type cellOutcome struct {
-	res *AllocateResult
-	err error
-}
-
-// submitCell runs one cell as a pool job of kind "cell" under the
-// sweep's trace id (so the whole grid greps by one id), with its own
-// per-cell job record — in a cluster the job id's node prefix is how
-// results prove which shard ran the cell. Reports ok = false when the
-// pool queue is full.
-func (s *Service) submitCell(traceID string, req *AllocateRequest) (string, <-chan cellOutcome, bool) {
-	tr := telemetry.NewTrace(traceID, s.telemetryOn)
-	job := s.jobs.Create("cell", tr.ID(), req)
-	out := make(chan cellOutcome, 1)
-	ok := s.pool.Submit(func() {
-		ctx, ok := s.jobs.Start(job.ID)
-		if !ok {
-			out <- cellOutcome{err: context.Canceled}
-			return
-		}
-		started := time.Now()
-		ctx = telemetry.NewContext(ctx, tr)
-		res, err := s.AllocateCtx(ctx, req, func(ev progress.Event) {
-			s.jobs.Publish(job.ID, JobEvent{
-				Type:       EventProgress,
-				Stage:      string(ev.Stage),
-				Round:      ev.Round,
-				Done:       ev.Done,
-				Total:      ev.Total,
-				SeedPrefix: ev.SeedPrefix,
-			})
-		})
-		s.finishJob(job.ID, "cell", req.GraphID, tr, started, res, err)
-		out <- cellOutcome{res: res, err: err}
-	})
-	if !ok {
-		s.jobs.Remove(job.ID)
-		return "", nil, false
-	}
-	return job.ID, out, true
 }

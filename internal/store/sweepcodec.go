@@ -8,8 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
 	"uicwelfare/internal/frame"
 )
@@ -274,41 +272,6 @@ func (s *Store) LoadSweep(artifactID string) (*SweepResult, error) {
 		s.loadErrors.Add(1)
 	}
 	return res, err
-}
-
-// SweepArtifactInfo is one entry of the store's sweep index: file-level
-// metadata readable without decoding the artifact.
-type SweepArtifactInfo struct {
-	ArtifactID string    `json:"artifact_id"`
-	SizeBytes  int64     `json:"size_bytes"`
-	Saved      time.Time `json:"saved"`
-}
-
-// ListSweeps indexes the persisted sweep artifacts by content id,
-// newest first.
-func (s *Store) ListSweeps() []SweepArtifactInfo {
-	entries, err := os.ReadDir(sweepsDir(s.dir))
-	if err != nil {
-		return nil
-	}
-	var out []SweepArtifactInfo
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != SweepExt {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		out = append(out, SweepArtifactInfo{
-			ArtifactID: name[:len(name)-len(SweepExt)],
-			SizeBytes:  info.Size(),
-			Saved:      info.ModTime(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Saved.After(out[j].Saved) })
-	return out
 }
 
 // SweepDir is a bare directory of .wsr artifacts outside any data

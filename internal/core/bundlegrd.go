@@ -23,6 +23,10 @@ type Options struct {
 	// sketch builders (prima/imm Options.Workers); 0 means 1. The
 	// sketch depends on the RNG, never on this count.
 	SketchWorkers int
+	// Phase1Stream, when non-nil, lends the PRIMA/IMM sketch builds a
+	// resident phase-1 stream (rrset.Options.Phase1Stream); the sketch
+	// does not change. The service sets it on its sketch builds only.
+	Phase1Stream rrset.Phase1Func
 }
 
 // Result is an allocation plus the effort statistics the experiments

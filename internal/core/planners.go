@@ -37,7 +37,7 @@ func init() {
 
 // sketchOptions translates allocator options for the sketch builders.
 func sketchOptions(opts Options) rrset.Options {
-	return rrset.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade, Progress: opts.Progress, Workers: opts.SketchWorkers}
+	return rrset.Options{Eps: opts.Eps, Ell: opts.Ell, Cascade: opts.Cascade, Progress: opts.Progress, Workers: opts.SketchWorkers, Phase1Stream: opts.Phase1Stream}
 }
 
 // checkFamily refuses a sketch of another family than the planner's.

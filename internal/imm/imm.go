@@ -31,9 +31,10 @@ func RunCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Options, rng 
 	return sk.Select(), nil
 }
 
-// BuildSketch runs IMM's adaptive sampling and the final from-scratch
-// regeneration, returning the collection without performing the final
-// NodeSelection. The result is immutable and safe to share across
+// BuildSketch runs IMM's adaptive sampling on the phase-1 stream S₁ and
+// draws the final collection from the independent stream S₂ (both
+// seeded from rng, see rrset.StreamBases), returning the collection
+// without performing the final NodeSelection. The result is immutable and safe to share across
 // goroutines; call Select (repeatedly, even concurrently) to obtain its
 // seed set.
 func BuildSketch(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) *rrset.Sketch {
@@ -45,7 +46,8 @@ func BuildSketch(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) *rrs
 // progress reporting: RR-set growth checks ctx every few hundred samples
 // and reports through opts.Progress, so a canceled context stops sketch
 // construction promptly with ctx.Err() instead of running the sampling
-// phases to completion.
+// phases to completion. opts.Phase1Stream, when set, lends phase 1 a
+// resident S₁; the sketch is byte-identical either way.
 func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	opts = opts.WithDefaults()
 	n := g.N()
@@ -59,12 +61,15 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 	ellPrime := EllPlusLog2(opts.Ell, n)
 	epsp := EpsPrime(opts.Eps)
 
-	col := opts.NewCollection(g)
-	round := 0
-	grow := func(target int64) error {
-		round++
-		return opts.Grow(ctx, col, target, round, rng)
+	// The θ rule reads a prefix of the phase-1 stream S₁; the final
+	// collection is a prefix of the independent stream S₂.
+	base1, base2 := rrset.StreamBases(rng)
+	p1, err := opts.OpenPhase1(ctx, g, base1)
+	if err != nil {
+		return nil, err
 	}
+	defer p1.Release()
+	round := 0
 
 	lb := 1.0
 	lambdaStar := LambdaStar(n, k, opts.Eps, ellPrime)
@@ -74,11 +79,12 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 	for i := 1; i <= maxI; i++ {
 		x := float64(n) / math.Pow(2, float64(i))
 		thetaI := LambdaPrime(n, k, opts.Eps, ellPrime) / x
-		if err := grow(int64(math.Ceil(thetaI))); err != nil {
+		round++
+		if err := p1.Grow(ctx, int64(math.Ceil(thetaI)), round); err != nil {
 			return nil, err
 		}
 		endSel := telemetry.StartSpan(ctx, "greedy_select")
-		_, frac := col.NodeSelection(k)
+		_, frac := p1.View().NodeSelection(k)
 		endSel()
 		if float64(n)*frac >= (1+epsp)*x {
 			lb = float64(n) * frac / (1 + epsp)
@@ -86,17 +92,21 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 			break
 		}
 	}
-	grown := col.Len()
+	read := p1.Read()
+	p1.Release()
 
 	// Chen'18 fix: the final seed set must be selected on RR sets that are
-	// independent of the adaptive stopping rule, so regenerate from
-	// scratch (the adaptive collection is not grown to θ first: nothing
-	// would read those sets). The final NodeSelection is left to Select
-	// so the regenerated collection can be cached and shared.
-	col.Reset()
-	if err := grow(int64(math.Ceil(theta))); err != nil {
+	// independent of the adaptive stopping rule, so the final collection
+	// is a prefix of S₂, which phase 1 never read (S₁ is not grown to θ
+	// either: nothing would read those sets). The final NodeSelection is
+	// left to Select so the collection can be cached and shared.
+	col := opts.NewCollection(g)
+	col.SeedStream(base2)
+	round++
+	if err := opts.Grow(ctx, col, int64(math.Ceil(theta)), round, nil); err != nil {
 		return nil, err
 	}
 	col.ReleaseScratch()
-	return &rrset.Sketch{Family: Family, Col: col, K: k, Phase1: grown, LB: lb}, nil
+	return &rrset.Sketch{Family: Family, Col: col, K: k, Phase1: read, LB: lb}, nil
+
 }

@@ -66,8 +66,9 @@ func Select(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) rrset.R
 }
 
 // BuildSketch runs PRIMA's adaptive sampling (lines 1-21 of Algorithm 2)
-// and the final from-scratch regeneration, returning the collection
-// without performing the final NodeSelection. The result is immutable
+// on the phase-1 stream S₁ and draws the final collection from the
+// independent stream S₂ (both seeded from rng, see rrset.StreamBases),
+// returning the collection without performing the final NodeSelection. The result is immutable
 // and safe to share across goroutines; call Select (repeatedly, even
 // concurrently) to obtain its ordering.
 func BuildSketch(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) *Sketch {
@@ -79,7 +80,8 @@ func BuildSketch(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) *S
 // progress reporting: RR-set growth checks ctx every few hundred samples
 // and reports through opts.Progress, so a canceled context stops sketch
 // construction promptly with ctx.Err() instead of running the sampling
-// phases to completion.
+// phases to completion. opts.Phase1Stream, when set, lends phase 1 a
+// resident S₁; the sketch is byte-identical either way.
 func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) (*Sketch, error) {
 	opts = opts.WithDefaults()
 	n := g.N()
@@ -108,15 +110,18 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 
 	epsp := imm.EpsPrime(opts.Eps)
 
-	col := opts.NewCollection(g)
-	round := 0
-	grow := func(target int64) error {
-		round++
-		return opts.Grow(ctx, col, target, round, rng)
+	// The θ rule reads a prefix of the phase-1 stream S₁; the final
+	// collection is a prefix of the independent stream S₂.
+	base1, base2 := rrset.StreamBases(rng)
+	p1, err := opts.OpenPhase1(ctx, g, base1)
+	if err != nil {
+		return nil, err
 	}
+	defer p1.Release()
+	round := 0
 
 	// θ_final tracks the largest phase-2 requirement seen across budgets;
-	// the final from-scratch regeneration uses it.
+	// the final collection is sized by it.
 	thetaFinal := 0.0
 	var prevSelection []graph.NodeID
 
@@ -128,7 +133,8 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 		k := bs[s]
 		x := float64(n) / math.Pow(2, float64(i))
 		thetaI := imm.LambdaPrime(n, k, opts.Eps, ellPrime) / x
-		if err := grow(int64(math.Ceil(thetaI))); err != nil {
+		round++
+		if err := p1.Grow(ctx, int64(math.Ceil(thetaI)), round); err != nil {
 			return nil, err
 		}
 
@@ -139,10 +145,10 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 			// max-cover on the same collection with a smaller budget
 			// returns exactly this prefix.
 			seeds = prevSelection[:k]
-			frac = col.FractionCovered(seeds)
+			frac = p1.View().FractionCovered(seeds)
 		} else {
 			endSel := telemetry.StartSpan(ctx, "greedy_select")
-			seeds, frac = col.NodeSelection(k)
+			seeds, frac = p1.View().NodeSelection(k)
 			endSel()
 			prevSelection = seeds
 		}
@@ -154,11 +160,12 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 				thetaFinal = theta
 			}
 			s++
-			// The collection carries into the next budget's coverage
-			// test; after the last budget nothing reads it, since the
-			// regeneration below starts from scratch.
+			// The prefix carries into the next budget's coverage test;
+			// after the last budget nothing reads it, since the final
+			// collection comes from S₂.
 			if s < len(bs) {
-				if err := grow(int64(math.Ceil(theta))); err != nil {
+				round++
+				if err := p1.Grow(ctx, int64(math.Ceil(theta)), round); err != nil {
 					return nil, err
 				}
 			}
@@ -180,13 +187,17 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 		thetaFinal = imm.LambdaStar(n, maxBudget, opts.Eps, ellPrime)
 	}
 
-	phase1 := col.Len()
+	phase1 := p1.Read()
+	p1.Release()
 
-	// Lines 22-24: regenerate θ RR sets from scratch (Chen'18 fix). The
-	// final NodeSelection (line 25) is left to Select so the regenerated
-	// collection can be cached and shared.
-	col.Reset()
-	if err := grow(int64(math.Ceil(thetaFinal))); err != nil {
+	// Lines 22-24: θ RR sets independent of the θ decision (Chen'18 fix)
+	// — a prefix of S₂, which phase 1 never read. The final
+	// NodeSelection (line 25) is left to Select so the collection can be
+	// cached and shared.
+	col := opts.NewCollection(g)
+	col.SeedStream(base2)
+	round++
+	if err := opts.Grow(ctx, col, int64(math.Ceil(thetaFinal)), round, nil); err != nil {
 		return nil, err
 	}
 	col.ReleaseScratch()

@@ -11,7 +11,8 @@ type Stage string
 
 const (
 	// StageSketch covers RR-set sampling: the adaptive θ-estimation
-	// rounds and the final from-scratch regeneration.
+	// rounds (those that grow the phase-1 stream) and the final
+	// collection.
 	StageSketch Stage = "sketch"
 	// StageEstimate covers Monte-Carlo welfare estimation runs.
 	StageEstimate Stage = "estimate"
@@ -22,7 +23,7 @@ const (
 
 // Event is one progress report. For StageSketch, Round counts growth
 // phases within one sketch build (the adaptive rounds, then the final
-// regeneration) and Done/Total are RR-set counts against the current
+// collection) and Done/Total are RR-set counts against the current
 // round's target — Total may change between rounds as the adaptive
 // search tightens θ. For StageEstimate, Done/Total are Monte-Carlo runs
 // finished versus requested. For StageSelect, Done/Total are seeds

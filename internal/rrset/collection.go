@@ -2,10 +2,12 @@ package rrset
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/stats"
 )
 
 // Collection stores a growing multiset of RR sets together with the
@@ -50,6 +52,22 @@ type Collection struct {
 	// stored set.
 	samplers []*Sampler
 	edges    int64
+
+	// stream is where the stored sets sit in the collection's RR stream
+	// (see GrowParallelCtx).
+	stream stream
+}
+
+// stream is a collection's position in its deterministic RR stream:
+// chunk j (growChunk sets, counted from origin) samples from
+// stats.NewRNG(stats.Mix(base, j)), and tail is the generator state of
+// the chunk the stored sets end in when that chunk is unfinished. The
+// zero value is a stream whose base is not fixed yet.
+type stream struct {
+	based  bool
+	base   uint64
+	origin int64 // the collection length the stream starts at
+	tail   stats.RNG
 }
 
 // NewCollection returns an empty collection for g.
@@ -109,6 +127,28 @@ func (c *Collection) buildIndex() {
 	c.coverIDs = ids
 }
 
+// SeedStream fixes the base of an empty collection's RR stream, so its
+// sets are the stream's prefix whatever rng later grows are handed (they
+// draw nothing). A builder that needs its streams to be pure functions
+// of its own RNG state seeds them up front. It panics on a collection
+// that already has sets or a base.
+func (c *Collection) SeedStream(base uint64) {
+	if c.Len() != 0 || c.stream.based {
+		panic("rrset: SeedStream on a collection that already has a stream")
+	}
+	c.stream = stream{based: true, base: base}
+}
+
+// StreamBases draws a build's two stream bases from rng: S₁, the
+// phase-1 stream its θ rule reads, and S₂, the stream its final
+// collection is a prefix of. Two draws whatever the build does, so both
+// are pure functions of rng's state — whether or not S₁ turns out to be
+// resident already.
+func StreamBases(rng *stats.RNG) (phase1, final uint64) {
+	phase1 = rng.Uint64()
+	return phase1, rng.Uint64()
+}
+
 // Sampler exposes the template sampler so callers can set the cascade
 // and node coin every later grow samples under.
 func (c *Collection) Sampler() *Sampler { return c.sampler }
@@ -132,7 +172,8 @@ func (c *Collection) Offsets() []int64 { return c.offsets }
 // which a sketch that adopts its persisted selection never makes. The
 // slices are retained; callers must not modify them afterwards. The
 // restored collection is immediately usable read-only (the sketch-cache
-// contract); growing it further is also legal.
+// contract); growing it further is also legal — its stream then starts
+// at its restored length, from a base the first grow draws.
 func Restore(g *graph.Graph, members []graph.NodeID, offsets []int64) (*Collection, error) {
 	if len(offsets) == 0 || offsets[0] != 0 {
 		return nil, fmt.Errorf("rrset: offsets must start at 0")
@@ -195,28 +236,84 @@ func (c *Collection) Set(i int) []graph.NodeID {
 // Covering returns the ids of the stored sets containing v, building
 // the index if this is its first read. The slice aliases internal
 // storage and must not be modified.
-func (c *Collection) Covering(v graph.NodeID) []int32 {
-	idx, ids := c.index()
-	return ids[idx[v]:idx[v+1]]
-}
+func (c *Collection) Covering(v graph.NodeID) []int32 { return c.Prefix(c.Len()).Covering(v) }
 
 // Reset drops all stored sets and their storage, index included (the
-// next index read builds an empty one). PRIMA and IMM use this for their
-// final from-scratch regeneration, which is usually larger than the
-// adaptive collection: kept, the old arrays would stay live beside the
-// ones the regeneration allocates.
+// next index read builds an empty one), and the stream state: the next
+// grow draws a new base. TIM uses this for its final from-scratch
+// regeneration, which is usually larger than its probe collection:
+// kept, the old arrays would stay live beside the ones the regeneration
+// allocates.
 func (c *Collection) Reset() {
 	c.members, c.offsets, c.coverIDs = nil, []int64{0}, nil
+	c.stream = stream{}
 	c.indexed.Store(false)
 }
 
 // CoverageOf returns the number of sets hit by the given seed set,
 // computed from scratch (used by tests; NodeSelection tracks coverage
 // incrementally).
-func (c *Collection) CoverageOf(seeds []graph.NodeID) int {
-	covered := make([]bool, c.Len())
+func (c *Collection) CoverageOf(seeds []graph.NodeID) int { return c.Prefix(c.Len()).CoverageOf(seeds) }
+
+// FractionCovered returns F_R(seeds), the fraction of stored sets hit by
+// the seed set; n * F_R(S) is the spread estimator.
+func (c *Collection) FractionCovered(seeds []graph.NodeID) float64 {
+	return c.Prefix(c.Len()).FractionCovered(seeds)
+}
+
+// NodeSelection greedily picks k nodes maximizing RR-set coverage (the
+// standard max-cover procedure of TIM/IMM). It returns the ordered seed
+// set and the fraction of sets covered by the full selection. The
+// procedure is deterministic given the collection and selects one node at
+// a time, so for any k' < k the budget-k' selection is exactly the first
+// k' nodes of the budget-k selection — the property PRIMA's budget-switch
+// seed reuse relies on. Every call runs the greedy afresh; sketches that
+// serve many requests memoise it (SelectionMemo).
+func (c *Collection) NodeSelection(k int) (seeds []graph.NodeID, covered float64) {
+	return c.Prefix(c.Len()).NodeSelection(k)
+}
+
+// Select is NodeSelection in memoisable form: the greedy order together
+// with the cumulative covered-set count at every prefix.
+func (c *Collection) Select(k int) Selection { return c.Prefix(c.Len()).Select(k) }
+
+// Prefix is the read-only view of a collection's first L sets, S[:L]:
+// every read through it — coverage, greedy selection — answers exactly
+// what a copy of the collection truncated to L sets would. It reads the
+// collection's inverted index cut per node: a node's cover list
+// ascends, so its sets inside S[:L] are a prefix of the list, found by
+// binary search. An index already built for the longer collection is
+// read as it is, never rebuilt. A view is valid while the collection
+// does not grow, and shares its concurrency contract.
+type Prefix struct {
+	c *Collection
+	l int
+}
+
+// Prefix returns the view of the first l sets, l clamped to [0, Len].
+func (c *Collection) Prefix(l int) Prefix { return Prefix{c: c, l: min(max(l, 0), c.Len())} }
+
+// Covering returns the ids of the view's sets containing v, ascending.
+// The slice aliases the collection's index and must not be modified.
+func (p Prefix) Covering(v graph.NodeID) []int32 {
+	idx, ids := p.c.index()
+	return p.cut(ids[idx[v]:idx[v+1]])
+}
+
+// cut trims an ascending cover list to the ids inside the view.
+func (p Prefix) cut(list []int32) []int32 {
+	if p.l == p.c.Len() {
+		return list
+	}
+	i, _ := slices.BinarySearch(list, int32(p.l))
+	return list[:i]
+}
+
+// CoverageOf returns the number of the view's sets hit by seeds.
+func (p Prefix) CoverageOf(seeds []graph.NodeID) int {
+	covered := make([]bool, p.l)
 	for _, s := range seeds {
-		for _, id := range c.Covering(s) {
+		for _, id := range p.Covering(s) {
 			covered[id] = true
 		}
 	}
@@ -229,45 +326,47 @@ func (c *Collection) CoverageOf(seeds []graph.NodeID) int {
 	return n
 }
 
-// FractionCovered returns F_R(seeds), the fraction of stored sets hit by
-// the seed set; n * F_R(S) is the spread estimator.
-func (c *Collection) FractionCovered(seeds []graph.NodeID) float64 {
-	if c.Len() == 0 {
+// FractionCovered returns the fraction of the view's sets hit by seeds
+// (0 for an empty view).
+func (p Prefix) FractionCovered(seeds []graph.NodeID) float64 {
+	if p.l == 0 {
 		return 0
 	}
-	return float64(c.CoverageOf(seeds)) / float64(c.Len())
+	return float64(p.CoverageOf(seeds)) / float64(p.l)
 }
 
-// NodeSelection greedily picks k nodes maximizing RR-set coverage (the
-// standard max-cover procedure of TIM/IMM). It returns the ordered seed
-// set and the fraction of sets covered by the full selection. The
-// procedure is deterministic given the collection and selects one node at
-// a time, so for any k' < k the budget-k' selection is exactly the first
-// k' nodes of the budget-k selection — the property PRIMA's budget-switch
-// seed reuse relies on. Every call runs the greedy afresh; sketches that
-// serve many requests memoise it (SelectionMemo).
-func (c *Collection) NodeSelection(k int) (seeds []graph.NodeID, covered float64) {
-	sel := c.Select(k)
+// NodeSelection is Collection.NodeSelection on the view's sets.
+func (p Prefix) NodeSelection(k int) (seeds []graph.NodeID, covered float64) {
+	sel := p.Select(k)
 	return sel.Order, sel.Fraction()
 }
 
-// Select is NodeSelection in memoisable form: the greedy order together
-// with the cumulative covered-set count at every prefix.
-func (c *Collection) Select(k int) Selection {
-	n := c.g.N()
+// Select is Collection.Select on the view's sets: the greedy order and
+// the cumulative covered-set count at every prefix of it.
+func (p Prefix) Select(k int) Selection {
+	n := p.c.N()
 	if k > n {
 		k = n
 	}
-	idx, _ := c.index()
+	idx, ids := p.c.index()
+	// A node's degree is its cover list's length; on a proper prefix,
+	// counting the view's memberships is one sequential pass, cheaper
+	// than cutting every node's list.
 	deg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		deg[v] = int32(idx[v+1] - idx[v])
+	if p.l == p.c.Len() {
+		for v := range deg {
+			deg[v] = int32(idx[v+1] - idx[v])
+		}
+	} else {
+		for _, v := range p.c.members[:p.c.offsets[p.l]] {
+			deg[v]++
+		}
 	}
-	setCovered := make([]bool, c.Len())
+	setCovered := make([]bool, p.l)
 	sel := Selection{
 		Order:   make([]graph.NodeID, 0, k),
 		Covered: make([]int64, 0, k),
-		Sets:    c.Len(),
+		Sets:    p.l,
 	}
 	var totalCovered int64
 
@@ -280,13 +379,13 @@ func (c *Collection) Select(k int) Selection {
 		}
 		// A node with deg 0 covers nothing new; it is still emitted to
 		// honor the budget (arbitrary but deterministic order).
-		for _, id := range c.Covering(v) {
+		for _, id := range p.cut(ids[idx[v]:idx[v+1]]) {
 			if setCovered[id] {
 				continue
 			}
 			setCovered[id] = true
 			totalCovered++
-			for _, w := range c.Set(int(id)) {
+			for _, w := range p.c.Set(int(id)) {
 				deg[w]--
 			}
 		}

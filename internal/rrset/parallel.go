@@ -20,14 +20,18 @@ const growChunk = 256
 
 // GrowParallelCtx grows the collection to at least target RR sets using
 // the given number of worker goroutines (values below 1 mean 1). The
-// grown sets depend only on (rng state, collection length, target) —
-// never on workers or goroutine scheduling:
+// collection's sets are a prefix of one deterministic stream, so they
+// depend only on the stream and the length — never on workers, on
+// goroutine scheduling, or on how the length was reached: grow(a) then
+// grow(b) stores exactly the sets grow(b) alone would.
 //
-//   - one base seed is drawn from rng (a single Uint64, so the caller's
-//     stream advances by exactly one draw per grow that samples);
-//   - the sets to add are cut into chunks of growChunk, counted from the
-//     grow's start, and chunk j samples from its own stream,
-//     stats.NewRNG(stats.Mix(base, j));
+//   - the stream's base is fixed once: by SeedStream, or else drawn from
+//     rng at the collection's first grow (a single Uint64; later grows
+//     draw nothing, and rng may then be nil);
+//   - the stream is cut into chunks of growChunk sets counted from its
+//     start, and chunk j samples from its own generator,
+//     stats.NewRNG(stats.Mix(base, j)); a grow that stops mid-chunk keeps
+//     that chunk's generator state, and the next grow resumes it;
 //   - workers claim chunks from an atomic counter (so skewed set sizes
 //     balance) and sample into private buffers; worker 0 runs on the
 //     calling goroutine, so workers = 1 spawns nothing;
@@ -38,22 +42,29 @@ const growChunk = 256
 // The span is rrset_grow at one worker and rrset_grow_parallel above.
 // report (when non-nil) observes a monotone done count that ends at the
 // collection's new length. Cancellation is checked before each chunk;
-// on ctx error the collection — sets, index and EdgesVisited — is left
-// exactly as it was.
+// on ctx error the collection — sets, index, EdgesVisited and stream
+// state — is left exactly as it was, so a retry grows what an
+// uninterrupted grow would have.
 func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *stats.RNG, workers int, report func(done, target int64)) error {
 	start := int64(c.Len())
 	need := target - start
 	if need <= 0 {
 		return nil
 	}
-	numChunks := int((need + growChunk - 1) / growChunk)
+	st := c.stream
+	if !st.based {
+		st = stream{based: true, base: rng.Uint64(), origin: start}
+	}
+	// [lo, hi) are stream positions; chunks j0..j0+numChunks-1 hold them.
+	lo, hi := start-st.origin, target-st.origin
+	j0 := lo / growChunk
+	numChunks := int((hi-1)/growChunk - j0 + 1)
 	workers = min(max(workers, 1), numChunks)
 	span := "rrset_grow"
 	if workers > 1 {
 		span = "rrset_grow_parallel"
 	}
 	defer telemetry.StartSpan(ctx, span)()
-	base := rng.Uint64()
 
 	// chunkSpan records where chunk j's sets landed inside the private
 	// buffers of the worker that claimed it; indices (not slices) stay
@@ -71,6 +82,9 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 	chunks := make([]chunkSpan, numChunks)
 	outs := make([]workerOut, workers)
 	c.ensureSamplers(workers)
+	// tail receives the last chunk's generator state when the grow ends
+	// mid-chunk; only the worker that samples that chunk writes it.
+	var tail stats.RNG
 
 	var next, done atomic.Int64
 	var reportMu sync.Mutex
@@ -93,23 +107,30 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 		var sizes []int32
 		var crng stats.RNG
 		for ctx.Err() == nil {
-			j := int(next.Add(1) - 1)
-			if j >= numChunks {
+			i := int(next.Add(1) - 1)
+			if i >= numChunks {
 				break
 			}
-			lo := int64(j) * growChunk
-			hi := min(lo+growChunk, need)
-			crng.Seed(stats.Mix(base, uint64(j))) // the stream of NewRNG(Mix(base, j))
+			j := j0 + int64(i)
+			from, to := max(lo, j*growChunk), min(hi, (j+1)*growChunk)
+			if from == j*growChunk {
+				crng.Seed(stats.Mix(st.base, uint64(j))) // the stream of NewRNG(Mix(base, j))
+			} else {
+				crng = st.tail // resume the chunk the last grow stopped in
+			}
 			sp := chunkSpan{worker: w, memStart: len(buf), sizeStart: len(sizes)}
-			for s := lo; s < hi; s++ {
+			for s := from; s < to; s++ {
 				before := len(buf)
 				buf = smp.Sample(&crng, buf)
 				sizes = append(sizes, int32(len(buf)-before))
 			}
+			if to%growChunk != 0 {
+				tail = crng
+			}
 			sp.memEnd, sp.sizeEnd = len(buf), len(sizes)
-			chunks[j] = sp
+			chunks[i] = sp
 			if report != nil {
-				progress(start + done.Add(hi-lo))
+				progress(start + done.Add(to-from))
 			}
 		}
 		outs[w] = workerOut{buf: buf, sizes: sizes, edges: smp.EdgesVisited - edgesBase}
@@ -147,6 +168,8 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 			c.offsets = append(c.offsets, end)
 		}
 	}
+	st.tail = tail
+	c.stream = st
 	c.indexed.Store(false)
 	telemetry.AddResource(ctx, telemetry.ResRRSetsGrown, need)
 	if report != nil {
@@ -171,11 +194,13 @@ func (c *Collection) ensureSamplers(workers int) {
 // Clone returns a deep copy of the collection sharing nothing mutable
 // with the original: members and offsets are copied, and the clone gets
 // a fresh template sampler carrying the original's cascade and node
-// coin, plus the cumulative width statistic. The inverted index is not
-// copied — the clone builds its own on first read — since ExtendSketch
-// grows the clone at once, which would make a copy stale. The original
-// may keep serving concurrent readers (the sketch-cache contract) while
-// the clone is grown further — the ExtendSketch seam.
+// coin, the cumulative width statistic and the stream state — so a
+// grown clone holds exactly the sets the original would have grown. The
+// inverted index is not copied — the clone builds its own on first read
+// — since ExtendSketch grows the clone at once, which would make a copy
+// stale. The original may keep serving concurrent readers (the
+// sketch-cache contract) while the clone is grown further — the
+// ExtendSketch seam.
 func (c *Collection) Clone() *Collection {
 	nc := &Collection{
 		g:       c.g,
@@ -183,6 +208,7 @@ func (c *Collection) Clone() *Collection {
 		offsets: slices.Clone(c.offsets),
 		sampler: NewSampler(c.g),
 		edges:   c.edges,
+		stream:  c.stream,
 	}
 	nc.sampler.Cascade = c.sampler.Cascade
 	nc.sampler.NodeCoin = c.sampler.NodeCoin

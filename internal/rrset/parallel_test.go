@@ -111,30 +111,10 @@ func TestGrowIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestGrowParallelIncrementalReproducible: growing to an intermediate
-// target and then extending must reproduce exactly when the same
-// (seed sequence, workers) is replayed — the property ExtendSketch's
-// determinism rests on.
-func TestGrowParallelIncrementalReproducible(t *testing.T) {
-	g := growTestGraph()
-	const mid, final, workers = 700, 1900, 3
-	grow := func() *Collection {
-		c := NewCollection(g)
-		rng := stats.NewRNG(23)
-		if err := c.GrowParallelCtx(context.Background(), mid, rng, workers, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.GrowParallelCtx(context.Background(), final, rng, workers, nil); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	sameCollections(t, grow(), grow())
-}
-
-// TestGrowParallelAdvancesCallerRNGOnce: a parallel grow must consume
-// exactly one draw from the caller's stream, so serial work interleaved
-// with parallel grows stays reproducible.
+// TestGrowParallelAdvancesCallerRNGOnce: a collection draws its stream
+// base once, at its first grow — one Uint64 from the caller's rng — and
+// never again: a later grow leaves the caller's stream where it was, so
+// serial work interleaved with grows stays reproducible.
 func TestGrowParallelAdvancesCallerRNGOnce(t *testing.T) {
 	g := growTestGraph()
 	rng := stats.NewRNG(31)
@@ -143,10 +123,20 @@ func TestGrowParallelAdvancesCallerRNGOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := stats.NewRNG(31)
-	ref.Uint64() // the base-seed draw
-	if got, want := rng.Uint64(), ref.Uint64(); got != want {
-		t.Fatalf("caller stream advanced by more than one draw: next=%d want %d", got, want)
+	ref.Uint64() // the base draw
+	if err := c.GrowParallelCtx(context.Background(), 1300, rng, 4, nil); err != nil {
+		t.Fatal(err)
 	}
+	if got, want := rng.Uint64(), ref.Uint64(); got != want {
+		t.Fatalf("caller stream advanced by more than the first grow's one draw: next=%d want %d", got, want)
+	}
+	// A seeded stream draws nothing, so its grows may pass a nil rng.
+	seeded := NewCollection(g)
+	seeded.SeedStream(stats.NewRNG(31).Uint64())
+	if err := seeded.GrowParallelCtx(context.Background(), 1300, nil, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	sameCollections(t, seeded, c)
 }
 
 // TestGrowParallelCancellationLeavesCollectionUntouched: a context

@@ -23,13 +23,18 @@ type Options struct {
 	// sampling (used by the Com-IC baselines).
 	NodeCoin func(graph.NodeID) float64
 	// Progress, when non-nil, receives StageSketch events as the RR-set
-	// collection grows (each adaptive round and the final regeneration).
+	// collection grows (each adaptive round that samples, and the final
+	// collection).
 	Progress progress.Func
 	// Workers is the RR-set growth parallelism: each grow phase's chunks
 	// are claimed by this many goroutines (GrowParallelCtx; 0 means 1).
 	// Every chunk samples from its own seeded stream, so the sketch
 	// depends on the RNG, never on Workers.
 	Workers int
+	// Phase1Stream, when non-nil, lends PRIMA's and IMM's builds the
+	// phase-1 stream their θ rule reads (see Phase1Func), so builds on
+	// one stream sample its sets once. The sketch is the same either way.
+	Phase1Stream Phase1Func
 }
 
 // WithDefaults fills in unset fields.
@@ -68,15 +73,16 @@ type Result struct {
 	Coverage  float64 // F_R(Seeds) on the final collection
 	SpreadEst float64 // n · F_R(Seeds)
 	NumRRSets int     // RR sets in the final collection
-	// TotalRRSets counts every RR set generated: NumRRSets plus the
-	// adaptive-phase sets the θ rule read, which the Chen'18 fix throws
-	// away before reselection.
+	// TotalRRSets counts every RR set the build read: NumRRSets plus the
+	// adaptive-phase sets the θ rule read, which the Chen'18 fix keeps
+	// out of the final collection.
 	TotalRRSets int
 	LB          float64 // lower bound on OPT_k used to size the collection
 }
 
-// Sketch is the reusable product of an RIS build: the final
-// from-scratch RR-set collection and its memoised greedy order. PRIMA and
+// Sketch is the reusable product of an RIS build: the final RR-set
+// collection (a prefix of the build's stream S₂, independent of the
+// phase-1 stream S₁ that sized it) and its memoised greedy order. PRIMA and
 // IMM build the same object and differ only in the θ rule that sized
 // Col, which Family names. A built Sketch is immutable, so its greedy
 // selection is a fixed function of it: the first Select computes it,
@@ -88,14 +94,15 @@ type Sketch struct {
 	// the planner registry's SketchFamily. Sketches arrive from disk and
 	// over the wire, so consumers compare it before trusting the sizing.
 	Family string
-	// Col is the regenerated collection; nil in the degenerate cases
+	// Col is the final collection; nil in the degenerate cases
 	// (empty instance, or a budget covering the whole graph).
 	Col *Collection
 	// K is the budget ceiling the sketch was sized for — PRIMA's top
 	// canonical budget, IMM's k — and the length of its selection.
 	K int
-	// Phase1 counts the adaptive-phase sets the θ rule read, discarded
-	// before the final regeneration (for TotalRRSets accounting).
+	// Phase1 counts the adaptive-phase sets the θ rule read — a prefix
+	// of the phase-1 stream S₁, kept out of Col (for TotalRRSets
+	// accounting).
 	Phase1 int
 	// LB is the lower bound on OPT_K the adaptive phase established. IMM
 	// keeps it to size extensions; PRIMA leaves it 0.
@@ -237,9 +244,13 @@ type ThetaRule func(n int) (theta int64, k int, err error)
 
 // ExtendSketch grows sk — resident, never mutated — into the sketch
 // rule sizes, by appending RR sets under opts instead of rebuilding from
-// scratch. Appended sets are i.i.d. draws from the same RR distribution,
-// so the extended collection is distributionally identical to a cold
-// final-phase collection of its size. Growth happens on a clone, so
+// scratch. A built collection carries its stream, so the appended sets
+// are the next sets of its S₂ and the extended collection is exactly
+// the prefix of S₂ a cold build's final phase of that size would hold.
+// A restored collection carries no stream; its appended sets come from
+// a fresh one whose base is rng's third draw, after the two
+// StreamBases would take — so they are never sets of the request's S₁
+// or S₂ already read. Growth happens on a clone, so
 // concurrent readers of the resident sketch (the sketch-cache contract)
 // are undisturbed. When no growth is needed the returned sketch shares
 // sk's collection read-only — and is sk itself, memoised selection
@@ -269,6 +280,7 @@ func ExtendSketch(ctx context.Context, g *graph.Graph, sk *Sketch, opts Options,
 	smp := col.Sampler()
 	smp.Cascade = opts.Cascade
 	smp.NodeCoin = opts.NodeCoin
+	StreamBases(rng)
 	if err := opts.Grow(ctx, col, theta, 1, rng); err != nil {
 		return nil, err
 	}

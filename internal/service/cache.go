@@ -77,6 +77,17 @@ type cacheEntry struct {
 	// evictOnReady marks an in-flight entry whose key was invalidated
 	// mid-build (graph deleted); the builder removes it on completion.
 	evictOnReady bool
+	// stream, when non-nil, makes this a resident phase-1 stream entry
+	// (see LendStream) instead of a sketch: priced, bounded, aged and
+	// invalidated like one, never served, spilled or shipped as one.
+	stream *phase1Stream
+}
+
+// phase1Stream is a resident phase-1 stream S₁ and the turn its builds
+// take: holding the 1-buffered channel's token is holding col.
+type phase1Stream struct {
+	turn chan struct{}
+	col  *rrset.Collection
 }
 
 // NewSketchCache returns a cache bounded to maxEntries sketches (default
@@ -290,7 +301,7 @@ func (c *SketchCache) Peek(key string) (*rrset.Sketch, bool) {
 }
 
 // CountPrefix counts the resident (completed-ok, unexpired, or
-// in-flight) entries whose key starts with prefix. Sketch keys lead
+// in-flight) sketch entries whose key starts with prefix. Sketch keys lead
 // with the graph id (see SketchKey), so CountPrefix(graphID+"|") is the
 // graph's sketch residency — what the cluster placement view reports
 // per node.
@@ -299,7 +310,7 @@ func (c *SketchCache) CountPrefix(prefix string) int {
 	defer c.mu.Unlock()
 	n := 0
 	for key, e := range c.entries {
-		if !strings.HasPrefix(key, prefix) {
+		if !strings.HasPrefix(key, prefix) || e.stream != nil {
 			continue
 		}
 		select {
@@ -387,6 +398,74 @@ func (c *SketchCache) Put(key string, sketch *rrset.Sketch) bool {
 	return true
 }
 
+// LendStream lends the caller the phase-1 stream S₁ resident under key
+// — or, when none is, makes fresh (an empty collection on the stream)
+// resident under key and lends that. A stream entry is priced by its
+// collection's ResidentBytes and counts against the entry bound and the
+// byte budget, ages by the TTL, is evicted LRU and dropped by
+// InvalidateGraph like a sketch entry; each lend touches it. Holders
+// take turns: the lend waits — cancelably, returning ctx.Err() — until
+// no other holder has the stream, and release ends the turn, first
+// re-pricing the entry (the holder may have grown it) and re-running
+// eviction. Scratch the growth left behind is dropped then, so the
+// resident stream holds only its sets and index. An entry evicted or
+// invalidated mid-turn stays the holder's until release, which then
+// prices nothing.
+func (c *SketchCache) LendStream(ctx context.Context, key string, fresh *rrset.Collection) (col *rrset.Collection, release func(), err error) {
+	traceID := telemetry.FromContext(ctx).ID()
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	if ok && c.expireLocked(key, e) {
+		ok = false
+	}
+	if !ok {
+		e = &cacheEntry{ready: make(chan struct{}), stream: &phase1Stream{turn: make(chan struct{}, 1), col: fresh}}
+		close(e.ready)
+		e.cost = fresh.ResidentBytes()
+		if c.ttl > 0 {
+			e.expires = c.now().Add(c.ttl)
+		}
+		c.entries[key] = e
+		c.totalCost += e.cost
+	}
+	c.tick++
+	e.lastUsed = c.tick
+	c.evictLocked(key, traceID)
+	st := e.stream
+	c.mu.Unlock()
+
+	select {
+	case st.turn <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+	return st.col, func() {
+		st.col.ReleaseScratch()
+		c.mu.Lock()
+		if c.entries[key] == e {
+			cost := st.col.ResidentBytes()
+			c.totalCost += cost - e.cost
+			e.cost = cost
+			c.evictLocked(key, traceID)
+		}
+		c.mu.Unlock()
+		<-st.turn
+	}, nil
+}
+
+// Streams counts the resident phase-1 streams.
+func (c *SketchCache) Streams() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		if e.stream != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // KeyedSketch is one completed cache entry, as exported by
 // CompletedForGraph for sketch shipping.
 type KeyedSketch struct {
@@ -394,8 +473,8 @@ type KeyedSketch struct {
 	Sketch *rrset.Sketch
 }
 
-// CompletedForGraph returns the completed, unexpired entries belonging
-// to a graph, sorted by key for a deterministic export order. In-flight
+// CompletedForGraph returns the completed, unexpired sketch entries
+// belonging to a graph (phase-1 streams are not shipped), sorted by key for a deterministic export order. In-flight
 // builds are skipped — the importer would have to wait on them, and the
 // rebalancer wants a point-in-time snapshot.
 func (c *SketchCache) CompletedForGraph(graphID string) []KeyedSketch {
@@ -404,7 +483,7 @@ func (c *SketchCache) CompletedForGraph(graphID string) []KeyedSketch {
 	defer c.mu.Unlock()
 	var out []KeyedSketch
 	for k, e := range c.entries {
-		if !strings.HasPrefix(k, prefix) {
+		if !strings.HasPrefix(k, prefix) || e.stream != nil {
 			continue
 		}
 		select {
@@ -463,6 +542,8 @@ func (c *SketchCache) Reset() {
 
 // CacheStats is the /v1/stats view of the in-memory sketch tier.
 type CacheStats struct {
+	// Entries counts resident sketches. The entry bound also counts the
+	// resident phase-1 streams beside them (StatsResponse.Phase1).
 	Entries int `json:"entries"`
 	// EntriesByFamily breaks Entries down by sketch family ("prima",
 	// "imm"), so an operator can see what kind of work a shard holds —
@@ -475,7 +556,8 @@ type CacheStats struct {
 	// (-cache-ttl); 0 with no TTL configured.
 	Expirations int64 `json:"expirations"`
 	// CostBytes is the approximate resident cost of the completed
-	// entries; MaxCostBytes is the configured budget (0 = unbounded).
+	// entries, phase-1 streams included; MaxCostBytes is the configured
+	// budget (0 = unbounded).
 	CostBytes    int64 `json:"cost_bytes"`
 	MaxCostBytes int64 `json:"max_cost_bytes,omitempty"`
 }
@@ -487,11 +569,15 @@ func (c *SketchCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	c.sweepExpiredLocked()
 	families := map[string]int{}
-	for k := range c.entries {
-		families[familyOfKey(k)]++
+	entries := 0
+	for k, e := range c.entries {
+		if e.stream == nil {
+			families[familyOfKey(k)]++
+			entries++
+		}
 	}
 	return CacheStats{
-		Entries:         len(c.entries),
+		Entries:         entries,
 		EntriesByFamily: families,
 		Hits:            c.hits,
 		Misses:          c.misses,

@@ -149,6 +149,9 @@ type Service struct {
 	// build would have resampled from zero).
 	sketchExtends  atomic.Int64
 	rrSetsAppended atomic.Int64
+	// phase1Reused counts the phase-1 sets builds read off a resident
+	// stream without sampling them (see lendPhase1).
+	phase1Reused atomic.Int64
 	// mergedIdx remembers, per batch group key, the budget vector and
 	// cache key of the most recent batch-built sketch, so a later
 	// request dominated by it is served from (and admitted against) the
@@ -350,8 +353,9 @@ func (s *Service) Traces() *tracestore.Store { return s.traces }
 // endpoint, gauges, and tests read it; emitters hold the Service).
 func (s *Service) Journal() *journal.Recorder { return s.flight }
 
-// ResetSketchCache drops all cached in-memory sketches (used by the
-// cold-path benchmark). Safe to call while requests are in flight.
+// ResetSketchCache drops all cached in-memory sketches and phase-1
+// streams (used by the cold-path benchmark). Safe to call while
+// requests are in flight.
 func (s *Service) ResetSketchCache() { s.cache.Reset() }
 
 // Registry exposes the graph registry (used by tests; registration that
@@ -411,7 +415,10 @@ type StatsResponse struct {
 	// admission control (admission fields zero when it is disabled).
 	Batch BatchStats `json:"batch"`
 	// Sweeps reports the experiment-sweep subsystem's cell counters.
-	Sweeps      SweepStats       `json:"sweeps"`
+	Sweeps SweepStats `json:"sweeps"`
+	// Phase1 reports the resident phase-1 streams the builds' θ rules
+	// read.
+	Phase1      Phase1Stats      `json:"phase1"`
 	Jobs        map[JobState]int `json:"jobs"`
 	Workers     int              `json:"workers"`
 	BusyWorkers int              `json:"busy_workers"`
@@ -459,6 +466,19 @@ type BatchStats struct {
 	CostSamples int     `json:"cost_samples"`
 }
 
+// Phase1Stats is the /v1/stats view of the resident phase-1 streams:
+// one per (graph, cascade, seed), each the S₁ every PRIMA or IMM build
+// on that triple reads its θ decision from (see lendPhase1). They live
+// in the sketch cache's memory tier, under its entry bound and byte
+// budget.
+type Phase1Stats struct {
+	// Streams counts the resident streams.
+	Streams int `json:"streams"`
+	// SetsReused counts the phase-1 sets builds read without sampling
+	// them: each build's read prefix, minus what it grew.
+	SetsReused int64 `json:"sets_reused"`
+}
+
 // Stats snapshots the service counters.
 func (s *Service) Stats() StatsResponse {
 	out := StatsResponse{
@@ -489,6 +509,8 @@ func (s *Service) Stats() StatsResponse {
 		AdmissionMaxBytes: s.admissionBytes,
 	}
 	out.Sweeps = s.sweeps.Stats()
+	out.Phase1.Streams = s.cache.Streams()
+	out.Phase1.SetsReused = s.phase1Reused.Load()
 	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()
 	return out
 }
@@ -935,6 +957,7 @@ func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.Ske
 func (s *Service) buildMiss(ctx context.Context, graphID, key string, budgets []int, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (*rrset.Sketch, bool, error) {
 	buildOpts := plan.opts
 	buildOpts.Eps, buildOpts.Ell = eps, ell
+	buildOpts.Phase1Stream = s.lendPhase1(graphID, int(plan.opts.Cascade), seed)
 	build := func(bctx context.Context, target []int) (*rrset.Sketch, error) {
 		sk, err := sp.BuildSketchForBudgets(bctx, plan.prob, target, buildOpts, stats.NewRNG(seed))
 		if err == nil {
@@ -1009,6 +1032,36 @@ func (s *Service) buildMiss(ctx context.Context, graphID, key string, budgets []
 	// its own build func); every build above returns a *rrset.Sketch.
 	sk, _ := v.(*rrset.Sketch)
 	return sk, cacheHit || shared, err
+}
+
+// lendPhase1 lends a build the resident phase-1 stream S₁ of (graph,
+// cascade, seed) — the sketch cache's stream entry under phase1Key. Its
+// base is the first draw of stats.NewRNG(seed) for PRIMA and IMM alike
+// (rrset.StreamBases), so every build from that seed reads the same
+// stream, whatever its family, budgets, ε or ℓ. A build reads exactly
+// the prefix a fresh S₁ would have given it and samples only past the
+// resident length; its final collection stays its own. Release counts
+// the prefix it read without sampling into phase1Reused.
+func (s *Service) lendPhase1(graphID string, cascade int, seed uint64) rrset.Phase1Func {
+	key := phase1Key(graphID, cascade, seed)
+	return func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int), error) {
+		col, release, err := s.cache.LendStream(ctx, key, fresh)
+		if err != nil {
+			return nil, nil, err
+		}
+		resident := col.Len()
+		return col, func(read int) {
+			s.phase1Reused.Add(int64(min(resident, read)))
+			release()
+		}, nil
+	}
+}
+
+// phase1Key is the sketch-cache key of a phase-1 stream. It leads with
+// the graph id like SketchKey, so InvalidateGraph drops it, and its
+// family segment "phase1" is no sketch family's.
+func phase1Key(graphID string, cascade int, seed uint64) string {
+	return fmt.Sprintf("%s|phase1|c%d|s%d", graphID, cascade, seed)
 }
 
 // AllocateCtx solves one allocation request under ctx, reporting

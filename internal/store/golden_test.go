@@ -30,11 +30,11 @@ func TestSketchBytesGolden(t *testing.T) {
 		wms, strm string
 	}{
 		{"prima", prima.BuildSketch(g, []int{10, 5}, one, stats.NewRNG(1)),
-			"86fc295cfb5d2ba2540ad43bbdcf5fbf6a074b4216da2177ef98e470461d85d8",
-			"8dd042162a734fdb6e8e23175165225279338a98c18c1750ff8dc23c272c5e27"},
+			"cf690e630d832eeacf219c767a600c3761fe01b35148c24e153d51ed50d44d4e",
+			"c011da5886d5316b15f0e9344b1bb6d92485c58c6b9d40cd8b374888326c041a"},
 		{"imm", imm.BuildSketch(g, 8, one, stats.NewRNG(2)),
-			"99cf590e691c7ed82235a71e351fb78d7b8e67a9e94a42d0cd206bf566bebf7f",
-			"33f0f7086159aa3df756f4a6805056f6ded84f313a1deb6d33dcdf86df0ff62e"},
+			"f2f8f11b81e496ef72bd4523df4189c0a032466248449ab1fb48fdca5e4aa59c",
+			"8141896ae6cbdbc1c9f30d89495f80dcacaf5f6a7b04ad78a1371c3309a6fafb"},
 		{"all-nodes", imm.BuildSketch(g, g.N(), one, stats.NewRNG(3)),
 			"cfeb30c0abd9315d5d5d29f3c5a1e3d91e3c96d585483e9050a504c89e22f3e7",
 			"a27246475ea876a8fbde4bb8e48dbe4c679e5ca8a3cf7a99c9e8d892e4de16ea"},

@@ -167,10 +167,14 @@ func TestGenerateNetwork(t *testing.T) {
 
 // TestRunAgreesWithDaemon: the library and the daemon build one sketch
 // for one seed — welfare.Run grows it on one goroutine, the daemon on
-// four — so a cold allocation returns the same seeds from either.
+// four — so a cold allocation returns the same seeds from either. It
+// holds after history too: the daemon first serves ε 0.3 at the seed,
+// leaving its phase-1 stream resident and grown past what ε 0.5 reads,
+// and its ε 0.5 build, reading that stream, still returns welfare.Run's
+// seeds.
 func TestRunAgreesWithDaemon(t *testing.T) {
 	p := runTestProblem(t)
-	res, err := Run(context.Background(), p, WithSeed(7))
+	res, err := Run(context.Background(), p, WithSeed(7), WithEps(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +187,21 @@ func TestRunAgreesWithDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon, err := svc.AllocateCtx(context.Background(), &service.AllocateRequest{
-		GraphID: entry.ID, Budgets: p.Budgets, Seed: 7,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, eps := range []float64{0.3, 0.5} {
+		daemon, err := svc.AllocateCtx(context.Background(), &service.AllocateRequest{
+			GraphID: entry.ID, Budgets: p.Budgets, Seed: 7, Eps: eps,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eps != 0.5 {
+			continue
+		}
+		if got, want := fmt.Sprint(daemon.Allocation.Seeds), fmt.Sprint(res.Alloc.Seeds); got != want {
+			t.Errorf("daemon seeds %s, welfare.Run seeds %s", got, want)
+		}
 	}
-	if got, want := fmt.Sprint(daemon.Allocation.Seeds), fmt.Sprint(res.Alloc.Seeds); got != want {
-		t.Errorf("daemon seeds %s, welfare.Run seeds %s", got, want)
+	if st := svc.Stats().Phase1; st.Streams != 1 || st.SetsReused == 0 {
+		t.Errorf("phase1 stats %+v: want one resident stream the ε 0.5 build reused", st)
 	}
 }

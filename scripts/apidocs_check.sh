@@ -10,7 +10,10 @@
 # cmd/welmaxd/main.go needs a row in the "## Daemon flags" table, and
 # every row there must name a defined flag. Either direction failing
 # means the docs drifted from the code; CI runs this so the drift
-# cannot land silently.
+# cannot land silently. Membership tests read their list from a
+# here-string, never a pipe: under pipefail, grep -q exiting at its
+# first match can SIGPIPE a still-writing printf, and the pipeline's
+# status 141 would read as "missing".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +36,7 @@ doc_routes=$(grep -oE '^### `[A-Z]+ [^`]+`' "$DOC" \
 fail=0
 while IFS= read -r route; do
   [ -z "$route" ] && continue
-  if ! printf '%s\n' "$doc_routes" | grep -qxF -- "$route"; then
+  if ! grep -qxF -- "$route" <<<"$doc_routes"; then
     echo "apidocs_check: $DOC is missing a heading for registered route: $route" >&2
     fail=1
   fi
@@ -41,7 +44,7 @@ done <<<"$code_routes"
 
 while IFS= read -r route; do
   [ -z "$route" ] && continue
-  if ! printf '%s\n' "$code_routes" | grep -qxF -- "$route"; then
+  if ! grep -qxF -- "$route" <<<"$code_routes"; then
     echo "apidocs_check: $DOC documents a route no mux registers: $route" >&2
     fail=1
   fi
@@ -58,7 +61,7 @@ doc_flags=$(awk '/^## /{in_flags = ($0 == "## Daemon flags")} in_flags' "$DOC" \
 
 while IFS= read -r f; do
   [ -z "$f" ] && continue
-  if ! printf '%s\n' "$doc_flags" | grep -qxF -- "$f"; then
+  if ! grep -qxF -- "$f" <<<"$doc_flags"; then
     echo "apidocs_check: $DOC has no Daemon flags row for defined flag: $f" >&2
     fail=1
   fi
@@ -66,7 +69,7 @@ done <<<"$code_flags"
 
 while IFS= read -r f; do
   [ -z "$f" ] && continue
-  if ! printf '%s\n' "$code_flags" | grep -qxF -- "$f"; then
+  if ! grep -qxF -- "$f" <<<"$code_flags"; then
     echo "apidocs_check: $DOC documents a flag $DAEMON does not define: $f" >&2
     fail=1
   fi

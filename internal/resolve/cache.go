@@ -1,4 +1,4 @@
-package service
+package resolve
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"uicwelfare/internal/batch"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/telemetry"
 )
@@ -16,13 +17,17 @@ import (
 // SketchCache is the in-memory tier of the sketch cache: a
 // concurrency-safe, cost-bounded LRU of RR sketches (*rrset.Sketch)
 // keyed by the tuple that determines their distribution: (graph, sketch
-// family, cascade model, ε, ℓ, canonical budgets). Sketch generation is the dominant cost of every allocation,
-// and a built sketch is immutable and safe for concurrent readers, so
-// the cache lets repeated and concurrent queries against the same
-// resident network reuse one sketch instead of regenerating it. (The
-// optional disk tier below it lives in internal/store; the service
-// consults it inside the build callback, so this type stays purely
-// in-memory.)
+// family, cascade model, ε, ℓ, canonical budgets — see Key).
+// Sketch generation is the dominant cost of every allocation, and a
+// built sketch is immutable and safe for concurrent readers, so the
+// cache lets repeated and concurrent queries against the same resident
+// network reuse one sketch instead of regenerating it. Besides exact
+// keys it answers two group queries — the resident sketch that
+// dominates a request (LookupDominating, Covers) and the extend base
+// (ExtendBase) — so the group's entries are bounded by the cache's own
+// eviction, TTL and invalidation. (The optional disk tier below it
+// lives in internal/store; the resolver consults it inside the build
+// callback, so this type stays purely in-memory.)
 //
 // Eviction is cost-aware: each completed entry is priced by the
 // configured cost function (approximate resident bytes — RR memberships,
@@ -53,14 +58,14 @@ type SketchCache struct {
 	expirations int64
 
 	// onExpire, when set, receives each expired key. Called under the
-	// cache lock, so it must stay cheap — the service wires it to unlink
+	// cache lock, so it must stay cheap — the resolver wires it to unlink
 	// the key's disk spill (one os.Remove), without which a TTL expiry
 	// would "rebuild" by reloading the identical stale spill from disk.
 	onExpire func(key string)
 	// onEvict, when set, receives each key dropped by LRU/cost eviction
 	// with its priced cost and the trace id of the request whose insert
 	// displaced it ("" when the trigger carried no trace, e.g. a
-	// rebalance import). Also called under the cache lock — the service
+	// rebalance import). Also called under the cache lock — the resolver
 	// wires it to the control-plane journal's O(1) ring append.
 	onEvict func(key string, cost int64, traceID string)
 }
@@ -258,51 +263,97 @@ func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.
 	return nil, false, nil
 }
 
-// Resident reports whether key currently has a completed, unexpired, or
-// in-flight entry, without touching LRU order or counters. Admission
-// control uses it: a request whose sketch is already resident (or being
-// built) triggers no new sketch work, so it is admitted regardless of
-// its predicted cost.
-func (c *SketchCache) Resident(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return false
+// dominatingLocked returns the key of the group's resident sketch entry
+// — completed and live, or with inFlight also still building — whose
+// budgets dominate budgets under merge; the most recently used one when
+// several do, "" when none does. Sketch keys end in their canonical
+// budgets (see Key), so the group's entries are the keys under groupKey
+// with no further "|". Caller holds c.mu.
+func (c *SketchCache) dominatingLocked(groupKey string, merge batch.MergeFunc, budgets []int, inFlight bool) string {
+	best := ""
+	var bestUsed uint64
+	for k, e := range c.entries {
+		if e.stream != nil || e.lastUsed <= bestUsed || !inGroup(k, groupKey) {
+			continue
+		}
+		select {
+		case <-e.ready:
+			if !c.liveLocked(e) {
+				continue
+			}
+		default:
+			if !inFlight {
+				continue
+			}
+		}
+		if batch.Dominates(merge, budgetsOf(k), budgets) {
+			best, bestUsed = k, e.lastUsed
+		}
 	}
-	select {
-	case <-e.ready:
-		return c.liveLocked(e)
-	default:
-		return true // in-flight: the build is already paid for
-	}
+	return best
 }
 
-// Peek returns the completed, unexpired sketch under key without
-// waiting on in-flight builds, touching LRU order, or counting a hit or
-// miss. The batched extend path uses it from inside a build callback:
-// blocking there on another key's in-flight entry could deadlock, and a
-// miss must not disturb the counters the benchmarks assert on.
-func (c *SketchCache) Peek(key string) (*rrset.Sketch, bool) {
+// Covers reports whether a resident entry of groupKey's group, completed
+// or in flight, serves budgets (see dominatingLocked), without touching
+// LRU order or counters. Admission uses it: serving such a request costs
+// no new sketch work.
+func (c *SketchCache) Covers(groupKey string, merge batch.MergeFunc, budgets []int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-		if c.liveLocked(e) {
-			return e.sketch, true
+	return c.dominatingLocked(groupKey, merge, budgets, true) != ""
+}
+
+// LookupDominating is LookupCtx on the group's completed entry that
+// dominates budgets (see dominatingLocked): a hit is counted; with none,
+// ok is false. An in-flight group build is not waited on here: a
+// request it dominates joins it through the batch scheduler instead.
+func (c *SketchCache) LookupDominating(ctx context.Context, groupKey string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, ok bool, err error) {
+	c.mu.Lock()
+	if key := c.dominatingLocked(groupKey, merge, budgets, false); key != "" {
+		if sk, hit, err := c.hitLocked(ctx, key); hit {
+			return sk, true, err
 		}
-	default:
 	}
-	return nil, false
+	c.mu.Unlock()
+	return nil, false, nil
+}
+
+// ExtendBase returns the group's completed, live sketch with the most
+// RR sets and the canonical budgets it was built for — the base a
+// delta-build extends — or a nil sketch when the group has none with
+// sets to append to. It never waits on an in-flight entry (the caller
+// is itself a build callback, and waiting there could deadlock) and
+// touches neither LRU order nor counters.
+func (c *SketchCache) ExtendBase(groupKey string) (*rrset.Sketch, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var base *rrset.Sketch
+	key := ""
+	for k, e := range c.entries {
+		if e.stream != nil || !inGroup(k, groupKey) {
+			continue
+		}
+		select {
+		case <-e.ready:
+		default:
+			continue
+		}
+		if !c.liveLocked(e) || e.sketch == nil {
+			continue
+		}
+		if n := e.sketch.NumRRSets(); n > 0 && (base == nil || n > base.NumRRSets()) {
+			base, key = e.sketch, k
+		}
+	}
+	if base == nil {
+		return nil, nil
+	}
+	return base, budgetsOf(key)
 }
 
 // CountPrefix counts the resident (completed-ok, unexpired, or
 // in-flight) sketch entries whose key starts with prefix. Sketch keys lead
-// with the graph id (see SketchKey), so CountPrefix(graphID+"|") is the
+// with the graph id (see Key), so CountPrefix(graphID+"|") is the
 // graph's sketch residency — what the cluster placement view reports
 // per node.
 func (c *SketchCache) CountPrefix(prefix string) int {
@@ -500,7 +551,7 @@ func (c *SketchCache) CompletedForGraph(graphID string) []KeyedSketch {
 }
 
 // InvalidateGraph drops every entry whose key belongs to the given
-// graph (keys start with "<graphID>|" — see SketchKey). Called when a
+// graph (keys start with "<graphID>|" — see Key). Called when a
 // graph is deleted so its sketches don't outlive it. Entries still
 // building are marked and removed by their builder on completion (the
 // graph id may be re-registered later, but its sketches are rebuilt
@@ -589,7 +640,7 @@ func (c *SketchCache) Stats() CacheStats {
 }
 
 // familyOfKey extracts the sketch family from a cache key (its second
-// "|"-separated segment — see SketchKey).
+// "|"-separated segment — see Key).
 func familyOfKey(key string) string {
 	parts := strings.SplitN(key, "|", 3)
 	if len(parts) < 2 {
@@ -598,14 +649,19 @@ func familyOfKey(key string) string {
 	return parts[1]
 }
 
-// SketchKey derives the cache key for a sketch request. family is the
-// sketch kind ("prima" or "imm"), budgets must already be in canonical
-// form (prima.CanonicalBudgets, or [k] for IMM). With content-addressed
-// graph ids the whole key is stable across daemon restarts, which is
-// what lets the disk tier index spilled sketches by a hash of it.
-func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []int) string {
+// Key derives the cache key for a sketch request: graph, sketch family
+// ("prima" or "imm"), cascade, ε, ℓ, then the canonical budgets
+// (prima.CanonicalBudgets, or [k] for IMM). With content-addressed graph ids the whole key is stable across daemon
+// restarts, which is what lets the disk tier index spilled sketches by
+// a hash of it.
+func Key(graphID, family string, cascade int, eps, ell float64, budgets []int) string {
+	return fmt.Sprintf("%s|%s|c%d|e%g|l%g|", graphID, family, cascade, eps, ell) + budgetSegment(budgets)
+}
+
+// budgetSegment is a key's last segment: the canonical budgets,
+// comma-separated.
+func budgetSegment(budgets []int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|c%d|e%g|l%g|", graphID, family, cascade, eps, ell)
 	for i, x := range budgets {
 		if i > 0 {
 			b.WriteByte(',')
@@ -615,9 +671,30 @@ func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []
 	return b.String()
 }
 
-// groupKeyOf cuts the budgets off a SketchKey: the result equals
-// SketchKey with nil budgets, the batch scheduler's group — everything
-// that pins the sketch distribution except the budgets it merges.
+// groupKeyOf cuts the budgets off a Key: the result equals Key with nil
+// budgets, the batch scheduler's group — everything that pins the
+// sketch distribution except the budgets it merges.
 func groupKeyOf(key string) string {
 	return key[:strings.LastIndexByte(key, '|')+1]
+}
+
+// inGroup reports whether key is a sketch key of groupKey's group: the
+// budgets segment is the only part after the group key, and it holds
+// no "|".
+func inGroup(key, groupKey string) bool {
+	return strings.HasPrefix(key, groupKey) && strings.IndexByte(key[len(groupKey):], '|') < 0
+}
+
+// budgetsOf parses the canonical budgets a sketch key ends in.
+func budgetsOf(key string) []int {
+	tail := key[strings.LastIndexByte(key, '|')+1:]
+	if tail == "" {
+		return nil
+	}
+	parts := strings.Split(tail, ",")
+	out := make([]int, len(parts))
+	for i, p := range parts {
+		out[i], _ = strconv.Atoi(p)
+	}
+	return out
 }

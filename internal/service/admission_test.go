@@ -1,19 +1,21 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/expr"
 	"uicwelfare/internal/rrset"
+	"uicwelfare/internal/store"
 )
 
 // TestAdmitBypassesResidentSketch: admission prices new sketch work
 // only. A plan far over the admission budget is refused while nothing
 // serves it, and admitted once its exact-key sketch is resident (here
-// an injected Put, standing in for a finishing warm or a shipped
-// import). Only the refusal counts as a reject.
+// an imported sketch, standing in for a finishing warm). Only the
+// refusal counts as a reject.
 func TestAdmitBypassesResidentSketch(t *testing.T) {
 	s, err := New(Options{AdmissionMB: 1, Workers: 1})
 	if err != nil {
@@ -40,7 +42,13 @@ func TestAdmitBypassesResidentSketch(t *testing.T) {
 	sp := plan.planner.(core.SketchPlanner)
 	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
 	key := SketchKey(entry.ID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, sp.SketchBudgets(plan.prob))
-	s.cache.Put(key, &rrset.Sketch{})
+	var stream bytes.Buffer
+	if err := store.WriteSketchStreamEntry(&stream, key, &rrset.Sketch{Family: plan.meta.SketchFamily}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := s.res.Import(entry.ID, entry.Graph, &stream); err != nil || n != 1 {
+		t.Fatalf("import: %d sketches, err %v", n, err)
+	}
 	if aerr := s.admit(context.Background(), entry.ID, plan); aerr != nil {
 		t.Fatalf("plan refused with its sketch resident: %v", aerr)
 	}

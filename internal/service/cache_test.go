@@ -6,136 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"uicwelfare/internal/rrset"
 )
-
-func TestSketchCacheSingleflight(t *testing.T) {
-	c := NewSketchCache(8, 0, 0, nil)
-	var builds atomic.Int32
-	gate := make(chan struct{})
-
-	const waiters = 8
-	built := &rrset.Sketch{}
-	var wg sync.WaitGroup
-	results := make([]*rrset.Sketch, waiters)
-	hits := make([]bool, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, hit, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) {
-				builds.Add(1)
-				<-gate // hold every concurrent requester on one build
-				return built, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i], hits[i] = v, hit
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the requesters pile up
-	close(gate)
-	wg.Wait()
-
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("built %d times, want 1", n)
-	}
-	misses := 0
-	for i := range results {
-		if results[i] != built {
-			t.Fatalf("result %d = %v", i, results[i])
-		}
-		if !hits[i] {
-			misses++
-		}
-	}
-	if misses != 1 {
-		t.Errorf("%d misses, want exactly 1", misses)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != waiters-1 || st.Entries != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestSketchCacheEviction(t *testing.T) {
-	c := NewSketchCache(2, 0, 0, nil)
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, hit, _ := c.GetOrBuildCtx(context.Background(), key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); hit {
-			t.Errorf("key %s: unexpected hit", key)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 2 {
-		t.Errorf("entries = %d, want 2", st.Entries)
-	}
-	if st.Evictions != 3 {
-		t.Errorf("evictions = %d, want 3", st.Evictions)
-	}
-	// The most recent keys survive.
-	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k4", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
-		t.Error("k4 was evicted")
-	}
-	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k0", func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); hit {
-		t.Error("k0 survived eviction")
-	}
-}
-
-func TestSketchCacheCostEviction(t *testing.T) {
-	// Entry bound is generous; the byte budget is the binding constraint:
-	// each entry costs 60, the budget is 100, so at most one completed
-	// entry fits at a time.
-	c := NewSketchCache(10, 100, 0, func(*rrset.Sketch) int64 { return 60 })
-	for i := 0; i < 3; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.GetOrBuildCtx(context.Background(), key, func() (*rrset.Sketch, error) { return &rrset.Sketch{K: i}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.CostBytes != 60 {
-		t.Errorf("entries=%d cost=%d, want 1 entry at cost 60", st.Entries, st.CostBytes)
-	}
-	if st.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", st.Evictions)
-	}
-	if st.MaxCostBytes != 100 {
-		t.Errorf("max cost = %d", st.MaxCostBytes)
-	}
-	// The newest entry is the survivor.
-	if _, hit, _ := c.GetOrBuildCtx(context.Background(), "k2", func() (*rrset.Sketch, error) { return nil, nil }); !hit {
-		t.Error("most recent entry was evicted")
-	}
-	// Eviction on graph invalidation returns its cost to the pool.
-	c.InvalidateGraph("k2") // no "|" prefix match: nothing happens
-	if c.Stats().Entries != 1 {
-		t.Error("prefix-less invalidation dropped an entry")
-	}
-	c.Reset()
-	if st := c.Stats(); st.Entries != 0 || st.CostBytes != 0 {
-		t.Errorf("after reset: %+v", st)
-	}
-}
-
-func TestSketchCacheErrorNotCached(t *testing.T) {
-	c := NewSketchCache(8, 0, 0, nil)
-	boom := errors.New("boom")
-	if _, _, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	ok := &rrset.Sketch{}
-	v, hit, err := c.GetOrBuildCtx(context.Background(), "k", func() (*rrset.Sketch, error) { return ok, nil })
-	if err != nil || hit || v != ok {
-		t.Errorf("retry after error: v=%v hit=%v err=%v", v, hit, err)
-	}
-}
 
 func TestSketchKeyCanonicalization(t *testing.T) {
 	a := SketchKey("g1", "prima", 0, 0.5, 1, []int{50, 30})
@@ -153,13 +25,6 @@ func TestSketchKeyCanonicalization(t *testing.T) {
 	} {
 		if other == a {
 			t.Errorf("distinct tuple collides: %q", other)
-		}
-	}
-	// The batch group key is the sketch key with its budgets cut off.
-	group := SketchKey("g1", "prima", 0, 0.5, 1, nil)
-	for _, budgets := range [][]int{{50, 30}, {7}, nil} {
-		if got := groupKeyOf(SketchKey("g1", "prima", 0, 0.5, 1, budgets)); got != group {
-			t.Errorf("groupKeyOf(budgets %v) = %q, want %q", budgets, got, group)
 		}
 	}
 }

@@ -2,16 +2,14 @@
 // HTTP/JSON API over the library that keeps graphs resident in an
 // in-memory registry, runs allocation and welfare estimation as
 // asynchronous jobs on a bounded worker pool, and amortizes RR-sketch
-// generation — the dominant cost of every allocation — through a
-// concurrency-safe sketch cache, so repeated and concurrent queries
-// against the same network reuse sketches instead of regenerating them.
-// Every sketch miss resolves through the batch scheduler
-// (internal/batch): requests that differ only in budgets and arrive
-// while a sketch of their group is building coalesce onto that build or
-// onto one delta-build behind it (Options.BatchWindow caps the hold),
-// and cost-based admission control
-// (Options.AdmissionMB) refuses — retryably, with 429 — requests whose
-// predicted sketch cost would blow the cache budget.
+// generation — the dominant cost of every allocation — through the
+// sketch resolver (internal/resolve), so repeated and concurrent queries
+// against the same network reuse sketches instead of regenerating them,
+// and requests that differ only in budgets and arrive while a sketch of
+// their group is building coalesce onto that build or onto one
+// delta-build behind it (Options.BatchWindow caps the hold). Cost-based
+// admission control (Options.AdmissionMB) refuses — retryably, with 429
+// — requests whose predicted sketch cost would blow the cache budget.
 //
 // Endpoints (docs/API.md is the complete reference, kept in sync with
 // the mux by scripts/apidocs_check.sh):

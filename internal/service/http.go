@@ -206,7 +206,7 @@ func (s *Service) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWarmGraph implements POST /v1/graphs/{id}/warm: prebuild a
-// sketch through the tiered cache as an ordinary cancelable job, so
+// sketch through the sketch resolver as an ordinary cancelable job, so
 // operators can pay the dominant sketch cost ahead of user traffic (and,
 // with a data dir, ahead of the next restart).
 func (s *Service) handleWarmGraph(w http.ResponseWriter, r *http.Request) {
@@ -252,7 +252,7 @@ func (s *Service) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := entry.Info()
-	info.ResidentSketches = s.cache.CountPrefix(entry.ID + "|")
+	info.ResidentSketches = s.res.ResidentSketches(entry.ID)
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -510,7 +510,7 @@ func (s *Service) handleExportGraph(w http.ResponseWriter, r *http.Request) {
 
 // handleExportSketches implements GET /v1/graphs/{id}/sketches: the
 // graph's completed in-memory sketches as a sketch-stream container (see
-// Service.ExportSketches). An empty cache yields an empty 200 body —
+// resolve.Resolver.Export). An empty cache yields an empty 200 body —
 // shipping zero sketches is a valid rebalance.
 func (s *Service) handleExportSketches(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeCluster(w, r) {
@@ -522,14 +522,14 @@ func (s *Service) handleExportSketches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := s.ExportSketches(id, w); err != nil {
+	if _, err := s.res.Export(id, w); err != nil {
 		return // headers are gone; the truncated stream fails the reader's checksum
 	}
 }
 
 // handleImportSketches implements POST /v1/graphs/{id}/sketches: install
 // shipped sketches into this backend's cache so it starts warm for a
-// graph it just received (see Service.ImportSketches). Only cluster
+// graph it just received (see resolve.Resolver.Import). Only cluster
 // members accept it: an imported sketch becomes authoritative for
 // allocation results, so a daemon not running behind a router (-node
 // unset) must not let arbitrary callers install sketch contents — and a
@@ -546,11 +546,12 @@ func (s *Service) handleImportSketches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if _, ok := s.registry.Get(id); !ok {
+	entry, ok := s.registry.Get(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", id))
 		return
 	}
-	imported, skipped, err := s.ImportSketches(id, http.MaxBytesReader(w, r.Body, maxImportBytes))
+	imported, skipped, err := s.res.Import(id, entry.Graph, http.MaxBytesReader(w, r.Body, maxImportBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -2,23 +2,18 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"path/filepath"
 	"runtime"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"uicwelfare/internal/batch"
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/journal"
 	"uicwelfare/internal/progress"
-	"uicwelfare/internal/rrset"
+	"uicwelfare/internal/resolve"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
 	"uicwelfare/internal/telemetry"
@@ -72,15 +67,10 @@ type Options struct {
 	// can verify it is probing the backend it thinks it is. Empty (the
 	// single-node default) keeps plain "j<seq>" ids.
 	NodeID string
-	// BatchWindow caps how long the budget-coalescing batch scheduler
-	// (internal/batch) may hold a sketch miss. Every miss goes through
-	// it: a miss whose group — same graph, sketch family, cascade, ε, ℓ;
-	// budgets free — has no build in flight builds at once on its own
-	// budgets. Misses arriving while that build runs share it when it
-	// dominates them, and otherwise merge into one follow-up that
-	// extends the finished sketch the moment the build returns, or when
-	// BatchWindow elapses if the build is still running. Zero (or
-	// negative) means DefaultBatchWindow; batching cannot be turned off.
+	// BatchWindow caps how long the sketch resolver's batch scheduler
+	// may hold a sketch miss behind an in-flight build of its group (see
+	// internal/resolve). Zero (or negative) means DefaultBatchWindow;
+	// batching cannot be turned off.
 	BatchWindow time.Duration
 	// AdmissionMB enables cost-based admission control: allocate and
 	// warm requests whose predicted sketch cost (the planner's
@@ -118,12 +108,11 @@ type Options struct {
 // resolves to, and the one welmaxd runs.
 const DefaultBatchWindow = 10 * time.Millisecond
 
-// Service owns the daemon's state: the graph registry, the RR-sketch
-// cache (in-memory tier plus optional disk tier), the job store, and the
-// worker pool. Handler exposes it over HTTP.
+// Service owns the daemon's state: the graph registry, the sketch
+// resolver, the job store, and the worker pool. Handler exposes it over
+// HTTP.
 type Service struct {
 	registry     *Registry
-	cache        *SketchCache
 	disk         *store.Store // nil without a data dir
 	jobs         *JobStore
 	pool         *Pool
@@ -131,42 +120,19 @@ type Service struct {
 	allowPaths   bool
 	nodeID       string
 	clusterToken string
-	cacheTTL     time.Duration
 
 	// sketchWorkers is the resolved RR-set growth parallelism handed to
 	// every sketch build (Options.SketchWorkers, with 0 resolved to
 	// GOMAXPROCS at construction).
 	sketchWorkers int
 
-	// batcher coalesces concurrent mixed-budget sketch builds: every
-	// sketch miss short of the degenerate whole-graph one resolves
-	// through it.
-	batcher     *batch.Scheduler
-	batchWindow time.Duration
-	// sketchExtends counts batched builds served by extending a resident
-	// near-dominating sketch instead of cold-building; rrSetsAppended
-	// counts the RR sets those extensions appended (the delta the cold
-	// build would have resampled from zero).
-	sketchExtends  atomic.Int64
-	rrSetsAppended atomic.Int64
-	// phase1Reused counts the phase-1 sets builds read off a resident
-	// stream without sampling them (see lendPhase1).
-	phase1Reused atomic.Int64
-	// mergedIdx remembers, per batch group key, the budget vector and
-	// cache key of the most recent batch-built sketch, so a later
-	// request dominated by it is served from (and admitted against) the
-	// resident dominating sketch instead of cold-building its
-	// exact-budget one — without it, a repeat of any coalesced
-	// request's budgets would rebuild while the dominating sketch sits
-	// in the cache.
-	mergedMu  sync.Mutex
-	mergedIdx map[string]mergedSketch
+	// res decides which RR sets answer a sketch request: the sketch
+	// cache, the disk tier's sketch spills, the batch scheduler, extends,
+	// phase-1 streams and the cost model all live behind it.
+	res *resolve.Resolver
 	// admissionBytes is the cost-based admission budget (0 = off);
-	// costModels calibrates the planners' a-priori cost estimates
-	// against observed builds, per graph with a global fallback;
 	// admissionRejects counts 429s for /v1/stats.
 	admissionBytes   int64
-	costModels       *store.CostModels
 	admissionRejects atomic.Int64
 
 	// sweeps runs POST /v1/sweeps grids as jobs of this service's store,
@@ -220,7 +186,6 @@ func New(opts Options) (*Service, error) {
 	}
 	s := &Service{
 		registry:       NewRegistry(opts.MaxGraphs),
-		cache:          NewSketchCache(opts.CacheEntries, int64(opts.CacheMB)<<20, opts.CacheTTL, store.SketchCost),
 		disk:           disk,
 		jobs:           NewJobStore(opts.JobRetention),
 		pool:           NewPool(opts.Workers, opts.QueueCap),
@@ -228,13 +193,8 @@ func New(opts Options) (*Service, error) {
 		allowPaths:     opts.AllowPathLoads,
 		nodeID:         opts.NodeID,
 		clusterToken:   opts.ClusterToken,
-		cacheTTL:       opts.CacheTTL,
-		batcher:        batch.New(opts.BatchWindow),
-		batchWindow:    opts.BatchWindow,
-		mergedIdx:      map[string]mergedSketch{},
 		sketchWorkers:  opts.SketchWorkers,
 		admissionBytes: int64(opts.AdmissionMB) << 20,
-		costModels:     store.NewCostModels(),
 		telemetryOn:    !opts.TelemetryOff,
 		metrics:        telemetry.NewMetrics(),
 		slowThreshold:  opts.SlowThreshold,
@@ -272,44 +232,20 @@ func New(opts Options) (*Service, error) {
 			return nil, err
 		}
 	}
-	// Evictions and expiries are cache-lock-held callbacks; the journal
-	// ring append is O(1) and non-blocking, which is why it is safe
-	// here. The trace id is the evicting request's — the eviction is a
-	// side effect of that request's insert, and carrying its id makes
-	// the trace's control-plane fallout greppable (?trace=).
-	s.cache.SetEvictHook(func(key string, cost int64, traceID string) {
-		gid, _, _ := strings.Cut(key, "|")
-		s.flight.Record(journal.Event{Type: journal.CacheEvict, Graph: gid, Key: key, Bytes: cost, TraceID: traceID})
-	})
-	// Journal every group that reaches its build: which group fired, how
-	// many requests share the one sketch, how long they were held and
-	// what released them. The hook runs on the build's goroutine; the
-	// ring append is O(1) and non-blocking. The trace id is the group's
-	// first submitter's.
-	s.batcher.SetFireHook(func(f batch.Fire) {
-		gid, _, _ := strings.Cut(f.Key, "|")
-		s.flight.Record(journal.Event{
-			Type:    journal.BatchFire,
-			Graph:   gid,
-			Key:     f.Key,
-			Count:   int64(f.Waiters),
-			WaitMS:  f.Wait.Milliseconds(),
-			Reason:  f.Reason,
-			TraceID: f.TraceID,
-		})
+	s.res = resolve.New(resolve.Config{
+		CacheEntries: opts.CacheEntries,
+		CacheBytes:   int64(opts.CacheMB) << 20,
+		CacheTTL:     opts.CacheTTL,
+		Disk:         disk,
+		BatchWindow:  opts.BatchWindow,
+		Journal:      flight,
+		Live: func(graphID string) bool {
+			_, ok := s.registry.Get(graphID)
+			return ok
+		},
 	})
 	s.sweeps = s.newSweepEngine()
 	s.jobs.SetNodeID(opts.NodeID)
-	// A TTL expiry must invalidate the disk spill too — otherwise the
-	// "rebuild" reloads the identical stale sketch from disk and the
-	// TTL never refreshes anything on a persistent daemon.
-	s.cache.SetExpireHook(func(key string) {
-		gid, _, _ := strings.Cut(key, "|")
-		if disk != nil && gid != "" {
-			disk.DeleteSketch(gid, key)
-		}
-		s.flight.Record(journal.Event{Type: journal.CacheExpire, Graph: gid, Key: key})
-	})
 	if disk != nil {
 		// Terminal jobs spill to the audit trail; append failures are
 		// counted in the disk tier's spill errors, never fail the job.
@@ -356,7 +292,7 @@ func (s *Service) Journal() *journal.Recorder { return s.flight }
 // ResetSketchCache drops all cached in-memory sketches and phase-1
 // streams (used by the cold-path benchmark). Safe to call while
 // requests are in flight.
-func (s *Service) ResetSketchCache() { s.cache.Reset() }
+func (s *Service) ResetSketchCache() { s.res.Reset() }
 
 // Registry exposes the graph registry (used by tests; registration that
 // should persist goes through RegisterGraph).
@@ -392,12 +328,7 @@ func (s *Service) DeleteGraph(id string) bool {
 	if !s.registry.Delete(id) {
 		return false
 	}
-	s.cache.InvalidateGraph(id)
-	s.dropMergedForGraph(id)
-	s.costModels.Forget(id)
-	if s.disk != nil {
-		s.disk.DeleteGraph(id)
-	}
+	s.res.DropGraph(id)
 	return true
 }
 
@@ -405,9 +336,9 @@ func (s *Service) DeleteGraph(id string) bool {
 type StatsResponse struct {
 	// Node is the backend's cluster node id; empty on a single-node
 	// daemon.
-	Node        string     `json:"node,omitempty"`
-	Graphs      int        `json:"graphs"`
-	SketchCache CacheStats `json:"sketch_cache"`
+	Node        string             `json:"node,omitempty"`
+	Graphs      int                `json:"graphs"`
+	SketchCache resolve.CacheStats `json:"sketch_cache"`
 	// DiskTier reports the persistence tier's counters; nil when the
 	// daemon runs without -data-dir.
 	DiskTier *store.Stats `json:"disk_tier,omitempty"`
@@ -418,65 +349,25 @@ type StatsResponse struct {
 	Sweeps SweepStats `json:"sweeps"`
 	// Phase1 reports the resident phase-1 streams the builds' θ rules
 	// read.
-	Phase1      Phase1Stats      `json:"phase1"`
-	Jobs        map[JobState]int `json:"jobs"`
-	Workers     int              `json:"workers"`
-	BusyWorkers int              `json:"busy_workers"`
-	QueueDepth  int              `json:"queue_depth"`
-	QueueCap    int              `json:"queue_cap"`
-	UptimeMS    int64            `json:"uptime_ms"`
+	Phase1      resolve.Phase1Stats `json:"phase1"`
+	Jobs        map[JobState]int    `json:"jobs"`
+	Workers     int                 `json:"workers"`
+	BusyWorkers int                 `json:"busy_workers"`
+	QueueDepth  int                 `json:"queue_depth"`
+	QueueCap    int                 `json:"queue_cap"`
+	UptimeMS    int64               `json:"uptime_ms"`
 }
 
-// BatchStats is the /v1/stats view of the batch scheduler and the
-// cost-based admission control. All sources are atomics or
-// mutex-guarded snapshots — /v1/stats is served concurrently with
-// allocates, so every counter read here must be synchronized with its
-// writer.
+// BatchStats is the /v1/stats view of the sketch resolver's batch
+// scheduler, extends and cost model (resolve.BatchStats) plus the
+// cost-based admission control.
 type BatchStats struct {
-	// Enabled is always true — every sketch miss resolves through the
-	// scheduler — and stays on the wire for clients that read it.
-	Enabled bool `json:"enabled"`
-	// WindowMS is the configured batch window in milliseconds: the
-	// longest a miss may be held behind an in-flight build of its group.
-	WindowMS float64 `json:"window_ms,omitempty"`
-	// Batched counts the sketch builds the scheduler ran, one per group.
-	Batched int64 `json:"batched"`
-	// HeldGroups counts the batched builds that first gathered behind an
-	// in-flight build; the other Batched − HeldGroups started the moment
-	// their request missed.
-	HeldGroups int64 `json:"held_groups"`
-	// CoalescedRequests counts requests beyond each batch's first that
-	// were answered from a shared build instead of building their own
-	// sketch.
-	CoalescedRequests int64 `json:"coalesced_requests"`
-	// SketchExtends counts batched builds served by extending a resident
-	// near-dominating sketch (a delta-build) instead of cold-building;
-	// RRSetsAppended counts the RR sets those extensions appended.
-	SketchExtends  int64 `json:"sketch_extends"`
-	RRSetsAppended int64 `json:"rr_sets_appended"`
+	resolve.BatchStats
 	// AdmissionRejects counts requests refused with 429 because their
 	// predicted sketch cost exceeded the admission budget.
 	AdmissionRejects int64 `json:"admission_rejects"`
 	// AdmissionMaxBytes is the configured admission budget (0 = off).
 	AdmissionMaxBytes int64 `json:"admission_max_bytes,omitempty"`
-	// CostRatio and CostSamples describe the cost-model calibration:
-	// the learned observed/predicted ratio and how many completed
-	// builds informed it.
-	CostRatio   float64 `json:"cost_ratio"`
-	CostSamples int     `json:"cost_samples"`
-}
-
-// Phase1Stats is the /v1/stats view of the resident phase-1 streams:
-// one per (graph, cascade, seed), each the S₁ every PRIMA or IMM build
-// on that triple reads its θ decision from (see lendPhase1). They live
-// in the sketch cache's memory tier, under its entry bound and byte
-// budget.
-type Phase1Stats struct {
-	// Streams counts the resident streams.
-	Streams int `json:"streams"`
-	// SetsReused counts the phase-1 sets builds read without sampling
-	// them: each build's read prefix, minus what it grew.
-	SetsReused int64 `json:"sets_reused"`
 }
 
 // Stats snapshots the service counters.
@@ -484,7 +375,6 @@ func (s *Service) Stats() StatsResponse {
 	out := StatsResponse{
 		Node:        s.nodeID,
 		Graphs:      s.registry.Len(),
-		SketchCache: s.cache.Stats(),
 		Jobs:        s.jobs.CountByState(),
 		Workers:     s.pool.Workers(),
 		BusyWorkers: s.pool.Busy(),
@@ -496,22 +386,14 @@ func (s *Service) Stats() StatsResponse {
 		ds := s.disk.Stats()
 		out.DiskTier = &ds
 	}
-	bs := s.batcher.Stats()
+	rs := s.res.Stats()
+	out.SketchCache, out.Phase1 = rs.Cache, rs.Phase1
 	out.Batch = BatchStats{
-		Enabled:           true,
-		WindowMS:          float64(s.batchWindow) / float64(time.Millisecond),
-		Batched:           bs.Batches,
-		HeldGroups:        bs.Held,
-		CoalescedRequests: bs.Coalesced,
-		SketchExtends:     s.sketchExtends.Load(),
-		RRSetsAppended:    s.rrSetsAppended.Load(),
+		BatchStats:        rs.Batch,
 		AdmissionRejects:  s.admissionRejects.Load(),
 		AdmissionMaxBytes: s.admissionBytes,
 	}
 	out.Sweeps = s.sweeps.Stats()
-	out.Phase1.Streams = s.cache.Streams()
-	out.Phase1.SetsReused = s.phase1Reused.Load()
-	out.Batch.CostRatio, out.Batch.CostSamples = s.costModels.Snapshot()
 	return out
 }
 
@@ -536,64 +418,6 @@ func (s *Service) Healthz() HealthzResponse {
 	}
 }
 
-// ExportSketches streams the graph's completed in-memory sketches as a
-// sketch-stream container (store.WriteSketchStreamEntry frames) — the
-// payload one backend ships another so rebalancing a graph does not
-// discard its warm-sketch work. Disk-tier spills are not exported: their
-// cache keys are stored hashed, and anything recently used is resident
-// in memory anyway. It returns how many sketches were written.
-func (s *Service) ExportSketches(graphID string, w io.Writer) (int, error) {
-	if _, ok := s.registry.Get(graphID); !ok {
-		return 0, fmt.Errorf("unknown graph %q", graphID)
-	}
-	entries := s.cache.CompletedForGraph(graphID)
-	for i, e := range entries {
-		if err := store.WriteSketchStreamEntry(w, e.Key, e.Sketch); err != nil {
-			return i, err
-		}
-	}
-	return len(entries), nil
-}
-
-// ImportSketches reads a sketch-stream container into the graph's cache
-// (and, with a data dir, the disk tier), so this backend starts warm for
-// a graph it just received. Entries keyed for a different graph are
-// rejected — a misrouted stream must not poison the cache — and entries
-// whose key is already resident are skipped, not replaced.
-func (s *Service) ImportSketches(graphID string, r io.Reader) (imported, skipped int, err error) {
-	entry, ok := s.registry.Get(graphID)
-	if !ok {
-		return 0, 0, fmt.Errorf("unknown graph %q", graphID)
-	}
-	prefix := graphID + "|"
-	_, err = store.ReadSketchStream(r, entry.Graph, func(key string, sketch *rrset.Sketch) error {
-		if !strings.HasPrefix(key, prefix) {
-			return fmt.Errorf("sketch key %q does not belong to graph %q", key, graphID)
-		}
-		if !s.cache.Put(key, sketch) {
-			skipped++
-			return nil
-		}
-		if s.disk != nil {
-			_ = s.disk.SaveSketch(graphID, key, sketch) // best-effort, like local builds
-		}
-		imported++
-		return nil
-	})
-	if err != nil {
-		return imported, skipped, err
-	}
-	// Mirror sketchForPlan's delete race guard: if the graph vanished
-	// while the stream was importing, sweep what we just inserted.
-	if _, ok := s.registry.Get(graphID); !ok {
-		s.cache.InvalidateGraph(graphID)
-		if s.disk != nil {
-			s.disk.DeleteGraph(graphID)
-		}
-	}
-	return imported, skipped, nil
-}
-
 // allocatePlan is a validated AllocateRequest resolved to its problem
 // instance, registry planner, and options.
 type allocatePlan struct {
@@ -601,6 +425,7 @@ type allocatePlan struct {
 	planner core.Planner
 	meta    core.Meta
 	opts    core.Options
+	seed    uint64
 }
 
 // validateAllocate resolves the parts of an AllocateRequest that can be
@@ -657,6 +482,7 @@ func (s *Service) validateAllocate(req *AllocateRequest) (*allocatePlan, error) 
 		planner: planner,
 		meta:    meta,
 		opts:    core.Options{Eps: req.Eps, Ell: req.Ell, Cascade: cascade, SketchWorkers: s.sketchWorkers},
+		seed:    seedOf(req.Seed),
 	}, nil
 }
 
@@ -708,367 +534,35 @@ func (s *Service) Allocate(req *AllocateRequest) (*AllocateResult, error) {
 	return s.AllocateCtx(context.Background(), req, nil)
 }
 
-// mergedSketch is one mergedIdx record: the canonical budget vector a
-// batch build was sized for and the cache key it lives under.
-type mergedSketch struct {
-	budgets []int
-	key     string
+// SketchKey is the sketch-cache key of a request (resolve.Key).
+func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []int) string {
+	return resolve.Key(graphID, family, cascade, eps, ell, budgets)
 }
 
-// maxMergedRecords bounds mergedIdx: group keys are request-controlled
-// (ε, ℓ, cascade sweeps mint fresh ones), and unlike the sketch cache
-// nothing else evicts these records, so without a cap the index would
-// grow for the life of a graph.
-const maxMergedRecords = 512
-
-// recordMerged notes the group's latest batch-built sketch. Past the
-// bound an arbitrary record is dropped — records are an advisory fast
-// path, so losing one only costs a rebuild the cache may still absorb.
-func (s *Service) recordMerged(groupKey string, budgets []int, key string) {
-	s.mergedMu.Lock()
-	if _, exists := s.mergedIdx[groupKey]; !exists && len(s.mergedIdx) >= maxMergedRecords {
-		for k := range s.mergedIdx {
-			delete(s.mergedIdx, k)
-			break
-		}
+// sketchReq is the resolver request for a validated plan of a sketch
+// planner (sp nil prices a planner with no sketch; see
+// resolve.Resolver.Price).
+func (s *Service) sketchReq(graphID string, sp core.SketchPlanner, plan *allocatePlan) resolve.Req {
+	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
+	return resolve.Req{
+		GraphID:       graphID,
+		Planner:       sp,
+		Meta:          plan.meta,
+		Problem:       plan.prob,
+		Cascade:       plan.opts.Cascade,
+		Seed:          plan.seed,
+		Eps:           eps,
+		Ell:           ell,
+		SketchWorkers: plan.opts.SketchWorkers,
+		Progress:      plan.opts.Progress,
 	}
-	s.mergedIdx[groupKey] = mergedSketch{budgets: budgets, key: key}
-	s.mergedMu.Unlock()
-}
-
-// lookupMerged returns the group's latest batch-built sketch record.
-func (s *Service) lookupMerged(groupKey string) (mergedSketch, bool) {
-	s.mergedMu.Lock()
-	defer s.mergedMu.Unlock()
-	rec, ok := s.mergedIdx[groupKey]
-	return rec, ok
-}
-
-// dominatingMerged returns the cache key of the group's latest
-// batch-built sketch when that sketch dominates budgets and is resident
-// (completed or in flight): the one check by which admission waves a
-// request through and the resolver serves it without new sketch work.
-func (s *Service) dominatingMerged(groupKey string, merge batch.MergeFunc, budgets []int) (string, bool) {
-	rec, ok := s.lookupMerged(groupKey)
-	if !ok || !batch.Dominates(merge, rec.budgets, budgets) || !s.cache.Resident(rec.key) {
-		return "", false
-	}
-	return rec.key, true
-}
-
-// dropMergedForGraph forgets a deleted graph's merged-sketch records
-// (group keys start with "<graphID>|", like cache keys) so the index
-// does not grow with long-dead graphs.
-func (s *Service) dropMergedForGraph(graphID string) {
-	prefix := graphID + "|"
-	s.mergedMu.Lock()
-	for k := range s.mergedIdx {
-		if strings.HasPrefix(k, prefix) {
-			delete(s.mergedIdx, k)
-		}
-	}
-	s.mergedMu.Unlock()
-}
-
-// degenerateBudgets reports whether canonical sketch budgets hit the
-// PRIMA/IMM builders' whole-graph shortcut (top budget >= n). Such a
-// "build" samples nothing and returns the all-nodes identity ordering,
-// which is only prefix-preserving for the full budget — so a degenerate
-// request must never coalesce with sampled builds: merging would drag
-// every group member's result onto the unsampled ordering. The resolver
-// builds these requests directly instead, its one exit before the
-// scheduler; they cost nothing to build, so there is nothing to
-// coalesce anyway.
-func degenerateBudgets(budgets []int, n int) bool {
-	for _, b := range budgets {
-		if b >= n {
-			return true
-		}
-	}
-	return false
-}
-
-// sweepIfDeleted re-checks a graph's residency after sketch work
-// completed: the graph may have been deleted while the sketch was
-// building — after the delete's sweeps already ran, so the memory entry
-// and a just-written spill would otherwise outlive the deletion (the
-// spill permanently: nothing else sweeps a deleted graph's sketch
-// files). Sweeps both tiers when the graph is gone.
-func (s *Service) sweepIfDeleted(graphID string) {
-	if _, ok := s.registry.Get(graphID); !ok {
-		s.cache.InvalidateGraph(graphID)
-		s.dropMergedForGraph(graphID)
-		if s.disk != nil {
-			s.disk.DeleteGraph(graphID)
-		}
-	}
-}
-
-// inheritedCancel reports whether err is a cancellation or deadline
-// expiry this request inherited from someone else's build through a
-// shared cache entry or batch group, while its own ctx is still live.
-// Such a request retries — becoming the new builder if need be —
-// instead of failing a job nobody canceled.
-func inheritedCancel(ctx context.Context, err error) bool {
-	return ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// lookupResident serves a request from the in-memory tier without
-// building: the exact-budget key first, then the group's resident
-// merged sketch when it dominates budgets. Both lookups wait
-// (cancelably) on an in-flight entry. found reports a resident entry;
-// err is that entry's build error or ctx's own cancellation.
-func (s *Service) lookupResident(ctx context.Context, key string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, found bool, err error) {
-	defer telemetry.StartSpan(ctx, "cache_lookup")()
-	if sk, ok, err := s.cache.LookupCtx(ctx, key); ok {
-		return sk, true, err
-	}
-	if mkey, ok := s.dominatingMerged(groupKeyOf(key), merge, budgets); ok {
-		return s.cache.LookupCtx(ctx, mkey)
-	}
-	return nil, false, nil
-}
-
-// buildThroughTiers resolves key through the tiered cache: the
-// in-memory tier first (with singleflight semantics), then — inside the
-// build callback, so concurrent requesters share one disk read exactly
-// like they share one build — the disk tier, and only then build, whose
-// result is spilled back to disk. hit reports whether any tier avoided
-// a rebuild.
-func (s *Service) buildThroughTiers(ctx context.Context, graphID, key string, g *graph.Graph, build func(ctx context.Context) (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
-	var diskHit bool
-	for {
-		var memHit bool
-		// The lookup span covers the in-memory tier only: it is ended
-		// (idempotently) the moment the build callback starts, so a miss
-		// that turns into a disk load or a fresh build does not inflate
-		// the cache-lookup timing with build work.
-		endLookup := telemetry.StartSpan(ctx, "cache_lookup")
-		sketch, memHit, err = s.cache.GetOrBuildCtx(ctx, key, func() (*rrset.Sketch, error) {
-			endLookup()
-			if s.disk != nil {
-				// The TTL bounds spill age too: a spill left by cost
-				// eviction or a restart must not resurrect a sketch older
-				// than the TTL promises.
-				endLoad := telemetry.StartSpan(ctx, "disk_load")
-				sk := s.disk.LoadSketch(graphID, key, g, s.cacheTTL)
-				endLoad()
-				if sk != nil {
-					diskHit = true
-					return sk, nil
-				}
-			}
-			sk, err := build(ctx)
-			if err == nil && s.disk != nil {
-				// The spill persists the sketch's greedy selection: run
-				// it first, under its own span, so sketch_spill times
-				// only the encode and write, and every Select after it is
-				// a prefix read.
-				endSel := telemetry.StartSpan(ctx, "greedy_select")
-				sk.Selection()
-				endSel()
-				endSpill := telemetry.StartSpan(ctx, "sketch_spill")
-				_ = s.disk.SaveSketch(graphID, key, sk) // best-effort; failure only costs warmth
-				endSpill()
-			}
-			return sk, err
-		})
-		endLookup()
-		if err == nil {
-			s.sweepIfDeleted(graphID)
-			return sketch, memHit || diskHit, nil
-		}
-		// The dead singleflight entry has already been evicted: a waiter
-		// that inherited its builder's cancellation retries here, because
-		// inside the scheduler's detached group build sketchForPlan's own
-		// retry never sees the error.
-		if inheritedCancel(ctx, err) {
-			continue
-		}
-		return nil, false, err
-	}
-}
-
-// observeBuildCost feeds a completed fresh build into the cost-model
-// calibration: predicted bytes (the planner's a-priori estimator on the
-// budgets actually built) against the finished sketch's real resident
-// cost, keyed by the graph it built on (plus the global fallback). Disk
-// loads and cache hits are not observed — they carry no new information
-// about the estimator's bias. The build's resident bytes also land on
-// the request's resource accounting, and the recalibration itself is
-// journaled — admission verdicts change when the model moves, and the
-// journal is where an operator reconstructs why.
-func (s *Service) observeBuildCost(ctx context.Context, graphID string, plan *allocatePlan, eps, ell float64, budgets []int, sketch *rrset.Sketch) {
-	cost := store.SketchCost(sketch)
-	telemetry.AddResource(ctx, telemetry.ResSketchBytesBuilt, cost)
-	if plan.meta.CostEstimator == nil {
-		return
-	}
-	raw := plan.meta.CostEstimator(plan.prob.G.N(), plan.prob.G.M(), eps, ell, budgets)
-	s.costModels.Observe(graphID, raw, cost)
-	s.flight.Record(journal.Event{
-		Type:    journal.AdmissionRecalibrate,
-		Graph:   graphID,
-		TraceID: telemetry.FromContext(ctx).ID(),
-		Bytes:   cost,
-		Count:   raw,
-	})
-}
-
-// sketchForPlan resolves a sketch-capable plan's sketch — the one way a
-// sketch request resolves. A request is served, in order, by its
-// exact-budget key, then by the group's resident merged sketch when that
-// dominates it (memory tier, cancelable in-flight waits — see
-// lookupResident), and otherwise by buildMiss. hit reports whether any
-// tier or a shared batch build avoided fresh sketch work for this
-// caller; it is what AllocateResult exposes as SketchCached and what the
-// restart-warm smoke asserts on.
-func (s *Service) sketchForPlan(ctx context.Context, graphID string, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (sketch *rrset.Sketch, hit bool, err error) {
-	budgets := sp.SketchBudgets(plan.prob)
-	key := SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, budgets)
-	for {
-		sk, found, err := s.lookupResident(ctx, key, sp.MergeBudgets, budgets)
-		if !found && err == nil {
-			sk, found, err = s.buildMiss(ctx, graphID, key, budgets, sp, plan, eps, ell, seed)
-		}
-		if err == nil {
-			s.sweepIfDeleted(graphID)
-			return sk, found, nil
-		}
-		// A request can inherit a cancellation that was never its own:
-		// the in-flight entry it waited on lost its builder, or the batch
-		// group it joined lost every other waiter mid-build. Re-resolve
-		// from the top, leading a fresh group if need be.
-		if !inheritedCancel(ctx, err) {
-			return nil, false, err
-		}
-	}
-}
-
-// buildMiss resolves a request no resident sketch serves. Degenerate
-// budgets build directly through the tiered cache, the one path around
-// the scheduler. Every other miss enters the batch scheduler: with no
-// build of its group in flight it builds at once on its own budgets;
-// otherwise it shares the in-flight build, or the one follow-up that
-// merges every uncovered request's budgets and extends the finished
-// sketch when that build returns. The group's sketch is cached under its
-// merged key, so the disk tier and singleflight semantics apply to it
-// unchanged.
-func (s *Service) buildMiss(ctx context.Context, graphID, key string, budgets []int, sp core.SketchPlanner, plan *allocatePlan, eps, ell float64, seed uint64) (*rrset.Sketch, bool, error) {
-	buildOpts := plan.opts
-	buildOpts.Eps, buildOpts.Ell = eps, ell
-	buildOpts.Phase1Stream = s.lendPhase1(graphID, int(plan.opts.Cascade), seed)
-	build := func(bctx context.Context, target []int) (*rrset.Sketch, error) {
-		sk, err := sp.BuildSketchForBudgets(bctx, plan.prob, target, buildOpts, stats.NewRNG(seed))
-		if err == nil {
-			s.observeBuildCost(bctx, graphID, plan, eps, ell, target, sk)
-		}
-		return sk, err
-	}
-	if degenerateBudgets(budgets, plan.prob.G.N()) {
-		return s.buildThroughTiers(ctx, graphID, key, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
-			return build(bctx, budgets)
-		})
-	}
-
-	// The scheduler runs the first member's build closure on behalf of
-	// the whole group, so it depends only on group-key material plus the
-	// merged budgets it is handed.
-	groupKey := groupKeyOf(key)
-	// Submit records the wait on this request's trace: batch_gather until
-	// its group's build starts, shared_build from there when the build is
-	// another member's.
-	v, cacheHit, shared, err := s.batcher.Submit(ctx, groupKey, budgets, sp.MergeBudgets,
-		func(bctx context.Context, merged []int) (any, bool, error) {
-			// The scheduler runs the group build on its own goroutine with
-			// a detached context; re-attach the submitting request's trace
-			// so build-stage spans land on it rather than vanishing.
-			bctx = telemetry.NewContext(bctx, telemetry.FromContext(ctx))
-			// Delta-build seam: when the group's previous batch-built
-			// sketch is still resident but does not dominate the new
-			// merged vector (a full dominance hit was already served
-			// before Submit), extend it to the union of the two vectors
-			// instead of cold-building. This is the path a follow-up group
-			// takes: the scheduler starts it only after the build it
-			// gathered behind has returned, i.e. after that build's sketch
-			// is resident and recorded below. Peek never waits: blocking
-			// here on the old key's entry could deadlock the build
-			// callback.
-			target := merged
-			var base *rrset.Sketch
-			var baseBudgets []int
-			if rec, ok := s.lookupMerged(groupKey); ok {
-				if sk, resident := s.cache.Peek(rec.key); resident && sk.NumRRSets() > 0 {
-					base, baseBudgets = sk, rec.budgets
-					target = sp.MergeBudgets(rec.budgets, merged)
-				}
-			}
-			// Inside the group build: disk, then extend-or-build, then
-			// spill.
-			mergedKey := SketchKey(graphID, plan.meta.SketchFamily, int(plan.opts.Cascade), eps, ell, target)
-			sk, hit, err := s.buildThroughTiers(bctx, graphID, mergedKey, plan.prob.G, func(bctx context.Context) (*rrset.Sketch, error) {
-				if base != nil {
-					esk, err := sp.ExtendSketch(bctx, plan.prob, base, baseBudgets, target, buildOpts, stats.NewRNG(seed))
-					if err == nil {
-						s.sketchExtends.Add(1)
-						s.rrSetsAppended.Add(int64(esk.NumRRSets() - base.NumRRSets()))
-						s.observeBuildCost(bctx, graphID, plan, eps, ell, target, esk)
-						return esk, nil
-					}
-					if bctx.Err() != nil {
-						return nil, err
-					}
-					// Not extendable (degenerate family state, shape
-					// mismatch): fall through to the cold build.
-				}
-				return build(bctx, target)
-			})
-			if err == nil {
-				s.recordMerged(groupKey, target, mergedKey)
-			}
-			return sk, hit, err
-		})
-	// batch.Scheduler is sketch-agnostic (bench/layers.go drives it with
-	// its own build func); every build above returns a *rrset.Sketch.
-	sk, _ := v.(*rrset.Sketch)
-	return sk, cacheHit || shared, err
-}
-
-// lendPhase1 lends a build the resident phase-1 stream S₁ of (graph,
-// cascade, seed) — the sketch cache's stream entry under phase1Key. Its
-// base is the first draw of stats.NewRNG(seed) for PRIMA and IMM alike
-// (rrset.StreamBases), so every build from that seed reads the same
-// stream, whatever its family, budgets, ε or ℓ. A build reads exactly
-// the prefix a fresh S₁ would have given it and samples only past the
-// resident length; its final collection stays its own. Release counts
-// the prefix it read without sampling into phase1Reused.
-func (s *Service) lendPhase1(graphID string, cascade int, seed uint64) rrset.Phase1Func {
-	key := phase1Key(graphID, cascade, seed)
-	return func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int), error) {
-		col, release, err := s.cache.LendStream(ctx, key, fresh)
-		if err != nil {
-			return nil, nil, err
-		}
-		resident := col.Len()
-		return col, func(read int) {
-			s.phase1Reused.Add(int64(min(resident, read)))
-			release()
-		}, nil
-	}
-}
-
-// phase1Key is the sketch-cache key of a phase-1 stream. It leads with
-// the graph id like SketchKey, so InvalidateGraph drops it, and its
-// family segment "phase1" is no sketch family's.
-func phase1Key(graphID string, cascade int, seed uint64) string {
-	return fmt.Sprintf("%s|phase1|c%d|s%d", graphID, cascade, seed)
 }
 
 // AllocateCtx solves one allocation request under ctx, reporting
 // progress through report (which may be nil). Dispatch goes through the
 // core planner registry; for planners with the SketchPlanner capability
-// sketch resolution goes through the tiered cache (memory, then disk,
-// then build — see sketchForPlan), the rest run their Plan directly.
+// the sketch resolver decides which RR sets answer the request (see
+// resolve.Resolver.Resolve), the rest run their Plan directly.
 // Cancellation: ctx is threaded through sketch construction, cache
 // waits, and the inline welfare estimate, so a canceled context aborts
 // the request promptly with ctx.Err(). A canceled cache build caches
@@ -1092,21 +586,18 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 	}
 	tr.SetFamily(planFamily(plan.meta))
 	plan.opts.Progress = report
-	prob, opts := plan.prob, plan.opts
-	seed := seedOf(req.Seed)
-	eps, ell := ResolveEpsEll(opts.Eps, opts.Ell)
+	prob, opts, seed := plan.prob, plan.opts, plan.seed
 
 	var (
 		res core.Result
 		hit bool
 	)
 	if sp, ok := plan.planner.(core.SketchPlanner); ok {
-		v, h, err := s.sketchForPlan(ctx, req.GraphID, sp, plan, eps, ell, seed)
+		v, outcome, err := s.res.Resolve(ctx, s.sketchReq(req.GraphID, sp, plan))
 		if err != nil {
 			return nil, err
 		}
-		hit = h
-		countSketchOutcome(ctx, h)
+		hit = outcome.Cached()
 		endSel := telemetry.StartSpan(ctx, "greedy_select")
 		res, err = sp.PlanFromSketchProgress(prob, v, report)
 		endSel()
@@ -1137,19 +628,6 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 		s.observeTrace("allocate", tr, time.Since(startT))
 	}
 	return out, nil
-}
-
-// countSketchOutcome lands a request's sketch resolution on its
-// resource accounting: one cache hit when any tier (or a shared batch
-// build) avoided fresh sketch work, one miss otherwise. The acceptance
-// check for warm failover reads exactly this pair next to
-// rr_sets_grown: a warm serve is hits=1, misses=0, rr_sets_grown=0.
-func countSketchOutcome(ctx context.Context, hit bool) {
-	if hit {
-		telemetry.AddResource(ctx, telemetry.ResCacheHits, 1)
-	} else {
-		telemetry.AddResource(ctx, telemetry.ResCacheMisses, 1)
-	}
 }
 
 // planFamily labels a plan's traces and stage histograms: the sketch
@@ -1188,7 +666,7 @@ func (s *Service) validateWarm(graphID string, req *WarmRequest) (*allocatePlan,
 }
 
 // WarmCtx prebuilds the sketch an equivalent allocate request would
-// need, through the same tiered cache path, and runs its selection once,
+// need, through the same sketch resolver, and runs its selection once,
 // so a later allocation starts warm — as does, short of the selection, a
 // daemon restart followed by one, since completed builds spill to the
 // disk tier. It runs as an ordinary cancelable job.
@@ -1200,12 +678,11 @@ func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest,
 	}
 	telemetry.FromContext(ctx).SetFamily(planFamily(plan.meta))
 	plan.opts.Progress = report
-	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
-	sketch, hit, err := s.sketchForPlan(ctx, graphID, sp, plan, eps, ell, seedOf(req.Seed))
+	sketch, outcome, err := s.res.Resolve(ctx, s.sketchReq(graphID, sp, plan))
 	if err != nil {
 		return nil, err
 	}
-	countSketchOutcome(ctx, hit)
+	hit := outcome.Cached()
 	// Prime the sketch's memoised selection, so the first allocation on a
 	// warmed sketch is already a prefix read.
 	endSel := telemetry.StartSpan(ctx, "greedy_select")

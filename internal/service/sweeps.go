@@ -13,7 +13,7 @@ import (
 
 // The single-node sweep runner: what a Service hands its SweepEngine.
 // Each cell runs as an ordinary pool job — through the same validation,
-// admission control, sketch cache, and batcher as a client allocate,
+// admission control and sketch resolver as a client allocate,
 // which is the point: a sweep is the paper's evaluation grid expressed
 // as traffic, and the serving stack's coalescing tiers are what make
 // the grid tractable (cells sharing a (graph, ε) group coalesce onto a
@@ -79,8 +79,8 @@ func (s *Service) newSweepEngine() *SweepEngine {
 }
 
 // attemptCell makes one attempt at a cell through exactly the client
-// path: validate → admission → pool job → AllocateCtx (tiered cache and
-// batcher). The cell job is of kind "cell" and runs under the sweep's
+// path: validate → admission → pool job → AllocateCtx (the sketch
+// resolver). The cell job is of kind "cell" and runs under the sweep's
 // trace id, so the whole grid greps by one id; in a cluster the job
 // id's node prefix is how results prove which shard ran the cell.
 // Transient refusals (a full job queue, an admission reject) ask for a

@@ -17,7 +17,7 @@ import (
 // SketchCache is the in-memory tier of the sketch cache: a
 // concurrency-safe, cost-bounded LRU of RR sketches (*rrset.Sketch)
 // keyed by the tuple that determines their distribution: (graph, sketch
-// family, cascade model, ε, ℓ, canonical budgets — see Key).
+// family, cascade model, ε, ℓ, seed, canonical budgets — see Key).
 // Sketch generation is the dominant cost of every allocation, and a
 // built sketch is immutable and safe for concurrent readers, so the
 // cache lets repeated and concurrent queries against the same resident
@@ -650,12 +650,15 @@ func familyOfKey(key string) string {
 }
 
 // Key derives the cache key for a sketch request: graph, sketch family
-// ("prima" or "imm"), cascade, ε, ℓ, then the canonical budgets
-// (prima.CanonicalBudgets, or [k] for IMM). With content-addressed graph ids the whole key is stable across daemon
+// ("prima" or "imm"), cascade, ε, ℓ, seed, then the canonical budgets
+// (prima.CanonicalBudgets, or [k] for IMM). The seed names the RR
+// streams a build samples, so a sketch answers only requests of its own
+// seed, and the batch group and the disk tier's hash follow it. With
+// content-addressed graph ids the whole key is stable across daemon
 // restarts, which is what lets the disk tier index spilled sketches by
 // a hash of it.
-func Key(graphID, family string, cascade int, eps, ell float64, budgets []int) string {
-	return fmt.Sprintf("%s|%s|c%d|e%g|l%g|", graphID, family, cascade, eps, ell) + budgetSegment(budgets)
+func Key(graphID, family string, cascade int, eps, ell float64, seed uint64, budgets []int) string {
+	return fmt.Sprintf("%s|%s|c%d|e%g|l%g|s%d|", graphID, family, cascade, eps, ell, seed) + budgetSegment(budgets)
 }
 
 // budgetSegment is a key's last segment: the canonical budgets,

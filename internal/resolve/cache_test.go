@@ -163,12 +163,12 @@ func TestInvalidateGraphDropsInFlightBuilds(t *testing.T) {
 }
 
 // TestKeyGroupAndBudgets: the batch group key is the sketch key with
-// its budgets cut off, a key is in exactly its own group, and the
-// budgets it ends in parse back.
+// its budgets cut off, a key is in exactly its own group — another ℓ
+// or seed is another group — and the budgets it ends in parse back.
 func TestKeyGroupAndBudgets(t *testing.T) {
-	group := Key("g1", "prima", 0, 0.5, 1, nil)
+	group := Key("g1", "prima", 0, 0.5, 1, 1, nil)
 	for _, budgets := range [][]int{{50, 30}, {7}, nil} {
-		key := Key("g1", "prima", 0, 0.5, 1, budgets)
+		key := Key("g1", "prima", 0, 0.5, 1, 1, budgets)
 		if got := groupKeyOf(key); got != group {
 			t.Errorf("groupKeyOf(budgets %v) = %q, want %q", budgets, got, group)
 		}
@@ -179,8 +179,13 @@ func TestKeyGroupAndBudgets(t *testing.T) {
 			t.Errorf("budgetsOf(%q) = %v, want %v", key, got, budgets)
 		}
 	}
-	if inGroup(Key("g1", "prima", 0, 0.5, 1, []int{5}), Key("g1", "prima", 0, 0.5, 10, nil)) {
+	if inGroup(Key("g1", "prima", 0, 0.5, 1, 1, []int{5}), Key("g1", "prima", 0, 0.5, 10, 1, nil)) {
 		t.Error("a key of ℓ = 1 reads as a member of the ℓ = 10 group")
+	}
+	for _, seed := range []uint64{2, 11} {
+		if inGroup(Key("g1", "prima", 0, 0.5, 1, seed, []int{5}), group) {
+			t.Errorf("a key of seed %d reads as a member of the seed-1 group", seed)
+		}
 	}
 	if inGroup(phase1Key("g1", 0, 1), group) {
 		t.Error("a phase-1 stream key reads as a sketch of the group")

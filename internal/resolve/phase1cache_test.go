@@ -41,7 +41,7 @@ func TestLendStreamPricedLikeAnEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
-	if _, _, err := c.GetOrBuildCtx(ctx, Key("g1", "prima", 0, 0.5, 1, []int{5}), func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); err != nil {
+	if _, _, err := c.GetOrBuildCtx(ctx, Key("g1", "prima", 0, 0.5, 1, 1, []int{5}), func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -68,7 +68,7 @@ func TestLendStreamPricedLikeAnEntry(t *testing.T) {
 	// The stream was touched last: two sketch inserts evict the older
 	// sketch first, then the stream.
 	for _, b := range []int{6, 7} {
-		if _, _, err := c.GetOrBuildCtx(ctx, Key("g1", "prima", 0, 0.5, 1, []int{b}), func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); err != nil {
+		if _, _, err := c.GetOrBuildCtx(ctx, Key("g1", "prima", 0, 0.5, 1, 1, []int{b}), func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if streams := c.Streams(); (streams == 1) != (b == 6) {

@@ -10,7 +10,8 @@
 // Resolve is the one entry point; Price answers admission's question
 // about the same request. Every miss goes through the batch scheduler
 // (internal/batch documents how a group — same graph, sketch family,
-// cascade, ε, ℓ; budgets free — gathers behind its in-flight build).
+// cascade, ε, ℓ, seed; budgets free — gathers behind its in-flight
+// build).
 package resolve
 
 import (
@@ -135,7 +136,8 @@ type Req struct {
 	Meta    core.Meta
 	Problem *core.Problem
 	Cascade graph.Cascade
-	// Seed seeds the build's RNG and names its phase-1 stream.
+	// Seed seeds the build's RNG, names its phase-1 stream and is part
+	// of its sketch key.
 	Seed uint64
 	// Eps and Ell are the resolved approximation parameters.
 	Eps, Ell float64
@@ -168,7 +170,7 @@ func (o Outcome) Cached() bool { return o == Memory || o == Disk }
 // key is req's sketch key and canonical budgets.
 func (req *Req) key() (string, []int) {
 	budgets := req.Planner.SketchBudgets(req.Problem)
-	return Key(req.GraphID, req.Meta.SketchFamily, int(req.Cascade), req.Eps, req.Ell, budgets), budgets
+	return Key(req.GraphID, req.Meta.SketchFamily, int(req.Cascade), req.Eps, req.Ell, req.Seed, budgets), budgets
 }
 
 // Resolve returns the sketch that answers req. In order: the

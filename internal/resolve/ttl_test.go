@@ -76,8 +76,8 @@ func TestSketchCacheTTLExpiry(t *testing.T) {
 
 func TestSketchCachePutAndExport(t *testing.T) {
 	c := NewSketchCache(8, 0, 0, nil)
-	keyA := Key("gA", "prima", 0, 0.5, 1, []int{2, 2})
-	keyB := Key("gB", "imm", 0, 0.5, 1, []int{3})
+	keyA := Key("gA", "prima", 0, 0.5, 1, 1, []int{2, 2})
+	keyB := Key("gB", "imm", 0, 0.5, 1, 1, []int{3})
 
 	sketchA := &rrset.Sketch{Family: "prima"}
 	if !c.Put(keyA, sketchA) {

@@ -91,6 +91,8 @@ func (e *env) awaitCoalesced(t *testing.T, n int64) {
 // burst is the mixed-budget scenario the batching tests share: one
 // leader whose build is parked, and n-1 requests with pairwise distinct
 // budgets, none of which the leader's vector covers, arriving behind it.
+// All share the default seed: requests of different seeds never share a
+// group.
 // It returns every request's result (index i asked for budgets
 // {base+i, base+i+1}) and trace once the leader has been released and
 // all have finished.
@@ -107,7 +109,6 @@ func burst(t *testing.T, e *env, id string, n, base int) ([]*service.AllocateRes
 		res, err := e.svc.AllocateCtx(ctx, &service.AllocateRequest{
 			GraphID: id,
 			Budgets: []int{base + i, base + i + 1},
-			Seed:    uint64(i + 1),
 		}, report)
 		if err != nil {
 			t.Errorf("allocate %d: %v", i, err)

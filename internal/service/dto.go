@@ -119,12 +119,10 @@ type AllocateRequest struct {
 	Ell float64 `json:"ell,omitempty"`
 	// Cascade is ic (default) or lt.
 	Cascade string `json:"cascade,omitempty"`
-	// Seed seeds the RNGs for sketch generation and welfare estimation.
-	// Note the sketch cache is deliberately keyed without the seed —
-	// any sketch of the right size is statistically valid, so a request
-	// may reuse a sketch built under an earlier request's seed. Results
-	// are deterministic per daemon cache state, not per seed; for
-	// strict seed reproducibility use `welmax -json`.
+	// Seed seeds the RNGs for sketch generation and welfare estimation
+	// (0 means 1). It is part of the sketch-cache key: a request is
+	// served only by sketches built from its own seed, so sketch_cached
+	// is per seed.
 	Seed uint64 `json:"seed,omitempty"`
 	// Runs is the Monte-Carlo run count for the welfare estimate
 	// appended to the result; 0 skips the estimate.

@@ -534,9 +534,12 @@ func (s *Service) Allocate(req *AllocateRequest) (*AllocateResult, error) {
 	return s.AllocateCtx(context.Background(), req, nil)
 }
 
-// SketchKey is the sketch-cache key of a request (resolve.Key).
+// SketchKey is the sketch-cache key (resolve.Key) of a request at the
+// default seed. It is kept only for the benchmark module, which is
+// pinned to this six-argument form; everything else keys through
+// resolve.Key with the request's seed.
 func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []int) string {
-	return resolve.Key(graphID, family, cascade, eps, ell, budgets)
+	return resolve.Key(graphID, family, cascade, eps, ell, seedOf(0), budgets)
 }
 
 // sketchReq is the resolver request for a validated plan of a sketch

@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,10 @@ import (
 // single set is expensive, large enough that the per-chunk overhead is
 // invisible next to the sampling itself.
 const growChunk = 256
+
+// errZeroResume reports a grow that would resume a chunk from the
+// all-zero generator state: a stream state lost, not a stream.
+var errZeroResume = errors.New("rrset: grow resumes a chunk from a zero generator state")
 
 // GrowParallelCtx grows the collection to at least target RR sets using
 // the given number of worker goroutines (values below 1 mean 1). The
@@ -57,6 +62,12 @@ func (c *Collection) GrowParallelCtx(ctx context.Context, target int64, rng *sta
 	}
 	// [lo, hi) are stream positions; chunks j0..j0+numChunks-1 hold them.
 	lo, hi := start-st.origin, target-st.origin
+	// A grow that starts mid-chunk resumes that chunk's saved generator,
+	// which is never the zero state (see stats.RNG.Zero): sampling from it
+	// would hang, so it fails here instead.
+	if lo%growChunk != 0 && st.tail.Zero() {
+		return errZeroResume
+	}
 	j0 := lo / growChunk
 	numChunks := int((hi-1)/growChunk - j0 + 1)
 	workers = min(max(workers, 1), numChunks)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/stats"
@@ -114,6 +115,30 @@ func TestStreamCanceledGrowKeepsState(t *testing.T) {
 			}
 			growTo(t, c, b, nil, w)
 			sameCollections(t, c, direct)
+		}
+	}
+}
+
+// TestStreamZeroResumeFails: a grow that would resume a chunk from the
+// all-zero generator state — a lost tail, on which Intn spins forever —
+// returns an error within seconds and leaves the collection as it was.
+func TestStreamZeroResumeFails(t *testing.T) {
+	for _, f := range samplerFamilies() {
+		c := f.opts.NewCollection(f.g)
+		growTo(t, c, 300, stats.NewRNG(4), 2) // mid-chunk: the next grow resumes
+		c.stream.tail = stats.RNG{}
+		errc := make(chan error, 1)
+		go func() { errc <- c.GrowParallelCtx(context.Background(), 700, nil, 2, nil) }()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Fatalf("%s: a grow resumed from the zero generator state", f.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: a grow resuming from the zero generator state hung", f.name)
+		}
+		if c.Len() != 300 {
+			t.Fatalf("%s: the failed grow left %d sets, want 300", f.name, c.Len())
 		}
 	}
 }

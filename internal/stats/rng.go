@@ -48,6 +48,12 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
+// Zero reports whether r is in the all-zero xoshiro state, which returns
+// 0 forever (Intn then spins in its rejection loop for any n that is not
+// a power of two). Seed never produces it; an RNG value that was never
+// seeded is in it.
+func (r *RNG) Zero() bool { return r.s == [4]uint64{} }
+
 // Split returns a new RNG seeded from the current stream, suitable for
 // handing to another goroutine.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }

@@ -46,20 +46,26 @@ func TestAdmissionRejectRelaysThroughRouter(t *testing.T) {
 		t.Fatalf("429 body through router lost the retryable contract: %s", raw)
 	}
 
-	// A sanely-priced request on the same graph clears admission and
-	// completes end to end.
-	view := c.waitJob(c.submit("/v1/allocate",
-		service.AllocateRequest{GraphID: info.ID, Budgets: []int{3, 3}}))
-	if view.State != service.JobDone {
-		t.Fatalf("cheap allocate: %s (%s)", view.State, view.Error)
+	// Sanely-priced requests on the same graph clear admission and
+	// complete end to end; the second, wider one extends the first's
+	// resident sketch.
+	for _, budgets := range [][]int{{3, 3}, {6, 6}} {
+		view := c.waitJob(c.submit("/v1/allocate",
+			service.AllocateRequest{GraphID: info.ID, Budgets: budgets}))
+		if view.State != service.JobDone {
+			t.Fatalf("cheap allocate %v: %s (%s)", budgets, view.State, view.Error)
+		}
 	}
 
-	// The router's cluster summary aggregates the shards' admission and
-	// batching counters.
+	// The router's cluster summary aggregates the shards' admission,
+	// batching and extend counters.
 	var stats struct {
 		Cluster struct {
-			AdmissionRejects int64 `json:"admission_rejects"`
-			Batched          int64 `json:"batched"`
+			AdmissionRejects  int64 `json:"admission_rejects"`
+			Batched           int64 `json:"batched"`
+			HeldGroups        int64 `json:"held_groups"`
+			CoalescedRequests int64 `json:"coalesced_requests"`
+			SketchExtends     int64 `json:"sketch_extends"`
 		} `json:"cluster"`
 		Backends map[string]service.StatsResponse `json:"backends"`
 	}
@@ -70,11 +76,29 @@ func TestAdmissionRejectRelaysThroughRouter(t *testing.T) {
 	if stats.Cluster.Batched < 1 {
 		t.Fatalf("cluster batched = %d, want >= 1 (the cheap allocate's build)", stats.Cluster.Batched)
 	}
-	perShard := int64(0)
-	for _, st := range stats.Backends {
-		perShard += st.Batch.AdmissionRejects
+	if stats.Cluster.SketchExtends < 1 {
+		t.Fatalf("cluster sketch_extends = %d, want >= 1 (the wider allocate's extend)", stats.Cluster.SketchExtends)
 	}
-	if perShard != stats.Cluster.AdmissionRejects {
-		t.Fatalf("per-shard admission sum %d != cluster aggregate %d", perShard, stats.Cluster.AdmissionRejects)
+	var perShard service.BatchStats
+	for _, st := range stats.Backends {
+		perShard.AdmissionRejects += st.Batch.AdmissionRejects
+		perShard.Batched += st.Batch.Batched
+		perShard.HeldGroups += st.Batch.HeldGroups
+		perShard.CoalescedRequests += st.Batch.CoalescedRequests
+		perShard.SketchExtends += st.Batch.SketchExtends
+	}
+	for _, sum := range []struct {
+		name           string
+		shards, router int64
+	}{
+		{"admission_rejects", perShard.AdmissionRejects, stats.Cluster.AdmissionRejects},
+		{"batched", perShard.Batched, stats.Cluster.Batched},
+		{"held_groups", perShard.HeldGroups, stats.Cluster.HeldGroups},
+		{"coalesced_requests", perShard.CoalescedRequests, stats.Cluster.CoalescedRequests},
+		{"sketch_extends", perShard.SketchExtends, stats.Cluster.SketchExtends},
+	} {
+		if sum.shards != sum.router {
+			t.Errorf("per-shard %s sum %d != cluster aggregate %d", sum.name, sum.shards, sum.router)
+		}
 	}
 }

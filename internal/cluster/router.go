@@ -685,13 +685,16 @@ type RouterStats struct {
 		// counts the warm-sketch streams shipped along with them.
 		Rebalances  int64 `json:"rebalances"`
 		SketchShips int64 `json:"sketch_ships"`
-		// Batched, CoalescedRequests, and AdmissionRejects aggregate the
-		// per-shard batch-scheduler and admission-control counters across
-		// the live backends (each backend's own numbers are under
-		// Backends[name].batch) — batching and admission run per shard,
-		// so the cluster-level picture is their sum.
+		// Batched, HeldGroups, CoalescedRequests, SketchExtends and
+		// AdmissionRejects aggregate the per-shard batch-scheduler,
+		// extend and admission-control counters across the live backends
+		// (each backend's own numbers are under Backends[name].batch) —
+		// batching and admission run per shard, so the cluster-level
+		// picture is their sum.
 		Batched           int64 `json:"batched"`
+		HeldGroups        int64 `json:"held_groups"`
 		CoalescedRequests int64 `json:"coalesced_requests"`
+		SketchExtends     int64 `json:"sketch_extends"`
 		AdmissionRejects  int64 `json:"admission_rejects"`
 		// SweepCells* count the router's sweep-dispatched cells by
 		// terminal state.
@@ -735,7 +738,9 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 		}
 		out.Backends[res.backend] = st
 		out.Cluster.Batched += st.Batch.Batched
+		out.Cluster.HeldGroups += st.Batch.HeldGroups
 		out.Cluster.CoalescedRequests += st.Batch.CoalescedRequests
+		out.Cluster.SketchExtends += st.Batch.SketchExtends
 		out.Cluster.AdmissionRejects += st.Batch.AdmissionRejects
 	}
 	return out

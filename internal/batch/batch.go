@@ -15,8 +15,8 @@
 // sketch cache, whose keys include the exact budget vector.
 //
 // Mechanics: requests are grouped by everything that genuinely changes
-// the sketch distribution — (graph, sketch family, cascade, ε, ℓ).
-// Gathering is driven by builds, not by a timer:
+// the sketch distribution — (graph, sketch family, cascade, ε, ℓ,
+// seed). Gathering is driven by builds, not by a timer:
 //
 //   - A request whose key has no build in flight starts its build at
 //     once, sized for its own budgets. It waits for nothing.
@@ -176,7 +176,7 @@ func (s *Scheduler) Stats() Stats {
 // vector have also serves want under merge's semantics: exactly when
 // merging want in changes nothing. It is the single definition of the
 // dominance test — the scheduler's in-flight join and Covered checks and
-// the service's merged-sketch fast path and admission wave-through all
+// the sketch resolver's dominating-sketch lookup and admission price all
 // rely on these exact semantics staying identical.
 func Dominates(merge MergeFunc, have, want []int) bool {
 	return slices.Equal(merge(have, want), have)

@@ -25,7 +25,8 @@ type Options struct {
 	SketchWorkers int
 	// Phase1Stream, when non-nil, lends the PRIMA/IMM sketch builds a
 	// resident phase-1 stream (rrset.Options.Phase1Stream); the sketch
-	// does not change. The service sets it on its sketch builds only.
+	// does not change. The sketch resolver (internal/resolve) sets it on
+	// its sketch builds only.
 	Phase1Stream rrset.Phase1Func
 }
 

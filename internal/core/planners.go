@@ -94,7 +94,7 @@ func (bundleGRDPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, b
 }
 
 // ExtendSketch grows a resident PRIMA sketch built for oldBudgets into
-// one serving newBudgets (the service's delta-build seam).
+// one serving newBudgets (the sketch resolver's delta-build seam).
 func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	if err := checkFamily(AlgoBundleGRD, prima.Family, sk); err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ func (itemDisjointPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem
 }
 
 // ExtendSketch grows a resident IMM sketch to serve the merged total
-// budget (the service's delta-build seam). oldBudgets is unused: the
+// budget (the sketch resolver's delta-build seam). oldBudgets is unused: the
 // IMM sketch carries its own K and lower bound.
 func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, _, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	if err := checkFamily(AlgoItemDisjoint, imm.Family, sk); err != nil {

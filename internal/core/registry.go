@@ -38,7 +38,7 @@ const (
 // budget vector, and compares the (calibrated) prediction against its
 // admission budget before queueing the request. Estimates derive from
 // the worst-case phase-2 bound λ*/k, so they overshoot real builds by a
-// roughly constant factor — the service corrects the bias with
+// roughly constant factor — the sketch resolver corrects the bias with
 // store.CostModel, which tracks the observed predicted-to-actual ratio.
 type CostEstimator func(nodes, edges int, eps, ell float64, budgets []int) int64
 
@@ -75,13 +75,14 @@ type Planner interface {
 
 // SketchPlanner is the capability of planners whose dominant cost is
 // building one immutable RR sketch, and the only sketch seam: the
-// service's resolver splits Plan into a sketch build (cached, shared
-// read-only across goroutines) and PlanFromSketch (cheap, per request).
+// sketch resolver (internal/resolve) splits Plan into a sketch build
+// (cached, shared read-only across goroutines) and PlanFromSketch
+// (cheap, per request).
 // A sketch built for one canonical budget vector serves every request
 // whose budgets that vector dominates — PRIMA's prefix-preserving
 // guarantee covers every budget in the vector it was sized for, and an
 // IMM greedy ordering selected for k is prefix-consistent for any
-// k' ≤ k — which is what lets the service's batch scheduler coalesce
+// k' ≤ k — which is what lets the resolver's batch scheduler coalesce
 // concurrent mixed-budget requests onto one build.
 type SketchPlanner interface {
 	Planner

@@ -21,7 +21,7 @@ import (
 const SketchStreamMagic = "WMSSTRM\x00"
 
 // WriteSketchStreamEntry appends one (key, sketch) entry to a sketch
-// stream. The key is the service's cache key (which embeds the graph's
+// stream. The key is the sketch resolver's cache key (which embeds the graph's
 // content id), so the importing side can insert the sketch under the
 // identical key and have later identical requests hit it.
 func WriteSketchStreamEntry(w io.Writer, key string, sketch *rrset.Sketch) error {

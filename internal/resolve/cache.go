@@ -57,12 +57,13 @@ type SketchCache struct {
 	evictions   int64
 	expirations int64
 
-	// onExpire, when set, receives each expired key. Called under the
-	// cache lock, so it must stay cheap — the resolver wires it to unlink
-	// the key's disk spill (one os.Remove), without which a TTL expiry
-	// would "rebuild" by reloading the identical stale spill from disk.
+	// onExpire and onEvict are set, if at all, before the cache is
+	// shared. onExpire receives each expired key. Called under the cache
+	// lock, so it must stay cheap — the resolver wires it to unlink the
+	// key's disk spill (one os.Remove), without which a TTL expiry would
+	// "rebuild" by reloading the identical stale spill from disk.
 	onExpire func(key string)
-	// onEvict, when set, receives each key dropped by LRU/cost eviction
+	// onEvict receives each key dropped by LRU/cost eviction
 	// with its priced cost and the trace id of the request whose insert
 	// displaced it ("" when the trigger carried no trace, e.g. a
 	// rebalance import). Also called under the cache lock — the resolver
@@ -130,20 +131,6 @@ func (c *SketchCache) expireLocked(key string, e *cacheEntry) bool {
 		c.onExpire(key)
 	}
 	return true
-}
-
-// SetExpireHook registers the expired-key callback (see onExpire).
-func (c *SketchCache) SetExpireHook(fn func(key string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onExpire = fn
-}
-
-// SetEvictHook registers the evicted-key callback (see onEvict).
-func (c *SketchCache) SetEvictHook(fn func(key string, cost int64, traceID string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onEvict = fn
 }
 
 // sweepExpiredLocked drops every expired completed entry (Stats calls
@@ -263,17 +250,14 @@ func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.
 	return nil, false, nil
 }
 
-// dominatingLocked returns the key of the group's resident sketch entry
-// — completed and live, or with inFlight also still building — whose
-// budgets dominate budgets under merge; the most recently used one when
-// several do, "" when none does. Sketch keys end in their canonical
-// budgets (see Key), so the group's entries are the keys under groupKey
-// with no further "|". Caller holds c.mu.
-func (c *SketchCache) dominatingLocked(groupKey string, merge batch.MergeFunc, budgets []int, inFlight bool) string {
-	best := ""
-	var bestUsed uint64
+// eachInGroupLocked calls fn on the group's sketch entries that can
+// serve: completed and live, and with inFlight also those still
+// building. Sketch keys end in their canonical budgets (see Key), so the
+// group's entries are the keys under groupKey with no further "|".
+// Caller holds c.mu.
+func (c *SketchCache) eachInGroupLocked(groupKey string, inFlight bool, fn func(key string, e *cacheEntry)) {
 	for k, e := range c.entries {
-		if e.stream != nil || e.lastUsed <= bestUsed || !inGroup(k, groupKey) {
+		if e.stream != nil || !inGroup(k, groupKey) {
 			continue
 		}
 		select {
@@ -286,10 +270,22 @@ func (c *SketchCache) dominatingLocked(groupKey string, merge batch.MergeFunc, b
 				continue
 			}
 		}
-		if batch.Dominates(merge, budgetsOf(k), budgets) {
+		fn(k, e)
+	}
+}
+
+// dominatingLocked returns the key of the group's entry (see
+// eachInGroupLocked) whose budgets dominate budgets under merge; the
+// most recently used one when several do, "" when none does. Caller
+// holds c.mu.
+func (c *SketchCache) dominatingLocked(groupKey string, merge batch.MergeFunc, budgets []int, inFlight bool) string {
+	best := ""
+	var bestUsed uint64
+	c.eachInGroupLocked(groupKey, inFlight, func(k string, e *cacheEntry) {
+		if e.lastUsed > bestUsed && batch.Dominates(merge, budgetsOf(k), budgets) {
 			best, bestUsed = k, e.lastUsed
 		}
-	}
+	})
 	return best
 }
 
@@ -329,22 +325,11 @@ func (c *SketchCache) ExtendBase(groupKey string) (*rrset.Sketch, []int) {
 	defer c.mu.Unlock()
 	var base *rrset.Sketch
 	key := ""
-	for k, e := range c.entries {
-		if e.stream != nil || !inGroup(k, groupKey) {
-			continue
-		}
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if !c.liveLocked(e) || e.sketch == nil {
-			continue
-		}
+	c.eachInGroupLocked(groupKey, false, func(k string, e *cacheEntry) {
 		if n := e.sketch.NumRRSets(); n > 0 && (base == nil || n > base.NumRRSets()) {
 			base, key = e.sketch, k
 		}
-	}
+	})
 	if base == nil {
 		return nil, nil
 	}

@@ -28,7 +28,6 @@ import (
 	"uicwelfare/internal/core"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/journal"
-	"uicwelfare/internal/progress"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 	"uicwelfare/internal/store"
@@ -86,19 +85,19 @@ func New(cfg Config) *Resolver {
 	// here. The trace id is the evicting request's — the eviction is a
 	// side effect of that request's insert, and carrying its id makes
 	// the trace's control-plane fallout greppable (?trace=).
-	r.cache.SetEvictHook(func(key string, cost int64, traceID string) {
+	r.cache.onEvict = func(key string, cost int64, traceID string) {
 		r.cfg.Journal.Record(journal.Event{Type: journal.CacheEvict, Graph: graphOf(key), Key: key, Bytes: cost, TraceID: traceID})
-	})
+	}
 	// A TTL expiry must invalidate the disk spill too — otherwise the
 	// "rebuild" reloads the identical stale sketch from disk and the
 	// TTL never refreshes anything on a persistent daemon.
-	r.cache.SetExpireHook(func(key string) {
+	r.cache.onExpire = func(key string) {
 		gid := graphOf(key)
 		if r.cfg.Disk != nil && gid != "" {
 			r.cfg.Disk.DeleteSketch(gid, key)
 		}
 		r.cfg.Journal.Record(journal.Event{Type: journal.CacheExpire, Graph: gid, Key: key})
-	})
+	}
 	// Journal every group that reaches its build: which group fired, how
 	// many requests share the one sketch, how long they were held and
 	// what released them. The hook runs on the build's goroutine; the
@@ -135,16 +134,12 @@ type Req struct {
 	Planner core.SketchPlanner
 	Meta    core.Meta
 	Problem *core.Problem
-	Cascade graph.Cascade
+	// Opts are the build options, with Eps and Ell resolved: they and
+	// Opts.Cascade key the sketch.
+	Opts core.Options
 	// Seed seeds the build's RNG, names its phase-1 stream and is part
 	// of its sketch key.
 	Seed uint64
-	// Eps and Ell are the resolved approximation parameters.
-	Eps, Ell float64
-	// SketchWorkers is the RR-set growth parallelism of a build;
-	// Progress, when non-nil, receives its sketch-construction events.
-	SketchWorkers int
-	Progress      progress.Func
 }
 
 // Outcome names what answered a request.
@@ -170,7 +165,7 @@ func (o Outcome) Cached() bool { return o == Memory || o == Disk }
 // key is req's sketch key and canonical budgets.
 func (req *Req) key() (string, []int) {
 	budgets := req.Planner.SketchBudgets(req.Problem)
-	return Key(req.GraphID, req.Meta.SketchFamily, int(req.Cascade), req.Eps, req.Ell, req.Seed, budgets), budgets
+	return Key(req.GraphID, req.Meta.SketchFamily, int(req.Opts.Cascade), req.Opts.Eps, req.Opts.Ell, req.Seed, budgets), budgets
 }
 
 // Resolve returns the sketch that answers req. In order: the
@@ -197,11 +192,11 @@ func (r *Resolver) Resolve(ctx context.Context, req Req) (*rrset.Sketch, Outcome
 			sk, out, err = r.buildMiss(ctx, &req, key, budgets)
 		}
 		if err == nil {
+			counter := telemetry.ResCacheMisses
 			if out.Cached() {
-				telemetry.AddResource(ctx, telemetry.ResCacheHits, 1)
-			} else {
-				telemetry.AddResource(ctx, telemetry.ResCacheMisses, 1)
+				counter = telemetry.ResCacheHits
 			}
+			telemetry.AddResource(ctx, counter, 1)
 			return sk, out, nil
 		}
 		if !inheritedCancel(ctx, err) {
@@ -237,25 +232,14 @@ type built struct {
 	source Outcome
 }
 
-// buildMiss resolves a request no resident sketch serves. Degenerate
+// buildMiss resolves a request no resident sketch serves: degenerate
 // budgets build directly through the tiers, the one path around the
-// scheduler. Every other miss enters the batch scheduler: with no build
-// of its group in flight it builds at once on its own budgets;
-// otherwise it shares the in-flight build, or the one follow-up that
-// merges every uncovered request's budgets and extends the finished
-// sketch when that build returns. The group's sketch is cached under
-// its merged key, so the disk tier and singleflight semantics apply to
-// it unchanged.
+// scheduler, and every other miss enters the batch scheduler. The
+// group's sketch is cached under its merged key, so the disk tier and
+// singleflight semantics apply to it unchanged.
 func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets []int) (*rrset.Sketch, Outcome, error) {
-	sp := req.Planner
-	opts := core.Options{
-		Eps:           req.Eps,
-		Ell:           req.Ell,
-		Cascade:       req.Cascade,
-		Progress:      req.Progress,
-		SketchWorkers: req.SketchWorkers,
-		Phase1Stream:  r.lendPhase1(req.GraphID, int(req.Cascade), req.Seed),
-	}
+	sp, opts := req.Planner, req.Opts
+	opts.Phase1Stream = r.lendPhase1(req.GraphID, int(opts.Cascade), req.Seed)
 	build := func(bctx context.Context, target []int) (*rrset.Sketch, Outcome, error) {
 		sk, err := sp.BuildSketchForBudgets(bctx, req.Problem, target, opts, stats.NewRNG(req.Seed))
 		if err == nil {
@@ -388,7 +372,7 @@ func (r *Resolver) observeBuildCost(ctx context.Context, req *Req, budgets []int
 	if req.Meta.CostEstimator == nil {
 		return
 	}
-	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Eps, req.Ell, budgets)
+	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Opts.Eps, req.Opts.Ell, budgets)
 	r.costs.Observe(req.GraphID, raw, cost)
 	r.cfg.Journal.Record(journal.Event{
 		Type:    journal.AdmissionRecalibrate,
@@ -421,7 +405,7 @@ func (r *Resolver) Price(req *Req) int64 {
 			return 0
 		}
 	}
-	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Eps, req.Ell, req.Problem.Budgets)
+	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Opts.Eps, req.Opts.Ell, req.Problem.Budgets)
 	return r.costs.Predict(req.GraphID, raw)
 }
 

@@ -50,7 +50,7 @@ func (h *harness) req(graphID string, budgets ...int) Req {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return Req{GraphID: graphID, Planner: h.sp, Meta: h.meta, Problem: prob, Seed: 1, Eps: 0.5, Ell: 1, SketchWorkers: 2}
+	return Req{GraphID: graphID, Planner: h.sp, Meta: h.meta, Problem: prob, Opts: core.Options{Eps: 0.5, Ell: 1, SketchWorkers: 2}, Seed: 1}
 }
 
 // resolve runs req and checks what answered it.
@@ -101,7 +101,7 @@ func TestResolveOutcomes(t *testing.T) {
 	// Another ε is another group: a cold build, whose θ rule reads the
 	// seed's resident phase-1 stream instead of sampling its own.
 	other := h.req("g1", 3, 5)
-	other.Eps = 0.45
+	other.Opts.Eps = 0.45
 	h.resolve(other, Built)
 	if st := h.r.Stats(); st.Phase1.Streams != 1 || st.Phase1.SetsReused <= 0 || st.Batch.Batched != 3 {
 		t.Fatalf("the cold builds did not share one phase-1 stream: %+v, batched %d", st.Phase1, st.Batch.Batched)

@@ -63,7 +63,7 @@ func TestSketchCacheTTLExpiry(t *testing.T) {
 	// Stats sweeps expired entries even with no traffic touching them,
 	// and the expire hook fires so the disk tier can drop its spill too.
 	var expired []string
-	c.SetExpireHook(func(key string) { expired = append(expired, key) })
+	c.onExpire = func(key string) { expired = append(expired, key) }
 	clock.advance(2 * time.Minute)
 	st = c.Stats()
 	if st.Entries != 0 || st.Expirations != 2 {

@@ -546,19 +546,9 @@ func SketchKey(graphID, family string, cascade int, eps, ell float64, budgets []
 // planner (sp nil prices a planner with no sketch; see
 // resolve.Resolver.Price).
 func (s *Service) sketchReq(graphID string, sp core.SketchPlanner, plan *allocatePlan) resolve.Req {
-	eps, ell := ResolveEpsEll(plan.opts.Eps, plan.opts.Ell)
-	return resolve.Req{
-		GraphID:       graphID,
-		Planner:       sp,
-		Meta:          plan.meta,
-		Problem:       plan.prob,
-		Cascade:       plan.opts.Cascade,
-		Seed:          plan.seed,
-		Eps:           eps,
-		Ell:           ell,
-		SketchWorkers: plan.opts.SketchWorkers,
-		Progress:      plan.opts.Progress,
-	}
+	opts := plan.opts
+	opts.Eps, opts.Ell = ResolveEpsEll(opts.Eps, opts.Ell)
+	return resolve.Req{GraphID: graphID, Planner: sp, Meta: plan.meta, Problem: plan.prob, Opts: opts, Seed: plan.seed}
 }
 
 // AllocateCtx solves one allocation request under ctx, reporting

@@ -63,11 +63,11 @@ type SketchCache struct {
 	// key's disk spill (one os.Remove), without which a TTL expiry would
 	// "rebuild" by reloading the identical stale spill from disk.
 	onExpire func(key string)
-	// onEvict receives each key dropped by LRU/cost eviction
-	// with its priced cost and the trace id of the request whose insert
-	// displaced it ("" when the trigger carried no trace, e.g. a
-	// rebalance import). Also called under the cache lock — the resolver
-	// wires it to the control-plane journal's O(1) ring append.
+	// onEvict receives each key dropped by LRU/cost eviction with its
+	// priced cost and the trace id of the request whose insert displaced
+	// it ("" when the trigger carried no trace, e.g. a rebalance import).
+	// Also called under the cache lock — the resolver wires it to the
+	// control-plane journal's O(1) ring append.
 	onEvict func(key string, cost int64, traceID string)
 }
 
@@ -239,8 +239,8 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 // miss: a completed (unexpired) entry returns immediately, an in-flight
 // entry is waited on (cancelably, like GetOrBuildCtx's waiter path), and
 // a miss reports ok = false without creating an entry or counting a
-// miss. The batch scheduler uses it as its fast path — on a miss the
-// build decision belongs to the scheduler, not to this lookup.
+// miss. The resolver uses it as its fast path — on a miss the build
+// decision belongs to the batch scheduler, not to this lookup.
 func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.Sketch, ok bool, err error) {
 	c.mu.Lock()
 	if sk, hit, err := c.hitLocked(ctx, key); hit {

@@ -265,13 +265,12 @@ func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets 
 			// a detached context; re-attach the submitting request's trace
 			// so build-stage spans land on it rather than vanishing.
 			bctx = telemetry.NewContext(bctx, telemetry.FromContext(ctx))
-			// Delta-build seam: when the group has a resident sketch (a
-			// dominating one was already served before Submit), extend the
-			// one with the most sets to the union of its vector and the
-			// merged one instead of cold-building. This is the path a
-			// follow-up group takes: the scheduler starts it only after
-			// the build it gathered behind has returned, i.e. after that
-			// build's sketch is resident.
+			// Delta-build seam: when the group has a completed resident
+			// sketch, extend the one with the most sets to the union of
+			// its vector and the merged one instead of cold-building. This
+			// is the path a follow-up group takes: the scheduler starts it
+			// only after the build it gathered behind has returned, i.e.
+			// after that build's sketch is resident.
 			target := merged
 			base, baseBudgets := r.cache.ExtendBase(groupKey)
 			if base != nil {
@@ -297,7 +296,7 @@ func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets 
 				}
 				return build(bctx, target)
 			})
-			return built{sk, src}, src == Memory || src == Disk, err
+			return built{sk, src}, src.Cached(), err
 		})
 	res, _ := v.(built)
 	if shared {
@@ -333,8 +332,8 @@ func (r *Resolver) buildThroughTiers(ctx context.Context, req *Req, key string, 
 				return sk, nil
 			}
 		}
-		sk, s, err := build(ctx)
-		src = s
+		sk, from, err := build(ctx)
+		src = from
 		if err == nil && r.cfg.Disk != nil {
 			// The spill persists the sketch's greedy selection: run it
 			// first, under its own span, so sketch_spill times only the

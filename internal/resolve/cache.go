@@ -23,7 +23,7 @@ import (
 // cache lets repeated and concurrent queries against the same resident
 // network reuse one sketch instead of regenerating it. Besides exact
 // keys it answers two group queries — the resident sketch that
-// dominates a request (LookupDominating, Covers) and the extend base
+// dominates a request (Lookup, Covers) and the extend base
 // (ExtendBase) — so the group's entries are bounded by the cache's own
 // eviction, TTL and invalidation. (The optional disk tier below it
 // lives in internal/store; the resolver consults it inside the build
@@ -157,7 +157,7 @@ func (c *SketchCache) liveLocked(e *cacheEntry) bool {
 	return e.err == nil && (c.ttl <= 0 || e.expires.IsZero() || c.now().Before(e.expires))
 }
 
-// hitLocked is the hit branch GetOrBuildCtx and LookupCtx share. When
+// hitLocked is the hit branch GetOrBuildCtx and Lookup share. When
 // key has an entry that is in flight or completed and unexpired, it
 // counts a hit, touches the entry's LRU position, releases c.mu and
 // waits for the entry — cancelably: a canceled ctx returns ctx.Err()
@@ -235,16 +235,25 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 	return e.sketch, false, e.err
 }
 
-// LookupCtx returns the sketch cached under key without building on a
-// miss: a completed (unexpired) entry returns immediately, an in-flight
-// entry is waited on (cancelably, like GetOrBuildCtx's waiter path), and
-// a miss reports ok = false without creating an entry or counting a
-// miss. The resolver uses it as its fast path — on a miss the build
-// decision belongs to the batch scheduler, not to this lookup.
-func (c *SketchCache) LookupCtx(ctx context.Context, key string) (sketch *rrset.Sketch, ok bool, err error) {
+// Lookup returns a resident sketch that serves the request keyed key,
+// without building on a miss: the exact entry — a completed (unexpired)
+// one at once, an in-flight one waited on cancelably, like
+// GetOrBuildCtx's waiter path — or else the group's completed entry
+// whose budgets dominate budgets under merge (see dominatingLocked). An
+// in-flight group build is not waited on that way: a request it
+// dominates joins it through the batch scheduler instead. A hit is
+// counted; a miss reports ok = false without creating an entry or
+// counting a miss — the build decision belongs to the batch scheduler,
+// not to this lookup.
+func (c *SketchCache) Lookup(ctx context.Context, key string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, ok bool, err error) {
 	c.mu.Lock()
 	if sk, hit, err := c.hitLocked(ctx, key); hit {
 		return sk, true, err
+	}
+	if k := c.dominatingLocked(groupKeyOf(key), merge, budgets, false); k != "" {
+		if sk, hit, err := c.hitLocked(ctx, k); hit {
+			return sk, true, err
+		}
 	}
 	c.mu.Unlock()
 	return nil, false, nil
@@ -297,21 +306,6 @@ func (c *SketchCache) Covers(groupKey string, merge batch.MergeFunc, budgets []i
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dominatingLocked(groupKey, merge, budgets, true) != ""
-}
-
-// LookupDominating is LookupCtx on the group's completed entry that
-// dominates budgets (see dominatingLocked): a hit is counted; with none,
-// ok is false. An in-flight group build is not waited on here: a
-// request it dominates joins it through the batch scheduler instead.
-func (c *SketchCache) LookupDominating(ctx context.Context, groupKey string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, ok bool, err error) {
-	c.mu.Lock()
-	if key := c.dominatingLocked(groupKey, merge, budgets, false); key != "" {
-		if sk, hit, err := c.hitLocked(ctx, key); hit {
-			return sk, true, err
-		}
-	}
-	c.mu.Unlock()
-	return nil, false, nil
 }
 
 // ExtendBase returns the group's completed, live sketch with the most

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,7 +176,7 @@ func TestKeyGroupAndBudgets(t *testing.T) {
 		if !inGroup(key, group) {
 			t.Errorf("%q not in its own group %q", key, group)
 		}
-		if got := budgetsOf(key); fmt.Sprint(got) != fmt.Sprint(budgets) && len(got)+len(budgets) > 0 {
+		if got := budgetsOf(key); !slices.Equal(got, budgets) {
 			t.Errorf("budgetsOf(%q) = %v, want %v", key, got, budgets)
 		}
 	}

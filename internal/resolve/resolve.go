@@ -182,10 +182,7 @@ func (r *Resolver) Resolve(ctx context.Context, req Req) (*rrset.Sketch, Outcome
 	key, budgets := req.key()
 	for {
 		endLookup := telemetry.StartSpan(ctx, "cache_lookup")
-		sk, found, err := r.cache.LookupCtx(ctx, key)
-		if !found {
-			sk, found, err = r.cache.LookupDominating(ctx, groupKeyOf(key), req.Planner.MergeBudgets, budgets)
-		}
+		sk, found, err := r.cache.Lookup(ctx, key, req.Planner.MergeBudgets, budgets)
 		endLookup()
 		out := Memory
 		if !found && err == nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"uicwelfare/internal/cluster"
+	"uicwelfare/internal/resolve"
 	"uicwelfare/internal/service"
 )
 
@@ -79,7 +80,7 @@ func TestAdmissionRejectRelaysThroughRouter(t *testing.T) {
 	if stats.Cluster.SketchExtends < 1 {
 		t.Fatalf("cluster sketch_extends = %d, want >= 1 (the wider allocate's extend)", stats.Cluster.SketchExtends)
 	}
-	var perShard service.BatchStats
+	var perShard resolve.BatchStats
 	for _, st := range stats.Backends {
 		perShard.AdmissionRejects += st.Batch.AdmissionRejects
 		perShard.Batched += st.Batch.Batched

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"uicwelfare/internal/batch"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/telemetry"
 )
@@ -23,7 +22,7 @@ import (
 // cache lets repeated and concurrent queries against the same resident
 // network reuse one sketch instead of regenerating it. Besides exact
 // keys it answers two group queries — the resident sketch that
-// dominates a request (Lookup, Covers) and the extend base
+// serves a request (Lookup, Covers) and the extend base
 // (ExtendBase) — so the group's entries are bounded by the cache's own
 // eviction, TTL and invalidation. (The optional disk tier below it
 // lives in internal/store; the resolver consults it inside the build
@@ -83,6 +82,9 @@ type cacheEntry struct {
 	// evictOnReady marks an in-flight entry whose key was invalidated
 	// mid-build (graph deleted); the builder removes it on completion.
 	evictOnReady bool
+	// budgets are the canonical budgets a sketch key ends in (budgetsOf),
+	// parsed once at insert for the group queries.
+	budgets []int
 	// stream, when non-nil, makes this a resident phase-1 stream entry
 	// (see LendStream) instead of a sketch: priced, bounded, aged and
 	// invalidated like one, never served, spilled or shipped as one.
@@ -157,6 +159,17 @@ func (c *SketchCache) liveLocked(e *cacheEntry) bool {
 	return e.err == nil && (c.ttl <= 0 || e.expires.IsZero() || c.now().Before(e.expires))
 }
 
+// residentLocked reports whether e is completed and live or, with
+// inFlight, still building. Caller holds c.mu.
+func (c *SketchCache) residentLocked(e *cacheEntry, inFlight bool) bool {
+	select {
+	case <-e.ready:
+		return c.liveLocked(e)
+	default:
+		return inFlight
+	}
+}
+
 // hitLocked is the hit branch GetOrBuildCtx and Lookup share. When
 // key has an entry that is in flight or completed and unexpired, it
 // counts a hit, touches the entry's LRU position, releases c.mu and
@@ -201,7 +214,7 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 	if sk, hit, err := c.hitLocked(ctx, key); hit {
 		return sk, true, err
 	}
-	e := &cacheEntry{ready: make(chan struct{})}
+	e := &cacheEntry{ready: make(chan struct{}), budgets: budgetsOf(key)}
 	c.tick++
 	e.lastUsed = c.tick
 	c.entries[key] = e
@@ -238,19 +251,18 @@ func (c *SketchCache) GetOrBuildCtx(ctx context.Context, key string, build func(
 // Lookup returns a resident sketch that serves the request keyed key,
 // without building on a miss: the exact entry — a completed (unexpired)
 // one at once, an in-flight one waited on cancelably, like
-// GetOrBuildCtx's waiter path — or else the group's completed entry
-// whose budgets dominate budgets under merge (see dominatingLocked). An
-// in-flight group build is not waited on that way: a request it
-// dominates joins it through the batch scheduler instead. A hit is
-// counted; a miss reports ok = false without creating an entry or
-// counting a miss — the build decision belongs to the batch scheduler,
-// not to this lookup.
-func (c *SketchCache) Lookup(ctx context.Context, key string, merge batch.MergeFunc, budgets []int) (sketch *rrset.Sketch, ok bool, err error) {
+// GetOrBuildCtx's waiter path — or else a completed entry of the group
+// that serves it (see servingLocked). An in-flight group build is not
+// waited on that way: a request it dominates joins it through the batch
+// scheduler instead. A hit is counted; a miss reports ok = false without
+// creating an entry or counting a miss — the build decision belongs to
+// the batch scheduler, not to this lookup.
+func (c *SketchCache) Lookup(ctx context.Context, key string, serves func(budgets []int) bool) (sketch *rrset.Sketch, ok bool, err error) {
 	c.mu.Lock()
 	if sk, hit, err := c.hitLocked(ctx, key); hit {
 		return sk, true, err
 	}
-	if k := c.dominatingLocked(groupKeyOf(key), merge, budgets, false); k != "" {
+	if k := c.servingLocked(groupKeyOf(key), serves, false); k != "" {
 		if sk, hit, err := c.hitLocked(ctx, k); hit {
 			return sk, true, err
 		}
@@ -259,53 +271,47 @@ func (c *SketchCache) Lookup(ctx context.Context, key string, merge batch.MergeF
 	return nil, false, nil
 }
 
-// eachInGroupLocked calls fn on the group's sketch entries that can
-// serve: completed and live, and with inFlight also those still
-// building. Sketch keys end in their canonical budgets (see Key), so the
-// group's entries are the keys under groupKey with no further "|".
-// Caller holds c.mu.
+// eachInGroupLocked calls fn on the group's sketch entries that are
+// resident (see residentLocked). Sketch keys end in their canonical
+// budgets (see Key), so the group's entries are the keys under groupKey
+// with no further "|". A completed sketch whose family is not its key's
+// — only a mislabeled import can be one — is skipped: it answers its
+// exact key alone, whose planner refuses it. Caller holds c.mu.
 func (c *SketchCache) eachInGroupLocked(groupKey string, inFlight bool, fn func(key string, e *cacheEntry)) {
+	family := familyOfKey(groupKey)
 	for k, e := range c.entries {
-		if e.stream != nil || !inGroup(k, groupKey) {
-			continue
+		if e.stream == nil && inGroup(k, groupKey) && c.residentLocked(e, inFlight) && (e.sketch == nil || e.sketch.Family == family) {
+			fn(k, e)
 		}
-		select {
-		case <-e.ready:
-			if !c.liveLocked(e) {
-				continue
-			}
-		default:
-			if !inFlight {
-				continue
-			}
-		}
-		fn(k, e)
 	}
 }
 
-// dominatingLocked returns the key of the group's entry (see
-// eachInGroupLocked) whose budgets dominate budgets under merge; the
-// most recently used one when several do, "" when none does. Caller
-// holds c.mu.
-func (c *SketchCache) dominatingLocked(groupKey string, merge batch.MergeFunc, budgets []int, inFlight bool) string {
+// servingLocked returns the key of a resident entry of the group (see
+// eachInGroupLocked) whose budgets pass serves; the most recently used
+// one when several do, "" when none does. Caller holds c.mu.
+func (c *SketchCache) servingLocked(groupKey string, serves func(budgets []int) bool, inFlight bool) string {
 	best := ""
 	var bestUsed uint64
 	c.eachInGroupLocked(groupKey, inFlight, func(k string, e *cacheEntry) {
-		if e.lastUsed > bestUsed && batch.Dominates(merge, budgetsOf(k), budgets) {
+		if e.lastUsed > bestUsed && serves(e.budgets) {
 			best, bestUsed = k, e.lastUsed
 		}
 	})
 	return best
 }
 
-// Covers reports whether a resident entry of groupKey's group, completed
-// or in flight, serves budgets (see dominatingLocked), without touching
-// LRU order or counters. Admission uses it: serving such a request costs
-// no new sketch work.
-func (c *SketchCache) Covers(groupKey string, merge batch.MergeFunc, budgets []int) bool {
+// Covers reports whether key's own entry or another of its group passes
+// serves (see servingLocked), completed or in flight, without touching
+// LRU order or counters. Admission uses it: serving such a request
+// costs no new sketch work. The exact key is checked first, a map hit
+// that spares the group scan.
+func (c *SketchCache) Covers(key string, serves func(budgets []int) bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dominatingLocked(groupKey, merge, budgets, true) != ""
+	if e, ok := c.entries[key]; ok && c.residentLocked(e, true) {
+		return true
+	}
+	return c.servingLocked(groupKeyOf(key), serves, true) != ""
 }
 
 // ExtendBase returns the group's completed, live sketch with the most
@@ -317,17 +323,16 @@ func (c *SketchCache) Covers(groupKey string, merge batch.MergeFunc, budgets []i
 func (c *SketchCache) ExtendBase(groupKey string) (*rrset.Sketch, []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var base *rrset.Sketch
-	key := ""
-	c.eachInGroupLocked(groupKey, false, func(k string, e *cacheEntry) {
-		if n := e.sketch.NumRRSets(); n > 0 && (base == nil || n > base.NumRRSets()) {
-			base, key = e.sketch, k
+	var base *cacheEntry
+	c.eachInGroupLocked(groupKey, false, func(_ string, e *cacheEntry) {
+		if n := e.sketch.NumRRSets(); n > 0 && (base == nil || n > base.sketch.NumRRSets()) {
+			base = e
 		}
 	})
 	if base == nil {
 		return nil, nil
 	}
-	return base, budgetsOf(key)
+	return base.sketch, base.budgets
 }
 
 // CountPrefix counts the resident (completed-ok, unexpired, or
@@ -340,15 +345,7 @@ func (c *SketchCache) CountPrefix(prefix string) int {
 	defer c.mu.Unlock()
 	n := 0
 	for key, e := range c.entries {
-		if !strings.HasPrefix(key, prefix) || e.stream != nil {
-			continue
-		}
-		select {
-		case <-e.ready:
-			if c.liveLocked(e) {
-				n++
-			}
-		default:
+		if strings.HasPrefix(key, prefix) && e.stream == nil && c.residentLocked(e, true) {
 			n++
 		}
 	}
@@ -412,7 +409,7 @@ func (c *SketchCache) Put(key string, sketch *rrset.Sketch) bool {
 			return false
 		}
 	}
-	e := &cacheEntry{ready: make(chan struct{}), sketch: sketch}
+	e := &cacheEntry{ready: make(chan struct{}), sketch: sketch, budgets: budgetsOf(key)}
 	close(e.ready)
 	if c.costOf != nil {
 		e.cost = c.costOf(sketch)
@@ -535,8 +532,17 @@ func (c *SketchCache) CompletedForGraph(graphID string) []KeyedSketch {
 // building are marked and removed by their builder on completion (the
 // graph id may be re-registered later, but its sketches are rebuilt
 // fresh).
-func (c *SketchCache) InvalidateGraph(graphID string) {
-	prefix := graphID + "|"
+func (c *SketchCache) InvalidateGraph(graphID string) { c.drop(graphID+"|", true) }
+
+// Reset drops every completed entry, keeping counters. In-flight builds
+// are untouched: their waiters hold the entry directly, and the
+// builder's delete-on-error guard compares pointers, so a build racing
+// a Reset completes harmlessly.
+func (c *SketchCache) Reset() { c.drop("", false) }
+
+// drop removes the completed entries under prefix and, with
+// markInFlight, marks those still building for removal on completion.
+func (c *SketchCache) drop(prefix string, markInFlight bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
@@ -548,24 +554,7 @@ func (c *SketchCache) InvalidateGraph(graphID string) {
 			c.totalCost -= e.cost
 			delete(c.entries, k)
 		default:
-			e.evictOnReady = true
-		}
-	}
-}
-
-// Reset drops every completed entry, keeping counters. In-flight builds
-// are untouched: their waiters hold the entry directly, and the
-// builder's delete-on-error guard compares pointers, so a build racing
-// a Reset completes harmlessly.
-func (c *SketchCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		select {
-		case <-e.ready:
-			c.totalCost -= e.cost
-			delete(c.entries, k)
-		default:
+			e.evictOnReady = e.evictOnReady || markInFlight
 		}
 	}
 }
@@ -667,16 +656,18 @@ func inGroup(key, groupKey string) bool {
 	return strings.HasPrefix(key, groupKey) && strings.IndexByte(key[len(groupKey):], '|') < 0
 }
 
-// budgetsOf parses the canonical budgets a sketch key ends in.
+// budgetsOf parses the canonical budgets a sketch key ends in: positive
+// and strictly decreasing (prima.CanonicalBudgets; an IMM key holds
+// one). It returns nil when the key ends in anything else.
 func budgetsOf(key string) []int {
-	tail := key[strings.LastIndexByte(key, '|')+1:]
-	if tail == "" {
-		return nil
-	}
-	parts := strings.Split(tail, ",")
+	parts := strings.Split(key[strings.LastIndexByte(key, '|')+1:], ",")
 	out := make([]int, len(parts))
 	for i, p := range parts {
-		out[i], _ = strconv.Atoi(p)
+		b, err := strconv.Atoi(p)
+		if err != nil || b <= 0 || (i > 0 && b >= out[i-1]) {
+			return nil
+		}
+		out[i] = b
 	}
 	return out
 }

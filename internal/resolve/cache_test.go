@@ -192,3 +192,34 @@ func TestKeyGroupAndBudgets(t *testing.T) {
 		t.Error("a phase-1 stream key reads as a sketch of the group")
 	}
 }
+
+// BenchmarkCovers prices admission's group query over a cache of n
+// completed sketches, all in the request's group (the scan's worst
+// case): an exact-key hit, and a miss that scans every entry.
+func BenchmarkCovers(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		c := NewSketchCache(n, 0, 0, nil)
+		for i := range n {
+			c.Put(Key("g1", "prima", 0, 0.5, 1, 1, []int{i + 2, 1}), &rrset.Sketch{Family: "prima"})
+		}
+		serves := func(want int) func([]int) bool {
+			return func(have []int) bool { return have[0] >= want }
+		}
+		b.Run(fmt.Sprintf("entries=%d/exact", n), func(b *testing.B) {
+			key := Key("g1", "prima", 0, 0.5, 1, 1, []int{2, 1})
+			for range b.N {
+				if !c.Covers(key, serves(2)) {
+					b.Fatal("the exact key is not covered")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("entries=%d/miss", n), func(b *testing.B) {
+			key := Key("g1", "prima", 0, 0.5, 1, 1, []int{n + 10})
+			for range b.N {
+				if c.Covers(key, serves(n+10)) {
+					b.Fatal("an undominated request is covered")
+				}
+			}
+		})
+	}
+}

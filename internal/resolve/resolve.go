@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -34,33 +33,20 @@ import (
 	"uicwelfare/internal/telemetry"
 )
 
-// Config assembles a Resolver.
-type Config struct {
-	// CacheEntries, CacheBytes and CacheTTL bound the in-memory tier
-	// (see NewSketchCache).
-	CacheEntries int
-	CacheBytes   int64
-	CacheTTL     time.Duration
-	// Disk is the spill tier; nil keeps sketches in memory only.
-	Disk *store.Store
-	// BatchWindow caps how long the scheduler holds a miss behind an
-	// in-flight build of its group (see batch.New).
-	BatchWindow time.Duration
-	// Journal receives evictions, expiries, batch fires and cost-model
-	// recalibrations; nil records nothing.
-	Journal *journal.Recorder
-	// Live reports whether a graph is still registered: sketch work that
-	// finishes for a graph deleted meanwhile is swept.
-	Live func(graphID string) bool
-}
-
 // Resolver answers sketch requests from its tiers; see the package
 // comment. Construct it with New.
 type Resolver struct {
-	cfg     Config
-	cache   *SketchCache
+	// Cache is the in-memory tier and Costs the cost-model calibration.
+	// Callers read them (stats, metrics, the cold-path benchmark's
+	// reset) and never replace them.
+	Cache *SketchCache
+	Costs *store.CostModels
+
+	disk    *store.Store
 	batcher *batch.Scheduler
-	costs   *store.CostModels
+	window  time.Duration
+	journal *journal.Recorder
+	live    func(graphID string) bool
 
 	// extends counts group builds served by extending a resident sketch
 	// instead of cold-building; appended counts the RR sets those
@@ -72,31 +58,39 @@ type Resolver struct {
 	phase1Reused atomic.Int64
 }
 
-// New returns a Resolver over cfg's tiers, with its journal hooks wired.
-func New(cfg Config) *Resolver {
+// New returns a Resolver over cache and, when disk is non-nil, that
+// spill tier. window caps how long the scheduler holds a miss behind an
+// in-flight build of its group (see batch.New); rec receives
+// evictions, expiries, batch fires and cost-model recalibrations (nil
+// records nothing); live reports whether a graph is still registered,
+// so sketch work that finishes for a graph deleted meanwhile is swept.
+func New(cache *SketchCache, disk *store.Store, window time.Duration, rec *journal.Recorder, live func(graphID string) bool) *Resolver {
 	r := &Resolver{
-		cfg:     cfg,
-		cache:   NewSketchCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, store.SketchCost),
-		batcher: batch.New(cfg.BatchWindow),
-		costs:   store.NewCostModels(),
+		Cache:   cache,
+		Costs:   store.NewCostModels(),
+		disk:    disk,
+		batcher: batch.New(window),
+		window:  window,
+		journal: rec,
+		live:    live,
 	}
 	// Evictions and expiries are cache-lock-held callbacks; the journal
 	// ring append is O(1) and non-blocking, which is why it is safe
 	// here. The trace id is the evicting request's — the eviction is a
 	// side effect of that request's insert, and carrying its id makes
 	// the trace's control-plane fallout greppable (?trace=).
-	r.cache.onEvict = func(key string, cost int64, traceID string) {
-		r.cfg.Journal.Record(journal.Event{Type: journal.CacheEvict, Graph: graphOf(key), Key: key, Bytes: cost, TraceID: traceID})
+	cache.onEvict = func(key string, cost int64, traceID string) {
+		rec.Record(journal.Event{Type: journal.CacheEvict, Graph: graphOf(key), Key: key, Bytes: cost, TraceID: traceID})
 	}
 	// A TTL expiry must invalidate the disk spill too — otherwise the
 	// "rebuild" reloads the identical stale sketch from disk and the
 	// TTL never refreshes anything on a persistent daemon.
-	r.cache.onExpire = func(key string) {
+	cache.onExpire = func(key string) {
 		gid := graphOf(key)
-		if r.cfg.Disk != nil && gid != "" {
-			r.cfg.Disk.DeleteSketch(gid, key)
+		if disk != nil && gid != "" {
+			disk.DeleteSketch(gid, key)
 		}
-		r.cfg.Journal.Record(journal.Event{Type: journal.CacheExpire, Graph: gid, Key: key})
+		rec.Record(journal.Event{Type: journal.CacheExpire, Graph: gid, Key: key})
 	}
 	// Journal every group that reaches its build: which group fired, how
 	// many requests share the one sketch, how long they were held and
@@ -104,7 +98,7 @@ func New(cfg Config) *Resolver {
 	// ring append is O(1) and non-blocking. The trace id is the group's
 	// first submitter's.
 	r.batcher.SetFireHook(func(f batch.Fire) {
-		r.cfg.Journal.Record(journal.Event{
+		rec.Record(journal.Event{
 			Type:    journal.BatchFire,
 			Graph:   graphOf(f.Key),
 			Key:     f.Key,
@@ -142,62 +136,55 @@ type Req struct {
 	Seed uint64
 }
 
-// Outcome names what answered a request.
-type Outcome uint8
-
-const (
-	// Memory: a resident sketch — the exact key or one dominating it —
-	// or a build another request started, shared.
-	Memory Outcome = iota
-	// Disk: a spilled sketch, reloaded.
-	Disk
-	// Built: a fresh cold build.
-	Built
-	// Extended: a delta-build that grew a resident sketch of the group.
-	Extended
-)
-
-// Cached reports whether a tier or a shared build avoided fresh sketch
-// work for this request: what AllocateResult exposes as sketch_cached,
-// and what the request's cache_hits / cache_misses resources count.
-func (o Outcome) Cached() bool { return o == Memory || o == Disk }
-
 // key is req's sketch key and canonical budgets.
 func (req *Req) key() (string, []int) {
 	budgets := req.Planner.SketchBudgets(req.Problem)
 	return Key(req.GraphID, req.Meta.SketchFamily, int(req.Opts.Cascade), req.Opts.Eps, req.Opts.Ell, req.Seed, budgets), budgets
 }
 
+// serves is the test a resident sketch of req's group, built for the
+// canonical budgets have, must pass to answer a request for budgets: it
+// dominates them under the planner's merge, and it was sampled — a
+// degenerate sketch answers only its own key (see degenerateBudgets).
+func (req *Req) serves(budgets []int) func(have []int) bool {
+	n := req.Problem.G.N()
+	return func(have []int) bool {
+		return !degenerateBudgets(have, n) && batch.Dominates(req.Planner.MergeBudgets, have, budgets)
+	}
+}
+
 // Resolve returns the sketch that answers req. In order: the
 // exact-budget key (an in-flight entry waited on cancelably), then a
-// completed sketch of the group that dominates it, and otherwise
-// buildMiss. A request that inherits a cancellation that was never its
-// own — the in-flight entry it waited on lost its builder, or the batch
-// group it joined lost every other waiter mid-build — re-resolves from
-// the top, leading a fresh group if need be. The answer lands on the
-// request's resource accounting as one cache hit when Outcome.Cached,
-// one miss otherwise: a warm serve is hits=1, misses=0,
-// rr_sets_grown=0.
-func (r *Resolver) Resolve(ctx context.Context, req Req) (*rrset.Sketch, Outcome, error) {
+// completed sketch of the group that serves it (see Req.serves), and
+// otherwise buildMiss. cached reports whether a tier or a shared build
+// avoided fresh sketch work for this request: what AllocateResult
+// exposes as sketch_cached, and what lands on the request's resource
+// accounting as one cache hit (one miss otherwise) — a warm serve is
+// hits=1, misses=0, rr_sets_grown=0. A request that inherits a
+// cancellation that was never its own — the in-flight entry it waited
+// on lost its builder, or the batch group it joined lost every other
+// waiter mid-build — re-resolves from the top, leading a fresh group if
+// need be.
+func (r *Resolver) Resolve(ctx context.Context, req Req) (sketch *rrset.Sketch, cached bool, err error) {
 	key, budgets := req.key()
+	serves := req.serves(budgets)
 	for {
 		endLookup := telemetry.StartSpan(ctx, "cache_lookup")
-		sk, found, err := r.cache.Lookup(ctx, key, req.Planner.MergeBudgets, budgets)
+		sk, cached, err := r.Cache.Lookup(ctx, key, serves)
 		endLookup()
-		out := Memory
-		if !found && err == nil {
-			sk, out, err = r.buildMiss(ctx, &req, key, budgets)
+		if !cached && err == nil {
+			sk, cached, err = r.buildMiss(ctx, &req, key, budgets)
 		}
 		if err == nil {
 			counter := telemetry.ResCacheMisses
-			if out.Cached() {
+			if cached {
 				counter = telemetry.ResCacheHits
 			}
 			telemetry.AddResource(ctx, counter, 1)
-			return sk, out, nil
+			return sk, cached, nil
 		}
 		if !inheritedCancel(ctx, err) {
-			return nil, out, err
+			return nil, false, err
 		}
 	}
 }
@@ -213,20 +200,20 @@ func inheritedCancel(ctx context.Context, err error) bool {
 // PRIMA/IMM builders' whole-graph shortcut (top budget >= n). Such a
 // "build" samples nothing and returns the all-nodes identity ordering,
 // which is only prefix-preserving for the full budget — so a degenerate
-// request must never coalesce with sampled builds: merging would drag
-// every group member's result onto the unsampled ordering. buildMiss
-// builds these requests directly instead, its one exit before the
-// scheduler; they cost nothing to build, so there is nothing to
-// coalesce anyway.
+// sketch must never answer another request: neither by coalescing with
+// sampled builds, which would drag every group member's result onto the
+// unsampled ordering, nor as a resident sketch that dominates a smaller
+// request. buildMiss builds degenerate requests directly instead, its
+// one exit before the scheduler (they cost nothing to build, so there is
+// nothing to coalesce anyway), and Req.serves never lets one answer
+// another key.
 func degenerateBudgets(budgets []int, n int) bool {
-	return slices.Max(budgets) >= n
-}
-
-// built is a group build's result as the scheduler hands it to every
-// member: the sketch and what supplied it.
-type built struct {
-	sketch *rrset.Sketch
-	source Outcome
+	for _, b := range budgets {
+		if b >= n {
+			return true
+		}
+	}
+	return false
 }
 
 // buildMiss resolves a request no resident sketch serves: degenerate
@@ -234,18 +221,18 @@ type built struct {
 // scheduler, and every other miss enters the batch scheduler. The
 // group's sketch is cached under its merged key, so the disk tier and
 // singleflight semantics apply to it unchanged.
-func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets []int) (*rrset.Sketch, Outcome, error) {
+func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets []int) (*rrset.Sketch, bool, error) {
 	sp, opts := req.Planner, req.Opts
 	opts.Phase1Stream = r.lendPhase1(req.GraphID, int(opts.Cascade), req.Seed)
-	build := func(bctx context.Context, target []int) (*rrset.Sketch, Outcome, error) {
+	build := func(bctx context.Context, target []int) (*rrset.Sketch, error) {
 		sk, err := sp.BuildSketchForBudgets(bctx, req.Problem, target, opts, stats.NewRNG(req.Seed))
 		if err == nil {
 			r.observeBuildCost(bctx, req, target, sk)
 		}
-		return sk, Built, err
+		return sk, err
 	}
 	if degenerateBudgets(budgets, req.Problem.G.N()) {
-		return r.buildThroughTiers(ctx, req, key, func(bctx context.Context) (*rrset.Sketch, Outcome, error) {
+		return r.buildThroughTiers(ctx, req, key, func(bctx context.Context) (*rrset.Sketch, error) {
 			return build(bctx, budgets)
 		})
 	}
@@ -256,7 +243,7 @@ func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets 
 	// request's trace: batch_gather until its group's build starts,
 	// shared_build from there when the build is another member's.
 	groupKey := groupKeyOf(key)
-	v, _, shared, err := r.batcher.Submit(ctx, groupKey, budgets, sp.MergeBudgets,
+	v, hit, shared, err := r.batcher.Submit(ctx, groupKey, budgets, sp.MergeBudgets,
 		func(bctx context.Context, merged []int) (any, bool, error) {
 			// The scheduler runs the group build on its own goroutine with
 			// a detached context; re-attach the submitting request's trace
@@ -269,69 +256,66 @@ func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets 
 			// only after the build it gathered behind has returned, i.e.
 			// after that build's sketch is resident.
 			target := merged
-			base, baseBudgets := r.cache.ExtendBase(groupKey)
+			base, baseBudgets := r.Cache.ExtendBase(groupKey)
 			if base != nil {
 				target = sp.MergeBudgets(baseBudgets, merged)
 			}
 			// Inside the group build: disk, then extend-or-build, then
 			// spill.
-			mergedKey := groupKey + budgetSegment(target)
-			sk, src, err := r.buildThroughTiers(bctx, req, mergedKey, func(bctx context.Context) (*rrset.Sketch, Outcome, error) {
+			return r.buildThroughTiers(bctx, req, groupKey+budgetSegment(target), func(bctx context.Context) (*rrset.Sketch, error) {
 				if base != nil {
 					esk, err := sp.ExtendSketch(bctx, req.Problem, base, baseBudgets, target, opts, stats.NewRNG(req.Seed))
 					if err == nil {
 						r.extends.Add(1)
 						r.appended.Add(int64(esk.NumRRSets() - base.NumRRSets()))
 						r.observeBuildCost(bctx, req, target, esk)
-						return esk, Extended, nil
+						return esk, nil
 					}
 					if bctx.Err() != nil {
-						return nil, Extended, err
+						return nil, err
 					}
 					// Not extendable (degenerate family state, shape
 					// mismatch): fall through to the cold build.
 				}
 				return build(bctx, target)
 			})
-			return built{sk, src}, src.Cached(), err
 		})
-	res, _ := v.(built)
-	if shared {
-		res.source = Memory
-	}
-	return res.sketch, res.source, err
+	// batch.Scheduler is sketch-agnostic (bench/layers.go drives it with
+	// its own build func); every build above returns a *rrset.Sketch.
+	sk, _ := v.(*rrset.Sketch)
+	return sk, hit || shared, err
 }
 
 // buildThroughTiers resolves key through the tiered cache: the
 // in-memory tier first (with singleflight semantics), then — inside the
 // build callback, so concurrent requesters share one disk read exactly
 // like they share one build — the disk tier, and only then build, whose
-// result is spilled back to disk. An inherited cancellation is returned
-// like any error: the caller's Resolve loop retries it.
-func (r *Resolver) buildThroughTiers(ctx context.Context, req *Req, key string, build func(ctx context.Context) (*rrset.Sketch, Outcome, error)) (*rrset.Sketch, Outcome, error) {
-	src := Memory
+// result is spilled back to disk. hit reports whether any tier avoided
+// a rebuild. An inherited cancellation is returned like any error: the
+// caller's Resolve loop retries it.
+func (r *Resolver) buildThroughTiers(ctx context.Context, req *Req, key string, build func(ctx context.Context) (*rrset.Sketch, error)) (sketch *rrset.Sketch, hit bool, err error) {
+	diskHit := false
 	// The lookup span covers the in-memory tier only: it is ended
 	// (idempotently) the moment the build callback starts, so a miss
 	// that turns into a disk load or a fresh build does not inflate the
 	// cache-lookup timing with build work.
 	endLookup := telemetry.StartSpan(ctx, "cache_lookup")
-	sketch, _, err := r.cache.GetOrBuildCtx(ctx, key, func() (*rrset.Sketch, error) {
+	sketch, hit, err = r.Cache.GetOrBuildCtx(ctx, key, func() (*rrset.Sketch, error) {
 		endLookup()
-		if r.cfg.Disk != nil {
+		if r.disk != nil {
 			// The TTL bounds spill age too: a spill left by cost eviction
 			// or a restart must not resurrect a sketch older than the TTL
 			// promises.
 			endLoad := telemetry.StartSpan(ctx, "disk_load")
-			sk := r.cfg.Disk.LoadSketch(req.GraphID, key, req.Problem.G, r.cfg.CacheTTL)
+			sk := r.disk.LoadSketch(req.GraphID, key, req.Problem.G, r.Cache.ttl)
 			endLoad()
 			if sk != nil {
-				src = Disk
+				diskHit = true
 				return sk, nil
 			}
 		}
-		sk, from, err := build(ctx)
-		src = from
-		if err == nil && r.cfg.Disk != nil {
+		sk, err := build(ctx)
+		if err == nil && r.disk != nil {
 			// The spill persists the sketch's greedy selection: run it
 			// first, under its own span, so sketch_spill times only the
 			// encode and write, and every Select after it is a prefix
@@ -340,17 +324,17 @@ func (r *Resolver) buildThroughTiers(ctx context.Context, req *Req, key string, 
 			sk.Selection()
 			endSel()
 			endSpill := telemetry.StartSpan(ctx, "sketch_spill")
-			_ = r.cfg.Disk.SaveSketch(req.GraphID, key, sk) // best-effort; failure only costs warmth
+			_ = r.disk.SaveSketch(req.GraphID, key, sk) // best-effort; failure only costs warmth
 			endSpill()
 		}
 		return sk, err
 	})
 	endLookup()
 	if err != nil {
-		return nil, src, err
+		return nil, false, err
 	}
 	r.sweepIfDeleted(req.GraphID)
-	return sketch, src, nil
+	return sketch, hit || diskHit, nil
 }
 
 // observeBuildCost feeds a completed fresh build into the cost-model
@@ -369,8 +353,8 @@ func (r *Resolver) observeBuildCost(ctx context.Context, req *Req, budgets []int
 		return
 	}
 	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Opts.Eps, req.Opts.Ell, budgets)
-	r.costs.Observe(req.GraphID, raw, cost)
-	r.cfg.Journal.Record(journal.Event{
+	r.Costs.Observe(req.GraphID, raw, cost)
+	r.journal.Record(journal.Event{
 		Type:    journal.AdmissionRecalibrate,
 		Graph:   req.GraphID,
 		TraceID: telemetry.FromContext(ctx).ID(),
@@ -381,28 +365,27 @@ func (r *Resolver) observeBuildCost(ctx context.Context, req *Req, budgets []int
 
 // Price answers admission's question about req: the predicted resident
 // bytes of the new sketch work it would cause. That is 0 when serving it
-// costs nothing new — a resident or in-flight sketch of its group
-// dominates it, or an in-flight build or pending follow-up group's
-// merged vector already covers it — and 0 for a planner with no cost
-// estimator. Otherwise it is the planner's a-priori estimate on the
-// request's budgets, scaled by the graph's learned observed/predicted
-// ratio (the global ratio for a graph with no observed builds yet). A
-// request that would *widen* a pending follow-up is priced as a cold
-// build of its own budgets, although the follow-up will only pay a
-// θ-delta on the finished sketch.
+// costs nothing new — its exact key is resident or in flight, a resident
+// or in-flight sketch of its group serves it (see Req.serves), or an
+// in-flight build or pending follow-up group's merged vector already
+// covers it — and 0 for a planner with no cost estimator. Otherwise it
+// is the planner's a-priori estimate on the request's budgets, scaled by
+// the graph's learned observed/predicted ratio (the global ratio for a
+// graph with no observed builds yet). A request that would *widen* a
+// pending follow-up is priced as a cold build of its own budgets,
+// although the follow-up will only pay a θ-delta on the finished sketch.
 func (r *Resolver) Price(req *Req) int64 {
 	if req.Meta.CostEstimator == nil {
 		return 0
 	}
 	if req.Planner != nil {
 		key, budgets := req.key()
-		groupKey := groupKeyOf(key)
-		if r.cache.Covers(groupKey, req.Planner.MergeBudgets, budgets) || r.batcher.Covered(groupKey, budgets, req.Planner.MergeBudgets) {
+		if r.Cache.Covers(key, req.serves(budgets)) || r.batcher.Covered(groupKeyOf(key), budgets, req.Planner.MergeBudgets) {
 			return 0
 		}
 	}
 	raw := req.Meta.CostEstimator(req.Problem.G.N(), req.Problem.G.M(), req.Opts.Eps, req.Opts.Ell, req.Problem.Budgets)
-	return r.costs.Predict(req.GraphID, raw)
+	return r.Costs.Predict(req.GraphID, raw)
 }
 
 // lendPhase1 lends a build the resident phase-1 stream S₁ of (graph,
@@ -416,7 +399,7 @@ func (r *Resolver) Price(req *Req) int64 {
 func (r *Resolver) lendPhase1(graphID string, cascade int, seed uint64) rrset.Phase1Func {
 	key := phase1Key(graphID, cascade, seed)
 	return func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int), error) {
-		col, release, err := r.cache.LendStream(ctx, key, fresh)
+		col, release, err := r.Cache.LendStream(ctx, key, fresh)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -442,7 +425,7 @@ func phase1Key(graphID string, cascade int, seed uint64) string {
 // deletion (the spill permanently: nothing else sweeps a deleted
 // graph's sketch files). Drops the graph when it is gone.
 func (r *Resolver) sweepIfDeleted(graphID string) {
-	if !r.cfg.Live(graphID) {
+	if !r.live(graphID) {
 		r.DropGraph(graphID)
 	}
 }
@@ -451,23 +434,12 @@ func (r *Resolver) sweepIfDeleted(graphID string) {
 // its cost-model calibration, and its persisted artifacts (the graph
 // file and every spilled sketch).
 func (r *Resolver) DropGraph(graphID string) {
-	r.cache.InvalidateGraph(graphID)
-	r.costs.Forget(graphID)
-	if r.cfg.Disk != nil {
-		r.cfg.Disk.DeleteGraph(graphID)
+	r.Cache.InvalidateGraph(graphID)
+	r.Costs.Forget(graphID)
+	if r.disk != nil {
+		r.disk.DeleteGraph(graphID)
 	}
 }
-
-// ResidentSketches counts the graph's resident sketches (completed or
-// in flight; phase-1 streams excluded) — the cluster placement view's
-// per-node figure.
-func (r *Resolver) ResidentSketches(graphID string) int {
-	return r.cache.CountPrefix(graphID + "|")
-}
-
-// Reset drops every completed in-memory sketch and phase-1 stream (the
-// cold-path benchmark uses it). Safe while requests are in flight.
-func (r *Resolver) Reset() { r.cache.Reset() }
 
 // Export streams the graph's completed in-memory sketches as a
 // sketch-stream container (store.WriteSketchStreamEntry frames) — the
@@ -476,7 +448,7 @@ func (r *Resolver) Reset() { r.cache.Reset() }
 // cache keys are stored hashed, and anything recently used is resident
 // in memory anyway. It returns how many sketches were written.
 func (r *Resolver) Export(graphID string, w io.Writer) (int, error) {
-	entries := r.cache.CompletedForGraph(graphID)
+	entries := r.Cache.CompletedForGraph(graphID)
 	for i, e := range entries {
 		if err := store.WriteSketchStreamEntry(w, e.Key, e.Sketch); err != nil {
 			return i, err
@@ -487,23 +459,29 @@ func (r *Resolver) Export(graphID string, w io.Writer) (int, error) {
 
 // Import reads a sketch-stream container into the graph's cache (and,
 // with a disk tier, its spills), so this backend starts warm for a
-// graph it just received. Entries keyed for a different graph are
-// rejected — a misrouted stream must not poison the cache — and entries
-// whose key is already resident are skipped, not replaced. An imported
-// sketch serves every request of its group it dominates, like a local
-// build.
+// graph it just received. An entry keyed for a different graph, or whose
+// key does not end in a canonical budget vector, fails the import — a
+// misrouted or mislabeled stream must not poison the cache — and
+// entries whose key is already resident are skipped, not replaced. An
+// imported sketch serves every request of its group it dominates, like
+// a local build — unless its family is not its key's, when it answers
+// its exact key only (see SketchCache.Lookup) and that request's planner
+// refuses it.
 func (r *Resolver) Import(graphID string, g *graph.Graph, rd io.Reader) (imported, skipped int, err error) {
 	prefix := graphID + "|"
 	_, err = store.ReadSketchStream(rd, g, func(key string, sketch *rrset.Sketch) error {
 		if !strings.HasPrefix(key, prefix) {
 			return fmt.Errorf("sketch key %q does not belong to graph %q", key, graphID)
 		}
-		if !r.cache.Put(key, sketch) {
+		if budgetsOf(key) == nil {
+			return fmt.Errorf("sketch key %q does not end in canonical budgets", key)
+		}
+		if !r.Cache.Put(key, sketch) {
 			skipped++
 			return nil
 		}
-		if r.cfg.Disk != nil {
-			_ = r.cfg.Disk.SaveSketch(graphID, key, sketch) // best-effort, like local builds
+		if r.disk != nil {
+			_ = r.disk.SaveSketch(graphID, key, sketch) // best-effort, like local builds
 		}
 		imported++
 		return nil
@@ -515,18 +493,9 @@ func (r *Resolver) Import(graphID string, g *graph.Graph, rd io.Reader) (importe
 	return imported, skipped, nil
 }
 
-// Stats is the resolver's counter snapshot, in the shapes /v1/stats
-// serves. All sources are atomics or mutex-guarded snapshots —
-// /v1/stats is served concurrently with allocates, so every counter read
-// here must be synchronized with its writer.
-type Stats struct {
-	Cache  CacheStats
-	Batch  BatchStats
-	Phase1 Phase1Stats
-}
-
 // BatchStats is the /v1/stats view of the batch scheduler, the extend
-// path and the cost-model calibration.
+// path, the cost-model calibration and the admission check in front of
+// them.
 type BatchStats struct {
 	// Enabled is always true — every sketch miss resolves through the
 	// scheduler — and stays on the wire for clients that read it.
@@ -549,6 +518,11 @@ type BatchStats struct {
 	// RRSetsAppended counts the RR sets those extensions appended.
 	SketchExtends  int64 `json:"sketch_extends"`
 	RRSetsAppended int64 `json:"rr_sets_appended"`
+	// AdmissionRejects counts requests refused with 429 because their
+	// Price exceeded the admission budget; AdmissionMaxBytes is that
+	// budget (0 = off). The service's admission check fills both in.
+	AdmissionRejects  int64 `json:"admission_rejects"`
+	AdmissionMaxBytes int64 `json:"admission_max_bytes,omitempty"`
 	// CostRatio and CostSamples describe the global cost-model
 	// calibration: the learned observed/predicted ratio and how many
 	// completed builds informed it.
@@ -569,25 +543,22 @@ type Phase1Stats struct {
 	SetsReused int64 `json:"sets_reused"`
 }
 
-// Stats snapshots the counters.
-func (r *Resolver) Stats() Stats {
+// Stats snapshots the scheduler's, the extend path's, the cost model's
+// and the phase-1 streams' counters (the memory tier's are
+// Cache.Stats). All sources are atomics or mutex-guarded snapshots —
+// /v1/stats is served concurrently with allocates, so every counter read
+// here must be synchronized with its writer.
+func (r *Resolver) Stats() (BatchStats, Phase1Stats) {
 	bs := r.batcher.Stats()
-	out := Stats{
-		Cache: r.cache.Stats(),
-		Batch: BatchStats{
-			Enabled:           true,
-			WindowMS:          float64(r.cfg.BatchWindow) / float64(time.Millisecond),
-			Batched:           bs.Batches,
-			HeldGroups:        bs.Held,
-			CoalescedRequests: bs.Coalesced,
-			SketchExtends:     r.extends.Load(),
-			RRSetsAppended:    r.appended.Load(),
-		},
-		Phase1: Phase1Stats{Streams: r.cache.Streams(), SetsReused: r.phase1Reused.Load()},
+	b := BatchStats{
+		Enabled:           true,
+		WindowMS:          float64(r.window) / float64(time.Millisecond),
+		Batched:           bs.Batches,
+		HeldGroups:        bs.Held,
+		CoalescedRequests: bs.Coalesced,
+		SketchExtends:     r.extends.Load(),
+		RRSetsAppended:    r.appended.Load(),
 	}
-	out.Batch.CostRatio, out.Batch.CostSamples = r.costs.Snapshot()
-	return out
+	b.CostRatio, b.CostSamples = r.Costs.Snapshot()
+	return b, Phase1Stats{Streams: r.Cache.Streams(), SetsReused: r.phase1Reused.Load()}
 }
-
-// CostRatios lists the per-graph cost-model calibrations (unordered).
-func (r *Resolver) CostRatios() []store.GraphCostRatio { return r.costs.PerGraph() }

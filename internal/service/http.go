@@ -252,7 +252,7 @@ func (s *Service) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := entry.Info()
-	info.ResidentSketches = s.res.ResidentSketches(entry.ID)
+	info.ResidentSketches = s.res.Cache.CountPrefix(entry.ID + "|")
 	writeJSON(w, http.StatusOK, info)
 }
 

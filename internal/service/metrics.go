@@ -59,7 +59,7 @@ func (s *Service) gauges() []telemetry.Gauge {
 			Labels: []telemetry.Label{{Name: "state", Value: "canceled"}},
 			Value:  float64(st.Sweeps.CellsCanceled)},
 	}
-	perGraph := s.res.CostRatios()
+	perGraph := s.res.Costs.PerGraph()
 	sort.Slice(perGraph, func(i, j int) bool { return perGraph[i].GraphID < perGraph[j].GraphID })
 	for _, g := range perGraph {
 		out = append(out, telemetry.Gauge{

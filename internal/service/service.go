@@ -232,17 +232,10 @@ func New(opts Options) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.res = resolve.New(resolve.Config{
-		CacheEntries: opts.CacheEntries,
-		CacheBytes:   int64(opts.CacheMB) << 20,
-		CacheTTL:     opts.CacheTTL,
-		Disk:         disk,
-		BatchWindow:  opts.BatchWindow,
-		Journal:      flight,
-		Live: func(graphID string) bool {
-			_, ok := s.registry.Get(graphID)
-			return ok
-		},
+	cache := resolve.NewSketchCache(opts.CacheEntries, int64(opts.CacheMB)<<20, opts.CacheTTL, store.SketchCost)
+	s.res = resolve.New(cache, disk, opts.BatchWindow, flight, func(graphID string) bool {
+		_, ok := s.registry.Get(graphID)
+		return ok
 	})
 	s.sweeps = s.newSweepEngine()
 	s.jobs.SetNodeID(opts.NodeID)
@@ -292,7 +285,7 @@ func (s *Service) Journal() *journal.Recorder { return s.flight }
 // ResetSketchCache drops all cached in-memory sketches and phase-1
 // streams (used by the cold-path benchmark). Safe to call while
 // requests are in flight.
-func (s *Service) ResetSketchCache() { s.res.Reset() }
+func (s *Service) ResetSketchCache() { s.res.Cache.Reset() }
 
 // Registry exposes the graph registry (used by tests; registration that
 // should persist goes through RegisterGraph).
@@ -344,7 +337,7 @@ type StatsResponse struct {
 	DiskTier *store.Stats `json:"disk_tier,omitempty"`
 	// Batch reports the budget-coalescing scheduler and the cost-based
 	// admission control (admission fields zero when it is disabled).
-	Batch BatchStats `json:"batch"`
+	Batch resolve.BatchStats `json:"batch"`
 	// Sweeps reports the experiment-sweep subsystem's cell counters.
 	Sweeps SweepStats `json:"sweeps"`
 	// Phase1 reports the resident phase-1 streams the builds' θ rules
@@ -356,18 +349,6 @@ type StatsResponse struct {
 	QueueDepth  int                 `json:"queue_depth"`
 	QueueCap    int                 `json:"queue_cap"`
 	UptimeMS    int64               `json:"uptime_ms"`
-}
-
-// BatchStats is the /v1/stats view of the sketch resolver's batch
-// scheduler, extends and cost model (resolve.BatchStats) plus the
-// cost-based admission control.
-type BatchStats struct {
-	resolve.BatchStats
-	// AdmissionRejects counts requests refused with 429 because their
-	// predicted sketch cost exceeded the admission budget.
-	AdmissionRejects int64 `json:"admission_rejects"`
-	// AdmissionMaxBytes is the configured admission budget (0 = off).
-	AdmissionMaxBytes int64 `json:"admission_max_bytes,omitempty"`
 }
 
 // Stats snapshots the service counters.
@@ -386,13 +367,9 @@ func (s *Service) Stats() StatsResponse {
 		ds := s.disk.Stats()
 		out.DiskTier = &ds
 	}
-	rs := s.res.Stats()
-	out.SketchCache, out.Phase1 = rs.Cache, rs.Phase1
-	out.Batch = BatchStats{
-		BatchStats:        rs.Batch,
-		AdmissionRejects:  s.admissionRejects.Load(),
-		AdmissionMaxBytes: s.admissionBytes,
-	}
+	out.SketchCache = s.res.Cache.Stats()
+	out.Batch, out.Phase1 = s.res.Stats()
+	out.Batch.AdmissionRejects, out.Batch.AdmissionMaxBytes = s.admissionRejects.Load(), s.admissionBytes
 	out.Sweeps = s.sweeps.Stats()
 	return out
 }
@@ -586,11 +563,11 @@ func (s *Service) AllocateCtx(ctx context.Context, req *AllocateRequest, report 
 		hit bool
 	)
 	if sp, ok := plan.planner.(core.SketchPlanner); ok {
-		v, outcome, err := s.res.Resolve(ctx, s.sketchReq(req.GraphID, sp, plan))
+		v, cached, err := s.res.Resolve(ctx, s.sketchReq(req.GraphID, sp, plan))
 		if err != nil {
 			return nil, err
 		}
-		hit = outcome.Cached()
+		hit = cached
 		endSel := telemetry.StartSpan(ctx, "greedy_select")
 		res, err = sp.PlanFromSketchProgress(prob, v, report)
 		endSel()
@@ -671,11 +648,10 @@ func (s *Service) WarmCtx(ctx context.Context, graphID string, req *WarmRequest,
 	}
 	telemetry.FromContext(ctx).SetFamily(planFamily(plan.meta))
 	plan.opts.Progress = report
-	sketch, outcome, err := s.res.Resolve(ctx, s.sketchReq(graphID, sp, plan))
+	sketch, hit, err := s.res.Resolve(ctx, s.sketchReq(graphID, sp, plan))
 	if err != nil {
 		return nil, err
 	}
-	hit := outcome.Cached()
 	// Prime the sketch's memoised selection, so the first allocation on a
 	// warmed sketch is already a prefix read.
 	endSel := telemetry.StartSpan(ctx, "greedy_select")

@@ -285,7 +285,7 @@ func BenchmarkAblationWelfareEstimator(b *testing.B) {
 	})
 	b.Run("parallel-4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			uic.EstimateWelfareParallel(g, m, res.Alloc, rng, 2000, 4)
+			uic.EstimateWelfareParallelCascade(g, m, graph.CascadeIC, res.Alloc, rng, 2000, 4)
 		}
 	})
 }

@@ -38,11 +38,13 @@ func NewModelWithPrice(val Valuation, price PriceFunc, perItem []float64, noise 
 	return utility.NewModelWithPrice(val, price, perItem, noise)
 }
 
-// PersonalizedSimulator runs the §5 extension where every node draws its
-// own noise world. The approximation guarantee of bundleGRD does not
-// carry over (the tests demonstrate the reachability failure); the
-// simulator supports empirical study of the model.
-type PersonalizedSimulator = uic.PersonalizedSim
+// PersonalizedSimulator is the Simulator of the §5 extension where every
+// node draws its own noise world: NewPersonalizedSimulator returns a
+// Simulator whose RunOnce and EstimateWelfare draw a node's noise the
+// first time the node needs it. The approximation guarantee of
+// bundleGRD does not carry over (the tests demonstrate the reachability
+// failure); the simulator supports empirical study of the model.
+type PersonalizedSimulator = uic.Simulator
 
 // NewPersonalizedSimulator builds a personalized-noise simulator.
 func NewPersonalizedSimulator(g *Graph, m *Model) *PersonalizedSimulator {

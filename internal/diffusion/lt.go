@@ -13,7 +13,7 @@ import (
 func SampleLTWorld(g *graph.Graph, rng *stats.RNG) *LiveEdgeWorld {
 	w := &LiveEdgeWorld{g: g, live: make([]bool, g.M())}
 	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		pos := sampleTrigger(g, v, rng)
+		pos := SampleTrigger(g, v, rng)
 		if pos >= 0 {
 			w.live[pos] = true
 		}
@@ -21,9 +21,11 @@ func SampleLTWorld(g *graph.Graph, rng *stats.RNG) *LiveEdgeWorld {
 	return w
 }
 
-// sampleTrigger picks node v's live in-edge (as a global out-edge
-// position) or -1 for none.
-func sampleTrigger(g *graph.Graph, v graph.NodeID, rng *stats.RNG) int64 {
+// SampleTrigger picks node v's live LT in-edge (as a global out-edge
+// position) or -1 for none, drawing one Float64 from rng when v has
+// in-edges and none otherwise. It is the one LT trigger walk: LTSim,
+// SampleLTWorld and the UIC simulator all sample through it.
+func SampleTrigger(g *graph.Graph, v graph.NodeID, rng *stats.RNG) int64 {
 	_, ps := g.InEdges(v)
 	if len(ps) == 0 {
 		return -1
@@ -67,7 +69,7 @@ func NewLTSim(g *graph.Graph) *LTSim {
 func (s *LTSim) triggerOf(v graph.NodeID, rng *stats.RNG) int64 {
 	if s.triggerGen[v] != s.epoch {
 		s.triggerGen[v] = s.epoch
-		s.trigger[v] = sampleTrigger(s.g, v, rng)
+		s.trigger[v] = SampleTrigger(s.g, v, rng)
 	}
 	return s.trigger[v]
 }

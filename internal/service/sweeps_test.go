@@ -59,6 +59,26 @@ func (e *env) waitSweep(t *testing.T, id string) sweepJobView {
 	return sweepJobView{}
 }
 
+// waitSweepStarted polls the sweep until it has left the queue. A sweep
+// canceled while still queued never executes and has nothing to
+// summarize, so a test of a mid-run cancel sends its DELETE only after
+// this returns.
+func (e *env) waitSweepStarted(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var view sweepJobView
+		e.doJSON("GET", "/v1/sweeps/"+id, nil, &view, http.StatusOK)
+		if view.State != service.JobQueued {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s never started", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // sweepEvents replays the sweep's SSE stream (the past-event replay a
 // late subscriber gets) and returns the decoded progress events.
 func (e *env) sweepEvents(t *testing.T, id string) []service.JobEvent {
@@ -397,6 +417,7 @@ func TestSweepCancel(t *testing.T) {
 		Seed:    1,
 	}
 	sweepID, cells := e.createSweep(t, spec)
+	e.waitSweepStarted(t, sweepID)
 	var del sweepJobView
 	e.doJSON("DELETE", "/v1/sweeps/"+sweepID, nil, &del, http.StatusAccepted)
 	view := e.waitSweep(t, sweepID)
@@ -430,20 +451,7 @@ func TestSweepCancelKeepsSummary(t *testing.T) {
 		Runs:     5000,
 		Seed:     1,
 	})
-	// Cancel only once the sweep runs: a sweep canceled while still
-	// queued never executes and has nothing to summarize.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var view sweepJobView
-		e.doJSON("GET", "/v1/sweeps/"+sweepID, nil, &view, http.StatusOK)
-		if view.State != service.JobQueued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	e.waitSweepStarted(t, sweepID)
 	e.doJSON("DELETE", "/v1/sweeps/"+sweepID, nil, nil, http.StatusAccepted)
 	view := e.waitSweep(t, sweepID)
 	sum := view.Result

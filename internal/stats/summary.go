@@ -43,10 +43,6 @@ func (s *Summary) StdErr() float64 {
 	return s.StdDev() / math.Sqrt(float64(s.n))
 }
 
-// CI95 returns the half-width of an approximate 95% confidence interval
-// for the mean.
-func (s *Summary) CI95() float64 { return 1.96 * s.StdErr() }
-
 // Merge folds another summary into s, as if all of other's observations
 // had been Added to s.
 func (s *Summary) Merge(other Summary) {

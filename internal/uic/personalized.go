@@ -2,190 +2,21 @@ package uic
 
 import (
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/itemset"
-	"uicwelfare/internal/stats"
 	"uicwelfare/internal/utility"
 )
 
-// PersonalizedSim runs the §5 extension of UIC in which every node draws
-// its own noise world: U_v(S) = V(S) - P(S) + Σ_{i∈S} N_v(i), modeling
-// individual rather than population-level valuation uncertainty. The
-// paper notes bundleGRD's approximation guarantee does NOT survive this
-// extension (and the tests demonstrate a reachability violation); the
-// simulator exists to study the model empirically.
-type PersonalizedSim struct {
-	G *graph.Graph
-	M *utility.Model
-	// Cascade selects the edge semantics (IC default or LT).
-	Cascade graph.Cascade
-
-	desire  []itemset.Set
-	adopted []itemset.Set
-	touched []graph.NodeID
-	// util[v] is node v's lazily built utility table for the current run.
-	util    [][]float64
-	hasUtil []bool
-
-	edge       []uint8
-	edgeGen    []int32
-	triggerGen []int32
-	trigger    []int64
-	gen        int32
-	inNext     []bool
-}
-
-// NewPersonalizedSim builds a personalized-noise simulator.
-func NewPersonalizedSim(g *graph.Graph, m *utility.Model) *PersonalizedSim {
-	return &PersonalizedSim{
-		G:          g,
-		M:          m,
-		desire:     make([]itemset.Set, g.N()),
-		adopted:    make([]itemset.Set, g.N()),
-		util:       make([][]float64, g.N()),
-		hasUtil:    make([]bool, g.N()),
-		edge:       make([]uint8, g.M()),
-		edgeGen:    make([]int32, g.M()),
-		triggerGen: make([]int32, g.N()),
-		trigger:    make([]int64, g.N()),
-		inNext:     make([]bool, g.N()),
-	}
-}
-
-// utilOf lazily samples node v's personal noise world and materializes
-// its utility table for this run.
-func (s *PersonalizedSim) utilOf(v graph.NodeID, rng *stats.RNG) []float64 {
-	if !s.hasUtil[v] {
-		s.hasUtil[v] = true
-		noise := s.M.SampleNoise(rng)
-		s.util[v] = s.M.UtilityTable(noise, s.util[v])
-	}
-	return s.util[v]
-}
-
-// Adopted returns v's adoption set after the last run.
-func (s *PersonalizedSim) Adopted(v graph.NodeID) itemset.Set { return s.adopted[v] }
-
-// RunOnce simulates one diffusion with per-node noise and returns the
-// realized social welfare Σ_v U_v(A(v)).
-func (s *PersonalizedSim) RunOnce(alloc *Allocation, rng *stats.RNG) float64 {
-	for _, v := range s.touched {
-		s.desire[v] = 0
-		s.adopted[v] = 0
-		s.hasUtil[v] = false
-	}
-	s.touched = s.touched[:0]
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.edgeGen {
-			s.edgeGen[i] = -1
-		}
-		for i := range s.triggerGen {
-			s.triggerGen[i] = -1
-		}
-		s.gen = 1
-	}
-
-	var frontier []graph.NodeID
-	for i, seeds := range alloc.Seeds {
-		for _, v := range seeds {
-			if s.desire[v] == 0 && s.adopted[v] == 0 {
-				s.touched = append(s.touched, v)
-			}
-			s.desire[v] = s.desire[v].Add(i)
-		}
-	}
-	for _, v := range s.touched {
-		a := utility.Adopt(s.utilOf(v, rng), s.desire[v], 0)
-		if !a.IsEmpty() {
-			s.adopted[v] = a
-			frontier = append(frontier, v)
-		}
-	}
-
-	var next []graph.NodeID
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, u := range frontier {
-			au := s.adopted[u]
-			base := s.G.OutEdgeBase(u)
-			ts, ps := s.G.OutEdges(u)
-			for j, v := range ts {
-				pos := base + int64(j)
-				var live bool
-				if s.Cascade == graph.CascadeLT {
-					live = s.triggerOf(v, rng) == pos
-				} else {
-					if s.edgeGen[pos] != s.gen {
-						s.edgeGen[pos] = s.gen
-						if rng.Bool(float64(ps[j])) {
-							s.edge[pos] = edgeLive
-						} else {
-							s.edge[pos] = edgeBlocked
-						}
-					}
-					live = s.edge[pos] == edgeLive
-				}
-				if !live || s.desire[v]|au == s.desire[v] {
-					continue
-				}
-				if s.desire[v] == 0 && s.adopted[v] == 0 {
-					s.touched = append(s.touched, v)
-				}
-				s.desire[v] = s.desire[v].Union(au)
-				if !s.inNext[v] {
-					s.inNext[v] = true
-					next = append(next, v)
-				}
-			}
-		}
-		adopters := next[:0]
-		for _, v := range next {
-			s.inNext[v] = false
-			newAdopt := utility.Adopt(s.utilOf(v, rng), s.desire[v], s.adopted[v])
-			if newAdopt != s.adopted[v] {
-				s.adopted[v] = newAdopt
-				adopters = append(adopters, v)
-			}
-		}
-		frontier, next = adopters, frontier
-	}
-
-	welfare := 0.0
-	for _, v := range s.touched {
-		welfare += s.util[v][s.adopted[v]]
-	}
-	return welfare
-}
-
-func (s *PersonalizedSim) triggerOf(v graph.NodeID, rng *stats.RNG) int64 {
-	if s.triggerGen[v] != s.gen {
-		s.triggerGen[v] = s.gen
-		s.trigger[v] = -1
-		_, ps := s.G.InEdges(v)
-		if len(ps) > 0 {
-			r := rng.Float64()
-			cum := 0.0
-			positions := s.G.InEdgePositions(v)
-			for i, p := range ps {
-				cum += float64(p)
-				if r < cum {
-					s.trigger[v] = positions[i]
-					break
-				}
-			}
-		}
-	}
-	return s.trigger[v]
-}
-
-// EstimateWelfare averages runs of the personalized-noise diffusion.
-func (s *PersonalizedSim) EstimateWelfare(alloc *Allocation, rng *stats.RNG, runs int) WelfareEstimate {
-	if runs <= 0 {
-		runs = 1
-	}
-	var sum stats.Summary
-	for i := 0; i < runs; i++ {
-		sum.Add(s.RunOnce(alloc, rng))
-	}
-	return WelfareEstimate{Mean: sum.Mean(), StdErr: sum.StdErr(), Runs: sum.N()}
+// NewPersonalizedSim builds a simulator for the §5 extension of UIC in
+// which every node draws its own noise world: U_v(S) = V(S) - P(S) +
+// Σ_{i∈S} N_v(i), modeling individual rather than population-level
+// valuation uncertainty. Its RunOnce (and so EstimateWelfare) draws a
+// node's noise the first time the node needs its utility table;
+// RunOnceWithNoise and RunInWorld still apply their given noise world to
+// every node. The paper notes bundleGRD's approximation guarantee does
+// NOT survive this extension (and the tests demonstrate a reachability
+// violation); the simulator exists to study the model empirically.
+func NewPersonalizedSim(g *graph.Graph, m *utility.Model) *Simulator {
+	s := NewSimulator(g, m)
+	s.nodeUtil = make([][]float64, g.N())
+	s.hasUtil = make([]bool, g.N())
+	return s
 }

@@ -136,7 +136,13 @@ type Simulator struct {
 	triggerGen []int32
 	trigger    []int64
 
-	util     []float64 // utility table of the current noise world
+	util []float64 // utility table of the current shared noise world
+	// Per-node noise (§5), allocated only by NewPersonalizedSim:
+	// nodeUtil[v] is node v's own utility table, valid this run when
+	// hasUtil[v].
+	nodeUtil [][]float64
+	hasUtil  []bool
+
 	frontier []graph.NodeID
 	next     []graph.NodeID
 	inNext   []bool
@@ -162,66 +168,77 @@ func NewSimulator(g *graph.Graph, m *utility.Model) *Simulator {
 func (s *Simulator) triggerOf(v graph.NodeID, rng *stats.RNG) int64 {
 	if s.triggerGen[v] != s.gen {
 		s.triggerGen[v] = s.gen
-		s.trigger[v] = -1
-		_, ps := s.G.InEdges(v)
-		if len(ps) > 0 {
-			r := rng.Float64()
-			cum := 0.0
-			positions := s.G.InEdgePositions(v)
-			for i, p := range ps {
-				cum += float64(p)
-				if r < cum {
-					s.trigger[v] = positions[i]
-					break
-				}
-			}
-		}
+		s.trigger[v] = diffusion.SampleTrigger(s.G, v, rng)
 	}
 	return s.trigger[v]
 }
 
-// RunOnce samples a noise world and a lazy edge world, runs the diffusion
-// to quiescence, and returns the realized social welfare
-// Σ_v U_W(A_W(v)). The adoption sets remain readable through Adopted
-// until the next run.
-func (s *Simulator) RunOnce(alloc *Allocation, rng *stats.RNG) float64 {
-	noise := s.M.SampleNoise(rng)
-	s.util = s.M.UtilityTable(noise, s.util)
-	return s.runWithUtil(alloc, rng, nil)
+// utilOf returns the utility table node v adopts under this run: the
+// shared table, or (personal) v's own table, its noise world drawn from
+// rng the first time the run needs it.
+func (s *Simulator) utilOf(v graph.NodeID, rng *stats.RNG, personal bool) []float64 {
+	if !personal {
+		return s.util
+	}
+	if !s.hasUtil[v] {
+		s.hasUtil[v] = true
+		s.nodeUtil[v] = s.M.UtilityTable(s.M.SampleNoise(rng), s.nodeUtil[v])
+	}
+	return s.nodeUtil[v]
 }
 
-// RunOnceWithNoise runs a diffusion with a fixed noise world but random
-// edges — the W^N conditional welfare ρ_{W^N} is the average of these.
+// RunOnce samples a noise world and a lazy edge world, runs the diffusion
+// to quiescence, and returns the realized social welfare
+// Σ_v U_W(A_W(v)). On a NewPersonalizedSim simulator every node draws
+// its own noise world instead. The adoption sets remain readable
+// through Adopted until the next run.
+func (s *Simulator) RunOnce(alloc *Allocation, rng *stats.RNG) float64 {
+	personal := s.nodeUtil != nil
+	if !personal {
+		s.util = s.M.UtilityTable(s.M.SampleNoise(rng), s.util)
+	}
+	return s.run(alloc, rng, nil, personal)
+}
+
+// RunOnceWithNoise runs a diffusion with a fixed noise world, shared by
+// every node, but random edges — the W^N conditional welfare ρ_{W^N} is
+// the average of these.
 func (s *Simulator) RunOnceWithNoise(alloc *Allocation, noise []float64, rng *stats.RNG) float64 {
 	s.util = s.M.UtilityTable(noise, s.util)
-	return s.runWithUtil(alloc, rng, nil)
+	return s.run(alloc, rng, nil, false)
 }
 
 // RunInWorld runs the fully deterministic diffusion of a possible world
 // W = (W^E, W^N) and returns the welfare. Used by property tests.
 func (s *Simulator) RunInWorld(alloc *Allocation, world *diffusion.LiveEdgeWorld, noise []float64) float64 {
 	s.util = s.M.UtilityTable(noise, s.util)
-	return s.runWithUtil(alloc, nil, world)
+	return s.run(alloc, nil, world, false)
 }
 
 // Adopted returns the adoption set of v at the end of the last run.
 func (s *Simulator) Adopted(v graph.NodeID) itemset.Set { return s.adopted[v] }
 
-// runWithUtil executes the diffusion of Fig. 1 under the prepared utility
-// table. Exactly one of rng (lazy edge flips) or world (fixed edge world)
-// is non-nil.
-func (s *Simulator) runWithUtil(alloc *Allocation, rng *stats.RNG, world *diffusion.LiveEdgeWorld) float64 {
+// run executes the diffusion of Fig. 1. Exactly one of rng (lazy edge
+// flips) or world (fixed edge world) is non-nil. Each node adopts under
+// utilOf(v, rng, personal): the prepared shared table, or (personal, rng
+// only) its own per-node one.
+func (s *Simulator) run(alloc *Allocation, rng *stats.RNG, world *diffusion.LiveEdgeWorld, personal bool) float64 {
 	// reset per-run node state (only nodes touched last run)
 	for _, v := range s.touched {
 		s.desire[v] = 0
 		s.adopted[v] = 0
+		if s.hasUtil != nil {
+			s.hasUtil[v] = false
+		}
 	}
 	s.touched = s.touched[:0]
 	s.gen++
 	if s.gen == 0 {
-		for i := range s.edgeGen {
-			s.edgeGen[i] = -1
-		}
+		// gen skips 0 and starts at 1, so a 0 stamp is never current:
+		// clear every edge and trigger stamp, or a stamp left by an old
+		// run of the new gen would read as sampled this run.
+		clear(s.edgeGen)
+		clear(s.triggerGen)
 		s.gen = 1
 	}
 
@@ -238,7 +255,7 @@ func (s *Simulator) runWithUtil(alloc *Allocation, rng *stats.RNG, world *diffus
 		}
 	}
 	for _, v := range s.touched {
-		a := utility.Adopt(s.util, s.desire[v], 0)
+		a := utility.Adopt(s.utilOf(v, rng, personal), s.desire[v], 0)
 		if !a.IsEmpty() {
 			s.adopted[v] = a
 			frontier = append(frontier, v)
@@ -306,7 +323,7 @@ func (s *Simulator) runWithUtil(alloc *Allocation, rng *stats.RNG, world *diffus
 		adopters := next[:0]
 		for _, v := range next {
 			s.inNext[v] = false
-			newAdopt := utility.Adopt(s.util, s.desire[v], s.adopted[v])
+			newAdopt := utility.Adopt(s.utilOf(v, rng, personal), s.desire[v], s.adopted[v])
 			if newAdopt != s.adopted[v] {
 				s.adopted[v] = newAdopt
 				adopters = append(adopters, v)
@@ -322,7 +339,7 @@ func (s *Simulator) runWithUtil(alloc *Allocation, rng *stats.RNG, world *diffus
 
 	welfare := 0.0
 	for _, v := range s.touched {
-		welfare += s.util[s.adopted[v]]
+		welfare += s.utilOf(v, rng, personal)[s.adopted[v]]
 	}
 	return welfare
 }

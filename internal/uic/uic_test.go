@@ -381,7 +381,7 @@ func TestEstimateWelfareParallelMatchesSequential(t *testing.T) {
 		alloc.Assign(graph.NodeID(s), 1)
 	}
 	seq := NewSimulator(g, m).EstimateWelfare(alloc, stats.NewRNG(10), 20000)
-	par := EstimateWelfareParallel(g, m, alloc, stats.NewRNG(11), 20000, 4)
+	par := EstimateWelfareParallelCascade(g, m, graph.CascadeIC, alloc, stats.NewRNG(11), 20000, 4)
 	if par.Runs != 20000 {
 		t.Errorf("parallel ran %d", par.Runs)
 	}

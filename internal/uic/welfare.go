@@ -23,39 +23,31 @@ type WelfareEstimate struct {
 // samples a fresh noise world and edge world, per the definition
 // ρ(𝒮) = E_{W^E}[E_{W^N}[ρ_W(𝒮)]].
 func (s *Simulator) EstimateWelfare(alloc *Allocation, rng *stats.RNG, runs int) WelfareEstimate {
-	est, _ := s.EstimateWelfareCtx(context.Background(), alloc, rng, runs, nil) // background ctx: never canceled
-	return est
+	sum := s.estimate(context.Background(), alloc, rng, max(runs, 1), nil) // background ctx: never canceled
+	return WelfareEstimate{Mean: sum.Mean(), StdErr: sum.StdErr(), Runs: sum.N()}
 }
 
 // estimateChunk is how many Monte-Carlo runs an estimator performs
 // between cancellation checks and progress reports.
 const estimateChunk = 512
 
-// EstimateWelfareCtx is EstimateWelfare with cooperative cancellation
-// and progress reporting: every estimateChunk runs it checks ctx
-// (returning ctx.Err() promptly when canceled) and, when report is
-// non-nil, reports StageEstimate progress.
-func (s *Simulator) EstimateWelfareCtx(ctx context.Context, alloc *Allocation, rng *stats.RNG, runs int, report progress.Func) (WelfareEstimate, error) {
-	if runs <= 0 {
-		runs = 1
-	}
+// estimate is the one Monte-Carlo loop: it sums n RunOnce diffusions on
+// rng. Every estimateChunk runs it checks ctx, stopping early once it is
+// canceled (the caller then discards the partial sum), and, when tick
+// is non-nil, calls tick with the chunk's run count.
+func (s *Simulator) estimate(ctx context.Context, alloc *Allocation, rng *stats.RNG, n int, tick func(runs int)) stats.Summary {
 	var sum stats.Summary
-	for done := 0; done < runs; {
-		if err := ctx.Err(); err != nil {
-			return WelfareEstimate{}, err
-		}
-		stop := done + estimateChunk
-		if stop > runs {
-			stop = runs
-		}
-		for ; done < stop; done++ {
+	for done := 0; done < n && ctx.Err() == nil; {
+		chunk := min(estimateChunk, n-done)
+		for i := 0; i < chunk; i++ {
 			sum.Add(s.RunOnce(alloc, rng))
 		}
-		if report != nil {
-			report(progress.Event{Stage: progress.StageEstimate, Done: done, Total: runs})
+		done += chunk
+		if tick != nil {
+			tick(chunk)
 		}
 	}
-	return WelfareEstimate{Mean: sum.Mean(), StdErr: sum.StdErr(), Runs: sum.N()}, nil
+	return sum
 }
 
 // WelfareGivenNoise estimates ρ_{W^N}(𝒮): the expected welfare under a
@@ -95,15 +87,9 @@ func (s *Simulator) AdoptionCounts(alloc *Allocation, rng *stats.RNG, runs int) 
 	return counts
 }
 
-// EstimateWelfareParallel shards the Monte-Carlo estimate across workers
-// goroutines, each with its own Simulator and a Split RNG. With
-// workers <= 1 it falls back to the sequential estimator.
-func EstimateWelfareParallel(g *graph.Graph, m *utility.Model, alloc *Allocation, rng *stats.RNG, runs, workers int) WelfareEstimate {
-	return EstimateWelfareParallelCascade(g, m, graph.CascadeIC, alloc, rng, runs, workers)
-}
-
-// EstimateWelfareParallelCascade is EstimateWelfareParallel under an
-// explicit cascade model (welmaxd estimates LT instances through this).
+// EstimateWelfareParallelCascade shards the Monte-Carlo estimate under
+// the given cascade model across workers goroutines, each with its own
+// Simulator and a Split RNG. With workers <= 1 it runs on rng itself.
 func EstimateWelfareParallelCascade(g *graph.Graph, m *utility.Model, cascade graph.Cascade, alloc *Allocation, rng *stats.RNG, runs, workers int) WelfareEstimate {
 	est, _ := EstimateWelfareParallelCascadeCtx(context.Background(), g, m, cascade, alloc, rng, runs, workers, nil)
 	return est
@@ -117,54 +103,39 @@ func EstimateWelfareParallelCascade(g *graph.Graph, m *utility.Model, cascade gr
 // cross-worker run count and MUST be safe for concurrent calls (each
 // worker reports its own chunks).
 func EstimateWelfareParallelCascadeCtx(ctx context.Context, g *graph.Graph, m *utility.Model, cascade graph.Cascade, alloc *Allocation, rng *stats.RNG, runs, workers int, report progress.Func) (WelfareEstimate, error) {
-	if runs <= 0 {
-		runs = 1
+	runs = max(runs, 1)
+	workers = max(1, min(workers, runs))
+	var done atomic.Int64
+	var tick func(int)
+	if report != nil {
+		tick = func(chunk int) {
+			report(progress.Event{Stage: progress.StageEstimate, Done: int(done.Add(int64(chunk))), Total: runs})
+		}
 	}
-	if workers <= 1 {
+	summaries := make([]stats.Summary, workers)
+	shard := func(w, n int, r *stats.RNG) {
 		sim := NewSimulator(g, m)
 		sim.Cascade = cascade
-		return sim.EstimateWelfareCtx(ctx, alloc, rng, runs, report)
+		summaries[w] = sim.estimate(ctx, alloc, r, n, tick)
 	}
-	if runs < workers {
-		workers = runs
-	}
-	per := runs / workers
-	extra := runs % workers
-	summaries := make([]stats.Summary, workers)
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		shardRNG := rng.Split()
-		wg.Add(1)
-		go func(w, n int, r *stats.RNG) {
-			defer wg.Done()
-			sim := NewSimulator(g, m)
-			sim.Cascade = cascade
-			var sum stats.Summary
-			for i := 0; i < n; {
-				if ctx.Err() != nil {
-					return
-				}
-				stop := i + estimateChunk
-				if stop > n {
-					stop = n
-				}
-				chunk := stop - i
-				for ; i < stop; i++ {
-					sum.Add(sim.RunOnce(alloc, r))
-				}
-				if report != nil {
-					report(progress.Event{Stage: progress.StageEstimate, Done: int(done.Add(int64(chunk))), Total: runs})
-				}
+	if workers == 1 {
+		shard(0, runs, rng)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			n := runs / workers
+			if w < runs%workers {
+				n++
 			}
-			summaries[w] = sum
-		}(w, n, shardRNG)
+			r := rng.Split()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shard(w, n, r)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return WelfareEstimate{}, err
 	}

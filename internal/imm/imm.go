@@ -7,7 +7,6 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
-	"uicwelfare/internal/telemetry"
 )
 
 // Family is the rrset.Sketch.Family of every IMM sketch: the planner
@@ -83,9 +82,7 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 		if err := p1.Grow(ctx, int64(math.Ceil(thetaI)), round); err != nil {
 			return nil, err
 		}
-		endSel := telemetry.StartSpan(ctx, "greedy_select")
-		_, frac := p1.View().NodeSelection(k)
-		endSel()
+		frac := p1.Select(ctx, k).Fraction()
 		if float64(n)*frac >= (1+epsp)*x {
 			lb = float64(n) * frac / (1 + epsp)
 			theta = lambdaStar / lb

@@ -16,7 +16,6 @@ import (
 	"uicwelfare/internal/imm"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
-	"uicwelfare/internal/telemetry"
 )
 
 // Family is the Sketch.Family of every PRIMA sketch: the planner
@@ -147,9 +146,8 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 			seeds = prevSelection[:k]
 			frac = p1.View().FractionCovered(seeds)
 		} else {
-			endSel := telemetry.StartSpan(ctx, "greedy_select")
-			seeds, frac = p1.View().NodeSelection(k)
-			endSel()
+			sel := p1.Select(ctx, k)
+			seeds, frac = sel.Order, sel.Fraction()
 			prevSelection = seeds
 		}
 

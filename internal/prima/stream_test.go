@@ -10,22 +10,25 @@ import (
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
+	"uicwelfare/internal/telemetry"
 )
 
 // residentStream lends one phase-1 stream the way the service's sketch
 // cache does: the first lend keeps its fresh collection resident, later
-// lends get that collection back, one holder at a time.
+// lends get that collection back, one holder at a time. reused sums
+// the coverage tests the stream's memo answered.
 type residentStream struct {
-	mu  sync.Mutex
-	col *rrset.Collection
+	mu     sync.Mutex
+	col    *rrset.Collection
+	reused int
 }
 
-func (r *residentStream) lend(_ context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int), error) {
+func (r *residentStream) lend(_ context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int, int), error) {
 	r.mu.Lock()
 	if r.col == nil {
 		r.col = fresh
 	}
-	return r.col, func(int) { r.mu.Unlock() }, nil
+	return r.col, func(_, reused int) { r.reused += reused; r.mu.Unlock() }, nil
 }
 
 // sameSketch fails unless got and want are the same sketch: family,
@@ -110,5 +113,36 @@ func TestConcurrentBuildsShareOnePhase1(t *testing.T) {
 	wg.Wait()
 	for i, eps := range epss {
 		sameSketch(t, fmt.Sprintf("ε %g", eps), got[i], BuildSketch(g, []int{30, 20}, Options{Eps: eps, Workers: 1}, stats.NewRNG(74)))
+	}
+}
+
+// TestBuildOnPrefixMemoMatchesFresh: a build whose coverage tests the
+// orders earlier builds left on a resident S₁ answer — the same request
+// again, or one at an ε jittered as finely as the benchmark's — is
+// byte-identical to a fresh build, under IC and LT, and the repeat runs
+// no greedy selection on S₁ at all. (IMM's twin is
+// imm.TestBuildOnPrefixMemoMatchesFresh.)
+func TestBuildOnPrefixMemoMatchesFresh(t *testing.T) {
+	g := graph.PowerLawGraph(500, 2.2, 5, stats.NewRNG(71)).WeightedCascade()
+	const seed = 75
+	for _, cascade := range []graph.Cascade{graph.CascadeIC, graph.CascadeLT} {
+		for _, budgets := range [][]int{{10}, {50, 50}, {80, 30, 10}} {
+			var s1 residentStream
+			for i, eps := range []float64{0.3, 0.5, 0.5, 0.5 + 1e-9} {
+				what := fmt.Sprintf("cascade %d %v build %d at ε %g", cascade, budgets, i, eps)
+				trace := telemetry.NewTrace(what, true)
+				ctx := telemetry.NewContext(context.Background(), trace)
+				before := s1.reused
+				got, err := BuildSketchCtx(ctx, g, budgets, Options{Eps: eps, Cascade: cascade, Workers: 2, Phase1Stream: s1.lend}, stats.NewRNG(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSketch(t, what, got, BuildSketch(g, budgets, Options{Eps: eps, Cascade: cascade, Workers: 1}, stats.NewRNG(seed)))
+				reused, ran := s1.reused-before, trace.Stages()["greedy_select"].Count
+				if i == 2 && (ran != 0 || reused == 0) {
+					t.Fatalf("%s: a repeated build ran %d greedy selections and reused %d", what, ran, reused)
+				}
+			}
+		}
 	}
 }

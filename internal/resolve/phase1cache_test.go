@@ -137,3 +137,66 @@ func TestLendStreamTurns(t *testing.T) {
 		t.Fatalf("waiter got %p, want the resident %p", next, col)
 	}
 }
+
+// TestLendStreamPricesPrefixMemo: the coverage-test orders a build
+// leaves on a lent stream are part of the stream entry's cost from its
+// release on, a later build on the resident stream is answered from
+// them, and evicting the stream drops them with it: the next build
+// starts a fresh stream and runs its greedy again.
+func TestLendStreamPricesPrefixMemo(t *testing.T) {
+	ctx := context.Background()
+	g := graph.ErdosRenyi(200, 1200, stats.NewRNG(3)).WeightedCascade()
+	c := NewSketchCache(2, 0, 0, func(*rrset.Sketch) int64 { return 100 })
+	key := phase1Key("g1", 0, 7)
+	var lent *rrset.Collection
+	reused := 0
+	opts := rrset.Options{Workers: 2, Phase1Stream: func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int, int), error) {
+		col, release, err := c.LendStream(ctx, key, fresh)
+		if err != nil {
+			return nil, nil, err
+		}
+		lent = col
+		return col, func(_, n int) { reused += n; release() }, nil
+	}}
+	// build runs one θ-rule round: grow S₁ to 900 sets, test k = 20.
+	build := func() {
+		p, err := opts.OpenPhase1(ctx, g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Grow(ctx, 900, 1); err != nil {
+			t.Fatal(err)
+		}
+		p.Select(ctx, 20)
+		p.Release()
+	}
+	sets := freshStream(g, 1)
+	if err := sets.GrowParallelCtx(ctx, 900, nil, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	setsOnly := sets.ResidentBytes()
+
+	build()
+	first := lent
+	if got, want := c.Stats().CostBytes, setsOnly+rrset.MemoBytes(20); got != want || first.ResidentBytes() != want {
+		t.Fatalf("stream cost %d (ResidentBytes %d), want %d: sets %d + one order of 20", got, first.ResidentBytes(), want, setsOnly)
+	}
+	build()
+	if lent != first || reused != 1 {
+		t.Fatalf("a second build on the resident stream reused %d selections (same stream %v), want 1", reused, lent == first)
+	}
+
+	// Two sketch inserts evict the stream, and its memo with it.
+	for _, b := range []int{6, 7} {
+		if _, _, err := c.GetOrBuildCtx(ctx, Key("g1", "prima", 0, 0.5, 1, 1, []int{b}), func() (*rrset.Sketch, error) { return &rrset.Sketch{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); c.Streams() != 0 || st.CostBytes != 200 {
+		t.Fatalf("after evicting the stream: %d streams, cost %d, want 0 and 200", c.Streams(), st.CostBytes)
+	}
+	build()
+	if lent == first || reused != 1 {
+		t.Fatalf("a build after the eviction reused %d selections (same stream %v), want a fresh stream and no reuse", reused, lent == first)
+	}
+}

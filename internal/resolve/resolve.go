@@ -52,10 +52,13 @@ type Resolver struct {
 	// instead of cold-building; appended counts the RR sets those
 	// extensions appended (the delta a cold build would have resampled
 	// from zero); phase1Reused counts the phase-1 sets builds read off a
-	// resident stream without sampling them (see lendPhase1).
-	extends      atomic.Int64
-	appended     atomic.Int64
-	phase1Reused atomic.Int64
+	// resident stream without sampling them, and phase1Selections the
+	// coverage tests a stream's memo answered without a greedy run (see
+	// lendPhase1).
+	extends          atomic.Int64
+	appended         atomic.Int64
+	phase1Reused     atomic.Int64
+	phase1Selections atomic.Int64
 }
 
 // New returns a Resolver over cache and, when disk is non-nil, that
@@ -395,17 +398,20 @@ func (r *Resolver) Price(req *Req) int64 {
 // stream, whatever its family, budgets, ε or ℓ. A build reads exactly
 // the prefix a fresh S₁ would have given it and samples only past the
 // resident length; its final collection stays its own. Release counts
-// the prefix it read without sampling into phase1Reused.
+// the prefix it read without sampling into phase1Reused, and the
+// coverage tests the stream's selection memo answered into
+// phase1Selections; the memo is part of the stream's priced bytes.
 func (r *Resolver) lendPhase1(graphID string, cascade int, seed uint64) rrset.Phase1Func {
 	key := phase1Key(graphID, cascade, seed)
-	return func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int), error) {
+	return func(ctx context.Context, fresh *rrset.Collection) (*rrset.Collection, func(int, int), error) {
 		col, release, err := r.Cache.LendStream(ctx, key, fresh)
 		if err != nil {
 			return nil, nil, err
 		}
 		resident := col.Len()
-		return col, func(read int) {
+		return col, func(read, reused int) {
 			r.phase1Reused.Add(int64(min(resident, read)))
+			r.phase1Selections.Add(int64(reused))
 			release()
 		}, nil
 	}
@@ -541,6 +547,10 @@ type Phase1Stats struct {
 	// SetsReused counts the phase-1 sets builds read without sampling
 	// them: each build's read prefix, minus what it grew.
 	SetsReused int64 `json:"sets_reused"`
+	// SelectionsReused counts the θ rule's greedy coverage tests a
+	// stream answered from the orders earlier builds left on it, without
+	// a greedy run.
+	SelectionsReused int64 `json:"selections_reused"`
 }
 
 // Stats snapshots the scheduler's, the extend path's, the cost model's
@@ -560,5 +570,9 @@ func (r *Resolver) Stats() (BatchStats, Phase1Stats) {
 		RRSetsAppended:    r.appended.Load(),
 	}
 	b.CostRatio, b.CostSamples = r.Costs.Snapshot()
-	return b, Phase1Stats{Streams: r.Cache.Streams(), SetsReused: r.phase1Reused.Load()}
+	return b, Phase1Stats{
+		Streams:          r.Cache.Streams(),
+		SetsReused:       r.phase1Reused.Load(),
+		SelectionsReused: r.phase1Selections.Load(),
+	}
 }

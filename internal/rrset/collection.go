@@ -56,6 +56,10 @@ type Collection struct {
 	// stream is where the stored sets sit in the collection's RR stream
 	// (see GrowParallelCtx).
 	stream stream
+
+	// selections remembers greedy selections on the collection's
+	// prefixes; only a phase-1 stream fills it (Phase1.Select).
+	selections prefixMemo
 }
 
 // stream is a collection's position in its deterministic RR stream:
@@ -211,15 +215,16 @@ func (c *Collection) TotalSize() int64 { return int64(len(c.members)) }
 // collection's grows added (carried over by Clone).
 func (c *Collection) EdgesVisited() int64 { return c.edges }
 
-// ResidentBytes is what the stored sets and their index occupy: every
-// membership once in the flat set storage and once in the index (4
-// bytes each), 8 bytes per set boundary, 8 per node for the index's
-// list starts. The index is priced as built whether or not it is yet,
-// so a cached entry's cost never changes when a first read builds it.
-// Sampling scratch is not counted — sketch builders release it
-// (ReleaseScratch) before a collection becomes resident.
+// ResidentBytes is what the stored sets, their index and the prefix
+// selections a phase-1 stream remembers occupy: every membership
+// once in the flat set storage and once in the index (4 bytes each), 8
+// bytes per set boundary, 8 per node for the index's list starts, and
+// MemoBytes per remembered order. The index is priced as built whether
+// or not it is yet, so a cached entry's cost never changes when a first
+// read builds it. Sampling scratch is not counted — sketch builders
+// release it (ReleaseScratch) before a collection becomes resident.
 func (c *Collection) ResidentBytes() int64 {
-	return 8*int64(len(c.members)) + 8*int64(len(c.offsets)) + 8*int64(c.g.N()+1)
+	return 8*int64(len(c.members)) + 8*int64(len(c.offsets)) + 8*int64(c.g.N()+1) + c.selections.bytes()
 }
 
 // ReleaseScratch drops the n-sized sampling scratch (the pooled
@@ -238,15 +243,16 @@ func (c *Collection) Set(i int) []graph.NodeID {
 // storage and must not be modified.
 func (c *Collection) Covering(v graph.NodeID) []int32 { return c.Prefix(c.Len()).Covering(v) }
 
-// Reset drops all stored sets and their storage, index included (the
-// next index read builds an empty one), and the stream state: the next
-// grow draws a new base. TIM uses this for its final from-scratch
-// regeneration, which is usually larger than its probe collection:
-// kept, the old arrays would stay live beside the ones the regeneration
-// allocates.
+// Reset drops all stored sets and their storage, index and remembered
+// selections included (the next index read builds an empty one), and
+// the stream state: the next grow draws a new base. TIM uses this for
+// its final from-scratch regeneration, which is usually larger than its
+// probe collection: kept, the old arrays would stay live beside the
+// ones the regeneration allocates.
 func (c *Collection) Reset() {
 	c.members, c.offsets, c.coverIDs = nil, []int64{0}, nil
 	c.stream = stream{}
+	c.selections = nil
 	c.indexed.Store(false)
 }
 

@@ -198,8 +198,8 @@ func TestPhase1ReadsPrefixOfLentStream(t *testing.T) {
 		held.SeedStream(base)
 		growTo(t, held, resident, nil, 2)
 		released := -1
-		opts := Options{Workers: 2, Phase1Stream: func(_ context.Context, fresh *Collection) (*Collection, func(int), error) {
-			return held, func(read int) { released = read }, nil
+		opts := Options{Workers: 2, Phase1Stream: func(_ context.Context, fresh *Collection) (*Collection, func(int, int), error) {
+			return held, func(read, _ int) { released = read }, nil
 		}}
 		ctx := context.Background()
 		lent, err := opts.OpenPhase1(ctx, g, base)

@@ -77,3 +77,47 @@ func TestGraphDeleteDropsPhase1Stream(t *testing.T) {
 		t.Fatalf("after DELETE: phase1 %+v, cost %d; want nothing resident", st.Phase1, st.SketchCache.CostBytes)
 	}
 }
+
+// TestPrefixMemoReusedAcrossColdBuilds: the two cold builds that repeat
+// an earlier build's θ rounds on a resident stream read their coverage
+// tests from the orders it left there, and allocate what a daemon
+// serving them alone does. Both are misses of their own: item-disj on
+// a total budget of 8 after bundleGRD on [8,8] (another family, the
+// same rounds), and bundleGRD on [8,8] again once a two-entry cache has
+// evicted its sketch but kept the stream every build touches.
+// phase1.selections_reused stays put on the first build and rises on
+// each of the other two.
+func TestPrefixMemoReusedAcrossColdBuilds(t *testing.T) {
+	ops := []service.AllocateRequest{
+		{Algo: "bundleGRD", Budgets: []int{8, 8}},
+		{Algo: "item-disj", Budgets: []int{4, 4}},
+		{Algo: "bundleGRD", Budgets: []int{8, 8}},
+	}
+	e := newEnv(t, service.Options{SketchWorkers: 2, CacheEntries: 2})
+	id := e.registerGraph(t)
+	var prev int64
+	for i, req := range ops {
+		req.GraphID, req.Eps, req.Seed = id, 0.5, 13
+		var job allocJobView
+		e.waitJob(t, e.submit(t, "/v1/allocate", req), &job)
+		if job.State != service.JobDone || job.Result.SketchCached {
+			t.Fatalf("op %d: %s %s (sketch_cached %v), want a cold build", i, job.State, job.Error, job.Result != nil && job.Result.SketchCached)
+		}
+		var st service.StatsResponse
+		e.doJSON("GET", "/v1/stats", nil, &st, http.StatusOK)
+		if reused := st.Phase1.SelectionsReused; (i == 0) != (reused == prev) {
+			t.Fatalf("op %d (%s %v): phase1.selections_reused %d after %d", i, req.Algo, req.Budgets, reused, prev)
+		}
+		prev = st.Phase1.SelectionsReused
+
+		alone := newEnv(t, service.Options{SketchWorkers: 1})
+		alone.registerGraph(t)
+		res, err := alone.svc.AllocateCtx(context.Background(), &req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(job.Result.Allocation.Seeds), fmt.Sprint(res.Allocation.Seeds); got != want {
+			t.Fatalf("op %d: allocated %s on the shared stream, %s alone", i, got, want)
+		}
+	}
+}

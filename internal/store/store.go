@@ -27,14 +27,22 @@ const (
 	SketchExt = ".wms"
 )
 
+// spillKeyFormat tags every spill file name with the format of the
+// cache keys its hash is taken over: "k2" since the request seed joined
+// the key. A spill named under another key format (or none — the files
+// written before the tag) hashes a key no lookup prints any more, so it
+// would never be read or replaced; Open removes it. Bump the tag
+// whenever the key format changes.
+const spillKeyFormat = "k2"
+
 // Store is the disk tier under welmaxd's in-memory state: graphs live as
 // content-addressed .wmg files under <dir>/graphs, spilled sketches as
-// .wms files under <dir>/sketches named <graphID>-<keyhash> so a graph's
-// sketches can be swept when it is deleted. All operations are safe for
-// concurrent use: writes go through a temp file plus rename (a crashed
-// daemon never leaves a half-written artifact a restart would trust —
-// the checksum catches any that slip through), and the counters are
-// atomics exposed via Stats for GET /v1/stats.
+// .wms files under <dir>/sketches named <graphID>-<key format>-<keyhash>
+// so a graph's sketches can be swept when it is deleted. All operations
+// are safe for concurrent use: writes go through a temp file plus
+// rename (a crashed daemon never leaves a half-written artifact a
+// restart would trust — the checksum catches any that slip through),
+// and the counters are atomics exposed via Stats for GET /v1/stats.
 type Store struct {
 	dir string
 
@@ -56,12 +64,22 @@ type Store struct {
 	expired     atomic.Int64
 }
 
-// Open creates (if needed) and opens a data directory. maxSketchMB
-// bounds the spilled-sketch tier in megabytes; 0 leaves it unbounded.
+// Open creates (if needed) and opens a data directory, removing the
+// sketch spills named under another cache-key format (spillKeyFormat).
+// maxSketchMB bounds the spilled-sketch tier in megabytes; 0 leaves it
+// unbounded.
 func Open(dir string, maxSketchMB int) (*Store, error) {
 	for _, sub := range []string{graphsDir(dir), sketchesDir(dir), jobsDir(dir), sweepsDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	// Glob fails only on a malformed pattern, and a stale spill that
+	// cannot be removed costs disk, not correctness: no key names it.
+	spills, _ := filepath.Glob(filepath.Join(sketchesDir(dir), "*"+SketchExt))
+	for _, path := range spills {
+		if !strings.Contains(filepath.Base(path), "-"+spillKeyFormat+"-") {
+			os.Remove(path)
 		}
 	}
 	return &Store{dir: dir, maxSketchBytes: int64(maxSketchMB) << 20}, nil
@@ -184,10 +202,11 @@ func (s *Store) DeleteGraph(id string) {
 
 // sketchPath maps a cache key to its spill file. Keys embed budgets and
 // float parameters, so they are hashed rather than used as filenames;
-// the graph id prefix keeps a graph's sketches sweepable as a group.
+// the graph id prefix keeps a graph's sketches sweepable as a group, and
+// the key-format tag lets Open tell a spill no key names any more.
 func (s *Store) sketchPath(graphID, key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(sketchesDir(s.dir), fmt.Sprintf("%s-%x%s", graphID, sum[:12], SketchExt))
+	return filepath.Join(sketchesDir(s.dir), fmt.Sprintf("%s-%s-%x%s", graphID, spillKeyFormat, sum[:12], SketchExt))
 }
 
 // SaveSketch spills a completed build to disk and enforces the byte

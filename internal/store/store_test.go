@@ -783,3 +783,54 @@ func TestLoadSketchOtherVersionIsAPlainMiss(t *testing.T) {
 		t.Error("the old-version spill was not removed")
 	}
 }
+
+// TestOpenRemovesSpillsOfAnotherKeyFormat: a spill named without the
+// current key-format tag — as every spill was before the request seed
+// joined the cache key — hashes a key no lookup prints, so Open removes
+// it; a tagged spill survives and still loads. DeleteGraph sweeps a
+// graph's spills whatever their tag.
+func TestOpenRemovesSpillsOfAnotherKeyFormat(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t)
+	id := GraphID(g)
+	if err := s.SaveSketch(id, "key1", imm.BuildSketch(g, 4, rrset.Options{}, stats.NewRNG(1))); err != nil {
+		t.Fatal(err)
+	}
+	tagged := s.sketchPath(id, "key1")
+	raw, err := os.ReadFile(tagged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untagged := func(name string) string {
+		path := filepath.Join(dir, "sketches", id+"-"+name+SketchExt)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	stale := []string{untagged("0123456789abcdef01234567"), untagged("k1-0123456789abcdef01234567")}
+
+	if s, err = Open(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stale {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("Open kept %s, a spill of another key format", filepath.Base(path))
+		}
+	}
+	if s.LoadSketch(id, "key1", g, 0) == nil {
+		t.Fatal("Open removed the tagged spill")
+	}
+
+	old := untagged("0123456789abcdef01234567")
+	s.DeleteGraph(id)
+	for _, path := range []string{tagged, old} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("DeleteGraph kept %s", filepath.Base(path))
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"uicwelfare/internal/imm"
 	"uicwelfare/internal/prima"
 )
 
@@ -57,30 +56,21 @@ func primaCostEstimate(nodes, edges int, eps, ell float64, budgets []int) int64 
 	ellPrime := ell + math.Ln2/logn + math.Log(float64(len(bs)))/logn
 	theta := 0.0
 	for _, k := range bs {
-		if t := imm.LambdaStar(nodes, k, eps, ellPrime) / float64(k); t > theta {
+		if t := prima.LambdaStar(nodes, k, eps, ellPrime) / float64(k); t > theta {
 			theta = t
 		}
 	}
 	return rrBytes(nodes, edges, theta)
 }
 
-// immCostEstimate prices an IMM sketch build for k = Σ budgets with the
-// same worst-case λ*/k bound (and calibration caveat) as
-// primaCostEstimate. bundle-disj reuses it: its adaptive sequence of
-// IMM selections holds one collection resident at a time, so the
-// largest single build is the right admission price.
-func immCostEstimate(nodes, edges int, eps, ell float64, budgets []int) int64 {
+// totalBudgetCostEstimate prices item-disj's and bundle-disj's builds:
+// IMM at k = Σ budgets, which is PRIMA at [k]. bundle-disj's adaptive
+// sequence of IMM selections holds one collection resident at a time,
+// so the largest single build is the right admission price.
+func totalBudgetCostEstimate(nodes, edges int, eps, ell float64, budgets []int) int64 {
 	k := 0
 	for _, b := range budgets {
 		k += b
 	}
-	if k <= 0 || nodes == 0 {
-		return costFloor
-	}
-	if k >= nodes {
-		// Mirrors imm.BuildSketchCtx: every node is a seed, no sampling.
-		return costFloor
-	}
-	theta := imm.LambdaStar(nodes, k, eps, imm.EllPlusLog2(ell, nodes)) / float64(k)
-	return rrBytes(nodes, edges, theta)
+	return primaCostEstimate(nodes, edges, eps, ell, []int{k})
 }

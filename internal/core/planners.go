@@ -26,12 +26,12 @@ func init() {
 		Description:   "item-disj baseline (§4.3.1.2): one IMM call, disjoint seeds, one item per seed node",
 		SketchFamily:  imm.Family,
 		Cascades:      bothCascades,
-		CostEstimator: immCostEstimate,
+		CostEstimator: totalBudgetCostEstimate,
 	}, func() Planner { return itemDisjointPlanner{} })
 	Register(AlgoBundleDisjoint, Meta{
 		Description:   "bundle-disj baseline (§4.3.1.2): greedy bundling with fresh IMM seeds per bundle",
 		Cascades:      bothCascades,
-		CostEstimator: immCostEstimate,
+		CostEstimator: totalBudgetCostEstimate,
 	}, func() Planner { return bundleDisjointPlanner{} })
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
@@ -27,6 +28,6 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, k in
 		}
 		newK := max(k, sk.K)
 		lb := max(sk.LB, 1)
-		return int64(math.Ceil(LambdaStar(n, newK, opts.Eps, EllPlusLog2(opts.Ell, n)) / lb)), newK, nil
+		return int64(math.Ceil(prima.LambdaStar(n, newK, opts.Eps, prima.EllPlusLog2(opts.Ell, n)) / lb)), newK, nil
 	})
 }

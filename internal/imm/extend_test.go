@@ -16,34 +16,6 @@ func evalSpread(g *graph.Graph, seeds []graph.NodeID, seed uint64) float64 {
 	return float64(g.N()) * eval.FractionCovered(seeds)
 }
 
-// TestParallelBuildWelfareMatchesSerial: IMM sketches built with
-// parallel RR-set growth select seed sets whose estimated spread is
-// within sampling tolerance of the serial build's, across three graph
-// families.
-func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
-	families := map[string]*graph.Graph{
-		"barabasi-albert": graph.BarabasiAlbert(300, 3, stats.NewRNG(201)).WeightedCascade(),
-		"watts-strogatz":  graph.WattsStrogatz(300, 6, 0.2, stats.NewRNG(202)).WeightedCascade(),
-		"power-law":       graph.PowerLawGraph(300, 2.2, 5, stats.NewRNG(203)).WeightedCascade(),
-	}
-	const k = 8
-	for name, g := range families {
-		serial, err := BuildSketchCtx(context.Background(), g, k, rrset.Options{}, stats.NewRNG(7))
-		if err != nil {
-			t.Fatalf("%s: serial build: %v", name, err)
-		}
-		par, err := BuildSketchCtx(context.Background(), g, k, rrset.Options{Workers: 4}, stats.NewRNG(8))
-		if err != nil {
-			t.Fatalf("%s: parallel build: %v", name, err)
-		}
-		ss := evalSpread(g, serial.Select().Seeds, 903)
-		ps := evalSpread(g, par.Select().Seeds, 903)
-		if math.Abs(ss-ps) > 0.15*math.Max(ss, ps)+1 {
-			t.Errorf("%s: serial spread %.2f vs parallel %.2f beyond tolerance", name, ss, ps)
-		}
-	}
-}
-
 // TestExtendSketchMatchesColdBuild: an IMM sketch extended to a larger
 // total budget must match a cold build at that budget — same selection
 // size, spread within tolerance, base sketch untouched.

@@ -1,9 +1,4 @@
-// Package imm implements the IMM approximation algorithm of Tang et al.
-// (SIGMOD'15) with the sample-regeneration fix of Chen (2018), plus the
-// earlier TIM+ algorithm used by the Com-IC baselines. Both reduce
-// influence maximization to max-cover over reverse-reachable sets; they
-// differ only in how many RR sets they decide to draw.
-package imm
+package prima
 
 import (
 	"math"
@@ -11,7 +6,7 @@ import (
 	"uicwelfare/internal/stats"
 )
 
-// EpsPrime returns ε' = sqrt(2)·ε, the phase-1 accuracy parameter of IMM.
+// EpsPrime returns ε' = sqrt(2)·ε, the phase-1 accuracy parameter.
 func EpsPrime(eps float64) float64 { return math.Sqrt2 * eps }
 
 // LambdaPrime evaluates Eq. (7) of the paper: the phase-1 sampling bound
@@ -19,7 +14,8 @@ func EpsPrime(eps float64) float64 { return math.Sqrt2 * eps }
 //	λ'_k = (2 + 2/3·ε')(log C(n,k) + ℓ'·log n + log log2 n)·n / ε'^2
 //
 // with natural logarithms. ellPrime is the effective confidence exponent
-// (for plain IMM, ℓ + log2/log n; PRIMA adds log|b|/log n on top).
+// ℓ' = ℓ + log2/log n + log|b|/log n; for one budget (IMM) the last
+// term is 0 and ℓ' is EllPlusLog2.
 func LambdaPrime(n, k int, eps, ellPrime float64) float64 {
 	epsp := EpsPrime(eps)
 	logBinom := stats.LogNChooseK(n, k)

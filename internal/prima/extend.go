@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/imm"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
@@ -41,8 +40,8 @@ func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, oldBudgets
 		logn := math.Log(float64(n))
 		ellPrimeOld := oldOpts.Ell + math.Ln2/logn + math.Log(float64(len(obs)))/logn
 		ellPrimeNew := newOpts.Ell + math.Ln2/logn + math.Log(float64(len(bs)))/logn
-		lamOld := imm.LambdaStar(n, obs[0], oldOpts.Eps, ellPrimeOld)
-		lamNew := imm.LambdaStar(n, bs[0], newOpts.Eps, ellPrimeNew)
+		lamOld := LambdaStar(n, obs[0], oldOpts.Eps, ellPrimeOld)
+		lamNew := LambdaStar(n, bs[0], newOpts.Eps, ellPrimeNew)
 		theta := int64(sk.Col.Len())
 		if lamNew > lamOld {
 			theta = int64(math.Ceil(float64(theta) * lamNew / lamOld))

@@ -1,4 +1,4 @@
-package prima
+package prima_test
 
 import (
 	"context"
@@ -6,69 +6,22 @@ import (
 	"testing"
 
 	"uicwelfare/internal/graph"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
+	"uicwelfare/internal/sketchtest"
 	"uicwelfare/internal/stats"
 )
-
-// testFamilies spans three structurally distinct graph families — the
-// equivalence properties must hold on all of them, not just ER graphs.
-func testFamilies(t *testing.T) map[string]*graph.Graph {
-	t.Helper()
-	return map[string]*graph.Graph{
-		"barabasi-albert": graph.BarabasiAlbert(300, 3, stats.NewRNG(101)).WeightedCascade(),
-		"watts-strogatz":  graph.WattsStrogatz(300, 6, 0.2, stats.NewRNG(102)).WeightedCascade(),
-		"power-law":       graph.PowerLawGraph(300, 2.2, 5, stats.NewRNG(103)).WeightedCascade(),
-	}
-}
-
-// evalSpread estimates n·F(S) for a seed set on an independent
-// evaluation collection — one yardstick for comparing selections built
-// from different sketches.
-func evalSpread(g *graph.Graph, seeds []graph.NodeID, seed uint64) float64 {
-	eval := rrset.NewCollection(g)
-	_ = eval.GrowParallelCtx(context.Background(), 20000, stats.NewRNG(seed), 1, nil)
-	return float64(g.N()) * eval.FractionCovered(seeds)
-}
-
-// TestParallelBuildWelfareMatchesSerial: a sketch built with parallel
-// RR-set growth must yield a selection whose estimated spread is within
-// the sampling tolerance of the serial build's, on every graph family.
-func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
-	budgets := []int{10, 6, 3}
-	opts := Options{Eps: 0.4, Ell: 1}
-	for name, g := range testFamilies(t) {
-		serial, err := BuildSketchCtx(context.Background(), g, budgets, opts, stats.NewRNG(7))
-		if err != nil {
-			t.Fatalf("%s: serial build: %v", name, err)
-		}
-		popts := opts
-		popts.Workers = 4
-		par, err := BuildSketchCtx(context.Background(), g, budgets, popts, stats.NewRNG(8))
-		if err != nil {
-			t.Fatalf("%s: parallel build: %v", name, err)
-		}
-		sres, pres := serial.Select(), par.Select()
-		if len(sres.Seeds) != len(pres.Seeds) {
-			t.Fatalf("%s: selection sizes differ: %d vs %d", name, len(sres.Seeds), len(pres.Seeds))
-		}
-		ss := evalSpread(g, sres.Seeds, 901)
-		ps := evalSpread(g, pres.Seeds, 901)
-		if math.Abs(ss-ps) > 0.15*math.Max(ss, ps)+1 {
-			t.Errorf("%s: serial spread %.2f vs parallel %.2f beyond tolerance", name, ss, ps)
-		}
-	}
-}
 
 // TestParallelBuildDeterministic: the whole PRIMA build is reproducible
 // for a fixed (seed, workers) pair — identical final selection.
 func TestParallelBuildDeterministic(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, stats.NewRNG(104)).WeightedCascade()
-	opts := Options{Workers: 4}
-	a, err := BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(42))
+	opts := rrset.Options{Workers: 4}
+	a, err := prima.BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(42))
+	b, err := prima.BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +44,19 @@ func TestParallelBuildDeterministic(t *testing.T) {
 func TestExtendSketchMatchesColdBuild(t *testing.T) {
 	oldBudgets := []int{6, 3}
 	newBudgets := []int{12, 6, 3}
-	opts := Options{Eps: 0.4, Ell: 1, Workers: 2}
-	for name, g := range testFamilies(t) {
-		base, err := BuildSketchCtx(context.Background(), g, oldBudgets, opts, stats.NewRNG(11))
+	opts := rrset.Options{Eps: 0.4, Ell: 1, Workers: 2}
+	for name, g := range sketchtest.Families() {
+		base, err := prima.BuildSketchCtx(context.Background(), g, oldBudgets, opts, stats.NewRNG(11))
 		if err != nil {
 			t.Fatalf("%s: base build: %v", name, err)
 		}
 		baseLen := base.NumRRSets()
 
-		ext, err := ExtendSketchCtx(context.Background(), g, base, oldBudgets, opts, newBudgets, opts, stats.NewRNG(12))
+		ext, err := prima.ExtendSketchCtx(context.Background(), g, base, oldBudgets, opts, newBudgets, opts, stats.NewRNG(12))
 		if err != nil {
 			t.Fatalf("%s: extend: %v", name, err)
 		}
-		cold, err := BuildSketchCtx(context.Background(), g, newBudgets, opts, stats.NewRNG(13))
+		cold, err := prima.BuildSketchCtx(context.Background(), g, newBudgets, opts, stats.NewRNG(13))
 		if err != nil {
 			t.Fatalf("%s: cold build: %v", name, err)
 		}
@@ -123,8 +76,8 @@ func TestExtendSketchMatchesColdBuild(t *testing.T) {
 		if len(eres.Seeds) != len(cres.Seeds) {
 			t.Fatalf("%s: selection sizes differ: extended %d vs cold %d", name, len(eres.Seeds), len(cres.Seeds))
 		}
-		es := evalSpread(g, eres.Seeds, 902)
-		cs := evalSpread(g, cres.Seeds, 902)
+		es := sketchtest.EvalSpread(g, eres.Seeds, 902)
+		cs := sketchtest.EvalSpread(g, cres.Seeds, 902)
 		if math.Abs(es-cs) > 0.15*math.Max(es, cs)+1 {
 			t.Errorf("%s: extended spread %.2f vs cold %.2f beyond tolerance", name, es, cs)
 		}
@@ -135,12 +88,12 @@ func TestExtendSketchMatchesColdBuild(t *testing.T) {
 // the sets appended must be fewer than a cold build would sample.
 func TestExtendSketchAppendsFewerThanCold(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(105)).WeightedCascade()
-	opts := Options{Workers: 2}
-	base, err := BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(21))
+	opts := rrset.Options{Workers: 2}
+	base, err := prima.BuildSketchCtx(context.Background(), g, []int{8, 4}, opts, stats.NewRNG(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ExtendSketchCtx(context.Background(), g, base, []int{8, 4}, opts, []int{14, 8, 4}, opts, stats.NewRNG(22))
+	ext, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{8, 4}, opts, []int{14, 8, 4}, opts, stats.NewRNG(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +111,12 @@ func TestExtendSketchAppendsFewerThanCold(t *testing.T) {
 // original collection read-only.
 func TestExtendSketchNoGrowthShares(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, stats.NewRNG(106)).WeightedCascade()
-	opts := Options{}
-	base, err := BuildSketchCtx(context.Background(), g, []int{10, 5}, opts, stats.NewRNG(31))
+	opts := rrset.Options{}
+	base, err := prima.BuildSketchCtx(context.Background(), g, []int{10, 5}, opts, stats.NewRNG(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ExtendSketchCtx(context.Background(), g, base, []int{10, 5}, opts, []int{5}, opts, stats.NewRNG(32))
+	ext, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{10, 5}, opts, []int{5}, opts, stats.NewRNG(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,29 +133,29 @@ func TestExtendSketchNoGrowthShares(t *testing.T) {
 // build.
 func TestExtendSketchRejections(t *testing.T) {
 	g := graph.BarabasiAlbert(100, 3, stats.NewRNG(107)).WeightedCascade()
-	opts := Options{}
+	opts := rrset.Options{}
 	rng := stats.NewRNG(41)
 
-	if _, err := ExtendSketchCtx(context.Background(), g, nil, []int{3}, opts, []int{5}, opts, rng); err == nil {
+	if _, err := prima.ExtendSketchCtx(context.Background(), g, nil, []int{3}, opts, []int{5}, opts, rng); err == nil {
 		t.Fatal("nil sketch extended")
 	}
-	degen, err := BuildSketchCtx(context.Background(), g, []int{100}, opts, rng)
+	degen, err := prima.BuildSketchCtx(context.Background(), g, []int{100}, opts, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendSketchCtx(context.Background(), g, degen, []int{100}, opts, []int{100}, opts, rng); err == nil {
+	if _, err := prima.ExtendSketchCtx(context.Background(), g, degen, []int{100}, opts, []int{100}, opts, rng); err == nil {
 		t.Fatal("degenerate all-nodes sketch extended")
 	}
 
-	base, err := BuildSketchCtx(context.Background(), g, []int{5}, Options{Eps: 0.3}, rng)
+	base, err := prima.BuildSketchCtx(context.Background(), g, []int{5}, rrset.Options{Eps: 0.3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendSketchCtx(context.Background(), g, base, []int{5}, Options{Eps: 0.3}, []int{8}, Options{Eps: 0.5}, rng); err == nil {
+	if _, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{5}, rrset.Options{Eps: 0.3}, []int{8}, rrset.Options{Eps: 0.5}, rng); err == nil {
 		t.Fatal("loosened eps accepted")
 	}
 	// Tightening ε is growth, not rejection.
-	tight, err := ExtendSketchCtx(context.Background(), g, base, []int{5}, Options{Eps: 0.3}, []int{5}, Options{Eps: 0.2}, rng)
+	tight, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{5}, rrset.Options{Eps: 0.3}, []int{5}, rrset.Options{Eps: 0.2}, rng)
 	if err != nil {
 		t.Fatalf("tightened eps rejected: %v", err)
 	}
@@ -215,15 +168,15 @@ func TestExtendSketchRejections(t *testing.T) {
 // context error and leave the base sketch intact.
 func TestExtendSketchCancellation(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, stats.NewRNG(108)).WeightedCascade()
-	opts := Options{Workers: 4}
-	base, err := BuildSketchCtx(context.Background(), g, []int{5}, opts, stats.NewRNG(51))
+	opts := rrset.Options{Workers: 4}
+	base, err := prima.BuildSketchCtx(context.Background(), g, []int{5}, opts, stats.NewRNG(51))
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseLen := base.NumRRSets()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExtendSketchCtx(ctx, g, base, []int{5}, opts, []int{40, 5}, opts, stats.NewRNG(52)); err != context.Canceled {
+	if _, err := prima.ExtendSketchCtx(ctx, g, base, []int{5}, opts, []int{40, 5}, opts, stats.NewRNG(52)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if base.NumRRSets() != baseLen {

@@ -1,4 +1,4 @@
-package prima
+package prima_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/progress"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
@@ -14,7 +15,7 @@ import (
 // recordRounds returns opts with a Progress hook recording each growth
 // round's target, indexed by round (index 0 unused; a round that grew
 // nothing reports nothing and reads 0).
-func recordRounds(opts Options) (Options, *[]int) {
+func recordRounds(opts rrset.Options) (rrset.Options, *[]int) {
 	targets := new([]int)
 	opts.Progress = func(ev progress.Event) {
 		for len(*targets) <= ev.Round {
@@ -34,12 +35,12 @@ func recordRounds(opts Options) (Options, *[]int) {
 // still run.
 func TestPhase1CountsOnlyReadSets(t *testing.T) {
 	g := graph.PowerLawGraph(400, 2.2, 5, stats.NewRNG(61)).WeightedCascade()
-	builds := map[string]func(Options) *rrset.Sketch{
-		"prima": func(o Options) *rrset.Sketch { return BuildSketch(g, []int{8}, o, stats.NewRNG(62)) },
-		"imm":   func(o Options) *rrset.Sketch { return imm.BuildSketch(g, 8, o, stats.NewRNG(62)) },
+	builds := map[string]func(rrset.Options) *rrset.Sketch{
+		"prima": func(o rrset.Options) *rrset.Sketch { return prima.BuildSketch(g, []int{8}, o, stats.NewRNG(62)) },
+		"imm":   func(o rrset.Options) *rrset.Sketch { return imm.BuildSketch(g, 8, o, stats.NewRNG(62)) },
 	}
 	for name, build := range builds {
-		opts, targets := recordRounds(Options{})
+		opts, targets := recordRounds(rrset.Options{})
 		sk := build(opts)
 		ts := *targets
 		last := len(ts) - 1
@@ -59,8 +60,8 @@ func TestPhase1CountsOnlyReadSets(t *testing.T) {
 	// a target that is none of the rule's coverage-test sizes λ'(k)/x_i.
 	g = graph.ErdosRenyi(300, 1500, stats.NewRNG(61)).UniformProb(0.05)
 	bs := []int{12, 4}
-	opts, targets := recordRounds(Options{})
-	sk := BuildSketch(g, bs, opts, stats.NewRNG(62))
+	opts, targets := recordRounds(rrset.Options{})
+	sk := prima.BuildSketch(g, bs, opts, stats.NewRNG(62))
 	n := g.N()
 	logn := math.Log(float64(n))
 	ellPrime := 1 + math.Ln2/logn + math.Log(float64(len(bs)))/logn
@@ -68,7 +69,7 @@ func TestPhase1CountsOnlyReadSets(t *testing.T) {
 	for _, k := range bs {
 		for i := 1; i <= int(math.Log2(float64(n)))-1; i++ {
 			x := float64(n) / math.Pow(2, float64(i))
-			testSizes[int(math.Ceil(imm.LambdaPrime(n, k, 0.5, ellPrime)/x))] = true
+			testSizes[int(math.Ceil(prima.LambdaPrime(n, k, 0.5, ellPrime)/x))] = true
 		}
 	}
 	ts := *targets

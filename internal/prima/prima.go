@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"uicwelfare/internal/graph"
-	"uicwelfare/internal/imm"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
@@ -82,46 +81,51 @@ func BuildSketch(g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) *S
 // phases to completion. opts.Phase1Stream, when set, lends phase 1 a
 // resident S₁; the sketch is byte-identical either way.
 func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Options, rng *stats.RNG) (*Sketch, error) {
+	sk, _, err := BuildSketchLB(ctx, g, budgets, opts, rng)
+	return sk, err
+}
+
+// BuildSketchLB is BuildSketchCtx that also returns the lower bound on
+// OPT of the top budget its adaptive phase established: the passing
+// round's n·F/(1+ε′), 1 when no round passed, 0 for a degenerate
+// sketch. It is the one adaptive search for θ: IMM at k is this loop on
+// [k], whose ℓ′ is IMM's EllPlusLog2 and whose rounds are IMM's.
+func BuildSketchLB(ctx context.Context, g *graph.Graph, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, float64, error) {
 	opts = opts.WithDefaults()
 	n := g.N()
-	if n == 0 || len(budgets) == 0 {
-		return &Sketch{Family: Family}, nil
-	}
 	// Sort budgets non-increasing, clamp into [1, n], drop duplicates
 	// (identical budgets share identical prefixes, so a single pass
 	// suffices and the union bound over |b| budgets stays valid).
 	bs := CanonicalBudgets(budgets, n)
-	if len(bs) == 0 {
-		return &Sketch{Family: Family}, nil
+	if n == 0 || len(bs) == 0 {
+		return &rrset.Sketch{Family: Family}, 0, nil
 	}
 	maxBudget := bs[0]
 	if maxBudget >= n {
 		// Degenerate: the top budget seeds the whole graph; any ordering
 		// of all nodes is trivially prefix-preserving only for b_i = n,
 		// so fall back to a full greedy ordering over a fixed collection.
-		return &Sketch{Family: Family, K: maxBudget, AllNodes: n}, nil
+		return &rrset.Sketch{Family: Family, K: maxBudget, AllNodes: n}, 0, nil
 	}
 
 	// Line 2: ℓ = ℓ + log2/log n, then ℓ' = log_n(n^ℓ · |b|).
-	logn := math.Log(float64(n))
-	ell := opts.Ell + math.Ln2/logn
-	ellPrime := ell + math.Log(float64(len(bs)))/logn
-
-	epsp := imm.EpsPrime(opts.Eps)
+	ellPrime := EllPlusLog2(opts.Ell, n) + math.Log(float64(len(bs)))/math.Log(float64(n))
+	epsp := EpsPrime(opts.Eps)
 
 	// The θ rule reads a prefix of the phase-1 stream S₁; the final
 	// collection is a prefix of the independent stream S₂.
 	base1, base2 := rrset.StreamBases(rng)
 	p1, err := opts.OpenPhase1(ctx, g, base1)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer p1.Release()
 	round := 0
 
 	// θ_final tracks the largest phase-2 requirement seen across budgets;
-	// the final collection is sized by it.
-	thetaFinal := 0.0
+	// the final collection is sized by it. topLB is the top budget's
+	// lower bound, 1 until its round passes.
+	thetaFinal, topLB := 0.0, 1.0
 	var prevSelection []graph.NodeID
 
 	s := 0 // index into bs (paper's s-1)
@@ -131,10 +135,10 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 	for i <= maxI && s < len(bs) {
 		k := bs[s]
 		x := float64(n) / math.Pow(2, float64(i))
-		thetaI := imm.LambdaPrime(n, k, opts.Eps, ellPrime) / x
+		thetaI := LambdaPrime(n, k, opts.Eps, ellPrime) / x
 		round++
 		if err := p1.Grow(ctx, int64(math.Ceil(thetaI)), round); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 
 		var seeds []graph.NodeID
@@ -153,7 +157,10 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 
 		if float64(n)*frac >= (1+epsp)*x {
 			lb := float64(n) * frac / (1 + epsp)
-			theta := imm.LambdaStar(n, k, opts.Eps, ellPrime) / lb
+			if s == 0 {
+				topLB = lb
+			}
+			theta := LambdaStar(n, k, opts.Eps, ellPrime) / lb
 			if theta > thetaFinal {
 				thetaFinal = theta
 			}
@@ -164,7 +171,7 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 			if s < len(bs) {
 				round++
 				if err := p1.Grow(ctx, int64(math.Ceil(theta)), round); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			budgetSwitch = true
@@ -173,16 +180,13 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 			budgetSwitch = false
 		}
 	}
-	// Line 20-21: budgets that ran out of i-iterations fall back to LB=1.
+	// Lines 20-21: budgets that ran out of i-iterations fall back to
+	// LB=1. That includes a graph too small for any round (maxI < 1).
 	if s < len(bs) {
-		theta := imm.LambdaStar(n, bs[s], opts.Eps, ellPrime) / 1.0
+		theta := LambdaStar(n, bs[s], opts.Eps, ellPrime) / 1.0
 		if theta > thetaFinal {
 			thetaFinal = theta
 		}
-	}
-	if thetaFinal == 0 {
-		// Degenerate tiny graph: no i-iterations ran. Use LB = 1.
-		thetaFinal = imm.LambdaStar(n, maxBudget, opts.Eps, ellPrime)
 	}
 
 	phase1 := p1.Read()
@@ -196,8 +200,8 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 	col.SeedStream(base2)
 	round++
 	if err := opts.Grow(ctx, col, int64(math.Ceil(thetaFinal)), round, nil); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	col.ReleaseScratch()
-	return &Sketch{Family: Family, Col: col, K: maxBudget, Phase1: phase1}, nil
+	return &rrset.Sketch{Family: Family, Col: col, K: maxBudget, Phase1: phase1}, topLB, nil
 }

@@ -1,4 +1,4 @@
-package prima
+package prima_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 	"uicwelfare/internal/diffusion"
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/imm"
+	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
 	"uicwelfare/internal/stats"
 )
@@ -14,7 +15,7 @@ import (
 func TestSelectReturnsMaxBudgetSeeds(t *testing.T) {
 	rng := stats.NewRNG(1)
 	g := graph.ErdosRenyi(100, 500, rng).WeightedCascade()
-	res := Select(g, []int{5, 15, 10}, Options{}, rng)
+	res := prima.Select(g, []int{5, 15, 10}, rrset.Options{}, rng)
 	if len(res.Seeds) != 15 {
 		t.Errorf("got %d seeds, want max budget 15", len(res.Seeds))
 	}
@@ -23,7 +24,7 @@ func TestSelectReturnsMaxBudgetSeeds(t *testing.T) {
 func TestSelectSeedsDistinct(t *testing.T) {
 	rng := stats.NewRNG(2)
 	g := graph.ErdosRenyi(100, 500, rng).WeightedCascade()
-	res := Select(g, []int{20}, Options{}, rng)
+	res := prima.Select(g, []int{20}, rrset.Options{}, rng)
 	seen := map[graph.NodeID]bool{}
 	for _, s := range res.Seeds {
 		if seen[s] {
@@ -39,7 +40,7 @@ func TestPrefixPreservingProperty(t *testing.T) {
 	rng := stats.NewRNG(3)
 	g := graph.ErdosRenyi(80, 400, rng).WeightedCascade()
 	budgets := []int{8, 4, 2}
-	res := Select(g, budgets, Options{Eps: 0.3, Ell: 1}, rng)
+	res := prima.Select(g, budgets, rrset.Options{Eps: 0.3, Ell: 1}, rng)
 	if len(res.Seeds) != 8 {
 		t.Fatalf("got %d seeds", len(res.Seeds))
 	}
@@ -54,25 +55,13 @@ func TestPrefixPreservingProperty(t *testing.T) {
 	}
 }
 
-func TestSelectSingleBudgetMatchesIMMQuality(t *testing.T) {
-	rng := stats.NewRNG(4)
-	g := graph.ErdosRenyi(100, 600, rng).WeightedCascade()
-	pres := Select(g, []int{6}, Options{}, stats.NewRNG(5))
-	ires := imm.Run(g, 6, rrset.Options{}, stats.NewRNG(6))
-	ps := diffusion.Spread(g, pres.Seeds, rng, 30000)
-	is := diffusion.Spread(g, ires.Seeds, rng, 30000)
-	if math.Abs(ps-is) > 0.2*math.Max(ps, is) {
-		t.Errorf("PRIMA single-budget spread %v far from IMM %v", ps, is)
-	}
-}
-
 func TestSelectRRSetCountComparableToIMM(t *testing.T) {
 	// Table 6: PRIMA's final collection is the same order of magnitude as
 	// the largest per-budget IMM run (ell' differs by log|b|/log n).
 	rng := stats.NewRNG(7)
 	g := graph.ErdosRenyi(150, 900, rng).WeightedCascade()
 	budgets := []int{10, 5, 2}
-	pres := Select(g, budgets, Options{}, stats.NewRNG(8))
+	pres := prima.Select(g, budgets, rrset.Options{}, stats.NewRNG(8))
 	maxIMM := 0
 	for _, b := range budgets {
 		r := imm.Run(g, b, rrset.Options{}, stats.NewRNG(9))
@@ -87,8 +76,8 @@ func TestSelectRRSetCountComparableToIMM(t *testing.T) {
 
 func TestSelectDeterministic(t *testing.T) {
 	g := graph.Star(60, 0.5)
-	a := Select(g, []int{3, 1}, Options{}, stats.NewRNG(42))
-	b := Select(g, []int{3, 1}, Options{}, stats.NewRNG(42))
+	a := prima.Select(g, []int{3, 1}, rrset.Options{}, stats.NewRNG(42))
+	b := prima.Select(g, []int{3, 1}, rrset.Options{}, stats.NewRNG(42))
 	for i := range a.Seeds {
 		if a.Seeds[i] != b.Seeds[i] {
 			t.Fatalf("nondeterministic: %v vs %v", a.Seeds, b.Seeds)
@@ -99,7 +88,7 @@ func TestSelectDeterministic(t *testing.T) {
 func TestSelectUniformBudgets(t *testing.T) {
 	rng := stats.NewRNG(10)
 	g := graph.ErdosRenyi(80, 400, rng).WeightedCascade()
-	res := Select(g, []int{5, 5, 5}, Options{}, rng)
+	res := prima.Select(g, []int{5, 5, 5}, rrset.Options{}, rng)
 	if len(res.Seeds) != 5 {
 		t.Errorf("uniform budgets: got %d seeds", len(res.Seeds))
 	}
@@ -108,7 +97,7 @@ func TestSelectUniformBudgets(t *testing.T) {
 func TestSelectBudgetLargerThanGraph(t *testing.T) {
 	g := graph.Line(4, 0.5)
 	rng := stats.NewRNG(11)
-	res := Select(g, []int{100}, Options{}, rng)
+	res := prima.Select(g, []int{100}, rrset.Options{}, rng)
 	if len(res.Seeds) != 4 {
 		t.Errorf("clamped budget: %d seeds", len(res.Seeds))
 	}
@@ -117,10 +106,10 @@ func TestSelectBudgetLargerThanGraph(t *testing.T) {
 func TestSelectEmptyAndZeroBudgets(t *testing.T) {
 	g := graph.Line(4, 0.5)
 	rng := stats.NewRNG(12)
-	if res := Select(g, nil, Options{}, rng); len(res.Seeds) != 0 {
+	if res := prima.Select(g, nil, rrset.Options{}, rng); len(res.Seeds) != 0 {
 		t.Errorf("nil budgets returned seeds")
 	}
-	if res := Select(g, []int{0, 0}, Options{}, rng); len(res.Seeds) != 0 {
+	if res := prima.Select(g, []int{0, 0}, rrset.Options{}, rng); len(res.Seeds) != 0 {
 		t.Errorf("zero budgets returned seeds")
 	}
 }
@@ -128,7 +117,7 @@ func TestSelectEmptyAndZeroBudgets(t *testing.T) {
 func TestSelectHubFirstOnStar(t *testing.T) {
 	g := graph.Star(50, 0.9)
 	rng := stats.NewRNG(13)
-	res := Select(g, []int{3, 1}, Options{}, rng)
+	res := prima.Select(g, []int{3, 1}, rrset.Options{}, rng)
 	if res.Seeds[0] != 0 {
 		t.Errorf("hub not first in ordering: %v", res.Seeds)
 	}

@@ -11,9 +11,9 @@ import (
 	"uicwelfare/internal/stats"
 )
 
-// Options configures an RIS sketch build — PRIMA's or IMM's, which read
-// the same fields. Zero values default to the paper's settings (Eps 0.5,
-// Ell 1).
+// Options configures an RIS sketch build: the one θ loop
+// (prima.BuildSketchLB) that PRIMA's and IMM's builds run. Zero values
+// default to the paper's settings (Eps 0.5, Ell 1).
 type Options struct {
 	Eps float64 // approximation slack ε > 0
 	Ell float64 // confidence exponent: success probability 1 - 1/n^ℓ
@@ -31,9 +31,9 @@ type Options struct {
 	// Every chunk samples from its own seeded stream, so the sketch
 	// depends on the RNG, never on Workers.
 	Workers int
-	// Phase1Stream, when non-nil, lends PRIMA's and IMM's builds the
-	// phase-1 stream their θ rule reads (see Phase1Func), so builds on
-	// one stream sample its sets once. The sketch is the same either way.
+	// Phase1Stream, when non-nil, lends a build the phase-1 stream its
+	// θ loop reads (see Phase1Func), so builds on one stream sample its
+	// sets once. The sketch is the same either way.
 	Phase1Stream Phase1Func
 }
 
@@ -83,14 +83,15 @@ type Result struct {
 // Sketch is the reusable product of an RIS build: the final RR-set
 // collection (a prefix of the build's stream S₂, independent of the
 // phase-1 stream S₁ that sized it) and its memoised greedy order. PRIMA and
-// IMM build the same object and differ only in the θ rule that sized
-// Col, which Family names. A built Sketch is immutable, so its greedy
+// IMM build it with one θ loop — IMM at k is PRIMA at [k] — and Family
+// names which θ-rule inputs the request had. A built Sketch is immutable, so its greedy
 // selection is a fixed function of it: the first Select computes it,
 // every later one reads it back, and one Sketch may serve many goroutines
 // concurrently (the seam the welmaxd sketch cache relies on). A Sketch
 // must not be copied.
 type Sketch struct {
-	// Family names the θ rule that sized the sketch: "prima" or "imm",
+	// Family names which θ-rule inputs sized the sketch: "prima" for a
+	// budget vector, "imm" for one budget k (the same loop on [k]). It is
 	// the planner registry's SketchFamily. Sketches arrive from disk and
 	// over the wire, so consumers compare it before trusting the sizing.
 	Family string
@@ -104,8 +105,9 @@ type Sketch struct {
 	// of the phase-1 stream S₁, kept out of Col (for TotalRRSets
 	// accounting).
 	Phase1 int
-	// LB is the lower bound on OPT_K the adaptive phase established. IMM
-	// keeps it to size extensions; PRIMA leaves it 0.
+	// LB is the lower bound on OPT_K the adaptive phase established. The
+	// loop computes it for both families; IMM keeps it to size extensions
+	// (the codec writes it for "imm" only), PRIMA leaves it 0.
 	LB float64
 	// AllNodes, when positive, marks the degenerate instance whose
 	// selection is every one of the n = AllNodes nodes in id order.

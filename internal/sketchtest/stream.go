@@ -1,4 +1,4 @@
-package prima
+package sketchtest
 
 import (
 	"context"
@@ -47,41 +47,36 @@ func sameSketch(t *testing.T, what string, got, want *rrset.Sketch) {
 	}
 }
 
-// TestBuildOnResidentPhase1MatchesFresh: a build whose phase 1 reads an
+// BuildOnResidentPhase1MatchesFresh: a build whose phase 1 reads an
 // S₁ another request left resident — grown past the prefix this build
 // needs, or short of it — is byte-identical to a fresh build from the
-// same seed, under IC and LT; it grows S₁ only when S₁ is short. (IMM's
-// twin is imm.TestBuildOnResidentPhase1MatchesFresh.)
-func TestBuildOnResidentPhase1MatchesFresh(t *testing.T) {
+// same seed, for every row under IC and LT; it grows S₁ only when S₁ is
+// short.
+func BuildOnResidentPhase1MatchesFresh(t *testing.T, rows []Row) {
 	g := graph.PowerLawGraph(500, 2.2, 5, stats.NewRNG(71)).WeightedCascade()
 	const seed = 72
-	builds := map[string]func(opts Options) *rrset.Sketch{
-		"prima[10]":       func(o Options) *rrset.Sketch { return BuildSketch(g, []int{10}, o, stats.NewRNG(seed)) },
-		"prima[50,50]":    func(o Options) *rrset.Sketch { return BuildSketch(g, []int{50, 50}, o, stats.NewRNG(seed)) },
-		"prima[80,30,10]": func(o Options) *rrset.Sketch { return BuildSketch(g, []int{80, 30, 10}, o, stats.NewRNG(seed)) },
-	}
-	for _, cascade := range []graph.Cascade{graph.CascadeIC, graph.CascadeLT} {
-		for name, build := range builds {
-			opts := Options{Eps: 0.5, Cascade: cascade, Workers: 2}
-			fresh := build(opts)
+	for _, cascade := range cascades {
+		for _, row := range rows {
+			opts := rrset.Options{Eps: 0.5, Cascade: cascade, Workers: 2}
+			fresh := row.mustBuild(t, g, opts, seed)
 			// ε 0.3 reads a longer prefix of the same S₁ than ε 0.5, ε 1.5
 			// a shorter one.
 			for _, other := range []struct {
 				eps  float64
 				past bool
 			}{{0.3, true}, {1.5, false}} {
-				what := fmt.Sprintf("cascade %d %s after ε %g", cascade, name, other.eps)
+				what := fmt.Sprintf("cascade %d %s after ε %g", cascade, row.Name, other.eps)
 				var s1 residentStream
 				o := opts
 				o.Phase1Stream = s1.lend
 				o.Eps = other.eps
-				build(o)
+				row.mustBuild(t, g, o, seed)
 				resident := s1.col.Len()
 				if past := resident > fresh.Phase1; past != other.past || resident == 0 {
 					t.Fatalf("%s: the other build left %d sets, this build reads %d", what, resident, fresh.Phase1)
 				}
 				o.Eps = opts.Eps
-				sameSketch(t, what, build(o), fresh)
+				sameSketch(t, what, row.mustBuild(t, g, o, seed), fresh)
 				if want := max(resident, fresh.Phase1); s1.col.Len() != want {
 					t.Fatalf("%s: S₁ holds %d sets after the build, want %d", what, s1.col.Len(), want)
 				}
@@ -94,50 +89,55 @@ func TestBuildOnResidentPhase1MatchesFresh(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildsShareOnePhase1 runs builds at four ε values on one
-// resident S₁ at once: they take turns on it (under -race: no
-// unsynchronized access) and each equals its serial fresh build.
-func TestConcurrentBuildsShareOnePhase1(t *testing.T) {
+// ConcurrentBuildsShareOnePhase1 runs each row's builds at four ε
+// values on one resident S₁ at once: they take turns on it (under -race:
+// no unsynchronized access) and each equals its serial fresh build.
+func ConcurrentBuildsShareOnePhase1(t *testing.T, rows []Row) {
 	g := graph.PowerLawGraph(500, 2.2, 5, stats.NewRNG(73)).WeightedCascade()
 	epss := []float64{0.3, 0.4, 0.5, 0.6}
-	var s1 residentStream
-	got := make([]*rrset.Sketch, len(epss))
-	var wg sync.WaitGroup
-	for i, eps := range epss {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = BuildSketch(g, []int{30, 20}, Options{Eps: eps, Workers: 2, Phase1Stream: s1.lend}, stats.NewRNG(74))
-		}()
-	}
-	wg.Wait()
-	for i, eps := range epss {
-		sameSketch(t, fmt.Sprintf("ε %g", eps), got[i], BuildSketch(g, []int{30, 20}, Options{Eps: eps, Workers: 1}, stats.NewRNG(74)))
+	for _, row := range rows {
+		var s1 residentStream
+		got := make([]*rrset.Sketch, len(epss))
+		errs := make([]error, len(epss))
+		var wg sync.WaitGroup
+		for i, eps := range epss {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = row.Build(context.Background(), g, rrset.Options{Eps: eps, Workers: 2, Phase1Stream: s1.lend}, stats.NewRNG(74))
+			}()
+		}
+		wg.Wait()
+		for i, eps := range epss {
+			if errs[i] != nil {
+				t.Fatalf("%s ε %g: %v", row.Name, eps, errs[i])
+			}
+			sameSketch(t, fmt.Sprintf("%s ε %g", row.Name, eps), got[i], row.mustBuild(t, g, rrset.Options{Eps: eps, Workers: 1}, 74))
+		}
 	}
 }
 
-// TestBuildOnPrefixMemoMatchesFresh: a build whose coverage tests the
+// BuildOnPrefixMemoMatchesFresh: a build whose coverage tests the
 // orders earlier builds left on a resident S₁ answer — the same request
 // again, or one at an ε jittered as finely as the benchmark's — is
-// byte-identical to a fresh build, under IC and LT, and the repeat runs
-// no greedy selection on S₁ at all. (IMM's twin is
-// imm.TestBuildOnPrefixMemoMatchesFresh.)
-func TestBuildOnPrefixMemoMatchesFresh(t *testing.T) {
+// byte-identical to a fresh build, for every row under IC and LT, and
+// the repeat runs no greedy selection on S₁ at all.
+func BuildOnPrefixMemoMatchesFresh(t *testing.T, rows []Row) {
 	g := graph.PowerLawGraph(500, 2.2, 5, stats.NewRNG(71)).WeightedCascade()
 	const seed = 75
-	for _, cascade := range []graph.Cascade{graph.CascadeIC, graph.CascadeLT} {
-		for _, budgets := range [][]int{{10}, {50, 50}, {80, 30, 10}} {
+	for _, cascade := range cascades {
+		for _, row := range rows {
 			var s1 residentStream
 			for i, eps := range []float64{0.3, 0.5, 0.5, 0.5 + 1e-9} {
-				what := fmt.Sprintf("cascade %d %v build %d at ε %g", cascade, budgets, i, eps)
+				what := fmt.Sprintf("cascade %d %s build %d at ε %g", cascade, row.Name, i, eps)
 				trace := telemetry.NewTrace(what, true)
 				ctx := telemetry.NewContext(context.Background(), trace)
 				before := s1.reused
-				got, err := BuildSketchCtx(ctx, g, budgets, Options{Eps: eps, Cascade: cascade, Workers: 2, Phase1Stream: s1.lend}, stats.NewRNG(seed))
+				got, err := row.Build(ctx, g, rrset.Options{Eps: eps, Cascade: cascade, Workers: 2, Phase1Stream: s1.lend}, stats.NewRNG(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameSketch(t, what, got, BuildSketch(g, budgets, Options{Eps: eps, Cascade: cascade, Workers: 1}, stats.NewRNG(seed)))
+				sameSketch(t, what, got, row.mustBuild(t, g, rrset.Options{Eps: eps, Cascade: cascade, Workers: 1}, seed))
 				reused, ran := s1.reused-before, trace.Stages()["greedy_select"].Count
 				if i == 2 && (ran != 0 || reused == 0) {
 					t.Fatalf("%s: a repeated build ran %d greedy selections and reused %d", what, ran, reused)

@@ -13,10 +13,10 @@ import (
 	"uicwelfare/internal/stats"
 )
 
-// TestSketchBytesGolden pins the SketchVersion 2 bytes of three
-// fixed-seed sketches — PRIMA, IMM (which also writes its LB) and the
-// degenerate all-nodes instance — through both the .wms codec and the
-// WMSSTRM entry writer. It pins sampler and codec together: a change to
+// TestSketchBytesGolden pins the SketchVersion 2 bytes of fixed-seed
+// sketches — PRIMA, IMM (which also writes its LB) under IC, LT and a
+// tighter ε, and the degenerate all-nodes instance at k = n and past n —
+// through both the .wms codec and the WMSSTRM entry writer. It pins sampler and codec together: a change to
 // the RR sampler's stream or a θ rule re-records the sampled hashes,
 // while TestSketchCodecBytesGolden pins the codec alone and must not
 // move then. A deliberate format change bumps SketchVersion and
@@ -38,6 +38,15 @@ func TestSketchBytesGolden(t *testing.T) {
 		{"all-nodes", imm.BuildSketch(g, g.N(), one, stats.NewRNG(3)),
 			"cfeb30c0abd9315d5d5d29f3c5a1e3d91e3c96d585483e9050a504c89e22f3e7",
 			"a27246475ea876a8fbde4bb8e48dbe4c679e5ca8a3cf7a99c9e8d892e4de16ea"},
+		{"imm-lt", imm.BuildSketch(g, 8, rrset.Options{Workers: 1, Cascade: graph.CascadeLT}, stats.NewRNG(4)),
+			"d9bd3c570e6e00f80f3f85ee3402d07d7f46af9f9e772d81a7c1234613b0155d",
+			"dc309c039ca34346d6491bb7f71b038f1c1e8cb631515236928ce8bcb1b45112"},
+		{"imm-eps0.3", imm.BuildSketch(g, 8, rrset.Options{Workers: 1, Eps: 0.3}, stats.NewRNG(5)),
+			"e4bf3062579f3fc8279d1decfa47ad73b831c44cb5762d3e772dafddbbb58a45",
+			"5b525d3875d84f3cd4e3d2e40df6e8dcb7deef522bbd23be03450183c0472647"},
+		{"imm-past-n", imm.BuildSketch(g, g.N()+3, one, stats.NewRNG(6)),
+			"101ace255a49b5a5ec1d7754a4dc7eee51b2acd96f887a826faf53067451cea0",
+			"8f26fa07e8fb1ef75aa6792d7c5c48666dc1e55e50be5045658927ecd60b04e3"},
 	}
 	for _, c := range cases {
 		var wms, strm bytes.Buffer

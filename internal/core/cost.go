@@ -52,8 +52,7 @@ func primaCostEstimate(nodes, edges int, eps, ell float64, budgets []int) int64 
 		// admission bypass.
 		return costFloor
 	}
-	logn := math.Log(float64(nodes))
-	ellPrime := ell + math.Ln2/logn + math.Log(float64(len(bs)))/logn
+	ellPrime := prima.EllPrime(ell, nodes, len(bs))
 	theta := 0.0
 	for _, k := range bs {
 		if t := prima.LambdaStar(nodes, k, eps, ellPrime) / float64(k); t > theta {

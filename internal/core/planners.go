@@ -93,14 +93,14 @@ func (bundleGRDPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem, b
 	return prima.BuildSketchCtx(ctx, p.G, budgets, sketchOptions(opts), rng)
 }
 
-// ExtendSketch grows a resident PRIMA sketch built for oldBudgets into
-// one serving newBudgets (the sketch resolver's delta-build seam).
-func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+// ExtendSketch grows a resident PRIMA sketch into one serving budgets
+// (the sketch resolver's delta-build seam).
+func (bundleGRDPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	if err := checkFamily(AlgoBundleGRD, prima.Family, sk); err != nil {
 		return nil, err
 	}
-	po := sketchOptions(opts)
-	return prima.ExtendSketchCtx(ctx, p.G, sk, oldBudgets, po, newBudgets, po, rng)
+	esk, _, err := prima.ExtendSketchLB(ctx, p.G, sk, budgets, sketchOptions(opts), rng)
+	return esk, err
 }
 
 // itemDisjointPlanner adapts itemDisjoint to the registry. The sketch
@@ -156,15 +156,14 @@ func (itemDisjointPlanner) BuildSketchForBudgets(ctx context.Context, p *Problem
 }
 
 // ExtendSketch grows a resident IMM sketch to serve the merged total
-// budget (the sketch resolver's delta-build seam). oldBudgets is unused: the
-// IMM sketch carries its own K and lower bound.
-func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, _, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
+// budget (the sketch resolver's delta-build seam).
+func (itemDisjointPlanner) ExtendSketch(ctx context.Context, p *Problem, sk *rrset.Sketch, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	if err := checkFamily(AlgoItemDisjoint, imm.Family, sk); err != nil {
 		return nil, err
 	}
 	k := 0
-	if len(newBudgets) > 0 {
-		k = newBudgets[0]
+	if len(budgets) > 0 {
+		k = budgets[0]
 	}
 	return imm.ExtendSketchCtx(ctx, p.G, sk, k, sketchOptions(opts), rng)
 }

@@ -101,14 +101,16 @@ type SketchPlanner interface {
 	// vector on p's graph — p's own budgets are ignored, which is what
 	// lets a batch build dominate several requests at once.
 	BuildSketchForBudgets(ctx context.Context, p *Problem, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
-	// ExtendSketch grows sketch — resident, built for oldBudgets under
-	// the same (graph, family, cascade, ε, ℓ) group — into one serving
-	// newBudgets at the marginal sampling cost. The input sketch is never
-	// mutated (growth happens on a clone), so concurrent readers of the
-	// resident sketch are safe. Sketches with no collection to append to
-	// return an error (rrset.ErrNotExtendable); callers fall back to a
-	// cold build.
-	ExtendSketch(ctx context.Context, p *Problem, sketch *rrset.Sketch, oldBudgets, newBudgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
+	// ExtendSketch grows sketch — resident, of the same (graph, family,
+	// cascade, ε, ℓ, seed) group — into one serving budgets, at the
+	// marginal sampling cost: the request's own θ rule runs, and its
+	// final collection is sketch's grown to θ (prima.ExtendSketchLB), so
+	// on a built sketch the result is the fresh build's. The input
+	// sketch is never mutated (growth happens on a clone), so concurrent
+	// readers of the resident sketch are safe. Sketches with no
+	// collection to append to return an error (rrset.ErrNotExtendable);
+	// callers fall back to a cold build.
+	ExtendSketch(ctx context.Context, p *Problem, sketch *rrset.Sketch, budgets []int, opts Options, rng *stats.RNG) (*rrset.Sketch, error)
 	// PlanFromSketch runs selection and assignment on a prebuilt sketch,
 	// refusing one of another family. It only reads the sketch, so one
 	// cached sketch can serve many concurrent calls.

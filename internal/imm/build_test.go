@@ -67,3 +67,18 @@ func TestBuildSketchProgressMonotone(t *testing.T) {
 func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
 	sketchtest.ParallelBuildWelfareMatchesSerial(t, immRows)
 }
+
+// TestExtendMatchesFreshBuild: a grown budget, and the benchmark's
+// budget_creep chain at k 10 → 20 → … → 80 (IMM's merge is the max, so
+// an added smaller budget is no request of its own).
+func TestExtendMatchesFreshBuild(t *testing.T) {
+	var creep []sketchtest.Row
+	for k := 10; k <= 80; k += 10 {
+		creep = append(creep, sketchtest.IMM(k))
+	}
+	sketchtest.ExtendMatchesFreshBuild(t, [][]sketchtest.Row{{sketchtest.IMM(30), sketchtest.IMM(80)}, creep})
+}
+
+func TestExtendRefusedBeforePhase1(t *testing.T) {
+	sketchtest.ExtendRefusedBeforePhase1(t, immRows)
+}

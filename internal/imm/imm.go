@@ -51,7 +51,7 @@ func BuildSketch(g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) *rrs
 // progress reporting, as prima.BuildSketchCtx. IMM at k is PRIMA at [k]:
 // for one budget PRIMA's ℓ′ is ℓ + log2/log n and Algorithm 2's loop is
 // IMM's, so the sketch is prima.BuildSketchLB's on [k], labelled Family
-// and carrying the LB that sizes its extensions.
+// and carrying its LB.
 func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 	n := g.N()
 	if k <= 0 || n == 0 {
@@ -67,4 +67,19 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, k int, opts rrset.Optio
 	}
 	sk.Family, sk.LB = Family, lb
 	return sk, nil
+}
+
+// ExtendSketchCtx grows a resident sketch into one serving budget k
+// under opts: prima.ExtendSketchLB on [k], so the extension runs IMM's
+// own θ rule, and a grown sketch is labelled Family and carries its LB.
+// A sketch that shares the base's collection keeps the base's labels.
+func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, k int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
+	esk, lb, err := prima.ExtendSketchLB(ctx, g, sk, []int{k}, opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	if esk.Col != sk.Col {
+		esk.Family, esk.LB = Family, lb
+	}
+	return esk, nil
 }

@@ -14,8 +14,7 @@ func EpsPrime(eps float64) float64 { return math.Sqrt2 * eps }
 //	λ'_k = (2 + 2/3·ε')(log C(n,k) + ℓ'·log n + log log2 n)·n / ε'^2
 //
 // with natural logarithms. ellPrime is the effective confidence exponent
-// ℓ' = ℓ + log2/log n + log|b|/log n; for one budget (IMM) the last
-// term is 0 and ℓ' is EllPlusLog2.
+// ℓ' (EllPrime).
 func LambdaPrime(n, k int, eps, ellPrime float64) float64 {
 	epsp := EpsPrime(eps)
 	logBinom := stats.LogNChooseK(n, k)
@@ -41,4 +40,11 @@ func LambdaStar(n, k int, eps, ellPrime float64) float64 {
 // folds the union bound over its two phases into the failure probability.
 func EllPlusLog2(ell float64, n int) float64 {
 	return ell + math.Ln2/math.Log(float64(n))
+}
+
+// EllPrime returns line 2 of Algorithm 2, ℓ' = ℓ + log2/log n +
+// log|b|/log n: EllPlusLog2 with the union bound over numBudgets
+// budgets folded in as well. For one budget it is EllPlusLog2.
+func EllPrime(ell float64, n, numBudgets int) float64 {
+	return EllPlusLog2(ell, n) + math.Log(float64(numBudgets))/math.Log(float64(n))
 }

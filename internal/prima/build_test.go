@@ -63,6 +63,29 @@ func TestParallelBuildWelfareMatchesSerial(t *testing.T) {
 	sketchtest.ParallelBuildWelfareMatchesSerial(t, primaRows)
 }
 
+// TestExtendMatchesFreshBuild: a grown top budget, an added smaller
+// budget, and the benchmark's budget_creep chain [10] → [20,10] → … →
+// [80,…,10].
+func TestExtendMatchesFreshBuild(t *testing.T) {
+	creep := []sketchtest.Row{sketchtest.PRIMA(10)}
+	for top := 20; top <= 80; top += 10 {
+		budgets := []int{}
+		for b := top; b >= 10; b -= 10 {
+			budgets = append(budgets, b)
+		}
+		creep = append(creep, sketchtest.PRIMA(budgets...))
+	}
+	sketchtest.ExtendMatchesFreshBuild(t, [][]sketchtest.Row{
+		{sketchtest.PRIMA(30), sketchtest.PRIMA(80, 30)},
+		{sketchtest.PRIMA(80), sketchtest.PRIMA(80, 30, 10)},
+		creep,
+	})
+}
+
+func TestExtendRefusedBeforePhase1(t *testing.T) {
+	sketchtest.ExtendRefusedBeforePhase1(t, primaRows)
+}
+
 // recordEvents returns opts with a Progress hook that appends every
 // event it receives to the returned slice.
 func recordEvents(opts rrset.Options) (rrset.Options, *[]progress.Event) {

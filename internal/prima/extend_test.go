@@ -2,13 +2,11 @@ package prima_test
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"uicwelfare/internal/graph"
 	"uicwelfare/internal/prima"
 	"uicwelfare/internal/rrset"
-	"uicwelfare/internal/sketchtest"
 	"uicwelfare/internal/stats"
 )
 
@@ -32,54 +30,6 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	for i := range ra.Seeds {
 		if ra.Seeds[i] != rb.Seeds[i] {
 			t.Fatalf("nondeterministic parallel build: %v vs %v", ra.Seeds, rb.Seeds)
-		}
-	}
-}
-
-// TestExtendSketchMatchesColdBuild is satellite (d): extending a
-// resident sketch to a larger budget vector must behave like a cold
-// build at the extended parameters — same selection length, at least
-// the cold build's RR-set count (the λ*-ratio sizing is conservative),
-// and spread within the sampling tolerance.
-func TestExtendSketchMatchesColdBuild(t *testing.T) {
-	oldBudgets := []int{6, 3}
-	newBudgets := []int{12, 6, 3}
-	opts := rrset.Options{Eps: 0.4, Ell: 1, Workers: 2}
-	for name, g := range sketchtest.Families() {
-		base, err := prima.BuildSketchCtx(context.Background(), g, oldBudgets, opts, stats.NewRNG(11))
-		if err != nil {
-			t.Fatalf("%s: base build: %v", name, err)
-		}
-		baseLen := base.NumRRSets()
-
-		ext, err := prima.ExtendSketchCtx(context.Background(), g, base, oldBudgets, opts, newBudgets, opts, stats.NewRNG(12))
-		if err != nil {
-			t.Fatalf("%s: extend: %v", name, err)
-		}
-		cold, err := prima.BuildSketchCtx(context.Background(), g, newBudgets, opts, stats.NewRNG(13))
-		if err != nil {
-			t.Fatalf("%s: cold build: %v", name, err)
-		}
-
-		// The original sketch must be untouched by the extension.
-		if base.NumRRSets() != baseLen {
-			t.Fatalf("%s: extension mutated the base sketch: %d sets, had %d", name, base.NumRRSets(), baseLen)
-		}
-		if ext.NumRRSets() < baseLen {
-			t.Fatalf("%s: extended sketch shrank: %d < base %d", name, ext.NumRRSets(), baseLen)
-		}
-		if ext.K != 12 {
-			t.Fatalf("%s: extended K = %d, want 12", name, ext.K)
-		}
-
-		eres, cres := ext.Select(), cold.Select()
-		if len(eres.Seeds) != len(cres.Seeds) {
-			t.Fatalf("%s: selection sizes differ: extended %d vs cold %d", name, len(eres.Seeds), len(cres.Seeds))
-		}
-		es := sketchtest.EvalSpread(g, eres.Seeds, 902)
-		cs := sketchtest.EvalSpread(g, cres.Seeds, 902)
-		if math.Abs(es-cs) > 0.15*math.Max(es, cs)+1 {
-			t.Errorf("%s: extended spread %.2f vs cold %.2f beyond tolerance", name, es, cs)
 		}
 	}
 }
@@ -128,9 +78,10 @@ func TestExtendSketchNoGrowthShares(t *testing.T) {
 	}
 }
 
-// TestExtendSketchRejections: degenerate sketches and loosened ε must
-// refuse extension with ErrNotExtendable so callers fall back to a cold
-// build.
+// TestExtendSketchRejections: degenerate sketches must refuse extension
+// with ErrNotExtendable so callers fall back to a cold build. A loosened
+// ε is no refusal: its θ rule asks for fewer sets than the base holds,
+// so the base answers it.
 func TestExtendSketchRejections(t *testing.T) {
 	g := graph.BarabasiAlbert(100, 3, stats.NewRNG(107)).WeightedCascade()
 	opts := rrset.Options{}
@@ -151,8 +102,8 @@ func TestExtendSketchRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{5}, rrset.Options{Eps: 0.3}, []int{8}, rrset.Options{Eps: 0.5}, rng); err == nil {
-		t.Fatal("loosened eps accepted")
+	if loose, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{5}, rrset.Options{Eps: 0.3}, []int{5}, rrset.Options{Eps: 0.5}, rng); err != nil || loose != base {
+		t.Fatalf("loosened eps: %v; answered by the base: %t", err, loose == base)
 	}
 	// Tightening ε is growth, not rejection.
 	tight, err := prima.ExtendSketchCtx(context.Background(), g, base, []int{5}, rrset.Options{Eps: 0.3}, []int{5}, rrset.Options{Eps: 0.2}, rng)

@@ -9,6 +9,7 @@ package prima
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -91,6 +92,53 @@ func BuildSketchCtx(ctx context.Context, g *graph.Graph, budgets []int, opts Opt
 // sketch. It is the one adaptive search for θ: IMM at k is this loop on
 // [k], whose ℓ′ is IMM's EllPlusLog2 and whose rounds are IMM's.
 func BuildSketchLB(ctx context.Context, g *graph.Graph, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, float64, error) {
+	return buildSketch(ctx, g, nil, budgets, opts, rng)
+}
+
+// ExtendSketchCtx grows a resident sketch into one serving budgets
+// under opts, by appending RR sets instead of rebuilding from scratch
+// (ExtendSketchLB). The budgets and options the sketch was built for
+// are not read: the request's own θ rule sizes the result.
+func ExtendSketchCtx(ctx context.Context, g *graph.Graph, sk *Sketch, _ []int, _ Options, budgets []int, opts Options, rng *stats.RNG) (*Sketch, error) {
+	esk, _, err := ExtendSketchLB(ctx, g, sk, budgets, opts, rng)
+	return esk, err
+}
+
+// ExtendSketchLB is BuildSketchLB on a resident base sketch, which it
+// never mutates: the request's own θ loop runs (on the S₁ that
+// opts.Phase1Stream lends), and only its final collection differs.
+//   - If θ fits in base's collection, the answer is base itself, or a
+//     sketch sharing base's collection read-only when the budget ceiling
+//     rises (the memoised order stops at the old K).
+//   - Otherwise base's collection is cloned and grown to θ. A built
+//     collection carries its stream, so the appended sets are the next
+//     sets of its S₂, and on the request's seed the result is the fresh
+//     build's, byte for byte. A restored collection carries no stream;
+//     its appended sets come from a fresh one whose base is rng's third
+//     draw, after StreamBases, so they are never sets of the request's
+//     S₁ or S₂ already read.
+//
+// A nil or degenerate base, one of another graph, and budgets that
+// leave nothing to sample (none, or one covering the whole graph) are
+// refused with rrset.ErrNotExtendable before any S₁ set is sampled;
+// callers fall back to a cold build.
+func ExtendSketchLB(ctx context.Context, g *graph.Graph, base *rrset.Sketch, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, float64, error) {
+	n := g.N()
+	if base == nil || base.Col == nil || base.Col.Len() == 0 {
+		return nil, 0, rrset.ErrNotExtendable
+	}
+	if base.Col.N() != n {
+		return nil, 0, fmt.Errorf("%w: %s sketch built on a %d-node graph, extending on %d nodes", rrset.ErrNotExtendable, base.Family, base.Col.N(), n)
+	}
+	if bs := CanonicalBudgets(budgets, n); len(bs) == 0 || bs[0] >= n {
+		return nil, 0, fmt.Errorf("%w: budgets %v on %d nodes leave nothing to sample", rrset.ErrNotExtendable, budgets, n)
+	}
+	return buildSketch(ctx, g, base, budgets, opts, rng)
+}
+
+// buildSketch is the θ loop behind BuildSketchLB and ExtendSketchLB:
+// base is nil for a fresh build.
+func buildSketch(ctx context.Context, g *graph.Graph, base *rrset.Sketch, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, float64, error) {
 	opts = opts.WithDefaults()
 	n := g.N()
 	// Sort budgets non-increasing, clamp into [1, n], drop duplicates
@@ -109,7 +157,7 @@ func BuildSketchLB(ctx context.Context, g *graph.Graph, budgets []int, opts rrse
 	}
 
 	// Line 2: ℓ = ℓ + log2/log n, then ℓ' = log_n(n^ℓ · |b|).
-	ellPrime := EllPlusLog2(opts.Ell, n) + math.Log(float64(len(bs)))/math.Log(float64(n))
+	ellPrime := EllPrime(opts.Ell, n, len(bs))
 	epsp := EpsPrime(opts.Eps)
 
 	// The θ rule reads a prefix of the phase-1 stream S₁; the final
@@ -196,10 +244,26 @@ func BuildSketchLB(ctx context.Context, g *graph.Graph, budgets []int, opts rrse
 	// — a prefix of S₂, which phase 1 never read. The final
 	// NodeSelection (line 25) is left to Select so the collection can be
 	// cached and shared.
-	col := opts.NewCollection(g)
-	col.SeedStream(base2)
+	theta := int64(math.Ceil(thetaFinal))
+	var col *rrset.Collection
+	switch {
+	case base == nil:
+		col = opts.NewCollection(g)
+		col.SeedStream(base2)
+	case theta <= int64(base.Col.Len()):
+		if k := max(maxBudget, base.K); k != base.K {
+			return &rrset.Sketch{Family: base.Family, Col: base.Col, K: k, Phase1: base.Phase1, LB: base.LB}, topLB, nil
+		}
+		return base, topLB, nil
+	default:
+		// Growth happens on a clone, so concurrent readers of the
+		// resident base (the sketch-cache contract) are undisturbed.
+		col, maxBudget = base.Col.Clone(), max(maxBudget, base.K)
+		smp := col.Sampler()
+		smp.Cascade, smp.NodeCoin = opts.Cascade, opts.NodeCoin
+	}
 	round++
-	if err := opts.Grow(ctx, col, int64(math.Ceil(thetaFinal)), round, nil); err != nil {
+	if err := opts.Grow(ctx, col, theta, round, rng); err != nil {
 		return nil, 0, err
 	}
 	col.ReleaseScratch()

@@ -267,7 +267,7 @@ func (r *Resolver) buildMiss(ctx context.Context, req *Req, key string, budgets 
 			// spill.
 			return r.buildThroughTiers(bctx, req, groupKey+budgetSegment(target), func(bctx context.Context) (*rrset.Sketch, error) {
 				if base != nil {
-					esk, err := sp.ExtendSketch(bctx, req.Problem, base, baseBudgets, target, opts, stats.NewRNG(req.Seed))
+					esk, err := sp.ExtendSketch(bctx, req.Problem, base, target, opts, stats.NewRNG(req.Seed))
 					if err == nil {
 						r.extends.Add(1)
 						r.appended.Add(int64(esk.NumRRSets() - base.NumRRSets()))

@@ -208,10 +208,10 @@ func (c *Collection) ensureSamplers(workers int) {
 // coin, the cumulative width statistic and the stream state — so a
 // grown clone holds exactly the sets the original would have grown. The
 // inverted index is not copied — the clone builds its own on first read
-// — since ExtendSketch grows the clone at once, which would make a copy
+// — since an extension grows the clone at once, which would make a copy
 // stale. The original may keep serving concurrent readers (the
 // sketch-cache contract) while the clone is grown further — the
-// ExtendSketch seam.
+// extension seam (prima.ExtendSketchLB).
 func (c *Collection) Clone() *Collection {
 	nc := &Collection{
 		g:       c.g,

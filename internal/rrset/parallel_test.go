@@ -219,7 +219,7 @@ func TestGrowParallelEdgesVisited(t *testing.T) {
 
 // TestCloneIsolation: growing a clone must not perturb the original's
 // storage, inverted index, or greedy selection — the contract that lets
-// ExtendSketch run while the resident sketch serves readers.
+// an extension run while the resident sketch serves readers.
 func TestCloneIsolation(t *testing.T) {
 	g := growTestGraph()
 	orig := NewCollection(g)

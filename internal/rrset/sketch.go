@@ -106,8 +106,9 @@ type Sketch struct {
 	// accounting).
 	Phase1 int
 	// LB is the lower bound on OPT_K the adaptive phase established. The
-	// loop computes it for both families; IMM keeps it to size extensions
-	// (the codec writes it for "imm" only), PRIMA leaves it 0.
+	// loop computes it for both families; IMM keeps it (the codec writes
+	// it for "imm" only), PRIMA leaves it 0. Nothing sizes from it: an
+	// extension runs its request's own θ rule.
 	LB float64
 	// AllNodes, when positive, marks the degenerate instance whose
 	// selection is every one of the n = AllNodes nodes in id order.
@@ -208,7 +209,7 @@ func (s *Sketch) SelectReport(report func(prefix []graph.NodeID)) Result {
 // its order to cover Col, so reading the spread off Col is biased
 // upward; the RIS estimator n·F_R(S) is unbiased only on sets sampled
 // independently of S. So every call samples a fresh R₂ on Col's graph
-// under opts, as ExtendSketch samples its appended sets, and takes only
+// under opts, as an extension samples its appended sets, and takes only
 // the order and the size from Col: R₂ holds exactly Col.Len() sets, OPIM's
 // equal split between the selection and the validation collection, so
 // the estimate's error is on the scale the θ rule accepted for the
@@ -232,60 +233,9 @@ func (s *Sketch) PrefixSpread(ctx context.Context, opts Options, rng *stats.RNG)
 	return spread, nil
 }
 
-// ErrNotExtendable marks a sketch that cannot grow in place: degenerate
-// (all-nodes or empty) sketches carry no collection to append to, and a
-// family's θ rule refuses requests the existing samples cannot serve.
-// Callers fall back to a cold build.
+// ErrNotExtendable marks a sketch that cannot grow in place
+// (prima.ExtendSketchLB): degenerate (all-nodes or empty) sketches and
+// sketches of another graph carry no collection to append to, and
+// budgets covering the whole graph leave nothing to sample. Callers
+// fall back to a cold build.
 var ErrNotExtendable = errors.New("rrset: sketch not extendable")
-
-// ThetaRule is a family's extend-time sizing: given the graph's node
-// count it checks the request against the base sketch and returns the
-// collection size the extended sketch needs and the budget ceiling it
-// serves.
-type ThetaRule func(n int) (theta int64, k int, err error)
-
-// ExtendSketch grows sk — resident, never mutated — into the sketch
-// rule sizes, by appending RR sets under opts instead of rebuilding from
-// scratch. A built collection carries its stream, so the appended sets
-// are the next sets of its S₂ and the extended collection is exactly
-// the prefix of S₂ a cold build's final phase of that size would hold.
-// A restored collection carries no stream; its appended sets come from
-// a fresh one whose base is rng's third draw, after the two
-// StreamBases would take — so they are never sets of the request's S₁
-// or S₂ already read. Growth happens on a clone, so
-// concurrent readers of the resident sketch (the sketch-cache contract)
-// are undisturbed. When no growth is needed the returned sketch shares
-// sk's collection read-only — and is sk itself, memoised selection
-// included, when the ceiling does not move either.
-func ExtendSketch(ctx context.Context, g *graph.Graph, sk *Sketch, opts Options, rng *stats.RNG, rule ThetaRule) (*Sketch, error) {
-	if sk == nil || sk.Col == nil || sk.Col.Len() == 0 {
-		return nil, ErrNotExtendable
-	}
-	n := g.N()
-	if sk.Col.N() != n {
-		return nil, fmt.Errorf("%s: sketch built on a %d-node graph, extending on %d nodes", sk.Family, sk.Col.N(), n)
-	}
-	theta, k, err := rule(n)
-	if err != nil {
-		return nil, err
-	}
-	k = max(k, sk.K)
-	if theta <= int64(sk.Col.Len()) {
-		// Already large enough. A larger ceiling starts a fresh memo, since
-		// the memoised order stops at the old K.
-		if k == sk.K {
-			return sk, nil
-		}
-		return &Sketch{Family: sk.Family, Col: sk.Col, K: k, Phase1: sk.Phase1, LB: sk.LB}, nil
-	}
-	col := sk.Col.Clone()
-	smp := col.Sampler()
-	smp.Cascade = opts.Cascade
-	smp.NodeCoin = opts.NodeCoin
-	StreamBases(rng)
-	if err := opts.Grow(ctx, col, theta, 1, rng); err != nil {
-		return nil, err
-	}
-	col.ReleaseScratch()
-	return &Sketch{Family: sk.Family, Col: col, K: k, Phase1: sk.Phase1, LB: sk.LB}, nil
-}

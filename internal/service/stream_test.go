@@ -230,7 +230,7 @@ func (blockingSketchPlanner) MergeBudgets(a, b []int) []int {
 	return out
 }
 
-func (blockingSketchPlanner) ExtendSketch(context.Context, *core.Problem, *rrset.Sketch, []int, []int, core.Options, *stats.RNG) (*rrset.Sketch, error) {
+func (blockingSketchPlanner) ExtendSketch(context.Context, *core.Problem, *rrset.Sketch, []int, core.Options, *stats.RNG) (*rrset.Sketch, error) {
 	return nil, rrset.ErrNotExtendable
 }
 

@@ -71,7 +71,7 @@ func SelectMemoMatchesUncachedReference(t *testing.T, rows []Row) {
 			checkMemo(t, name+" parallel-grown", par)
 
 			grownBudgets := append([]int{top + 30}, row.Budgets...)
-			grown, err := row.Extend(ctx, g, built, row.Budgets, grownBudgets, opts, stats.NewRNG(9))
+			grown, err := row.Extend(ctx, g, built, grownBudgets, opts, stats.NewRNG(9))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func SelectMemoMatchesUncachedReference(t *testing.T, rows []Row) {
 			// ceiling its memo stops short of.
 			roomy := &rrset.Sketch{Family: built.Family, Col: grown.Col, K: top, Phase1: grown.Phase1, LB: grown.LB}
 			checkMemo(t, name+" restored over a larger collection", roomy)
-			raised, err := row.Extend(ctx, g, roomy, grownBudgets, []int{top + 1}, opts, stats.NewRNG(10))
+			raised, err := row.Extend(ctx, g, roomy, []int{top + 1}, opts, stats.NewRNG(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func SelectMemoMatchesUncachedReference(t *testing.T, rows []Row) {
 			checkMemo(t, name+" base after its extension", roomy)
 			checkMemo(t, name+" built after its extension", built)
 
-			same, err := row.Extend(ctx, g, roomy, grownBudgets, []int{top - 1}, opts, stats.NewRNG(11))
+			same, err := row.Extend(ctx, g, roomy, []int{top - 1}, opts, stats.NewRNG(11))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Package sketchtest holds the build tests every RR-sketch family
-// answers to: memoised selection, resident phase-1 streams, cancellation
-// and parallel welfare. Each check runs over a table of Rows — a family's
+// answers to: memoised selection, resident phase-1 streams, extension,
+// cancellation and parallel welfare. Each check runs over a table of Rows — a family's
 // build on fixed budgets — so prima's and imm's tests of the same name
 // are one body run over PRIMA rows and the IMM row respectively.
 package sketchtest
@@ -25,10 +25,10 @@ type Row struct {
 	Name    string
 	Budgets []int // IMM's one budget is k
 	Build   func(ctx context.Context, g *graph.Graph, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error)
-	// Extend grows a sketch of the row's family built for old budgets
-	// into one serving new, through the family's ExtendSketchCtx (IMM's
-	// reads the sketch's LB and new's top budget only).
-	Extend func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, old, new []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error)
+	// Extend grows a sketch of the row's family into one serving
+	// budgets, through the family's ExtendSketchCtx (IMM's reads the top
+	// budget only).
+	Extend func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error)
 }
 
 // PRIMA is the row of a PRIMA build on budgets.
@@ -39,8 +39,8 @@ func PRIMA(budgets ...int) Row {
 		Build: func(ctx context.Context, g *graph.Graph, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 			return prima.BuildSketchCtx(ctx, g, budgets, opts, rng)
 		},
-		Extend: func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, old, new []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
-			return prima.ExtendSketchCtx(ctx, g, sk, old, opts, new, opts, rng)
+		Extend: func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
+			return prima.ExtendSketchCtx(ctx, g, sk, nil, opts, budgets, opts, rng)
 		},
 	}
 }
@@ -53,8 +53,8 @@ func IMM(k int) Row {
 		Build: func(ctx context.Context, g *graph.Graph, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
 			return imm.BuildSketchCtx(ctx, g, k, opts, rng)
 		},
-		Extend: func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, _, new []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
-			return imm.ExtendSketchCtx(ctx, g, sk, new[0], opts, rng)
+		Extend: func(ctx context.Context, g *graph.Graph, sk *rrset.Sketch, budgets []int, opts rrset.Options, rng *stats.RNG) (*rrset.Sketch, error) {
+			return imm.ExtendSketchCtx(ctx, g, sk, budgets[0], opts, rng)
 		},
 	}
 }
